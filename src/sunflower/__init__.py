@@ -18,7 +18,8 @@ from .errors import (BudgetExceededError, ContractViolationError,
 from .extremal import ExtremalFamily, build_extremal, certify_sunflower_free
 from .families import (GroundSet, SetFamily, Split, Subsplit, Universe,
                        family_from_json_obj, family_from_text,
-                       family_to_json_obj, family_to_text, pad_universe)
+                       family_to_json_obj, family_to_text, pad_universe,
+                       subset_buckets)
 from .gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
                     maximal_violator, require_gamma)
 from .harness import (ExperimentReport, generate_random_family,

@@ -30,7 +30,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ContractViolationError
-from .families import GroundSet, SetFamily, Split, Subsplit, mask_labels
+from .families import (GroundSet, SetFamily, Split, Subsplit, mask_labels,
+                       subset_buckets)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -120,9 +121,7 @@ def canonical_constants(epsilon: float, k: int, m: int,
         h = math.exp(1.0 / epsilon)
         c = math.exp(h)
     except OverflowError:
-        raise ValueError(
-            f"canonical constants overflow at epsilon={epsilon}; "
-            "the schedule is feasible only for epsilon above ~0.153") from None
+        h = c = math.inf
     if math.isinf(c):
         raise ValueError(
             f"canonical constants overflow at epsilon={epsilon}; "
@@ -375,7 +374,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
         return False
     r = part.r
     mprime = collection.rank
-    if not bases.shadow_contains(part.B):
+    if part.B.bits not in bases.subset_lookup():
         return False
     if part.variant == "i":
         if r >= mprime:
@@ -420,11 +419,10 @@ class BaseSetsOutput:
 def _candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
     """Masks of r-sets on the subsplit inside the bases' shadow, in
     lexicographic label order; rank 0 gives the empty set alone."""
-    uni = sub.split.universe
     if r == 0:
         return [0] if len(bases) else []
-    cands = [b for b in sub.p_set_masks(r)
-             if bases.shadow_contains(uni.from_bits(b))]
+    shadow = bases.subset_lookup()
+    cands = [b for b in sub.p_set_masks(r) if b in shadow]
     cands.sort(key=mask_labels)
     return cands
 
@@ -436,7 +434,7 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
     and drop every member containing it."""
     t = list(bucket)
     while t:
-        v = _max_violator_masks(tuple(t), free, bases, 0, b)
+        v = _max_violator_masks(t, free, bases, 0, b)
         if v is None:
             break
         t = [u for u in t if u & v != v]
@@ -503,10 +501,11 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     cfg._need_fam_size()
     family = collection.family
     strips = [s.bits for s in split.strips]
+    shadow = family.subset_lookup()
     for u in bases:
         if u.cardinality != mprime or _on_split_strips(split, u) is None:
             raise ValueError(f"base {u!r} is not an on-split {mprime}-set")
-        if not family.shadow_contains(u):
+        if u.bits not in shadow:
             raise ValueError(f"base {u!r} is not in the family's shadow")
     base_mask_set = set(bases.masks())
     for key, comp in collection.components.items():
@@ -565,15 +564,21 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
             trace: list[dict], collection: ComponentCollection,
             bases: SetFamily, cfg: Constants, thr: Threshold,
             b: Fraction) -> BaseSetsOutput:
-    """Assemble the output and assert the engine's postconditions."""
+    """Assemble the output and check the engine's postconditions; a
+    failed one raises ContractViolationError carrying the trace."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ContractViolationError(what, trace=trace)
+
     uni = collection.split.universe
     all_masks: list[int] = []
     for part in parts:
         all_masks.extend(part.T.masks())
-    assert len(set(all_masks)) == len(all_masks), "parts must be disjoint"
+    require(len(set(all_masks)) == len(all_masks), "parts must be disjoint")
     fdagger = SetFamily.from_masks(uni, all_masks, m=cfg.m)
     pair_keys = [(part.B.bits, part.key) for part in parts]
-    assert len(set(pair_keys)) == len(pair_keys), "pairs must be unique"
+    require(len(set(pair_keys)) == len(pair_keys), "pairs must be unique")
     base_masks = sorted({part.B.bits for part in parts}, key=mask_labels)
     base_family = SetFamily.from_masks(uni, base_masks, m=r)
 
@@ -583,19 +588,19 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     if r < mprime:
         # all full-rank buckets were drained below f(m') before rank fell
         for masks in by_key.values():
+            buckets = subset_buckets(masks)
             for u in bases.masks():
-                bucket = sum(1 for w in masks if w & u == u)
-                assert not thr.meets(bucket, mprime), \
-                    "threshold property failed for the returned rank"
+                require(not thr.meets(len(buckets.get(u, ())), mprime),
+                        "threshold property failed for the returned rank")
     if r == 0:
         for key, masks in by_key.items():
             comp = SetFamily.from_masks(uni, masks, m=cfg.m)
-            assert cfg.eps_floor_meets(len(comp)), \
-                "rank-0 component below the epsilon floor"
+            require(cfg.eps_floor_meets(len(comp)),
+                    "rank-0 component below the epsilon floor")
             report = check_gamma_on_subsplit(comp, collection.subsplit(key),
                                              bases, b)
-            assert report.holds, \
-                "rank-0 component fails the spreadness condition"
+            require(report.holds,
+                    "rank-0 component fails the spreadness condition")
     return BaseSetsOutput(r, base_family, fdagger, tuple(parts), tuple(trace))
 
 
@@ -656,7 +661,9 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
             return ProcessRResult(tuple(steps), p_hat, r_next,
                                   out.base_sets, out.family, out.parts,
                                   tuple(trace))
-        assert 0 < r_next < r_p, "rank must strictly decrease"
+        if not 0 < r_next < r_p:
+            raise ContractViolationError("rank must strictly decrease",
+                                         trace=trace)
         if p > cfg.m + 2:
             raise ContractViolationError(
                 "driver exceeded the rank-descent iteration bound",
@@ -688,12 +695,13 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     k, m, c, h, eps = cfg.k, cfg.m, cfg.c, cfg.h, cfg.epsilon
     fam_size = cfg.fam_size
 
+    restriction = family.subset_lookup()
     part_lines = []
     restriction_totals: dict[int, int] = {}
     for part in result.parts_hat:
         c_set = part.B
         size_t = len(part.T)
-        in_family = len(family.restrict(c_set))
+        in_family = len(restriction.get(c_set.bits, ()))
         restriction_totals[c_set.bits] = restriction_totals.get(
             c_set.bits, 0) + size_t
         # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the
@@ -715,10 +723,9 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     consistency_lines = []
     for bits, total in sorted(restriction_totals.items(),
                               key=lambda kv: mask_labels(kv[0])):
-        c_set = family.universe.from_bits(bits)
-        in_family = len(family.restrict(c_set))
+        in_family = len(restriction.get(bits, ()))
         consistency_lines.append({
-            "C": list(c_set.labels()),
+            "C": list(mask_labels(bits)),
             "sum_parts": total,
             "restriction": in_family,
             "discarded": in_family - total,

@@ -42,7 +42,11 @@ EXIT_INPUT = 5
 
 
 def _read_family(path: str) -> SetFamily:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     if text.lstrip().startswith("{"):
         return family_from_json_obj(json.loads(text))
     return family_from_text(text)

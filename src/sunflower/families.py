@@ -21,6 +21,56 @@ from .errors import BudgetExceededError, UniverseMismatchError
 DEFAULT_SHADOW_BUDGET = 1 << 22
 
 
+def _check_shadow_budget(need: int, budget: int) -> None:
+    if need > budget:
+        raise BudgetExceededError(
+            f"shadow would generate {need} subsets (budget {budget})",
+            needed=need, budget=budget)
+
+
+def subset_buckets(masks: Sequence[int],
+                   budget: int = DEFAULT_SHADOW_BUDGET) -> dict[int, list[int]]:
+    """Map every subset S of some member to the members containing S.
+
+    One pass over ``masks`` in the given order enumerates each member's
+    submasks (``s = (s - 1) & u``), so every bucket lists its members in
+    input order and ``len(buckets[S])`` is the restriction count |F[S]|.
+    The empty mask maps to all members; no members give an empty map.
+    Raises BudgetExceededError when sum(2**|U|) exceeds ``budget``, the
+    same need and budget :meth:`SetFamily.shadow` reports.
+    """
+    _check_shadow_budget(sum(1 << u.bit_count() for u in masks), budget)
+    buckets = {0: list(masks)} if masks else {}
+    get = buckets.get
+    for u in masks:
+        s = u
+        while s:
+            bucket = get(s)
+            if bucket is None:
+                buckets[s] = [u]
+            else:
+                bucket.append(u)
+            s = (s - 1) & u
+    return buckets
+
+
+class _ScannedSubsetMap:
+    """Lazy stand-in for a subset map too large to build: every query
+    scans the members."""
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks: tuple[int, ...]):
+        self._masks = masks
+
+    def __contains__(self, s: int) -> bool:
+        return any(u & s == s for u in self._masks)
+
+    def get(self, s: int, default=None):
+        bucket = [u for u in self._masks if u & s == s]
+        return bucket if bucket else default
+
+
 def mask_labels(mask: int) -> tuple[int, ...]:
     """Ascending labels of the set bits of ``mask``."""
     out = []
@@ -148,7 +198,7 @@ class SetFamily:
     largest actual member size and is preserved by serialization.
     """
 
-    __slots__ = ("universe", "members", "m", "_mask_set")
+    __slots__ = ("universe", "members", "m", "_mask_set", "_subsets")
 
     def __init__(self, universe: Universe, members: Iterable[GroundSet],
                  m: int | None = None):
@@ -159,7 +209,7 @@ class SetFamily:
             if s.bits in seen:
                 raise ValueError(f"duplicate member {s!r}")
             seen[s.bits] = s
-        ordered = tuple(sorted(seen.values()))
+        ordered = tuple(sorted(seen.values(), key=GroundSet.labels))
         actual = max((s.cardinality for s in ordered), default=0)
         if m is None:
             m = actual
@@ -169,6 +219,7 @@ class SetFamily:
         object.__setattr__(self, "members", ordered)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_mask_set", frozenset(seen))
+        object.__setattr__(self, "_subsets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFamily is immutable")
@@ -236,6 +287,32 @@ class SetFamily:
                 for c in combinations(labels, r):
                     out.add(labels_mask(c))
         return SetFamily.from_masks(self.universe, out, m=self.m)
+
+    def subset_map(self, budget: int = DEFAULT_SHADOW_BUDGET,
+                   ) -> dict[int, list[int]]:
+        """:func:`subset_buckets` of the members, built on first use and
+        kept with the (immutable) family; callers must not mutate it.
+
+        Raises BudgetExceededError when sum(2**|U|) exceeds ``budget``,
+        whether or not the map is already built.
+        """
+        if self._subsets is None:
+            buckets = subset_buckets(self.masks(), budget)
+            need = sum(1 << u.cardinality for u in self.members)
+            object.__setattr__(self, "_subsets", (need, buckets))
+        need, buckets = self._subsets
+        _check_shadow_budget(need, budget)
+        return buckets
+
+    def subset_lookup(self):
+        """Read-only subset map for ``s in lookup`` (shadow membership) and
+        ``lookup.get(s)`` (members containing s) on masks: the cached
+        :meth:`subset_map` when it fits DEFAULT_SHADOW_BUDGET, otherwise a
+        lazy stand-in that scans the members per query."""
+        try:
+            return self.subset_map()
+        except BudgetExceededError:
+            return _ScannedSubsetMap(self.masks())
 
     def shadow_contains(self, t: GroundSet) -> bool:
         """True iff ``t`` is a subset of some member (lazy, no materialization)."""

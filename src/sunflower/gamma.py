@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .errors import GammaPreconditionError
+from .errors import GammaPreconditionError, UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       mask_labels)
+                       mask_labels, subset_buckets)
 
 
 def exact_base(b) -> Fraction:
@@ -51,45 +51,58 @@ class GammaReport:
         }
 
 
-def _restriction_count(masks: Iterable[int], b_mask: int) -> int:
-    return sum(1 for u in masks if u & b_mask == b_mask)
+def _spread_report(family: SetFamily, base: Fraction,
+                   pairs: Iterable[tuple[int, int]]) -> GammaReport:
+    """The spreadness verdict from (S, |F[S]|) pairs with |F[S]| > 0: the
+    max of |F[S]| * b^|S| / |F|, witnessed by the maximizer with the least
+    label tuple when it reaches 1.
 
-
-def _max_ratio_masks(masks: tuple[int, ...], candidates: Iterable[int],
-                     b: Fraction, total: int) -> tuple[Fraction, int | None]:
-    """Max of count(S) * b^|S| / total over candidate masks, with the
-    lexicographically least maximizer (by label tuple).  Candidates must
-    arrive in canonical order for the tie-break to hold."""
-    best = Fraction(0)
+    Decided in integers: with b = p/q, S beats the best B so far when
+    |F[S]| * p^|S| * q^|B| > |F[B]| * p^|B| * q^|S|, so the pairs may
+    arrive in any order.  The ratio is built once, at the end.
+    """
+    p, q = base.numerator, base.denominator
     best_mask = None
-    for cand in candidates:
-        count = _restriction_count(masks, cand)
-        if count == 0:
-            continue
-        ratio = Fraction(count) * b ** cand.bit_count() / total
-        if ratio > best:
-            best = ratio
-            best_mask = cand
-    return best, best_mask
+    best_num, best_den = 0, 1   # |F[B]| * p^|B| and q^|B|
+    for mask, count in pairs:
+        size = mask.bit_count()
+        num = count * p ** size
+        lhs, rhs = num * best_den, best_num * q ** size
+        if lhs > rhs or (lhs == rhs
+                         and mask_labels(mask) < mask_labels(best_mask)):
+            best_mask, best_num, best_den = mask, num, q ** size
+    best = Fraction(best_num, best_den * len(family))
+    if best >= 1:
+        return GammaReport(False, family.universe.from_bits(best_mask), best)
+    return GammaReport(True, None, best)
 
 
-def _canonical_masks(masks: Iterable[int]) -> list[int]:
-    return sorted(masks, key=mask_labels)
+def _carried_counts(masks: Iterable[int],
+                    sub: Subsplit) -> Iterator[tuple[int, int]]:
+    """(S, |F[S]|) for every nonempty S on ``sub`` (inside its union, at
+    most one element per strip) contained in some member: the subset map
+    of the members' traces on the subsplit's union, keys filtered."""
+    union = sub.union_mask
+    strips = [strip.bits for strip in sub.strips]
+    buckets = subset_buckets([u & union for u in masks])
+    for s, bucket in buckets.items():
+        if s and all((s & strip).bit_count() <= 1 for strip in strips):
+            yield s, len(bucket)
 
 
 def check_gamma(family: SetFamily, b,
                 budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
-    """Check b-spreadness against every nonempty set in the family's shadow."""
+    """Check b-spreadness against every nonempty set in the family's shadow.
+
+    Counts come from the family's subset map; ``budget`` caps its
+    sum(2**|U|) entries (BudgetExceededError beyond).
+    """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    masks = family.masks()
-    shadow = family.shadow(budget=budget)
-    candidates = _canonical_masks(u for u in shadow.masks() if u)
-    best, best_mask = _max_ratio_masks(masks, candidates, base, len(family))
-    if best >= 1:
-        return GammaReport(False, family.universe.from_bits(best_mask), best)
-    return GammaReport(True, None, best)
+    buckets = family.subset_map(budget)
+    return _spread_report(family, base, ((s, len(bucket))
+                                         for s, bucket in buckets.items() if s))
 
 
 def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
@@ -99,26 +112,24 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     Candidates are the nonempty sets on ``sub`` (one element per chosen
     strip, any rank up to the subsplit's) that are subsets of some member
     of ``over``.  With rank 0 or an empty ``over`` there are no candidates
-    and the check holds vacuously.
+    and the check holds vacuously.  Counting builds the subset map of the
+    members' traces on the subsplit, capped at DEFAULT_SHADOW_BUDGET
+    entries (BudgetExceededError beyond).
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
     if sub.split.universe.n != family.universe.n:
         raise ValueError("subsplit over a different universe")
-    masks = family.masks()
-    candidates = []
-    for p in range(1, sub.rank + 1):
-        candidates.extend(cand for cand in sub.p_set_masks(p)
-                          if over.shadow_contains(family.universe.from_bits(cand)))
-    candidates = _canonical_masks(candidates)
-    best, best_mask = _max_ratio_masks(masks, candidates, base, len(family))
-    if best >= 1:
-        return GammaReport(False, family.universe.from_bits(best_mask), best)
-    return GammaReport(True, None, best)
+    if over.universe.n != family.universe.n:
+        raise UniverseMismatchError("range family over a different universe")
+    shadow = over.subset_lookup()
+    return _spread_report(family, base, (
+        (s, count) for s, count in _carried_counts(family.masks(), sub)
+        if s in shadow))
 
 
-def _max_violator_masks(masks: tuple[int, ...], sub: Subsplit, over: SetFamily,
+def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
                         seed_mask: int, b: Fraction) -> int | None:
     """Maximal extension of ``seed_mask`` by strips of ``sub`` whose weighted
     restriction count stays at or above the seed's.
@@ -128,27 +139,25 @@ def _max_violator_masks(masks: tuple[int, ...], sub: Subsplit, over: SetFamily,
     |F[seed]| * b^|seed|, of maximum cardinality (lexicographically least on
     ties); maximum cardinality means no further in-range one-strip extension
     keeps the property.  Returns None when the seed is empty and no proper
-    extension qualifies.
+    extension qualifies.  With b = p/q and d = |S| - |seed| the bound reads
+    |F[S]| * p^d >= |F[seed]| * q^d, decided in integers.
     """
-    total = len(masks)
-    if total == 0:
+    if len(masks) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    uni = sub.split.universe
-    seed_count = _restriction_count(masks, seed_mask)
-    floor = Fraction(seed_count) * b ** seed_mask.bit_count()
-    free = sub.minus(uni.from_bits(seed_mask))
-    best_mask = None
-    for p in range(free.rank, 0, -1):
-        for add in free.p_set_masks(p):
-            cand = seed_mask | add
-            if not over.shadow_contains(uni.from_bits(cand)):
-                continue
-            count = _restriction_count(masks, cand)
-            if count and Fraction(count) * b ** cand.bit_count() >= floor:
-                if best_mask is None or mask_labels(cand) < mask_labels(best_mask):
-                    best_mask = cand
-        if best_mask is not None:
-            break
+    p, q = b.numerator, b.denominator
+    above = [u for u in masks if u & seed_mask == seed_mask]
+    seed_count = len(above)
+    free = sub.minus(sub.split.universe.from_bits(seed_mask))
+    shadow = over.subset_lookup()
+    best_mask, best_size = None, 0
+    for add, count in _carried_counts(above, free):
+        size = add.bit_count()
+        cand = seed_mask | add
+        if size < best_size or cand not in shadow \
+                or count * p ** size < seed_count * q ** size:
+            continue
+        if size > best_size or mask_labels(cand) < mask_labels(best_mask):
+            best_mask, best_size = cand, size
     if best_mask is not None:
         return best_mask
     return seed_mask if seed_mask else None
@@ -175,6 +184,8 @@ def maximal_violator(family: SetFamily, sub: Subsplit, over: SetFamily,
         raise ValueError("seed from a different universe")
     if seed.bits and not sub.carries(seed):
         raise ValueError("seed must lie on the subsplit")
+    if over.universe.n != family.universe.n:
+        raise UniverseMismatchError("range family over a different universe")
     mask = _max_violator_masks(family.masks(), sub, over, seed.bits, base)
     return None if mask is None else family.universe.from_bits(mask)
 

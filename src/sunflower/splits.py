@@ -20,7 +20,8 @@ from itertools import combinations
 from math import comb, exp, factorial
 from typing import Iterator
 
-from .errors import BudgetExceededError, TrialsExhaustedError
+from .errors import (BudgetExceededError, ContractViolationError,
+                     TrialsExhaustedError)
 from .families import GroundSet, SetFamily, Split, Universe
 from .rng import CounterRng
 
@@ -136,7 +137,9 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
             kept = retained_on(family, split)
             if best is None or len(kept) > len(best.retained):
                 best = SplitSearchResult(split, kept, bound, floor)
-        assert best is not None and len(best.retained) >= bound
+        if best is None or len(best.retained) < bound:
+            raise ContractViolationError(
+                "no split retains the averaging floor of members")
         return best
     if mode == "random":
         rng = CounterRng(seed)

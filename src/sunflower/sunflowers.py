@@ -20,7 +20,7 @@ from math import comb
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
-from .families import DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily
+from .families import DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, mask_labels
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
@@ -71,21 +71,22 @@ def find_sunflower_exact(family: SetFamily, k: int,
     """Complete search for a k-sunflower; None proves there is none.
 
     Candidate cores are the family's shadow in (cardinality, lexicographic)
-    order; within a core's bucket, petals are chosen by backtracking over
-    the canonical member order, so the first certificate found is
-    deterministic.  ``node_budget`` caps total backtracking nodes.
+    order, each with its bucket of members from the family's subset map
+    (``shadow_budget`` caps its sum(2**|U|) entries); within a core's
+    bucket, petals are chosen by backtracking over the canonical member
+    order, so the first certificate found is deterministic.
+    ``node_budget`` caps total backtracking nodes.
     """
     if k < 2:
         raise ValueError("sunflower size must be at least 2")
     if len(family) < k:
         return None
-    cores = sorted(family.shadow(budget=shadow_budget).members,
-                   key=lambda s: (s.cardinality, s.labels()))
+    buckets = family.subset_map(shadow_budget)
+    cores = sorted((c for c, members in buckets.items() if len(members) >= k),
+                   key=lambda c: (c.bit_count(), mask_labels(c)))
     nodes = 0
     for core in cores:
-        bucket = [u.bits & ~core.bits for u in family.restrict(core).members]
-        if len(bucket) < k:
-            continue
+        bucket = [u & ~core for u in buckets[core]]
 
         chosen: list[int] = []
 
@@ -112,8 +113,8 @@ def find_sunflower_exact(family: SetFamily, k: int,
 
         if rec(0, 0):
             uni = family.universe
-            petals = tuple(uni.from_bits(b | core.bits) for b in chosen)
-            return SunflowerCertificate(petals, core)
+            petals = tuple(uni.from_bits(b | core) for b in chosen)
+            return SunflowerCertificate(petals, uni.from_bits(core))
     return None
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sunflower import basesets
 from sunflower.basesets import (
     ComponentCollection,
     Constants,
@@ -321,6 +322,20 @@ def test_base_sets_flagship_first_call():
     assert out.trace[0] == {"p": 1, "r": 1, "B": [0], "Xprime": [0, 1],
                             "sizeT": 8, "cumulative": 8}
     assert out.trace[-1]["cumulative"] == 64
+
+
+def test_base_sets_postcondition_raises_with_trace(monkeypatch):
+    # make every full-rank bucket look full: the returned rank 1 then
+    # breaks the threshold postcondition, which must raise, not assert
+    class Full(dict):
+        def get(self, key, default=None):
+            return range(10 ** 9)
+
+    monkeypatch.setattr(basesets, "subset_buckets", lambda masks: Full())
+    coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
+    with pytest.raises(ContractViolationError, match="threshold") as info:
+        base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG)
+    assert len(info.value.trace) == 8
 
 
 def test_base_sets_immediate_threshold():

@@ -18,6 +18,7 @@ from sunflower.families import (
     labels_mask,
     mask_labels,
     pad_universe,
+    subset_buckets,
 )
 from sunflower.rng import CounterRng
 
@@ -165,6 +166,32 @@ def test_shadow_budget_enforced():
     assert info.value.budget == 100
     # lazy membership still works above the budget
     assert fam.shadow_contains(fam.universe.set_of([4, 17]))
+
+
+def test_subset_buckets_budget_and_order():
+    masks = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]]).masks()
+    with pytest.raises(BudgetExceededError) as info:
+        subset_buckets(masks, budget=13)
+    assert (info.value.needed, info.value.budget) == (14, 13)
+    buckets = subset_buckets(masks, budget=14)
+    assert sum(len(bucket) for bucket in buckets.values()) == 14
+    assert buckets[0] == list(masks)
+    assert buckets[0b10] == [0b11, 0b1110]
+    assert subset_buckets(()) == {}
+
+
+def test_subset_lookup_scans_above_the_default_budget():
+    # 2^23 subsets exceed the default budget: queries scan the members
+    fam = SetFamily.of(24, [list(range(23)), [0, 23]])
+    lookup = fam.subset_lookup()
+    assert not isinstance(lookup, dict)
+    uni = fam.universe
+    for labels in ([], [4, 17], [0, 23], [22, 23], list(range(24))):
+        s = uni.set_of(labels)
+        assert (s.bits in lookup) == fam.shadow_contains(s)
+        assert lookup.get(s.bits, []) == list(fam.restrict(s).masks())
+    small = random_family(9, 3, 15, seed=3)
+    assert small.subset_lookup() is small.subset_map()
 
 
 def test_split_contiguous_and_explicit():

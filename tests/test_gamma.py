@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from sunflower.errors import GammaPreconditionError
+from sunflower.errors import BudgetExceededError, GammaPreconditionError
 from sunflower.families import SetFamily, Split
 from sunflower.gamma import (
     GammaReport,
@@ -73,6 +73,19 @@ def test_check_gamma_single_member_witness_is_the_member():
 def test_check_gamma_requires_nonempty_family():
     with pytest.raises(ValueError):
         check_gamma(SetFamily.of(4, []), 2)
+
+
+def test_check_gamma_shadow_budget_carries_need():
+    fam = random_family(8, 3, 10, seed=5)
+    need = 10 * 2 ** 3
+    with pytest.raises(BudgetExceededError) as info:
+        check_gamma(fam, 2, budget=need - 1)
+    assert (info.value.needed, info.value.budget) == (need, need - 1)
+    assert check_gamma(fam, 2, budget=need) == check_gamma(fam, 2)
+    # the subset map is now built and kept; a smaller budget still refuses
+    with pytest.raises(BudgetExceededError) as info:
+        check_gamma(fam, 2, budget=need - 1)
+    assert (info.value.needed, info.value.budget) == (need, need - 1)
 
 
 def test_check_gamma_matches_brute_oracle():

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from sunflower.errors import BudgetExceededError, TrialsExhaustedError
+from sunflower import splits
+from sunflower.errors import (BudgetExceededError, ContractViolationError,
+                              TrialsExhaustedError)
 from sunflower.families import SetFamily, Split, Universe
 from sunflower.rng import CounterRng
 from sunflower.splits import (
@@ -118,6 +120,15 @@ def test_find_good_split_exhaustive_budget():
     fam = all_m_subsets(4, 2)
     with pytest.raises(BudgetExceededError):
         find_good_split(fam, enum_budget=2)
+
+
+def test_find_good_split_postcondition_raises(monkeypatch):
+    # a best split below the averaging floor is a contract violation that
+    # must be raised, not asserted (asserts vanish under python -O)
+    monkeypatch.setattr(splits, "retained_on", lambda family, split:
+                        SetFamily.from_masks(family.universe, [], m=family.m))
+    with pytest.raises(ContractViolationError):
+        find_good_split(all_m_subsets(4, 2))
 
 
 def test_find_good_split_random_mode():

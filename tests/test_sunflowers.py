@@ -99,6 +99,15 @@ def test_find_sunflower_exact_validation_and_budget():
         find_sunflower_exact(fam, 3, node_budget=1)
 
 
+def test_find_sunflower_exact_shadow_budget_carries_need():
+    fam = all_m_subsets(5, 2)
+    need = 10 * 2 ** 2
+    with pytest.raises(BudgetExceededError) as info:
+        find_sunflower_exact(fam, 3, shadow_budget=need - 1)
+    assert (info.value.needed, info.value.budget) == (need, need - 1)
+    assert find_sunflower_exact(fam, 3, shadow_budget=need) is not None
+
+
 def test_search_agrees_with_oracle():
     for seed in range(20):
         fam = random_family(7, 2, 8, seed=seed)
