@@ -19,6 +19,11 @@ All comparisons against the threshold f(x) = k^-5 * eps^2m *
 (c^h * k * ln k)^-x * famSize go through one Threshold object so the
 extraction decisions and the post-run audits can never disagree; f and the
 epsilon floor switch to log-space below 1e-300.
+
+Inside the engine, components and part members are tuples of int masks in
+canonical label order (that of :meth:`SetFamily.masks`);
+``SetFamily.from_masks(split.universe, part.T)`` converts one.  SetFamily
+appears only at the engine's edges: its inputs and its output families.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable
 
 from .errors import ContractViolationError
 from .families import (GroundSet, SetFamily, Split, Subsplit, mask_labels,
-                       subset_buckets)
+                       subset_buckets, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -204,14 +209,15 @@ class Threshold:
 class ElementaryPart:
     """One extracted piece: base set B, origin component key, members T.
 
-    ``key`` is the strip-index tuple of the component's subsplit;
-    ``variant`` is "ii" for threshold buckets taken at r = m' and "i" for
-    spreadness-cleaned buckets taken at r < m'.
+    ``T`` is a tuple of member masks in canonical label order; ``key`` is
+    the strip-index tuple of the component's subsplit; ``variant`` is "ii"
+    for threshold buckets taken at r = m' and "i" for spreadness-cleaned
+    buckets taken at r < m'.
     """
 
     B: GroundSet
     key: tuple[int, ...]
-    T: SetFamily
+    T: tuple[int, ...]
     variant: str
 
     @property
@@ -227,17 +233,18 @@ class ElementaryPart:
 class ComponentCollection:
     """A family partitioned into components indexed by rank-r subsplits.
 
-    Members of every component are full one-per-strip m-sets; the key
-    records which strips anchor the component.  Components are pairwise
-    disjoint and nonempty.  Anchor containment (every member's projection
-    onto its key strips belongs to the declared base family) is checked by
-    the engine, which knows the bases.
+    Each component is a tuple of member masks in canonical label order.
+    Members are full one-per-strip m-sets; the key records which strips
+    anchor the component.  Components are pairwise disjoint and nonempty.
+    Anchor containment (every member's projection onto its key strips
+    belongs to the declared base family) is checked by the engine, which
+    knows the bases.
     """
 
-    __slots__ = ("split", "rank", "components", "_family")
+    __slots__ = ("split", "rank", "components")
 
     def __init__(self, split: Split,
-                 components: dict[tuple[int, ...], SetFamily]):
+                 components: dict[tuple[int, ...], Iterable[int]]):
         ranks = {len(k) for k in components}
         if not components or len(ranks) != 1:
             raise ValueError("components must share one positive rank")
@@ -245,37 +252,30 @@ class ComponentCollection:
         if not 1 <= rank <= split.m:
             raise ValueError(f"rank {rank} out of range [1, {split.m}]")
         full = split.full_subsplit()
+        n = split.universe.n
         seen: set[int] = set()
-        for key, fam in components.items():
+        canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for key in sorted(components):
             if len(set(key)) != len(key) or list(key) != sorted(key) \
                     or not all(0 <= i < split.m for i in key):
                 raise ValueError(f"bad component key {key}")
-            if len(fam) == 0:
+            masks = tuple(components[key])
+            if not masks:
                 raise ValueError(f"component {key} is empty")
-            if fam.universe.n != split.universe.n:
-                raise ValueError("component over a different universe")
-            for u in fam:
-                if u.cardinality != split.m or not full.carries(u):
-                    raise ValueError(
-                        f"member {u!r} is not a one-per-strip {split.m}-set")
-                if u.bits in seen:
-                    raise ValueError(f"member {u!r} appears in two components")
-                seen.add(u.bits)
+            for u in masks:
+                if u >> n:  # also every negative mask
+                    raise ValueError(f"member mask {u} has bits outside "
+                                     f"the universe of size {n}")
+                if u.bit_count() != split.m or not full.carries_mask(u):
+                    raise ValueError(f"member {mask_labels(u)} is not a "
+                                     f"one-per-strip {split.m}-set")
+                if u in seen:
+                    raise ValueError(f"member {mask_labels(u)} appears twice")
+                seen.add(u)
+            canonical[key] = tuple(sorted(masks, key=mask_labels))
         self.split = split
         self.rank = rank
-        self.components = {k: components[k] for k in sorted(components)}
-        self._family = None
-
-    @property
-    def family(self) -> SetFamily:
-        if self._family is None:
-            masks = []
-            m = 0
-            for fam in self.components.values():
-                masks.extend(fam.masks())
-                m = max(m, fam.m)
-            self._family = SetFamily.from_masks(self.split.universe, masks, m=m)
-        return self._family
+        self.components = canonical
 
     def subsplit(self, key: tuple[int, ...]) -> Subsplit:
         return self.split.subsplit(key)
@@ -283,7 +283,9 @@ class ComponentCollection:
     @classmethod
     def initial(cls, family: SetFamily, split: Split) -> "ComponentCollection":
         """The trivial collection: one full-rank component holding everything."""
-        return cls(split, {tuple(range(split.m)): family})
+        if family.universe.n != split.universe.n:
+            raise ValueError("family over a different universe")
+        return cls(split, {tuple(range(split.m)): family.masks()})
 
     @classmethod
     def regroup(cls, parts: Iterable[ElementaryPart], rank: int,
@@ -291,18 +293,13 @@ class ComponentCollection:
         """Collection for the next engine call: parts merged by the strips
         their base sets occupy."""
         grouped: dict[tuple[int, ...], list[int]] = {}
-        maxcard = 0
         for part in parts:
             if part.B.cardinality != rank:
                 raise ValueError(
                     f"part base {part.B!r} has rank {part.B.cardinality}, "
                     f"expected {rank}")
-            grouped.setdefault(part.base_strips(split), []).extend(
-                part.T.masks())
-            maxcard = max(maxcard, part.T.m)
-        components = {key: SetFamily.from_masks(split.universe, masks, m=maxcard)
-                      for key, masks in grouped.items()}
-        return cls(split, components)
+            grouped.setdefault(part.base_strips(split), []).extend(part.T)
+        return cls(split, grouped)
 
     @classmethod
     def derive(cls, family: SetFamily, split: Split, rank: int,
@@ -313,40 +310,26 @@ class ComponentCollection:
         Returns the collection and the subfamily of members no selection
         accepts (skipped members are not an error at this level).
         """
+        if not family.universe.n == anchors.universe.n == split.universe.n:
+            raise ValueError("family or anchors over a different universe")
         strips = [s.bits for s in split.strips]
+        anchor_masks = set(anchors.masks())
         grouped: dict[tuple[int, ...], list[int]] = {}
         skipped = []
-        for u in family:
-            placed = False
+        for u in family.masks():
             for key in combinations(range(split.m), rank):
                 proj = 0
                 for i in key:
-                    proj |= u.bits & strips[i]
-                if family.universe.from_bits(proj) in anchors:
-                    grouped.setdefault(key, []).append(u.bits)
-                    placed = True
+                    proj |= u & strips[i]
+                if proj in anchor_masks:
+                    grouped.setdefault(key, []).append(u)
                     break
-            if not placed:
-                skipped.append(u.bits)
+            else:
+                skipped.append(u)
         if not grouped:
             raise ValueError("no member projects into the anchor family")
-        components = {key: SetFamily.from_masks(split.universe, masks,
-                                                m=family.m)
-                      for key, masks in grouped.items()}
-        return (cls(split, components),
+        return (cls(split, grouped),
                 SetFamily.from_masks(family.universe, skipped, m=family.m))
-
-
-def _on_split_strips(split: Split, s: GroundSet) -> tuple[int, ...] | None:
-    """Strip indices the set meets, or None if it meets one twice."""
-    out = []
-    for i, strip in enumerate(split.strips):
-        hit = (s.bits & strip.bits).bit_count()
-        if hit > 1:
-            return None
-        if hit:
-            out.append(i)
-    return tuple(out)
 
 
 def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
@@ -363,27 +346,26 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
     """
     if part.key not in collection.components:
         raise ValueError(f"unknown component key {part.key}")
-    comp = collection.components[part.key]
     sub = collection.subsplit(part.key)
     if part.B.bits and not sub.carries(part.B):
         raise ValueError(f"base {part.B!r} does not lie on subsplit {part.key}")
-    comp_masks = set(comp.masks())
-    if not all(u in comp_masks for u in part.T.masks()):
+    if not set(part.T) <= set(collection.components[part.key]):
         raise ValueError("part members must come from the keyed component")
-    if len(part.T) == 0:
+    if not part.T:
         return False
     r = part.r
     mprime = collection.rank
-    if part.B.bits not in bases.subset_lookup():
+    b_bits = part.B.bits
+    if b_bits not in bases.subset_lookup():
         return False
     if part.variant == "i":
         if r >= mprime:
             return False
-        b_bits = part.B.bits
-        if not all(u & b_bits == b_bits for u in part.T.masks()):
+        if not all(u & b_bits == b_bits for u in part.T):
             return False
-        if not check_gamma_on_subsplit(part.T, sub.minus(part.B), bases,
-                                       Fraction(cfg.b)).holds:
+        members = SetFamily.from_masks(collection.split.universe, part.T)
+        if not check_gamma_on_subsplit(members, sub.minus(part.B), bases,
+                                       exact_base(cfg.b)).holds:
             return False
         if r == 0:
             return cfg.eps_floor_meets(len(part.T))
@@ -392,8 +374,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
         if r != mprime:
             return False
         if cfg.m > mprime:
-            bucket = sum(1 for u in part.T.masks()
-                         if u & part.B.bits == part.B.bits)
+            bucket = sum(1 for u in part.T if u & b_bits == b_bits)
             return Threshold(cfg).meets(bucket, mprime)
         return True
     raise ValueError(f"unknown variant {part.variant!r}")
@@ -441,26 +422,31 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
     return t
 
 
-def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], list[int]],
+def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], set[int]],
+                     lookups: dict[tuple[int, ...], dict[int, list[int]]],
                      collection: ComponentCollection, bases: SetFamily,
                      cfg: Constants, thr: Threshold, b: Fraction,
                      used_pairs: set[tuple[int, tuple[int, ...]]],
                      cand_cache: dict) -> tuple[tuple[int, ...], int, list[int], str] | None:
     """One scan for the next extraction at rank r, in canonical order:
-    components by key, candidate bases by label.  Returns (key, base mask,
-    member masks, variant) or None when no pair qualifies."""
+    components by key, candidate bases by label.  ``work`` holds each
+    component's live members and ``lookups`` its subset map, built once per
+    engine call, so a bucket is the map's entry for the base filtered by
+    the live set, in canonical order.  Returns (key, base mask, member
+    masks, variant) or None when no pair qualifies."""
     for key in collection.components:
-        comp = work[key]
-        if not comp:
+        live = work[key]
+        if not live:
             continue
         sub = collection.subsplit(key)
+        lookup = lookups[key]
         cache_key = (r, key)
         if cache_key not in cand_cache:
             cand_cache[cache_key] = _candidate_bases(sub, r, bases)
         for bm in cand_cache[cache_key]:
             if (bm, key) in used_pairs:
                 continue
-            bucket = [u for u in comp if u & bm == bm]
+            bucket = [u for u in lookup.get(bm, ()) if u in live]
             if r == mprime:
                 if thr.meets(len(bucket), mprime):
                     return key, bm, bucket, "ii"
@@ -499,17 +485,19 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     if bases.universe.n != split.universe.n:
         raise ValueError("bases over a different universe")
     cfg._need_fam_size()
-    family = collection.family
-    strips = [s.bits for s in split.strips]
-    shadow = family.subset_lookup()
+    components = collection.components
+    lookups = {key: subset_lookup(comp) for key, comp in components.items()}
+    size = sum(len(comp) for comp in components.values())
+    full = split.full_subsplit()
     for u in bases:
-        if u.cardinality != mprime or _on_split_strips(split, u) is None:
+        if u.cardinality != mprime or not full.carries(u):
             raise ValueError(f"base {u!r} is not an on-split {mprime}-set")
-        if u.bits not in shadow:
+        if not any(u.bits in lookup for lookup in lookups.values()):
             raise ValueError(f"base {u!r} is not in the family's shadow")
+    strips = [s.bits for s in split.strips]
     base_mask_set = set(bases.masks())
-    for key, comp in collection.components.items():
-        for u in comp.masks():
+    for key, comp in components.items():
+        for u in comp:
             proj = 0
             for i in key:
                 proj |= u & strips[i]
@@ -517,15 +505,14 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                 raise ValueError(
                     f"member projection {mask_labels(proj)} of component "
                     f"{key} is not an anchor base")
-    if len(family) * 3 ** (2 * cfg.m) < cfg.fam_size:
+    if size * 3 ** (2 * cfg.m) < cfg.fam_size:
         raise ValueError(
-            f"input family of size {len(family)} is below the "
+            f"input family of size {size} is below the "
             f"3^(-2m) * famSize floor")
 
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
-    work = {key: list(comp.masks())
-            for key, comp in collection.components.items()}
+    work = {key: set(comp) for key, comp in components.items()}
     used_pairs: set[tuple[int, tuple[int, ...]]] = set()
     cand_cache: dict = {}
     trace: list[dict] = []
@@ -535,23 +522,22 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
         round_parts: list[ElementaryPart] = []
         cumulative = 0
         while True:
-            found = _find_extraction(r, mprime, work, collection, bases,
-                                     cfg, thr, b, used_pairs, cand_cache)
+            found = _find_extraction(r, mprime, work, lookups, collection,
+                                     bases, cfg, thr, b, used_pairs,
+                                     cand_cache)
             if found is None:
                 break
             key, bm, t_masks, variant = found
-            t_set = set(t_masks)
-            work[key] = [u for u in work[key] if u not in t_set]
+            work[key].difference_update(t_masks)
             used_pairs.add((bm, key))
-            part = ElementaryPart(uni.from_bits(bm), key,
-                                  SetFamily.from_masks(uni, t_masks, m=cfg.m),
+            part = ElementaryPart(uni.from_bits(bm), key, tuple(t_masks),
                                   variant)
             round_parts.append(part)
             cumulative += len(t_masks)
             trace.append({"p": p_label, "r": r, "B": list(mask_labels(bm)),
                           "Xprime": list(key), "sizeT": len(t_masks),
                           "cumulative": cumulative})
-        if cumulative * 3 ** (mprime - r + 1) >= len(family):
+        if cumulative * 3 ** (mprime - r + 1) >= size:
             return _finish(r, mprime, round_parts, trace, collection, bases,
                            cfg, thr, b)
     raise ContractViolationError(
@@ -572,9 +558,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
             raise ContractViolationError(what, trace=trace)
 
     uni = collection.split.universe
-    all_masks: list[int] = []
-    for part in parts:
-        all_masks.extend(part.T.masks())
+    all_masks = [u for part in parts for u in part.T]
     require(len(set(all_masks)) == len(all_masks), "parts must be disjoint")
     fdagger = SetFamily.from_masks(uni, all_masks, m=cfg.m)
     pair_keys = [(part.B.bits, part.key) for part in parts]
@@ -584,7 +568,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
 
     by_key: dict[tuple[int, ...], list[int]] = {}
     for part in parts:
-        by_key.setdefault(part.key, []).extend(part.T.masks())
+        by_key.setdefault(part.key, []).extend(part.T)
     if r < mprime:
         # all full-rank buckets were drained below f(m') before rank fell
         for masks in by_key.values():
@@ -594,9 +578,9 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
                         "threshold property failed for the returned rank")
     if r == 0:
         for key, masks in by_key.items():
-            comp = SetFamily.from_masks(uni, masks, m=cfg.m)
-            require(cfg.eps_floor_meets(len(comp)),
+            require(cfg.eps_floor_meets(len(masks)),
                     "rank-0 component below the epsilon floor")
+            comp = SetFamily.from_masks(uni, masks, m=cfg.m)
             report = check_gamma_on_subsplit(comp, collection.subsplit(key),
                                              bases, b)
             require(report.holds,

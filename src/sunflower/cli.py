@@ -310,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sunflower",
         description="Desk-scale sunflower combinatorics toolkit")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="advisory thread cap, recorded in reports "
-                             "(execution is single-threaded)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen-extremal",
@@ -336,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact search or spreadness-based extraction")
     p.add_argument("family", help="family file, or - for stdin")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="complete search (default)")
     p.add_argument("--gamma", metavar="B",
                    help="greedy disjoint extraction under b-spreadness")
     p.add_argument("--core", metavar="LABELS",

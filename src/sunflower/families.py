@@ -11,7 +11,7 @@ Everything here is immutable and pure, hence safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -69,6 +69,17 @@ class _ScannedSubsetMap:
     def get(self, s: int, default=None):
         bucket = [u for u in self._masks if u & s == s]
         return bucket if bucket else default
+
+
+def subset_lookup(masks: Sequence[int]):
+    """Read-only subset map for ``s in lookup`` (shadow membership) and
+    ``lookup.get(s)`` (members containing s, in input order) on masks:
+    :func:`subset_buckets` when it fits DEFAULT_SHADOW_BUDGET, otherwise a
+    lazy stand-in that scans the members per query."""
+    try:
+        return subset_buckets(masks)
+    except BudgetExceededError:
+        return _ScannedSubsetMap(tuple(masks))
 
 
 def mask_labels(mask: int) -> tuple[int, ...]:
@@ -305,10 +316,8 @@ class SetFamily:
         return buckets
 
     def subset_lookup(self):
-        """Read-only subset map for ``s in lookup`` (shadow membership) and
-        ``lookup.get(s)`` (members containing s) on masks: the cached
-        :meth:`subset_map` when it fits DEFAULT_SHADOW_BUDGET, otherwise a
-        lazy stand-in that scans the members per query."""
+        """:func:`subset_lookup` of the members, from the cached
+        :meth:`subset_map` when it fits DEFAULT_SHADOW_BUDGET."""
         try:
             return self.subset_map()
         except BudgetExceededError:
@@ -410,6 +419,9 @@ class Subsplit:
 
     split: Split
     indices: tuple[int, ...]
+    strip_masks: tuple[int, ...] = field(init=False, repr=False,
+                                         compare=False)
+    union_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prev = -1
@@ -419,6 +431,9 @@ class Subsplit:
             if i <= prev:
                 raise ValueError("strip indices must be strictly increasing")
             prev = i
+        masks = tuple(self.split.strips[i].bits for i in self.indices)
+        object.__setattr__(self, "strip_masks", masks)
+        object.__setattr__(self, "union_mask", sum(masks))  # disjoint strips
 
     @property
     def rank(self) -> int:
@@ -428,23 +443,17 @@ class Subsplit:
     def strips(self) -> tuple[GroundSet, ...]:
         return tuple(self.split.strips[i] for i in self.indices)
 
-    @property
-    def union_mask(self) -> int:
-        mask = 0
-        for i in self.indices:
-            mask |= self.split.strips[i].bits
-        return mask
-
     def union_set(self) -> GroundSet:
         return GroundSet(self.split.universe, self.union_mask)
 
+    def carries_mask(self, s: int) -> bool:
+        """True iff mask ``s`` is on this subsplit: within its union, at
+        most one element per strip."""
+        return not s & ~self.union_mask and all(
+            (s & bits).bit_count() <= 1 for bits in self.strip_masks)
+
     def carries(self, s: GroundSet) -> bool:
-        """True iff ``s`` is on this subsplit: within its union, at most one
-        element per strip."""
-        if s.bits & ~self.union_mask:
-            return False
-        return all((s.bits & self.split.strips[i].bits).bit_count() <= 1
-                   for i in self.indices)
+        return self.carries_mask(s.bits)
 
     def minus(self, b: GroundSet) -> "Subsplit":
         """The subsplit of strips disjoint from ``b`` (order preserved)."""

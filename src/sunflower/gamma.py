@@ -83,10 +83,9 @@ def _carried_counts(masks: Iterable[int],
     most one element per strip) contained in some member: the subset map
     of the members' traces on the subsplit's union, keys filtered."""
     union = sub.union_mask
-    strips = [strip.bits for strip in sub.strips]
     buckets = subset_buckets([u & union for u in masks])
     for s, bucket in buckets.items():
-        if s and all((s & strip).bit_count() <= 1 for strip in strips):
+        if s and sub.carries_mask(s):
             yield s, len(bucket)
 
 

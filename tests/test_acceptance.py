@@ -9,7 +9,9 @@ a failing run shows every broken case, not just the first.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -279,7 +281,7 @@ def test_engine_output_contract():
             problems.append(f"{label}: kept {len(out.family)} of {len(fam)} "
                             f"at rank {out.r}, below the 3^-(m'-r+1) floor")
 
-        masks = [w for part in out.parts for w in part.T.masks()]
+        masks = [w for part in out.parts for w in part.T]
         if len(set(masks)) != len(masks):
             problems.append(f"{label}: parts overlap")
         if sorted(masks) != sorted(out.family.masks()):
@@ -290,7 +292,7 @@ def test_engine_output_contract():
             # every surviving bucket must sit below the full-rank threshold
             by_key: dict[tuple[int, ...], list[int]] = {}
             for part in out.parts:
-                by_key.setdefault(part.key, []).extend(part.T.masks())
+                by_key.setdefault(part.key, []).extend(part.T)
             for key, group in by_key.items():
                 for u in fam.masks():
                     bucket = sum(1 for w in group if w & u == u)
@@ -312,7 +314,7 @@ def test_engine_output_contract():
 def _group_parts(out: bs.BaseSetsOutput):
     by_key: dict[tuple[int, ...], list[int]] = {}
     for part in out.parts:
-        by_key.setdefault(part.key, []).extend(part.T.masks())
+        by_key.setdefault(part.key, []).extend(part.T)
     return by_key.items()
 
 
@@ -358,6 +360,27 @@ def test_engine_iteration_audit():
                 problems.append(f"{label}: |T|={row['sizeT']} exceeds "
                                 f"|F[C]|={restriction}")
     _verdict("engine-iteration-audit", problems, time.perf_counter() - t0)
+
+
+# sha256 of the driver's trace rows, terminal parts (base labels, key,
+# member masks, variant) and audit over engine_corpus(): any change to the
+# scan order, the thresholds, the part contents or the audit moves it
+ENGINE_CORPUS_DIGEST = \
+    "17092b98cf68f8d013c860a969fb7289f22644b1b121a513cbc802243c76893b"
+
+
+def test_engine_corpus_digest():
+    """process_r traces, parts and audits over the corpus are pinned."""
+    rows = []
+    for label, fam, split, cfg in engine_corpus():
+        result = bs.process_r(fam, split, cfg)
+        parts = [[list(part.B.labels()), list(part.key), list(part.T),
+                  part.variant] for part in result.parts_hat]
+        rows.append([label, list(result.trace), parts,
+                     bs.audit_terminal_bases(result, fam, cfg)])
+    digest = hashlib.sha256(
+        json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == ENGINE_CORPUS_DIGEST
 
 
 def test_bound_disclaimer():

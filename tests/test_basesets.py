@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from sunflower.basesets import (
     process_r,
 )
 from sunflower.errors import ContractViolationError
-from sunflower.families import SetFamily, Split
+from sunflower.families import SetFamily, Split, mask_labels, subset_lookup
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -42,6 +43,11 @@ PRODUCT15_CFG = Constants(0.9, 1.2, 1.5, 2, 3, 720)
 GRID16 = SetFamily.of(8, [[x, y] for x in range(4) for y in range(4, 8)])
 GRID16_CFG = Constants(0.5, 1.1, 1.2, 2, 2, 16)
 SPLIT8 = Split.contiguous(8, 2)
+
+
+def masks8(*sets: list[int]) -> tuple[int, ...]:
+    """Canonical member masks of sets over 8 labels, as parts carry them."""
+    return SetFamily.of(8, sets).masks()
 
 
 def test_constants_validation():
@@ -169,32 +175,49 @@ def test_component_collection_initial():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     assert coll.rank == 2
     assert list(coll.components) == [(0, 1)]
-    assert coll.components[(0, 1)] == GRID16
-    assert coll.family == GRID16
+    assert coll.components[(0, 1)] == GRID16.masks()
     assert coll.subsplit((0, 1)).rank == 2
+    # members listed in any order are kept in canonical label order
+    reversed_coll = ComponentCollection(SPLIT8, {(0, 1): GRID16.masks()[::-1]})
+    assert reversed_coll.components[(0, 1)] == GRID16.masks()
 
 
 def test_component_collection_validation():
-    uni8 = GRID16.universe
+    first, second = GRID16.masks()[:2]
     with pytest.raises(ValueError):
         ComponentCollection(SPLIT8, {})
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {(1, 0): GRID16})  # unsorted key
+        ComponentCollection(SPLIT8, {(1, 0): GRID16.masks()})  # unsorted key
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {(0, 1): SetFamily.of(8, [])})
+        ComponentCollection(SPLIT8, {(0, 1): ()})
     with pytest.raises(ValueError):
         # {0, 1} is not one-per-strip
-        ComponentCollection(SPLIT8, {(0, 1): SetFamily.of(8, [[0, 1]])})
+        ComponentCollection(SPLIT8, {(0, 1): (0b11,)})
+    with pytest.raises(ValueError):
+        # {0} misses strip 1
+        ComponentCollection(SPLIT8, {(0, 1): (0b1,)})
     with pytest.raises(ValueError):
         # the same member in two components
-        ComponentCollection(SPLIT8, {
-            (0,): SetFamily.from_masks(uni8, [GRID16.masks()[0]], m=2),
-            (1,): SetFamily.from_masks(uni8, [GRID16.masks()[0]], m=2)})
+        ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)})
+    with pytest.raises(ValueError):
+        # the same member twice in one component
+        ComponentCollection(SPLIT8, {(0, 1): (first, first)})
     with pytest.raises(ValueError):
         # mixed ranks
-        ComponentCollection(SPLIT8, {
-            (0,): SetFamily.from_masks(uni8, [GRID16.masks()[0]], m=2),
-            (0, 1): SetFamily.from_masks(uni8, [GRID16.masks()[1]], m=2)})
+        ComponentCollection(SPLIT8, {(0,): (first,), (0, 1): (second,)})
+
+
+def test_component_collection_rejects_labels_outside_universe():
+    # {0, 4, 8}: label 8 lies outside the 8-label universe, even though
+    # {0, 4} alone is a one-per-strip member
+    with pytest.raises(ValueError, match="outside the universe"):
+        ComponentCollection(SPLIT8, {(0, 1): (1 | 1 << 4 | 1 << 8,)})
+    with pytest.raises(ValueError, match="outside the universe"):
+        ComponentCollection(SPLIT8, {(0, 1): (1 << 2 | 1 << 9,)})
+    with pytest.raises(ValueError, match="outside the universe"):
+        ComponentCollection(SPLIT8, {(0, 1): (-1,)})
+    with pytest.raises(ValueError):
+        ComponentCollection.initial(SetFamily.of(16, [[0, 8]]), SPLIT8)
 
 
 def test_component_collection_derive_lex_first():
@@ -203,8 +226,8 @@ def test_component_collection_derive_lex_first():
     coll, skipped = ComponentCollection.derive(fam, SPLIT8, 1, anchors)
     # {1,5} lands on key (0,) via anchor {1}; {0,4} only fits key (1,)
     assert set(coll.components) == {(0,), (1,)}
-    assert [s.labels() for s in coll.components[(0,)]] == [(1, 5)]
-    assert [s.labels() for s in coll.components[(1,)]] == [(0, 4)]
+    assert [mask_labels(u) for u in coll.components[(0,)]] == [(1, 5)]
+    assert [mask_labels(u) for u in coll.components[(1,)]] == [(0, 4)]
     assert [s.labels() for s in skipped] == [(0, 5), (0, 6), (0, 7)]
     with pytest.raises(ValueError):
         ComponentCollection.derive(fam, SPLIT8, 1, SetFamily.of(8, [[2]]))
@@ -213,17 +236,16 @@ def test_component_collection_derive_lex_first():
 def test_component_collection_regroup():
     uni = GRID16.universe
     parts = [
-        ElementaryPart(uni.set_of([0]), (0, 1),
-                       SetFamily.of(8, [[0, 4], [0, 5]]), "i"),
-        ElementaryPart(uni.set_of([1]), (0, 1),
-                       SetFamily.of(8, [[1, 4]]), "i"),
-        ElementaryPart(uni.set_of([4]), (0, 1),
-                       SetFamily.of(8, [[2, 4]]), "i"),
+        ElementaryPart(uni.set_of([1]), (0, 1), masks8([1, 4]), "i"),
+        ElementaryPart(uni.set_of([0]), (0, 1), masks8([0, 4], [0, 5]), "i"),
+        ElementaryPart(uni.set_of([4]), (0, 1), masks8([2, 4]), "i"),
     ]
     coll = ComponentCollection.regroup(parts, 1, SPLIT8)
     assert set(coll.components) == {(0,), (1,)}
-    assert len(coll.components[(0,)]) == 3
-    assert len(coll.components[(1,)]) == 1
+    # merged across parts, then put back in canonical label order
+    assert [mask_labels(u) for u in coll.components[(0,)]] == [
+        (0, 4), (0, 5), (1, 4)]
+    assert [mask_labels(u) for u in coll.components[(1,)]] == [(2, 4)]
     with pytest.raises(ValueError):
         ComponentCollection.regroup(parts, 2, SPLIT8)
 
@@ -231,23 +253,22 @@ def test_component_collection_regroup():
 def test_is_elementary_part_variant_i():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     uni = GRID16.universe
-    whole = ElementaryPart(uni.empty, (0, 1), GRID16, "i")
+    whole = ElementaryPart(uni.empty, (0, 1), GRID16.masks(), "i")
     assert is_elementary_part(whole, coll, GRID16, GRID16_CFG) is True
     # a bucket concentrated on one element is not spread off its base
     lump = ElementaryPart(uni.empty, (0, 1),
-                          SetFamily.of(8, [[0, 4], [0, 5], [0, 6], [0, 7]]),
-                          "i")
+                          masks8([0, 4], [0, 5], [0, 6], [0, 7]), "i")
     assert is_elementary_part(lump, coll, GRID16, GRID16_CFG) is False
     # spread but below the rank-0 epsilon floor for a larger famSize
     strict = Constants(0.9, 1.1, 1.2, 2, 2, 64)
     assert is_elementary_part(whole, coll, GRID16, strict) is False
     # members must all contain the base
     offbase = ElementaryPart(uni.set_of([0]), (0, 1),
-                             SetFamily.of(8, [[0, 4], [1, 5]]), "i")
+                             masks8([0, 4], [1, 5]), "i")
     assert is_elementary_part(offbase, coll, GRID16, GRID16_CFG) is False
     # rank must sit below the collection's
     full_rank = ElementaryPart(uni.set_of([0, 4]), (0, 1),
-                               SetFamily.of(8, [[0, 4]]), "i")
+                               masks8([0, 4]), "i")
     assert is_elementary_part(full_rank, coll, GRID16, GRID16_CFG) is False
 
 
@@ -256,18 +277,18 @@ def test_is_elementary_part_variant_ii():
     uni = GRID16.universe
     # at full rank the bucket floor is trivially satisfied when m' = m
     part = ElementaryPart(uni.set_of([0, 4]), (0, 1),
-                          SetFamily.of(8, [[0, 4]]), "ii")
+                          masks8([0, 4]), "ii")
     assert is_elementary_part(part, coll, GRID16, GRID16_CFG) is True
     short = ElementaryPart(uni.set_of([0]), (0, 1),
-                           SetFamily.of(8, [[0, 4]]), "ii")
+                           masks8([0, 4]), "ii")
     assert is_elementary_part(short, coll, GRID16, GRID16_CFG) is False
     # below full ambient rank the f(m') floor bites
     sub_coll, _ = ComponentCollection.derive(
         PLANTED, SPLIT8, 1, SetFamily.of(8, [[0]]))
-    big = ElementaryPart(uni.set_of([0]), (0,), PLANTED, "ii")
+    big = ElementaryPart(uni.set_of([0]), (0,), PLANTED.masks(), "ii")
     assert is_elementary_part(big, sub_coll, PLANTED, PLANTED_CFG) is True
     small = ElementaryPart(uni.set_of([0]), (0,),
-                           SetFamily.of(8, [[0, 4], [0, 5]]), "ii")
+                           masks8([0, 4], [0, 5]), "ii")
     # bucket of 2 misses f(1) = 2.9457...
     assert is_elementary_part(small, sub_coll, PLANTED, PLANTED_CFG) is False
 
@@ -277,28 +298,28 @@ def test_is_elementary_part_structural_errors():
     uni = GRID16.universe
     with pytest.raises(ValueError):
         is_elementary_part(
-            ElementaryPart(uni.empty, (0,), GRID16, "i"),
+            ElementaryPart(uni.empty, (0,), GRID16.masks(), "i"),
             coll, GRID16, GRID16_CFG)  # unknown key
     with pytest.raises(ValueError):
         is_elementary_part(
             ElementaryPart(uni.set_of([0, 1]), (0, 1),
-                           SetFamily.of(8, [[0, 4]]), "ii"),
+                           masks8([0, 4]), "ii"),
             coll, GRID16, GRID16_CFG)  # base off the subsplit
     # part members outside the keyed component
     alien = ElementaryPart(uni.empty, (0, 1),
-                           SetFamily.of(8, [[2, 5], [3, 4], [0, 6], [1, 7],
-                                            [2, 7]]), "i")
+                           masks8([2, 5], [3, 4], [0, 6], [1, 7], [2, 7]),
+                           "i")
     tiny_coll = ComponentCollection(SPLIT8, {
-        (0, 1): SetFamily.of(8, [[2, 5], [3, 4]])})
+        (0, 1): masks8([2, 5], [3, 4])})
     with pytest.raises(ValueError):
         is_elementary_part(alien, tiny_coll, GRID16, GRID16_CFG)
     with pytest.raises(ValueError):
         is_elementary_part(
             ElementaryPart(uni.set_of([0, 4]), (0, 1),
-                           SetFamily.of(8, [[0, 4]]), "iii"),
+                           masks8([0, 4]), "iii"),
             coll, GRID16, GRID16_CFG)
     # empty member list is a condition failure, not a structural one
-    empty = ElementaryPart(uni.empty, (0, 1), SetFamily.of(8, [], m=2), "i")
+    empty = ElementaryPart(uni.empty, (0, 1), (), "i")
     assert is_elementary_part(empty, coll, GRID16, GRID16_CFG) is False
 
 
@@ -400,23 +421,44 @@ def test_base_sets_input_validation():
 
 def test_find_extraction_rank_zero_round():
     # driving the scanner by hand at rank 0: the whole spread product comes
-    # out as a single base-free part
+    # out as a single base-free part, in canonical order
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
-    work = {(0, 1): list(GRID16.masks())}
-    found = _find_extraction(0, 2, work, coll, GRID16, cfg, thr, b, set(), {})
+    comp = coll.components[(0, 1)]
+    work = {(0, 1): set(comp)}
+    lookups = {(0, 1): subset_lookup(comp)}
+    found = _find_extraction(0, 2, work, lookups, coll, GRID16, cfg, thr, b,
+                             set(), {})
     assert found is not None
     key, bm, t_masks, variant = found
     assert key == (0, 1)
     assert bm == 0
-    assert len(t_masks) == 16
+    assert tuple(t_masks) == GRID16.masks()
     assert variant == "i"
-    part = ElementaryPart(GRID16.universe.from_bits(bm), key,
-                          SetFamily.from_masks(GRID16.universe, t_masks, m=2),
+    part = ElementaryPart(GRID16.universe.from_bits(bm), key, tuple(t_masks),
                           variant)
     assert is_elementary_part(part, coll, GRID16, cfg)
+
+
+def test_find_extraction_reads_live_members_only():
+    # at full rank f(2) < 1, so the first candidate base with a live member
+    # wins: removing {0,4} from the live set (not from the map) skips it
+    cfg = GRID16_CFG
+    coll = ComponentCollection.initial(GRID16, SPLIT8)
+    comp = coll.components[(0, 1)]
+    lookups = {(0, 1): subset_lookup(comp)}
+    args = (coll, GRID16, cfg, Threshold(cfg), exact_base(cfg.b))
+    first = _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
+                             set(), {})
+    assert first == ((0, 1), 0b10001, [0b10001], "ii")
+    live = set(comp) - {0b10001}
+    second = _find_extraction(2, 2, {(0, 1): live}, lookups, *args, set(), {})
+    assert second == ((0, 1), 0b100001, [0b100001], "ii")
+    # a used (base, component) pair is skipped the same way
+    assert _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
+                            {(0b10001, (0, 1))}, {}) == second
 
 
 def test_process_r_flagship():
@@ -472,6 +514,18 @@ def test_process_r_contract_violation():
         process_r(IMMEDIATE, Split.contiguous(4, 2), PLANTED_CFG)
     assert info.value.trace == []
     assert info.value.partial_steps == ()
+
+
+def test_process_r_postcondition_raises(monkeypatch):
+    # an engine output whose rank climbs breaks the driver's rank-descent
+    # postcondition, which must raise, not assert
+    engine = basesets.base_sets
+    monkeypatch.setattr(basesets, "base_sets", lambda *args, **kwargs:
+                        dataclasses.replace(engine(*args, **kwargs), r=3))
+    with pytest.raises(ContractViolationError, match="strictly decrease") \
+            as info:
+        process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
+    assert len(info.value.trace) == 8
 
 
 def test_process_r_input_validation():

@@ -347,10 +347,3 @@ def test_input_errors_exit_five(capsys, tmp_path):
     code, out, err = run(capsys, ["process-r", fam_path,
                                   "--constants", bad_cfg])
     assert code == 5 and "epsilon" in err
-
-
-def test_threads_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, ["--threads", "2", "gen-extremal",
-                                "--k", "2", "--m", "1"])
-    assert code == 0
-    assert out == "universe 1 maxcard 1\n0\n"
