@@ -30,7 +30,6 @@ from .splits import (SplitSearchResult, count_splits, enumerate_splits,
                      stirling_floor, transversal_count_brute,
                      transversal_formula)
 from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
-                         find_sunflower_exact, sunflower_free_check_oracle,
-                         verify_certificate)
+                         find_sunflower_exact, verify_certificate)
 
 __version__ = "0.1.0"

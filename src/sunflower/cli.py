@@ -67,7 +67,7 @@ def _emit(command: str, inputs: dict, results: dict, seed: int | None,
 
 def _emit_family(family: SetFamily, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(family.to_json_obj(), sort_keys=True, indent=2))
+        print(json.dumps(family.to_json_obj(), sort_keys=True))
     else:
         sys.stdout.write(family.to_text())
 

@@ -84,6 +84,9 @@ def subset_lookup(masks: Sequence[int]):
 
 def mask_labels(mask: int) -> tuple[int, ...]:
     """Ascending labels of the set bits of ``mask``."""
+    if mask < 0:
+        # a negative int has infinitely many set bits
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask

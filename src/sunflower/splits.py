@@ -10,6 +10,14 @@ Also provides transversal counting over a split: the number of ordered
 tuples of j pairwise disjoint strips-sized sets, weighted by how many
 members meet each of them once, has a closed product form that the brute
 count validates.
+
+One incidence kernel serves every search and the brute count:
+:func:`_meet_once` gives, for a block, the bitset over member indices (in
+``family.masks()`` order) of the members meeting it in exactly one element.
+A split's retained members are the AND of its strips' bitsets, and a
+tuple's transversal weight is the popcount of the AND of its blocks'
+bitsets, so no member is rescanned per split or per tuple.  The searches
+build a ``SetFamily`` only for the split they return.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import GroundSet, SetFamily, Split, Universe
+from .families import GroundSet, SetFamily, Split, Universe, labels_mask
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -81,6 +89,37 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
     yield from rec(universe.full_mask, [])
 
 
+def _meet_once(masks: tuple[int, ...], block: int) -> int:
+    """Bitset over member indices of the members meeting ``block`` in
+    exactly one element."""
+    bits = 0
+    for i, u in enumerate(masks):
+        if (u & block).bit_count() == 1:
+            bits |= 1 << i
+    return bits
+
+
+class _Incidence(dict):
+    """Block mask -> its :func:`_meet_once` bitset, computed on first
+    lookup; ``everyone`` is the bitset of all members."""
+
+    def __init__(self, masks: tuple[int, ...]):
+        super().__init__()
+        self.masks = masks
+        self.everyone = (1 << len(masks)) - 1
+
+    def __missing__(self, block: int) -> int:
+        bits = self[block] = _meet_once(self.masks, block)
+        return bits
+
+    def retained(self, blocks) -> int:
+        """How many members meet every block exactly once."""
+        kept = self.everyone
+        for b in blocks:
+            kept &= self[b]
+        return kept.bit_count()
+
+
 def retained_on(family: SetFamily, split: Split) -> SetFamily:
     """The subfamily of members lying on the split (one element per strip)."""
     return family.on_subsplit(split.full_subsplit(), split.m)
@@ -119,6 +158,11 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     floor.  ``random`` samples splits uniformly until one meets the floor,
     raising TrialsExhaustedError (carrying the best result seen) if none of
     ``trials`` samples does.
+
+    Splits are scored by the incidence kernel: on an m-uniform family, a
+    member meeting each of the m strips exactly once is exactly a member
+    lying on the split.  Only the returned split (or the best one carried by
+    TrialsExhaustedError) is materialized through :func:`retained_on`.
     """
     m = _uniform_cardinality(family)
     n = family.universe.n
@@ -126,40 +170,49 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
         raise ValueError(f"member cardinality {m} must divide universe size {n}")
     bound = retention_bound(family, m)
     floor = stirling_floor(family)
+    meet = _Incidence(family.masks())
+
+    def materialize(split: Split, count: int) -> SplitSearchResult:
+        kept = retained_on(family, split)
+        if len(kept) != count:
+            raise ContractViolationError(
+                f"split retains {len(kept)} members, the kernel counted {count}")
+        return SplitSearchResult(split, kept, bound, floor)
+
     if mode == "exhaustive":
         total = count_splits(n, m)
         if total > enum_budget:
             raise BudgetExceededError(
                 f"{total} splits exceed enumeration budget {enum_budget}",
                 needed=total, budget=enum_budget)
-        best = None
+        best, best_count = None, -1
         for split in enumerate_splits(family.universe, m):
-            kept = retained_on(family, split)
-            if best is None or len(kept) > len(best.retained):
-                best = SplitSearchResult(split, kept, bound, floor)
-        if best is None or len(best.retained) < bound:
+            count = meet.retained(s.bits for s in split.strips)
+            if count > best_count:
+                best, best_count = split, count
+        result = materialize(best, best_count)
+        if len(result.retained) < bound:
             raise ContractViolationError(
                 "no split retains the averaging floor of members")
-        return best
+        return result
     if mode == "random":
         rng = CounterRng(seed)
         d = n // m
         labels = list(range(n))
-        best = None
+        best, best_count = None, -1
         for _ in range(trials):
             perm = labels[:]
             rng.shuffle(perm)
             blocks = sorted(sorted(perm[i * d:(i + 1) * d]) for i in range(m))
-            split = Split.of(n, blocks)
-            kept = retained_on(family, split)
-            result = SplitSearchResult(split, kept, bound, floor)
-            if len(kept) >= bound:
-                return result
-            if best is None or len(kept) > len(best.retained):
-                best = result
+            count = meet.retained(labels_mask(b) for b in blocks)
+            if count * bound.denominator >= bound.numerator:
+                return materialize(Split.of(n, blocks), count)
+            if count > best_count:
+                best, best_count = blocks, count
         raise TrialsExhaustedError(
             f"no split met the floor {bound} in {trials} random trials",
-            best=best)
+            best=None if best is None
+            else materialize(Split.of(n, best), best_count))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -178,6 +231,11 @@ def transversal_count_brute(family: SetFamily, j: int,
     d is n/m for the family's uniform member cardinality m.  Pure
     enumeration; the closed form :func:`transversal_formula` must match it.
     An empty family counts 0 for every j in [0, declared m].
+
+    Every ordered tuple is still visited, so the count stays an independent
+    check of the closed form.  The recursion carries the AND of the picked
+    blocks' :func:`_meet_once` bitsets (cached per block) and adds its
+    popcount at each leaf; with j = 0 every member counts.
     """
     if len(family) == 0:
         if not 0 <= j <= family.m:
@@ -199,25 +257,19 @@ def transversal_count_brute(family: SetFamily, j: int,
         raise BudgetExceededError(
             f"{tuples} disjoint tuples exceed budget {budget}",
             needed=tuples, budget=budget)
-    masks = family.masks()
-    all_labels = range(n)
+    meet = _Incidence(family.masks())
     total = 0
 
-    def rec(depth: int, used: int, picked: list[int]) -> None:
+    def rec(depth: int, used: int, kept: int) -> None:
         nonlocal total
         if depth == j:
-            total += sum(1 for u in masks
-                         if all((u & b).bit_count() == 1 for b in picked))
+            total += kept.bit_count()
             return
-        for c in combinations([x for x in all_labels if not used >> x & 1], d):
-            b = 0
-            for x in c:
-                b |= 1 << x
-            picked.append(b)
-            rec(depth + 1, used | b, picked)
-            picked.pop()
+        for c in combinations([x for x in range(n) if not used >> x & 1], d):
+            b = labels_mask(c)
+            rec(depth + 1, used | b, kept & meet[b])
 
-    rec(0, 0, [])
+    rec(0, 0, meet.everyone)
     return total
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
@@ -24,7 +23,6 @@ from .families import DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, mask_labels
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
-DEFAULT_ORACLE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,35 +114,6 @@ def find_sunflower_exact(family: SetFamily, k: int,
             petals = tuple(uni.from_bits(b | core) for b in chosen)
             return SunflowerCertificate(petals, uni.from_bits(core))
     return None
-
-
-def sunflower_free_check_oracle(family: SetFamily, k: int,
-                                budget: int = DEFAULT_ORACLE_BUDGET,
-                                shadow_budget: int = DEFAULT_SHADOW_BUDGET,
-                                ) -> bool:
-    """True iff the family has no k-sunflower, by unpruned exhaustion.
-
-    Checks every k-combination of every core bucket against the pairwise
-    definition.  Deliberately independent of find_sunflower_exact;
-    ``budget`` caps the total combinations examined.
-    """
-    if k < 2:
-        raise ValueError("sunflower size must be at least 2")
-    if len(family) < k:
-        return True
-    cores = family.shadow(budget=shadow_budget).members
-    work = sum(comb(len(family.restrict(core)), k) for core in cores)
-    if work > budget:
-        raise BudgetExceededError(
-            f"oracle would examine {work} combinations (budget {budget})",
-            needed=work, budget=budget)
-    for core in cores:
-        bucket = family.restrict(core).masks()
-        c = core.bits
-        for combo in combinations(bucket, k):
-            if all(a & b == c for a, b in combinations(combo, 2)):
-                return False
-    return True
 
 
 def extract_disjoint_via_gamma(family: SetFamily, k: int, b,

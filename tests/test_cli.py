@@ -74,6 +74,14 @@ def test_gen_random_is_deterministic(capsys):
     assert out2 == out
 
 
+def test_family_json_is_one_line(capsys):
+    code, out, _ = run(capsys, ["gen-random", "--n", "8", "--m", "2",
+                                "--size", "12", "--seed", "7", "--json"])
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert len(json.loads(out)["sets"]) == 12
+
+
 def test_find_sunflower_exact_found(capsys, tmp_path):
     path = family_file(tmp_path, FULL4)
     code, report, _ = run_report(capsys, ["find-sunflower", path, "--k", "3"])

@@ -39,6 +39,12 @@ def test_mask_labels_roundtrip():
         assert labels_mask(mask_labels(mask)) == mask
 
 
+def test_mask_labels_rejects_negative_masks():
+    for mask in (-1, -(1 << 40)):
+        with pytest.raises(ValueError):
+            mask_labels(mask)
+
+
 def test_universe_basics():
     uni = Universe(5)
     assert uni.full_mask == 0b11111

@@ -18,6 +18,7 @@ POSTCONDITION_TESTS = [
     "tests/test_basesets.py::test_base_sets_postcondition_raises_with_trace",
     "tests/test_basesets.py::test_process_r_postcondition_raises",
     "tests/test_splits.py::test_find_good_split_postcondition_raises",
+    "tests/test_splits.py::test_find_good_split_cross_checks_the_kernel_count",
 ]
 
 

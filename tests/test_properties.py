@@ -1,23 +1,34 @@
-"""Property tests: each subset-map fast path against its brute reference.
+"""Property tests: each fast path against its brute reference.
 
-The references use only SetFamily.shadow, SetFamily.restrict,
+The subset-map references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, Subsplit.p_sets and the unpruned sunflower
-oracle, none of which goes through the subset-bucket kernel.
+oracle, none of which goes through the subset-bucket kernel.  The split
+references use only enumerate_splits, retained_on (SetFamily.on_subsplit)
+and a per-tuple member scan, none of which goes through the incidence
+kernel of the split searches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sunflower.families import SetFamily, Split, Universe, subset_buckets
+from sunflower.errors import TrialsExhaustedError
+from sunflower.families import (SetFamily, Split, Universe, labels_mask,
+                                subset_buckets)
 from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
                              maximal_violator)
-from sunflower.sunflowers import (find_sunflower_exact,
-                                  sunflower_free_check_oracle,
-                                  verify_certificate)
+from sunflower.rng import CounterRng
+from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
+                              retention_bound, transversal_count_brute,
+                              transversal_formula)
+from sunflower.sunflowers import find_sunflower_exact, verify_certificate
+
+from oracles import sunflower_free_check_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -145,3 +156,110 @@ def test_find_sunflower_exact_agrees_with_oracle(family, k):
         assert cert.k == k
         assert verify_certificate(cert)
         assert all(petal in family for petal in cert.petals)
+
+
+# -- splits ------------------------------------------------------------------
+
+SPLIT_SHAPES = [(4, 2), (6, 2), (6, 3), (8, 2), (9, 3)]
+
+
+@st.composite
+def uniform_families(draw, min_size=0):
+    """Random m-uniform families (declared m) for (n, m) in SPLIT_SHAPES."""
+    n, m = draw(st.sampled_from(SPLIT_SHAPES))
+    pool = [labels_mask(c) for c in combinations(range(n), m)]
+    masks = draw(st.sets(st.sampled_from(pool), min_size=min_size,
+                         max_size=min(12, len(pool))))
+    return SetFamily.from_masks(Universe(n), masks, m=m)
+
+
+def reference_exhaustive(family):
+    """The first split in enumeration order retaining the most members."""
+    best = None
+    for split in enumerate_splits(family.universe, family.m):
+        kept = retained_on(family, split)
+        if best is None or len(kept) > len(best[1]):
+            best = (split, kept)
+    return best
+
+
+def reference_random(family, trials, seed):
+    """Replays the sampler's draws: ("met", split, kept) for the first
+    sample meeting the floor, else ("exhausted", best sample or None)."""
+    n, m = family.universe.n, family.m
+    d = n // m
+    bound = retention_bound(family, m)
+    rng = CounterRng(seed)
+    best = None
+    for _ in range(trials):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        split = Split.of(n, sorted(sorted(perm[i * d:(i + 1) * d])
+                                   for i in range(m)))
+        kept = retained_on(family, split)
+        if len(kept) >= bound:
+            return ("met", split, kept)
+        if best is None or len(kept) > len(best[1]):
+            best = (split, kept)
+    return ("exhausted", best)
+
+
+def scan_transversal_count(family, j):
+    """Per-tuple member scan over every ordered tuple of j disjoint
+    d-sets."""
+    n, m = family.universe.n, family.m
+    d = n // m
+    masks = family.masks()
+    total = 0
+
+    def rec(depth, used, picked):
+        nonlocal total
+        if depth == j:
+            total += sum(1 for u in masks
+                         if all((u & b).bit_count() == 1 for b in picked))
+            return
+        for c in combinations([x for x in range(n) if not used >> x & 1], d):
+            b = labels_mask(c)
+            rec(depth + 1, used | b, picked + [b])
+
+    rec(0, 0, [])
+    return total
+
+
+@SETTINGS
+@given(uniform_families(min_size=1))
+def test_exhaustive_split_matches_reference(family):
+    result = find_good_split(family)
+    split, kept = reference_exhaustive(family)
+    assert result.split == split
+    assert result.retained == kept
+    assert result.bound == retention_bound(family, family.m)
+
+
+@SETTINGS
+@given(uniform_families(min_size=1), st.integers(0, 5),
+       st.integers(0, 1 << 16))
+def test_random_split_replays_reference(family, trials, seed):
+    want = reference_random(family, trials, seed)
+    if want[0] == "met":
+        result = find_good_split(family, mode="random", trials=trials,
+                                 seed=seed)
+        assert (result.split, result.retained) == want[1:]
+        return
+    with pytest.raises(TrialsExhaustedError) as info:
+        find_good_split(family, mode="random", trials=trials, seed=seed)
+    best = info.value.best
+    if want[1] is None:
+        assert best is None
+    else:
+        assert (best.split, best.retained) == want[1]
+
+
+@SETTINGS
+@given(uniform_families(), st.data())
+def test_transversal_count_matches_scan_and_formula(family, data):
+    j = data.draw(st.integers(0, family.m))
+    count = transversal_count_brute(family, j)
+    assert count == scan_transversal_count(family, j)
+    if len(family):
+        assert count == transversal_formula(family, j)

@@ -131,6 +131,22 @@ def test_find_good_split_postcondition_raises(monkeypatch):
         find_good_split(all_m_subsets(4, 2))
 
 
+def test_find_good_split_cross_checks_the_kernel_count(monkeypatch):
+    # a materialized split whose size differs from the kernel's count is a
+    # contract violation even when it clears the floor
+    fam = SetFamily.of(4, [[0, 1]])
+    monkeypatch.setattr(splits, "retained_on", lambda family, split: family)
+    with pytest.raises(ContractViolationError, match="kernel counted"):
+        find_good_split(all_m_subsets(4, 2))  # 6 materialized, 4 counted
+    with pytest.raises(ContractViolationError, match="kernel counted"):
+        # the best split of an exhausted search is checked too (0 counted)
+        find_good_split(fam, mode="random", trials=1, seed=0)
+    monkeypatch.setattr(splits, "retained_on", lambda family, split:
+                        SetFamily.from_masks(family.universe, [], m=family.m))
+    with pytest.raises(ContractViolationError, match="kernel counted"):
+        find_good_split(fam, mode="random", trials=1, seed=1)  # 1 counted
+
+
 def test_find_good_split_random_mode():
     fam = SetFamily.of(4, [[0, 1]])
     result = find_good_split(fam, mode="random", trials=1, seed=1)

@@ -12,9 +12,10 @@ from sunflower.sunflowers import (
     SunflowerCertificate,
     extract_disjoint_via_gamma,
     find_sunflower_exact,
-    sunflower_free_check_oracle,
     verify_certificate,
 )
+
+from oracles import sunflower_free_check_oracle
 
 
 def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
