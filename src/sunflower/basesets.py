@@ -427,13 +427,26 @@ def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], set[int]],
                      collection: ComponentCollection, bases: SetFamily,
                      cfg: Constants, thr: Threshold, b: Fraction,
                      used_pairs: set[tuple[int, tuple[int, ...]]],
-                     cand_cache: dict) -> tuple[tuple[int, ...], int, list[int], str] | None:
+                     cand_cache: dict,
+                     skipped: dict[tuple[int, tuple[int, ...]], int]
+                     ) -> tuple[tuple[int, ...], int, list[int], str] | None:
     """One scan for the next extraction at rank r, in canonical order:
     components by key, candidate bases by label.  ``work`` holds each
     component's live members and ``lookups`` its subset map, built once per
     engine call, so a bucket is the map's entry for the base filtered by
     the live set, in canonical order.  Returns (key, base mask, member
-    masks, variant) or None when no pair qualifies."""
+    masks, variant) or None when no pair qualifies.
+
+    ``skipped`` memoizes skip verdicts: it maps each (base mask, key) pair
+    the scan passed over (below the threshold, empty, or cleaned to empty
+    or below the floor) to the size of its live bucket then, and a pair
+    whose live bucket still has that size is passed over again unread.
+    This is exact within one engine call: live sets only shrink, so an
+    equal size means an identical bucket, and a verdict depends only on
+    the bucket and on what the call fixes (r, m', the threshold, cfg, the
+    bases, b and the free strips off the base; the base's cardinality is
+    r, so no pair recurs at another rank).  The memo must not outlive the
+    call."""
     for key in collection.components:
         live = work[key]
         if not live:
@@ -444,22 +457,21 @@ def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], set[int]],
         if cache_key not in cand_cache:
             cand_cache[cache_key] = _candidate_bases(sub, r, bases)
         for bm in cand_cache[cache_key]:
-            if (bm, key) in used_pairs:
+            pair = (bm, key)
+            if pair in used_pairs:
                 continue
             bucket = [u for u in lookup.get(bm, ()) if u in live]
+            if skipped.get(pair) == len(bucket):
+                continue
             if r == mprime:
                 if thr.meets(len(bucket), mprime):
                     return key, bm, bucket, "ii"
-                continue
-            if not bucket:
-                continue
-            t = _clean_to_spread(bucket, sub.minus(
-                collection.split.universe.from_bits(bm)), bases, b)
-            if not t:
-                continue
-            if r == 0 and not cfg.eps_floor_meets(len(t)):
-                continue
-            return key, bm, t, "i"
+            elif bucket:
+                t = _clean_to_spread(bucket, sub.minus(
+                    collection.split.universe.from_bits(bm)), bases, b)
+                if t and (r > 0 or cfg.eps_floor_meets(len(t))):
+                    return key, bm, t, "i"
+            skipped[pair] = len(bucket)
     return None
 
 
@@ -470,9 +482,14 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
 
     The working family persists across ranks (extractions at a failed rank
     stay removed); the accumulated union and base list reset per rank.
-    Each (base, component) pair is extracted at most once per call.
-    Raises ContractViolationError with the full extraction trace when no
-    rank reaches its bound.
+    Each (base, component) pair is extracted at most once per call.  After
+    each extraction the scan restarts from the first pair, but a pair it
+    skipped is decided again only once its live bucket has shrunk: the
+    call keeps one memo of skip verdicts per (base, component) pair, keyed
+    by live-bucket size, which is exact because live sets only shrink
+    within the call (see :func:`_find_extraction`).  Raises
+    ContractViolationError with the full extraction trace when no rank
+    reaches its bound.
     """
     split = collection.split
     if not 1 <= mprime <= cfg.m:
@@ -515,6 +532,7 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     work = {key: set(comp) for key, comp in components.items()}
     used_pairs: set[tuple[int, tuple[int, ...]]] = set()
     cand_cache: dict = {}
+    skipped: dict[tuple[int, tuple[int, ...]], int] = {}
     trace: list[dict] = []
     uni = split.universe
 
@@ -524,7 +542,7 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
         while True:
             found = _find_extraction(r, mprime, work, lookups, collection,
                                      bases, cfg, thr, b, used_pairs,
-                                     cand_cache)
+                                     cand_cache, skipped)
             if found is None:
                 break
             key, bm, t_masks, variant = found

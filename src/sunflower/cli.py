@@ -17,6 +17,7 @@ their universe (strips are consecutive blocks); generate inputs with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,9 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in a process reuses: parse_args
+    keeps no state between calls and returns a fresh namespace each time,
+    and no option has a mutable default."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except GammaPreconditionError as exc:

@@ -430,7 +430,7 @@ def test_find_extraction_rank_zero_round():
     work = {(0, 1): set(comp)}
     lookups = {(0, 1): subset_lookup(comp)}
     found = _find_extraction(0, 2, work, lookups, coll, GRID16, cfg, thr, b,
-                             set(), {})
+                             set(), {}, {})
     assert found is not None
     key, bm, t_masks, variant = found
     assert key == (0, 1)
@@ -451,14 +451,44 @@ def test_find_extraction_reads_live_members_only():
     lookups = {(0, 1): subset_lookup(comp)}
     args = (coll, GRID16, cfg, Threshold(cfg), exact_base(cfg.b))
     first = _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
-                             set(), {})
+                             set(), {}, {})
     assert first == ((0, 1), 0b10001, [0b10001], "ii")
     live = set(comp) - {0b10001}
-    second = _find_extraction(2, 2, {(0, 1): live}, lookups, *args, set(), {})
+    second = _find_extraction(2, 2, {(0, 1): live}, lookups, *args, set(), {},
+                              {})
     assert second == ((0, 1), 0b100001, [0b100001], "ii")
     # a used (base, component) pair is skipped the same way
     assert _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
-                            {(0b10001, (0, 1))}, {}) == second
+                            {(0b10001, (0, 1))}, {}, {}) == second
+
+
+def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
+    # a skipped (base, component) pair is decided again only after its live
+    # bucket shrinks, so within one engine call no cleaning repeats
+    from test_acceptance import engine_corpus
+    calls: list[list[tuple]] = []
+    real_clean = basesets._clean_to_spread
+    real_base_sets = basesets.base_sets
+
+    def clean(bucket, free, bases, b):
+        calls[-1].append((free.indices, tuple(bucket)))
+        return real_clean(bucket, free, bases, b)
+
+    def base_sets_call(*args, **kwargs):
+        calls.append([])
+        return real_base_sets(*args, **kwargs)
+
+    monkeypatch.setattr(basesets, "_clean_to_spread", clean)
+    monkeypatch.setattr(basesets, "base_sets", base_sets_call)
+    cleanings = 0
+    for label, fam, split, cfg in engine_corpus():
+        del calls[:]
+        process_r(fam, split, cfg)
+        assert calls, label
+        for seen in calls:
+            assert len(set(seen)) == len(seen), label
+            cleanings += len(seen)
+    assert cleanings >= 50
 
 
 def test_process_r_flagship():

@@ -355,3 +355,58 @@ def test_input_errors_exit_five(capsys, tmp_path):
     code, out, err = run(capsys, ["process-r", fam_path,
                                   "--constants", bad_cfg])
     assert code == 5 and "epsilon" in err
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):
+    # every main() call in a process shares one parser; a run of calls in a
+    # row, usage errors included, must print what separate calls print
+    from sunflower import cli
+    path = family_file(tmp_path, FULL4)
+    calls = [["split", path, "--mode", "random", "--trials", "5",
+              "--seed", "3"],
+             ["split", path],
+             ["split", path, "--mode", "sideways"],
+             ["check-gamma", path, "--b", "2"],
+             ["transversal-check", path],
+             ["transversal-check", path, "--j", "1"],
+             ["split", path, "--pad-to", "6"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        if code != 0:
+            return code, captured.err
+        report = json.loads(captured.out)
+        del report["timings"]
+        return code, report
+
+    in_a_row = [outcome(argv) for argv in calls]
+    separate = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        separate.append(outcome(argv))
+    assert in_a_row == separate
+    assert [code for code, _ in in_a_row] == [0, 0, 2, 0, 2, 0, 0]
+    # the random call's options do not leak into the plain split after it
+    plain = in_a_row[1][1]
+    assert plain["inputs"]["mode"] == "exhaustive"
+    assert plain["inputs"]["trials"] == 1000
+    assert plain["seed"] == 0
+    assert plain["inputs"]["n"] == 4
+
+
+def test_parse_errors_exit_two(capsys, tmp_path):
+    path = family_file(tmp_path, FULL4)
+    for argv in [[], ["no-such-command"], ["split"],
+                 ["split", path, "--trials", "many"],
+                 ["check-gamma", path]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: sunflower" in capsys.readouterr().err
+    # and a good call after them still works
+    code, report, _ = run_report(capsys, ["split", path])
+    assert code == 0 and report["results"]["retainedSize"] == 4

@@ -5,23 +5,27 @@ SetFamily.shadow_contains, Subsplit.p_sets and the unpruned sunflower
 oracle, none of which goes through the subset-bucket kernel.  The split
 references use only enumerate_splits, retained_on (SetFamily.on_subsplit)
 and a per-tuple member scan, none of which goes through the incidence
-kernel of the split searches.
+kernel of the split searches.  The engine's skip memo is checked against
+the same scan run with a fresh memo that never answers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sunflower import basesets as bs
 from sunflower.errors import TrialsExhaustedError
 from sunflower.families import (SetFamily, Split, Universe, labels_mask,
-                                subset_buckets)
+                                subset_buckets, subset_lookup)
 from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
-                             maximal_violator)
+                             exact_base, maximal_violator)
+from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
                               retention_bound, transversal_count_brute,
@@ -263,3 +267,112 @@ def test_transversal_count_matches_scan_and_formula(family, data):
     assert count == scan_transversal_count(family, j)
     if len(family):
         assert count == transversal_formula(family, j)
+
+
+@st.composite
+def engine_cases(draw):
+    """A nonempty family on the contiguous m-split of n labels, engine
+    constants (the corpus' surrogate regime or a coarser one, famSize up
+    to 64x the family size: an inflated famSize raises every threshold, so
+    buckets get skipped), the top ranks of the two hand-driven loops and
+    the anchor seed of the second one."""
+    n, m = draw(st.sampled_from([(6, 2), (6, 3), (9, 3), (12, 2), (12, 3)]))
+    split = Split.contiguous(n, m)
+    size = draw(st.integers(1, (n // m) ** m))
+    family = generate_random_family(n, m, size, draw(st.integers(0, 1 << 16)),
+                                    on_split=split)
+    epsilon, h, c = draw(st.sampled_from([(0.995, 1.0005, 1.001),
+                                          (0.9, 1.2, 1.5), (0.5, 1.1, 1.2)]))
+    k = draw(st.integers(2, 3))
+    fam_size = len(family) * draw(st.sampled_from([1, 4, 16, 64]))
+    return (family, split, bs.Constants(epsilon, h, c, k, m, fam_size),
+            draw(st.integers(0, m)), draw(st.integers(0, m - 1)),
+            draw(st.integers(0, 1 << 16)))
+
+
+def pinned_case(n, m, masks, fam_size, top, anchored_top, anchor_seed):
+    split = Split.contiguous(n, m)
+    return (SetFamily.from_masks(split.universe, masks, m=m), split,
+            bs.Constants(0.995, 1.0005, 1.001, 2, m, fam_size), top,
+            anchored_top, anchor_seed)
+
+
+# at rank 1 the bucket of {6} cleans to empty with 6 live members, then
+# the extraction at {9} takes (3, 6, 9) and the 5 left are spread
+SHRUNK_BUCKET_SPREADS = pinned_case(
+    12, 3, [273, 529, 1089, 546, 322, 2178, 1092, 644, 552, 328, 584, 2120,
+            2184], 52, 1, 0, 0)
+# in the anchored collection a base passed over in one component has a
+# live bucket of the same size in another, which must still be decided
+COMPONENTS_SHARE_A_BASE = pinned_case(
+    9, 3, [73, 137, 265, 81, 145, 273, 97, 138, 146, 98, 162, 290, 76, 140,
+           276, 100, 164, 292], 72, 3, 1, 58768)
+
+
+class Forgetful(dict):
+    """A fresh skip memo that never answers, so a scan decides every pair;
+    a memo consulted within the scan that fills it would show."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def drive_extractions(mprime, top, bases, collection, cfg):
+    """Run base_sets' extraction loop by hand over ranks top down to 0,
+    checking each scan with the carried skip memo against a scan that
+    decides every pair.  Starting below m' skips the ranks that would have
+    drained the big buckets, which leaves more buckets to shrink and be
+    decided again."""
+    comps = collection.components
+    lookups = {key: subset_lookup(comp) for key, comp in comps.items()}
+    work = {key: set(comp) for key, comp in comps.items()}
+    args = (collection, bases, cfg, bs.Threshold(cfg), exact_base(cfg.b))
+    used_pairs, cand_cache, skipped = set(), {}, {}
+    for r in range(top, -1, -1):
+        while True:
+            found = bs._find_extraction(r, mprime, work, lookups, *args,
+                                        used_pairs, cand_cache, skipped)
+            assert found == bs._find_extraction(r, mprime, work, lookups,
+                                                *args, used_pairs,
+                                                cand_cache, Forgetful())
+            if found is None:
+                break
+            key, bm, t_masks, _ = found
+            work[key].difference_update(t_masks)
+            used_pairs.add((bm, key))
+
+
+def anchored_collection(family, split, seed):
+    """A rank m-1 collection, usually of several components: members
+    assigned by ComponentCollection.derive to a seeded random half of
+    their projections, and the anchors actually used as bases."""
+    rank = split.m - 1
+    strips = [s.bits for s in split.strips]
+
+    def project(u, key):
+        return sum(u & strips[i] for i in key)
+
+    keys = list(combinations(range(split.m), rank))
+    pick = Random(seed)
+    anchors = {proj for proj in sorted({project(u, key) for u in family.masks()
+                                        for key in keys})
+               if pick.random() < 0.5}
+    anchors.add(project(family.masks()[0], keys[-1]))
+    collection, _ = bs.ComponentCollection.derive(
+        family, split, rank,
+        SetFamily.from_masks(split.universe, anchors, m=rank))
+    used = {project(u, key) for key, comp in collection.components.items()
+            for u in comp}
+    return collection, SetFamily.from_masks(split.universe, used, m=rank)
+
+
+@SETTINGS
+@example(SHRUNK_BUCKET_SPREADS)
+@example(COMPONENTS_SHARE_A_BASE)
+@given(engine_cases())
+def test_skip_memo_matches_fresh_scans(case):
+    family, split, cfg, top, anchored_top, anchor_seed = case
+    drive_extractions(cfg.m, top, family,
+                      bs.ComponentCollection.initial(family, split), cfg)
+    collection, bases = anchored_collection(family, split, anchor_seed)
+    drive_extractions(split.m - 1, anchored_top, bases, collection, cfg)
