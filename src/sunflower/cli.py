@@ -5,8 +5,9 @@ text format by default (``--json`` for the JSON form); analysis
 subcommands print a JSON report envelope {command, inputs, results,
 timings, seed} with stable key order.
 
-Exit codes: 0 success or found; 3 proven absent; 4 budget or trials
-exhausted; 5 input error.  The environment variable SUNFLOWER_BUDGET
+Exit codes: 0 success or found; 1 an engine or kernel contract violation,
+or a transversal-check identity mismatch; 3 proven absent; 4 budget or
+trials exhausted; 5 input error.  The environment variable SUNFLOWER_BUDGET
 overrides the default search budgets.
 
 Families lying on a split are interpreted against the contiguous split of
@@ -37,6 +38,7 @@ from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
                          find_sunflower_exact, verify_certificate)
 
 EXIT_OK = 0
+EXIT_VIOLATION = 1
 EXIT_ABSENT = 3
 EXIT_BUDGET = 4
 EXIT_INPUT = 5
@@ -209,7 +211,7 @@ def _cmd_transversal_check(args) -> int:
           {"brute": brute,
            "formula": [formula.numerator, formula.denominator],
            "equal": equal}, None, t0)
-    return EXIT_OK if equal else 1
+    return EXIT_OK if equal else EXIT_VIOLATION
 
 
 def _part_obj(part: bs.ElementaryPart) -> dict:
@@ -250,7 +252,7 @@ def _cmd_basesets(args) -> int:
         if args.trace:
             _write_trace(args.trace, exc.trace)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_VIOLATION
     results = {"r": out.r, "baseSets": out.base_sets.to_json_obj(),
                "family": out.family.to_json_obj(),
                "parts": [_part_obj(p) for p in out.parts],
@@ -275,7 +277,7 @@ def _cmd_process_r(args) -> int:
         if args.trace:
             _write_trace(args.trace, exc.trace)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_VIOLATION
     audit = bs.audit_terminal_bases(result, family, cfg)
     results = {
         "pHat": result.p_hat,
@@ -412,6 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ContractViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

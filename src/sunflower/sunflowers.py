@@ -1,10 +1,14 @@
 """k-sunflower detection, verification, and greedy disjoint extraction.
 
 A k-sunflower (Delta-system) is k distinct sets whose pairwise
-intersections all equal one common core.  Detection buckets candidate
-petals by core: for a core T, sets containing T form a sunflower with core
-exactly T iff their T-removed parts are pairwise disjoint, so a
-backtracking disjointness search over each bucket is complete.
+intersections all equal one common core.  Any two petals already fix
+the core (u & v = T), so detection starts from one pass over the member
+pairs: a link table keyed by each pair's intersection records which later
+members meet a member in exactly that key.  A depth-first search per core
+then narrows bitsets of linked candidates, which is complete, and its
+first certificate (core, then petals) follows the canonical member order.
+``shadow_budget`` caps the table's entries, ``node_budget`` the partial
+sunflowers visited.
 
 The extraction route needs no search at all: when the family is b-spread
 for b >= k * m, greedily picking a member and discarding everything it
@@ -19,7 +23,8 @@ from itertools import combinations
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
-from .families import DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, mask_labels
+from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
+                       _check_shadow_budget, mask_labels)
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
@@ -68,51 +73,79 @@ def find_sunflower_exact(family: SetFamily, k: int,
                          ) -> SunflowerCertificate | None:
     """Complete search for a k-sunflower; None proves there is none.
 
-    Candidate cores are the family's shadow in (cardinality, lexicographic)
-    order, each with its bucket of members from the family's subset map
-    (``shadow_budget`` caps its sum(2**|U|) entries); within a core's
-    bucket, petals are chosen by backtracking over the canonical member
-    order, so the first certificate found is deterministic.
-    ``node_budget`` caps total backtracking nodes.
+    One pass over the member pairs i < j of ``family.masks()`` builds the
+    link table: under the key c = masks[i] & masks[j] it records, for i,
+    the bitset of later members j linked to i, i.e. meeting it in exactly
+    c.  k members form a sunflower with core c iff each is linked to every
+    later one under c, so the cores searched are the keys under which
+    some member has at least k - 1 links, in (cardinality, lexicographic)
+    order.  Within a core a depth-first search takes first petals in index
+    order and narrows the candidates to those linked to every pick,
+    pruning once fewer candidates remain than petals still needed.  The
+    first certificate found is the core first in that order, with the
+    lexicographically least index tuple of petals within it.
+
+    ``node_budget`` caps the nodes, the partial sunflowers the search
+    visits: a first petal with at least k - 1 links, and each pick that
+    leaves enough candidates, count one each, so a direct hit costs k.
+    Member i's keys are submasks of masks[i], so the table holds at most
+    sum(2**|U|) entries; ``shadow_budget`` caps that sum, checked up front.
     """
     if k < 2:
         raise ValueError("sunflower size must be at least 2")
     if len(family) < k:
         return None
-    buckets = family.subset_map(shadow_budget)
-    cores = sorted((c for c, members in buckets.items() if len(members) >= k),
-                   key=lambda c: (c.bit_count(), mask_labels(c)))
+    masks = family.masks()
+    _check_shadow_budget(sum(1 << u.bit_count() for u in masks),
+                         shadow_budget)
+    links: dict[int, dict[int, int]] = {}
+    cores = set()
+    for i, u in enumerate(masks):
+        row: dict[int, int] = {}
+        bit = 2 << i
+        for v in masks[i + 1:]:
+            c = u & v
+            row[c] = row.get(c, 0) | bit
+            bit <<= 1
+        for c, later in row.items():
+            links.setdefault(c, {})[i] = later
+            if later.bit_count() >= k - 1:
+                cores.add(c)
     nodes = 0
-    for core in cores:
-        bucket = [u & ~core for u in buckets[core]]
+    chosen: list[int] = []
 
-        chosen: list[int] = []
-
-        def rec(start: int, used: int) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"sunflower search exceeded {node_budget} nodes",
-                    needed=nodes, budget=node_budget)
-            if len(chosen) == k:
-                return True
-            if len(bucket) - start < k - len(chosen):
-                return False
-            for i in range(start, len(bucket)):
-                b = bucket[i]
-                if b & used:
-                    continue
-                chosen.append(b)
-                if rec(i + 1, used | b):
+    def extend(candidates: int, need: int, linked: dict[int, int]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"sunflower search exceeded {node_budget} nodes",
+                needed=nodes, budget=node_budget)
+        if need == 0:
+            return True
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            narrowed = candidates & linked.get(j, 0)
+            if narrowed.bit_count() >= need - 1:
+                chosen.append(j)
+                if extend(narrowed, need - 1, linked):
                     return True
                 chosen.pop()
-            return False
+        return False
 
-        if rec(0, 0):
-            uni = family.universe
-            petals = tuple(uni.from_bits(b | core) for b in chosen)
-            return SunflowerCertificate(petals, uni.from_bits(core))
+    for core in sorted(cores, key=lambda c: (c.bit_count(), mask_labels(c))):
+        linked = links[core]
+        for i, later in linked.items():
+            if later.bit_count() >= k - 1:
+                chosen.append(i)
+                if extend(later, k - 1, linked):
+                    uni = family.universe
+                    return SunflowerCertificate(
+                        tuple(uni.from_bits(masks[j]) for j in chosen),
+                        uni.from_bits(core))
+                chosen.pop()
     return None
 
 

@@ -1,7 +1,12 @@
-"""Brute-force oracles shared by the tests.
+"""Brute-force and reference oracles shared by the tests.
 
-They are deliberately independent of the fast paths they check: nothing
-here goes through the subset-bucket kernel or the pruned searches.
+``sunflower_free_check_oracle`` is deliberately independent of the fast
+paths it checks: it goes through neither the subset-bucket kernel nor a
+pruned search.  ``find_sunflower_backtrack`` is the per-core bucket
+backtracking that the pair-link kernel of ``find_sunflower_exact``
+replaced, kept as is; it reads the subset-bucket kernel, which the
+property tests check against restrictions on their own, and it pins the
+kernel's first certificate (core, and petals in order).
 """
 
 from __future__ import annotations
@@ -10,7 +15,9 @@ from itertools import combinations
 from math import comb
 
 from sunflower.errors import BudgetExceededError
-from sunflower.families import DEFAULT_SHADOW_BUDGET, SetFamily
+from sunflower.families import DEFAULT_SHADOW_BUDGET, SetFamily, mask_labels
+from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
+                                  SunflowerCertificate)
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
 
@@ -43,3 +50,56 @@ def sunflower_free_check_oracle(family: SetFamily, k: int,
                 return False
     return True
 
+
+def find_sunflower_backtrack(family: SetFamily, k: int,
+                             node_budget: int = DEFAULT_SEARCH_NODE_BUDGET,
+                             shadow_budget: int = DEFAULT_SHADOW_BUDGET,
+                             ) -> SunflowerCertificate | None:
+    """Complete search for a k-sunflower; None proves there is none.
+
+    Candidate cores are the family's shadow in (cardinality, lexicographic)
+    order, each with its bucket of members from the family's subset map
+    (``shadow_budget`` caps its sum(2**|U|) entries); within a core's
+    bucket, petals are chosen by backtracking over the canonical member
+    order, so the first certificate found is deterministic.
+    ``node_budget`` caps total backtracking nodes.
+    """
+    if k < 2:
+        raise ValueError("sunflower size must be at least 2")
+    if len(family) < k:
+        return None
+    buckets = family.subset_map(shadow_budget)
+    cores = sorted((c for c, members in buckets.items() if len(members) >= k),
+                   key=lambda c: (c.bit_count(), mask_labels(c)))
+    nodes = 0
+    for core in cores:
+        bucket = [u & ~core for u in buckets[core]]
+
+        chosen: list[int] = []
+
+        def rec(start: int, used: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"sunflower search exceeded {node_budget} nodes",
+                    needed=nodes, budget=node_budget)
+            if len(chosen) == k:
+                return True
+            if len(bucket) - start < k - len(chosen):
+                return False
+            for i in range(start, len(bucket)):
+                b = bucket[i]
+                if b & used:
+                    continue
+                chosen.append(b)
+                if rec(i + 1, used | b):
+                    return True
+                chosen.pop()
+            return False
+
+        if rec(0, 0):
+            uni = family.universe
+            petals = tuple(uni.from_bits(b | core) for b in chosen)
+            return SunflowerCertificate(petals, uni.from_bits(core))
+    return None

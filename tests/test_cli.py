@@ -7,7 +7,9 @@ import json
 import jsonschema
 import pytest
 
+from sunflower import cli
 from sunflower.cli import main
+from sunflower.errors import ContractViolationError
 from sunflower.families import SetFamily, family_from_text
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
@@ -355,6 +357,29 @@ def test_input_errors_exit_five(capsys, tmp_path):
     code, out, err = run(capsys, ["process-r", fam_path,
                                   "--constants", bad_cfg])
     assert code == 5 and "epsilon" in err
+
+
+def _violate(*args, **kwargs):
+    raise ContractViolationError("kernel disagrees with its cross-check")
+
+
+def test_split_contract_violation_exits_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "find_good_split", _violate)
+    path = family_file(tmp_path, FULL4)
+    code, out, err = run(capsys, ["split", path])
+    assert code == 1
+    assert "error: kernel disagrees with its cross-check" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_gamma_contract_violation_exits_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "extract_disjoint_via_gamma", _violate)
+    path = family_file(tmp_path, SetFamily.of(10, [[i] for i in range(10)]))
+    code, out, err = run(capsys,
+                         ["find-sunflower", path, "--k", "3", "--gamma", "3"])
+    assert code == 1
+    assert "error: kernel disagrees with its cross-check" in err.splitlines()
+    assert "Traceback" not in err
 
 
 def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):

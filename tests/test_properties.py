@@ -2,10 +2,13 @@
 
 The subset-map references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, Subsplit.p_sets and the unpruned sunflower
-oracle, none of which goes through the subset-bucket kernel.  The split
-references use only enumerate_splits, retained_on (SetFamily.on_subsplit)
-and a per-tuple member scan, none of which goes through the incidence
-kernel of the split searches.  The engine's skip memo is checked against
+oracle, none of which goes through the subset-bucket kernel.  The
+pair-link sunflower search is also pinned to find_sunflower_backtrack,
+the per-core bucket backtracking it replaced: same certificate (core,
+and petals in order) or the same None.  The split references use only
+enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
+member scan, none of which goes through the incidence kernel of the
+split searches.  The engine's skip memo is checked against
 the same scan run with a fresh memo that never answers.
 """
 
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from sunflower import basesets as bs
 from sunflower.errors import TrialsExhaustedError
+from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, labels_mask,
                                 subset_buckets, subset_lookup)
 from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
@@ -32,7 +36,7 @@ from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
                               transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import sunflower_free_check_oracle
+from oracles import find_sunflower_backtrack, sunflower_free_check_oracle
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -160,6 +164,43 @@ def test_find_sunflower_exact_agrees_with_oracle(family, k):
         assert cert.k == k
         assert verify_certificate(cert)
         assert all(petal in family for petal in cert.petals)
+
+
+@st.composite
+def cored_families(draw):
+    """Families on n <= 10 labels around a drawn core: members adding at
+    most one (or at most two) labels to the core, random members, and,
+    each by a draw, the core itself as a member and the empty set."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    core = draw(st.sampled_from([c for c in range(full + 1)
+                                 if c.bit_count() <= 2]))
+    width = draw(st.integers(1, 2))
+    petals = draw(st.sets(st.sampled_from([p for p in range(full + 1)
+                                           if not p & core
+                                           and p.bit_count() <= width]),
+                          max_size=10))
+    others = draw(st.sets(st.integers(0, full), max_size=6))
+    masks = {core | p for p in petals} | others
+    if draw(st.booleans()):
+        masks.add(core)
+    if draw(st.booleans()):
+        masks.add(0)
+    m = max((u.bit_count() for u in masks), default=0)
+    return SetFamily.from_masks(Universe(n), masks, m=m)
+
+
+PRODUCT_3_6 = build_extremal(3, 6).family.masks()
+
+
+@SETTINGS
+@given(st.one_of(families(), cored_families()), st.integers(2, 5))
+@example(SetFamily.from_masks(Universe(18), PRODUCT_3_6, m=6), 3)
+@example(SetFamily.from_masks(Universe(18),
+                              PRODUCT_3_6 + (labels_mask([0, 1, 2, 3, 12, 13]),),
+                              m=6), 3)
+def test_find_sunflower_exact_matches_backtracking(family, k):
+    assert find_sunflower_exact(family, k) == find_sunflower_backtrack(family, k)
 
 
 # -- splits ------------------------------------------------------------------

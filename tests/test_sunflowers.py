@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from sunflower.errors import BudgetExceededError, GammaPreconditionError
+from sunflower.extremal import build_extremal
 from sunflower.families import SetFamily, Universe
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (
@@ -107,6 +108,21 @@ def test_find_sunflower_exact_shadow_budget_carries_need():
         find_sunflower_exact(fam, 3, shadow_budget=need - 1)
     assert (info.value.needed, info.value.budget) == (need, need - 1)
     assert find_sunflower_exact(fam, 3, shadow_budget=need) is not None
+
+
+def test_find_sunflower_exact_node_count():
+    # a node is a partial sunflower: the star's first core {0} is hit
+    # directly, (0,1) then (0,2) then (0,3), so k = 3 nodes
+    fam = all_m_subsets(4, 2)
+    cert = find_sunflower_exact(fam, 3, node_budget=3)
+    assert [p.labels() for p in cert.petals] == [(0, 1), (0, 2), (0, 3)]
+    with pytest.raises(BudgetExceededError) as info:
+        find_sunflower_exact(fam, 3, node_budget=2)
+    assert (info.value.needed, info.value.budget) == (3, 2)
+    # no member of the (3,6) product has two links under one key, so no
+    # core is searched and absence costs no node
+    product = build_extremal(3, 6).family
+    assert find_sunflower_exact(product, 3, node_budget=1) is None
 
 
 def test_search_agrees_with_oracle():
