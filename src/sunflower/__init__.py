@@ -15,20 +15,19 @@ from .basesets import (BaseSetsOutput, ComponentCollection, Constants,
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError, TrialsExhaustedError,
                      UniverseMismatchError)
-from .extremal import ExtremalFamily, build_extremal, certify_sunflower_free
+from .extremal import ExtremalFamily, build_extremal
 from .families import (GroundSet, SetFamily, Split, Subsplit, Universe,
                        family_from_json_obj, family_from_text,
                        family_to_json_obj, family_to_text, pad_universe,
                        subset_buckets)
 from .gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
-                    maximal_violator, require_gamma)
+                    maximal_violator)
 from .harness import (ExperimentReport, generate_random_family,
                       verify_bound_experiment)
 from .rng import CounterRng
 from .splits import (SplitSearchResult, count_splits, enumerate_splits,
                      find_good_split, retained_on, retention_bound,
-                     stirling_floor, transversal_count_brute,
-                     transversal_formula)
+                     transversal_count_brute, transversal_formula)
 from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
                          find_sunflower_exact, verify_certificate)
 

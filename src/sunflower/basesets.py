@@ -21,9 +21,9 @@ extraction decisions and the post-run audits can never disagree; f and the
 epsilon floor switch to log-space below 1e-300.
 
 Inside the engine, components and part members are tuples of int masks in
-canonical label order (that of :meth:`SetFamily.masks`);
-``SetFamily.from_masks(split.universe, part.T)`` converts one.  SetFamily
-appears only at the engine's edges: its inputs and its output families.
+canonical label order, the order :meth:`SetFamily.masks` stores;
+``SetFamily(split.universe, part.T)`` converts one.  SetFamily appears
+only at the engine's edges: its inputs and its output families.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ContractViolationError
-from .families import (GroundSet, SetFamily, Split, Subsplit, mask_labels,
-                       subset_buckets, subset_lookup)
+from .families import (GroundSet, SetFamily, Split, Subsplit, _mask_repr,
+                       mask_labels, subset_buckets, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -329,7 +329,7 @@ class ComponentCollection:
         if not grouped:
             raise ValueError("no member projects into the anchor family")
         return (cls(split, grouped),
-                SetFamily.from_masks(family.universe, skipped, m=family.m))
+                SetFamily(family.universe, skipped, m=family.m))
 
 
 def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
@@ -363,8 +363,8 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
             return False
         if not all(u & b_bits == b_bits for u in part.T):
             return False
-        members = SetFamily.from_masks(collection.split.universe, part.T)
-        if not check_gamma_on_subsplit(members, sub.minus(part.B), bases,
+        members = SetFamily(collection.split.universe, part.T)
+        if not check_gamma_on_subsplit(members, sub.minus(b_bits), bases,
                                        exact_base(cfg.b)).holds:
             return False
         if r == 0:
@@ -467,8 +467,7 @@ def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], set[int]],
                 if thr.meets(len(bucket), mprime):
                     return key, bm, bucket, "ii"
             elif bucket:
-                t = _clean_to_spread(bucket, sub.minus(
-                    collection.split.universe.from_bits(bm)), bases, b)
+                t = _clean_to_spread(bucket, sub.minus(bm), bases, b)
                 if t and (r > 0 or cfg.eps_floor_meets(len(t))):
                     return key, bm, t, "i"
             skipped[pair] = len(bucket)
@@ -506,11 +505,13 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     lookups = {key: subset_lookup(comp) for key, comp in components.items()}
     size = sum(len(comp) for comp in components.values())
     full = split.full_subsplit()
-    for u in bases:
-        if u.cardinality != mprime or not full.carries(u):
-            raise ValueError(f"base {u!r} is not an on-split {mprime}-set")
-        if not any(u.bits in lookup for lookup in lookups.values()):
-            raise ValueError(f"base {u!r} is not in the family's shadow")
+    for u in bases.masks():
+        if u.bit_count() != mprime or not full.carries_mask(u):
+            raise ValueError(
+                f"base {_mask_repr(u)} is not an on-split {mprime}-set")
+        if not any(u in lookup for lookup in lookups.values()):
+            raise ValueError(
+                f"base {_mask_repr(u)} is not in the family's shadow")
     strips = [s.bits for s in split.strips]
     base_mask_set = set(bases.masks())
     for key, comp in components.items():
@@ -578,11 +579,10 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     uni = collection.split.universe
     all_masks = [u for part in parts for u in part.T]
     require(len(set(all_masks)) == len(all_masks), "parts must be disjoint")
-    fdagger = SetFamily.from_masks(uni, all_masks, m=cfg.m)
+    fdagger = SetFamily(uni, all_masks, m=cfg.m)
     pair_keys = [(part.B.bits, part.key) for part in parts]
     require(len(set(pair_keys)) == len(pair_keys), "pairs must be unique")
-    base_masks = sorted({part.B.bits for part in parts}, key=mask_labels)
-    base_family = SetFamily.from_masks(uni, base_masks, m=r)
+    base_family = SetFamily(uni, {part.B.bits for part in parts}, m=r)
 
     by_key: dict[tuple[int, ...], list[int]] = {}
     for part in parts:
@@ -598,7 +598,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
         for key, masks in by_key.items():
             require(cfg.eps_floor_meets(len(masks)),
                     "rank-0 component below the epsilon floor")
-            comp = SetFamily.from_masks(uni, masks, m=cfg.m)
+            comp = SetFamily(uni, masks, m=cfg.m)
             report = check_gamma_on_subsplit(comp, collection.subsplit(key),
                                              bases, b)
             require(report.holds,

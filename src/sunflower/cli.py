@@ -125,19 +125,19 @@ def _cmd_find_sunflower(args) -> int:
     inputs["b"] = str(b)
     inputs["core"] = core_labels
     work = family
-    core = family.universe.set_of(core_labels)
     if core_labels:
         # quotient by the core: keep supersets, strip the core, extract
         # disjoint petals there, then put the core back
-        restricted = family.restrict(core)
-        if len(restricted) == 0:
+        core = family.universe.set_of(core_labels)
+        c = core.bits
+        quotient = [u & ~c for u in family.masks() if u & c == c]
+        if not quotient:
             _emit("find-sunflower", inputs,
                   {"found": False, "provenAbsent": False,
                    "note": "no member contains the requested core"}, None, t0)
             return EXIT_ABSENT
-        work = SetFamily.from_masks(
-            family.universe, (u & ~core.bits for u in restricted.masks()),
-            m=max(0, family.m - core.cardinality))
+        work = SetFamily(family.universe, quotient,
+                         m=max(0, family.m - core.cardinality))
     cert = extract_disjoint_via_gamma(work, args.k, b)
     if cert is None:
         _emit("find-sunflower", inputs,
@@ -190,7 +190,6 @@ def _cmd_split(args) -> int:
         "retained": result.retained.to_json_obj(),
         "retainedSize": len(result.retained),
         "bound": [result.bound.numerator, result.bound.denominator],
-        "stirlingFloor": result.stirling,
     }
     _emit("split", inputs, results, args.seed, t0)
     if args.emit_family:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .families import SetFamily, Split, Universe
-from .sunflowers import (DEFAULT_SEARCH_NODE_BUDGET, DEFAULT_SHADOW_BUDGET,
-                         find_sunflower_exact)
 
 DEFAULT_EXTREMAL_BUDGET = 1 << 20
 
@@ -47,13 +45,5 @@ def build_extremal(k: int, m: int,
     for g in range(m):
         fresh = range(g * (k - 1), (g + 1) * (k - 1))
         masks = [u | 1 << x for u in masks for x in fresh]
-    family = SetFamily.from_masks(Universe((k - 1) * m), masks, m=m)
+    family = SetFamily(Universe((k - 1) * m), masks, m=m)
     return ExtremalFamily(k, m, family)
-
-
-def certify_sunflower_free(ef: ExtremalFamily,
-                           node_budget: int = DEFAULT_SEARCH_NODE_BUDGET,
-                           shadow_budget: int = DEFAULT_SHADOW_BUDGET) -> bool:
-    """True iff complete search finds no k-sunflower in the built family."""
-    return find_sunflower_exact(ef.family, ef.k, node_budget=node_budget,
-                                shadow_budget=shadow_budget) is None

@@ -1,10 +1,13 @@
 """Finite sets and set families over a fixed universe, on bit vectors.
 
-A set over the universe {0, .., n-1} is a fixed-width bit vector; a family
-keeps its members deduplicated and canonically ordered (lexicographically
-by sorted label tuple, empty set first) so that equality, hashing and
-serialization are bitwise stable.  Splits partition the universe into
-equal-size ordered strips; subsplits select strips in order.
+A set over the universe {0, .., n-1} is a fixed-width bit vector, an int
+mask.  A family is built from masks (``SetFamily(universe, masks, m)``, or
+``SetFamily.of`` from label lists) and stores one tuple of them,
+deduplicated and canonically ordered (lexicographically by sorted label
+tuple, empty set first) so that equality, hashing and serialization are
+bitwise stable; its ``GroundSet`` members are built only when asked for.
+Splits partition the universe into equal-size ordered strips; subsplits
+select strips in order.
 
 Everything here is immutable and pure, hence safe to share across threads.
 """
@@ -12,7 +15,7 @@ Everything here is immutable and pure, hence safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UniverseMismatchError
@@ -100,6 +103,11 @@ def labels_mask(labels: Iterable[int]) -> int:
     for x in labels:
         mask |= 1 << x
     return mask
+
+
+def _mask_repr(mask: int) -> str:
+    """``{0,1}``: the label set of ``mask``, as :class:`GroundSet` prints."""
+    return "{%s}" % ",".join(str(x) for x in mask_labels(mask))
 
 
 @dataclass(frozen=True)
@@ -202,37 +210,43 @@ class GroundSet:
                 f"universe sizes differ: {self.universe.n} vs {other.universe.n}")
 
     def __repr__(self) -> str:
-        return "{%s}" % ",".join(str(x) for x in self.labels())
+        return _mask_repr(self.bits)
 
 
 class SetFamily:
-    """An immutable family of distinct ground sets with a cardinality bound.
+    """An immutable family of distinct sets with a cardinality bound.
 
-    ``m`` is the declared maximum member cardinality; it defaults to the
-    largest actual member size and is preserved by serialization.
+    The family stores its members as one tuple of int masks in canonical
+    label order (:meth:`masks`); the ``GroundSet`` view (``members``,
+    iteration) is built on first use and kept.  ``m`` is the declared
+    maximum member cardinality; it defaults to the largest actual member
+    size and is preserved by serialization.
     """
 
-    __slots__ = ("universe", "members", "m", "_mask_set", "_subsets")
+    __slots__ = ("universe", "m", "_masks", "_mask_set", "_members",
+                 "_subsets")
 
-    def __init__(self, universe: Universe, members: Iterable[GroundSet],
+    def __init__(self, universe: Universe, masks: Iterable[int],
                  m: int | None = None):
-        seen: dict[int, GroundSet] = {}
-        for s in members:
-            if s.universe.n != universe.n:
-                raise UniverseMismatchError("member from a different universe")
-            if s.bits in seen:
-                raise ValueError(f"duplicate member {s!r}")
-            seen[s.bits] = s
-        ordered = tuple(sorted(seen.values(), key=GroundSet.labels))
-        actual = max((s.cardinality for s in ordered), default=0)
+        full = universe.full_mask
+        seen: set[int] = set()
+        for u in masks:
+            if not 0 <= u <= full:
+                raise ValueError("bits outside universe width")
+            if u in seen:
+                raise ValueError(f"duplicate member {_mask_repr(u)}")
+            seen.add(u)
+        ordered = tuple(sorted(seen, key=mask_labels))
+        actual = max((u.bit_count() for u in ordered), default=0)
         if m is None:
             m = actual
         if m < actual:
             raise ValueError(f"member of cardinality {actual} exceeds bound {m}")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "members", ordered)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_masks", ordered)
         object.__setattr__(self, "_mask_set", frozenset(seen))
+        object.__setattr__(self, "_members", None)
         object.__setattr__(self, "_subsets", None)
 
     def __setattr__(self, name, value):
@@ -242,18 +256,24 @@ class SetFamily:
     def of(cls, n: int, sets: Iterable[Iterable[int]],
            m: int | None = None) -> "SetFamily":
         uni = Universe(n)
-        return cls(uni, (uni.set_of(s) for s in sets), m=m)
-
-    @classmethod
-    def from_masks(cls, universe: Universe, masks: Iterable[int],
-                   m: int | None = None) -> "SetFamily":
-        return cls(universe, (GroundSet(universe, b) for b in masks), m=m)
+        return cls(uni, (labels_mask(uni._check_labels(s)) for s in sets),
+                   m=m)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(s.bits for s in self.members)
+        return self._masks
+
+    @property
+    def members(self) -> tuple[GroundSet, ...]:
+        """The members as ground sets, in :meth:`masks` order, built on
+        first use and kept with the family."""
+        if self._members is None:
+            uni = self.universe
+            object.__setattr__(self, "_members",
+                               tuple(GroundSet(uni, u) for u in self._masks))
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._masks)
 
     def __iter__(self) -> Iterator[GroundSet]:
         return iter(self.members)
@@ -279,7 +299,7 @@ class SetFamily:
             raise UniverseMismatchError("restriction set from a different universe")
         b = s.bits
         return SetFamily(self.universe,
-                         (u for u in self.members if u.bits & b == b), m=self.m)
+                         [u for u in self._masks if u & b == b], m=self.m)
 
     def shadow(self, budget: int = DEFAULT_SHADOW_BUDGET) -> "SetFamily":
         """All subsets of members, the empty set and members included.
@@ -288,19 +308,19 @@ class SetFamily:
         BudgetExceededError beyond ``budget`` (use :meth:`shadow_contains`
         for membership-only queries on larger families).
         """
-        need = sum(1 << s.cardinality for s in self.members)
+        need = sum(1 << u.bit_count() for u in self._masks)
         if need > budget:
             raise BudgetExceededError(
                 f"shadow would generate {need} subsets (budget {budget}); "
                 "use shadow_contains for lazy membership", needed=need,
                 budget=budget)
         out: set[int] = set()
-        for u in self.members:
-            labels = u.labels()
+        for u in self._masks:
+            labels = mask_labels(u)
             for r in range(len(labels) + 1):
                 for c in combinations(labels, r):
                     out.add(labels_mask(c))
-        return SetFamily.from_masks(self.universe, out, m=self.m)
+        return SetFamily(self.universe, out, m=self.m)
 
     def subset_map(self, budget: int = DEFAULT_SHADOW_BUDGET,
                    ) -> dict[int, list[int]]:
@@ -311,8 +331,8 @@ class SetFamily:
         whether or not the map is already built.
         """
         if self._subsets is None:
-            buckets = subset_buckets(self.masks(), budget)
-            need = sum(1 << u.cardinality for u in self.members)
+            buckets = subset_buckets(self._masks, budget)
+            need = sum(1 << u.bit_count() for u in self._masks)
             object.__setattr__(self, "_subsets", (need, buckets))
         need, buckets = self._subsets
         _check_shadow_budget(need, budget)
@@ -324,14 +344,14 @@ class SetFamily:
         try:
             return self.subset_map()
         except BudgetExceededError:
-            return _ScannedSubsetMap(self.masks())
+            return _ScannedSubsetMap(self._masks)
 
     def shadow_contains(self, t: GroundSet) -> bool:
         """True iff ``t`` is a subset of some member (lazy, no materialization)."""
         if t.universe.n != self.universe.n:
             raise UniverseMismatchError("query set from a different universe")
         b = t.bits
-        return any(u.bits & b == b for u in self.members)
+        return any(u & b == b for u in self._masks)
 
     def on_subsplit(self, sub: "Subsplit", p: int) -> "SetFamily":
         """Members of cardinality ``p`` lying on the subsplit.
@@ -343,8 +363,8 @@ class SetFamily:
             raise UniverseMismatchError("subsplit over a different universe")
         if p < 0:
             raise ValueError("cardinality must be nonnegative")
-        picked = [u for u in self.members
-                  if u.cardinality == p and sub.carries(u)]
+        picked = [u for u in self._masks
+                  if u.bit_count() == p and sub.carries_mask(u)]
         return SetFamily(self.universe, picked, m=self.m)
 
     def difference(self, other: "SetFamily") -> "SetFamily":
@@ -352,8 +372,7 @@ class SetFamily:
             raise UniverseMismatchError("families over different universes")
         drop = other._mask_set
         return SetFamily(self.universe,
-                         (u for u in self.members if u.bits not in drop),
-                         m=self.m)
+                         [u for u in self._masks if u not in drop], m=self.m)
 
     def to_text(self) -> str:
         return family_to_text(self)
@@ -458,13 +477,12 @@ class Subsplit:
     def carries(self, s: GroundSet) -> bool:
         return self.carries_mask(s.bits)
 
-    def minus(self, b: GroundSet) -> "Subsplit":
-        """The subsplit of strips disjoint from ``b`` (order preserved)."""
-        if b.universe.n != self.split.universe.n:
-            raise UniverseMismatchError("set from a different universe")
-        return Subsplit(self.split,
-                        tuple(i for i in self.indices
-                              if not self.split.strips[i].bits & b.bits))
+    def minus(self, b: int) -> "Subsplit":
+        """The subsplit of the strips disjoint from mask ``b`` (order
+        preserved)."""
+        return Subsplit(self.split, tuple(
+            i for i, bits in zip(self.indices, self.strip_masks)
+            if not bits & b))
 
     def p_set_masks(self, p: int) -> Iterator[int]:
         """All masks of p-sets on this subsplit, one element per chosen strip.
@@ -484,18 +502,13 @@ class Subsplit:
             for choice in product(*(strip_labels[i] for i in which)):
                 yield labels_mask(choice)
 
-    def p_sets(self, p: int) -> Iterator[GroundSet]:
-        uni = self.split.universe
-        for mask in self.p_set_masks(p):
-            yield GroundSet(uni, mask)
-
 
 def pad_universe(family: SetFamily, n: int) -> SetFamily:
     """Re-embed a family into a larger universe of size ``n``."""
     if n < family.universe.n:
         raise ValueError("cannot shrink the universe")
     uni = Universe(n)
-    return SetFamily.from_masks(uni, family.masks(), m=family.m)
+    return SetFamily(uni, family.masks(), m=family.m)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +525,8 @@ def pad_universe(family: SetFamily, n: int) -> SetFamily:
 
 def family_to_text(family: SetFamily) -> str:
     lines = [f"universe {family.universe.n} maxcard {family.m}"]
-    for s in family.members:
-        lines.append(" ".join(str(x) for x in s.labels()) if s.cardinality else "-")
+    for u in family.masks():
+        lines.append(" ".join(str(x) for x in mask_labels(u)) if u else "-")
     return "\n".join(lines) + "\n"
 
 
@@ -542,7 +555,7 @@ def family_from_text(text: str) -> SetFamily:
 
 def family_to_json_obj(family: SetFamily) -> dict:
     return {"n": family.universe.n, "m": family.m,
-            "sets": [list(s.labels()) for s in family.members]}
+            "sets": [list(mask_labels(u)) for u in family.masks()]}
 
 
 def family_from_json_obj(obj: dict) -> SetFamily:
@@ -550,4 +563,9 @@ def family_from_json_obj(obj: dict) -> SetFamily:
         n, m, sets = obj["n"], obj["m"], obj["sets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad family object: {exc}") from None
+    # type(x) is int also rejects bools, which JSON true/false parse to
+    if not (type(sets) is list and all(type(s) is list for s in sets)
+            and all(type(x) is int for x in (n, m, *chain(*sets)))):
+        raise ValueError("bad family object: n, m and the labels must be "
+                         "integers, sets a list of lists")
     return SetFamily.of(n, sets, m=m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GammaPreconditionError, UniverseMismatchError
+from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
                        mask_labels, subset_buckets)
 
@@ -146,7 +146,7 @@ def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
     p, q = b.numerator, b.denominator
     above = [u for u in masks if u & seed_mask == seed_mask]
     seed_count = len(above)
-    free = sub.minus(sub.split.universe.from_bits(seed_mask))
+    free = sub.minus(seed_mask)
     shadow = over.subset_lookup()
     best_mask, best_size = None, 0
     for add, count in _carried_counts(above, free):
@@ -187,14 +187,3 @@ def maximal_violator(family: SetFamily, sub: Subsplit, over: SetFamily,
         raise UniverseMismatchError("range family over a different universe")
     mask = _max_violator_masks(family.masks(), sub, over, seed.bits, base)
     return None if mask is None else family.universe.from_bits(mask)
-
-
-def require_gamma(family: SetFamily, b,
-                  budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
-    """check_gamma, raising GammaPreconditionError when the check fails."""
-    report = check_gamma(family, b, budget=budget)
-    if not report.holds:
-        raise GammaPreconditionError(
-            f"family is not {b}-spread: witness {report.witness!r} "
-            f"has ratio {float(report.ratio):.6g}", report=report)
-    return report

@@ -85,7 +85,7 @@ def generate_random_family(n: int, m: int, size: int, seed: int,
         masks = [_unrank_on_split(on_split, r) for r in ranks]
     else:
         masks = [_unrank_subset(n, m, r) for r in ranks]
-    return SetFamily.from_masks(Universe(n), masks, m=m)
+    return SetFamily(Universe(n), masks, m=m)
 
 
 EXPERIMENT_LABEL = ("empirical: appearance thresholds relative to the "
@@ -146,8 +146,7 @@ def verify_bound_experiment(k_values: list[int], m_values: list[int],
                         new = _unrank_subset(n, m, rng.randrange(space))
                         if new not in masks:
                             masks.add(new)
-                            grown = SetFamily.from_masks(Universe(n), masks,
-                                                         m=m)
+                            grown = SetFamily(Universe(n), masks, m=m)
                             if find_sunflower_exact(
                                     grown, k, node_budget=node_budget):
                                 row["thresholds"].append(len(masks))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, exp, factorial
+from math import comb, factorial
 from typing import Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
@@ -40,7 +40,7 @@ DEFAULT_TRANSVERSAL_BUDGET = 1 << 22
 def _uniform_cardinality(family: SetFamily) -> int:
     if len(family) == 0:
         raise ValueError("family must be nonempty")
-    cards = {s.cardinality for s in family}
+    cards = {u.bit_count() for u in family.masks()}
     if len(cards) != 1:
         raise ValueError(f"family must have uniform cardinality, got {sorted(cards)}")
     return cards.pop()
@@ -134,18 +134,11 @@ def retention_bound(family: SetFamily, m: int) -> Fraction:
     return Fraction(d ** m * len(family), comb(n, m))
 
 
-def stirling_floor(family: SetFamily) -> float:
-    """Weaker closed-form floor |F| * e^(-m) used for quick sanity checks."""
-    m = _uniform_cardinality(family)
-    return len(family) * exp(-m)
-
-
 @dataclass(frozen=True)
 class SplitSearchResult:
     split: Split
     retained: SetFamily
     bound: Fraction
-    stirling: float
 
 
 def find_good_split(family: SetFamily, mode: str = "exhaustive",
@@ -169,7 +162,6 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     if m < 1 or n % m:
         raise ValueError(f"member cardinality {m} must divide universe size {n}")
     bound = retention_bound(family, m)
-    floor = stirling_floor(family)
     meet = _Incidence(family.masks())
 
     def materialize(split: Split, count: int) -> SplitSearchResult:
@@ -177,7 +169,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
         if len(kept) != count:
             raise ContractViolationError(
                 f"split retains {len(kept)} members, the kernel counted {count}")
-        return SplitSearchResult(split, kept, bound, floor)
+        return SplitSearchResult(split, kept, bound)
 
     if mode == "exhaustive":
         total = count_splits(n, m)

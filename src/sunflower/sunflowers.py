@@ -173,8 +173,8 @@ def extract_disjoint_via_gamma(family: SetFamily, k: int, b,
     # The damage cap needs singleton candidates, hence m >= 1; spreadness
     # then also forces |F| > b >= k, so k rounds cannot run dry.
     guaranteed = family.m >= 1 and base >= k * family.m
-    remaining = list(family.members)
-    petals: list[GroundSet] = []
+    remaining = family.masks()
+    petals: list[int] = []
     for _ in range(k):
         if not remaining:
             if guaranteed:
@@ -184,5 +184,7 @@ def extract_disjoint_via_gamma(family: SetFamily, k: int, b,
             return None
         pick = remaining[0]
         petals.append(pick)
-        remaining = [u for u in remaining if u.isdisjoint(pick) and u != pick]
-    return SunflowerCertificate(tuple(petals), family.universe.empty)
+        remaining = [u for u in remaining if not u & pick and u != pick]
+    uni = family.universe
+    return SunflowerCertificate(tuple(uni.from_bits(u) for u in petals),
+                                uni.empty)

@@ -1,5 +1,6 @@
 """Brute-force and reference oracles shared by the tests.
 
+``p_sets`` lists the p-sets on a subsplit as ground sets.
 ``sunflower_free_check_oracle`` is deliberately independent of the fast
 paths it checks: it goes through neither the subset-bucket kernel nor a
 pruned search.  ``find_sunflower_backtrack`` is the per-core bucket
@@ -13,13 +14,23 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from sunflower.errors import BudgetExceededError
-from sunflower.families import DEFAULT_SHADOW_BUDGET, SetFamily, mask_labels
+from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
+                                Subsplit, mask_labels)
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
+
+
+def p_sets(sub: Subsplit, p: int) -> Iterator[GroundSet]:
+    """The p-sets on ``sub``, one element per chosen strip, as ground sets
+    in :meth:`Subsplit.p_set_masks` order."""
+    uni = sub.split.universe
+    for mask in sub.p_set_masks(p):
+        yield GroundSet(uni, mask)
 
 
 def sunflower_free_check_oracle(family: SetFamily, k: int,

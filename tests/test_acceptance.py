@@ -302,7 +302,7 @@ def test_engine_output_contract():
         if out.r == 0:
             # unreachable for inputs this small, but guarded regardless
             for key, group in _group_parts(out):
-                comp = SetFamily.from_masks(fam.universe, group, m=cfg.m)
+                comp = SetFamily(fam.universe, group, m=cfg.m)
                 if not cfg.eps_floor_meets(len(comp)):
                     problems.append(f"{label}: rank-0 component below the "
                                     "epsilon floor")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import jsonschema
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from sunflower import cli
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
-from sunflower.families import SetFamily, family_from_text
+from sunflower.families import GroundSet, SetFamily, family_from_text
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
     FAMILY_SCHEMA,
@@ -192,7 +193,6 @@ def test_split_exhaustive(capsys, tmp_path):
     assert results["split"] == [[0, 1], [2, 3]]
     assert results["retainedSize"] == 4
     assert results["bound"] == [4, 1]
-    assert results["stirlingFloor"] == pytest.approx(0.8120116994196762)
     jsonschema.validate(results["retained"], FAMILY_SCHEMA)
     emitted = family_from_text(out_path.read_text())
     assert [list(s.labels()) for s in emitted] == [[0, 2], [0, 3], [1, 2], [1, 3]]
@@ -357,6 +357,39 @@ def test_input_errors_exit_five(capsys, tmp_path):
     code, out, err = run(capsys, ["process-r", fam_path,
                                   "--constants", bad_cfg])
     assert code == 5 and "epsilon" in err
+
+    # malformed family JSON: wrong types are input errors, not tracebacks
+    for i, bad in enumerate([{"n": "5", "m": 2, "sets": [[0, 1]]},
+                             {"n": 5, "m": 2, "sets": [[0.5, 1]]},
+                             {"n": 5, "m": 2, "sets": [["a", 1]]},
+                             {"n": 5, "m": 2, "sets": 7},
+                             {"n": 5, "m": 2, "sets": [[True, 1]]}]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, ["check-gamma", str(path), "--b", "2"])
+        assert code == 5, bad
+        assert err.startswith("error: bad family object")
+        assert "Traceback" not in err
+
+
+def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,
+                                                  monkeypatch):
+    # the family keeps int masks; GroundSets are built only for output
+    path = family_file(tmp_path, SetFamily.of(9, combinations(range(9), 3)))
+    built = [0]
+    init = GroundSet.__init__
+
+    def counting_init(self, universe, bits):
+        built[0] += 1
+        init(self, universe, bits)
+
+    monkeypatch.setattr(GroundSet, "__init__", counting_init)
+    code, report, _ = run_report(capsys, ["check-gamma", path, "--b", "2"])
+    assert code == 0 and report["results"]["holds"] is True
+    assert built[0] == 0
+    code, report, _ = run_report(capsys, ["find-sunflower", path, "--k", "3"])
+    assert code == 0 and report["results"]["found"] is True
+    assert built[0] <= 3 + 1
 
 
 def _violate(*args, **kwargs):

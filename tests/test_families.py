@@ -261,10 +261,10 @@ def test_carries_brute_oracle():
 def test_subsplit_minus_drops_touched_strips():
     sp = Split.contiguous(9, 3)
     sub = sp.full_subsplit()
-    reduced = sub.minus(sp.universe.set_of([4]))
+    reduced = sub.minus(sp.universe.set_of([4]).bits)
     assert reduced.indices == (0, 2)
     # removing a set outside every strip keeps the rank
-    same = sp.subsplit([0, 1]).minus(sp.universe.set_of([7]))
+    same = sp.subsplit([0, 1]).minus(sp.universe.set_of([7]).bits)
     assert same.indices == (0, 1)
 
 
@@ -339,6 +339,19 @@ def test_json_roundtrip():
     obj = family_to_json_obj(fam)
     assert obj == {"n": 6, "m": 3, "sets": [[], [0, 5], [2, 3]]}
     assert family_from_json_obj(json.loads(json.dumps(obj))) == fam
+
+
+def test_json_rejects_wrong_types():
+    for bad in [{"n": "5", "m": 2, "sets": []},
+                {"n": 5, "m": None, "sets": []},
+                {"n": True, "m": 2, "sets": []},
+                {"n": 5, "m": 2, "sets": 7},
+                {"n": 5, "m": 2, "sets": [7]},
+                {"n": 5, "m": 2, "sets": [[0.5, 1]]},
+                {"n": 5, "m": 2, "sets": [["a", 1]]},
+                {"n": 5, "m": 2, "sets": [[True, 1]]}]:
+        with pytest.raises(ValueError, match="bad family object"):
+            family_from_json_obj(bad)
 
 
 def test_serialization_roundtrip_random_families():

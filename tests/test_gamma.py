@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from sunflower.errors import BudgetExceededError, GammaPreconditionError
+from sunflower.errors import BudgetExceededError
 from sunflower.families import SetFamily, Split
 from sunflower.gamma import (
     GammaReport,
@@ -13,7 +13,6 @@ from sunflower.gamma import (
     check_gamma_on_subsplit,
     exact_base,
     maximal_violator,
-    require_gamma,
 )
 from sunflower.rng import CounterRng
 
@@ -230,7 +229,7 @@ def test_maximal_violator_result_properties():
                      * b ** seed.cardinality)
             weight = len(fam.restrict(got)) * b ** got.cardinality
             assert weight >= floor
-            free = sub.minus(got)
+            free = sub.minus(got.bits)
             for strip in free.strips:
                 for label in strip.labels():
                     ext = got.union(uni.set_of([label]))
@@ -248,11 +247,3 @@ def test_maximal_violator_rejects_off_split_seed():
         maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY,
                          uni.set_of([0]), 2)
 
-
-def test_require_gamma_raises_with_report():
-    fam = SetFamily.of(4, [c for c in combinations(range(4), 2)])
-    with pytest.raises(GammaPreconditionError) as info:
-        require_gamma(fam, 2)
-    assert info.value.report.witness.labels() == (0,)
-    ok = require_gamma(fam, Fraction(19, 10))
-    assert ok.holds is True

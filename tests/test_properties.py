@@ -1,7 +1,7 @@
 """Property tests: each fast path against its brute reference.
 
 The subset-map references use only SetFamily.shadow, SetFamily.restrict,
-SetFamily.shadow_contains, Subsplit.p_sets and the unpruned sunflower
+SetFamily.shadow_contains, the p_sets oracle and the unpruned sunflower
 oracle, none of which goes through the subset-bucket kernel.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
 the per-core bucket backtracking it replaced: same certificate (core,
@@ -9,7 +9,8 @@ and petals in order) or the same None.  The split references use only
 enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
 member scan, none of which goes through the incidence kernel of the
 split searches.  The engine's skip memo is checked against
-the same scan run with a fresh memo that never answers.
+the same scan run with a fresh memo that never answers, and the family
+constructor's canonical order against sorted label lists.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
                               transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import find_sunflower_backtrack, sunflower_free_check_oracle
+from oracles import (find_sunflower_backtrack, p_sets,
+                     sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -54,7 +56,7 @@ def families(draw, n=None, min_size=0, split=None):
             split.universe.from_bits(x))]
     masks = draw(st.sets(st.sampled_from(pool), min_size=min_size,
                          max_size=min(12, len(pool))))
-    return SetFamily.from_masks(Universe(n), masks, m=m)
+    return SetFamily(Universe(n), masks, m=m)
 
 
 @st.composite
@@ -99,6 +101,40 @@ def report_tuple(report):
     return report.holds, report.witness, report.ratio
 
 
+@st.composite
+def label_lists(draw):
+    """(n, distinct label lists) on n <= 8 labels: mixed sizes, the empty
+    set, and proper prefixes of members such as {0} next to {0,1}."""
+    n = draw(st.integers(1, 8))
+    sets = draw(st.sets(st.frozensets(st.integers(0, n - 1)), max_size=12))
+    prefixes = {frozenset(sorted(s)[:j]) for s in sets for j in range(len(s))}
+    if prefixes:
+        sets |= draw(st.sets(st.sampled_from(sorted(prefixes, key=sorted))))
+    return n, draw(st.permutations([sorted(s) for s in sets]))
+
+
+@SETTINGS
+@given(label_lists(), st.data())
+def test_family_constructor_is_canonical(case, data):
+    n, lists = case
+    family = SetFamily.of(n, lists)
+    masks = family.masks()
+    assert [tuple(s) for s in sorted(lists)] == \
+        [tuple(x for x in range(n) if u >> x & 1) for u in masks]
+    assert [s.bits for s in family] == list(masks)
+    shuffled = data.draw(st.permutations(masks))
+    again = SetFamily(Universe(n), shuffled)
+    assert again.masks() == masks and again == family
+    if masks:
+        twice = data.draw(st.sampled_from(masks))
+        with pytest.raises(ValueError, match="duplicate member"):
+            SetFamily(Universe(n), shuffled + [twice])
+    for bad in (data.draw(st.integers(max_value=-1)),
+                data.draw(st.integers(min_value=1 << n))):
+        with pytest.raises(ValueError, match="outside universe width"):
+            SetFamily(Universe(n), shuffled + [bad])
+
+
 @SETTINGS
 @given(families())
 def test_subset_buckets_matches_restrictions(family):
@@ -121,7 +157,7 @@ def test_check_gamma_matches_brute_scan(family, b):
 @given(subsplit_cases(), bases())
 def test_check_gamma_on_subsplit_matches_brute_scan(case, b):
     family, sub, over = case
-    candidates = [s for p in range(1, sub.rank + 1) for s in sub.p_sets(p)
+    candidates = [s for p in range(1, sub.rank + 1) for s in p_sets(sub, p)
                   if over.shadow_contains(s)]
     assert report_tuple(check_gamma_on_subsplit(family, sub, over, b)) == \
         brute_max_ratio(family, candidates, b)
@@ -130,10 +166,10 @@ def test_check_gamma_on_subsplit_matches_brute_scan(case, b):
 def brute_max_violator(family, sub, over, seed, b):
     """The maximal-violator definition, level by level from the top."""
     floor = len(family.restrict(seed)) * b ** seed.cardinality
-    free = sub.minus(seed)
+    free = sub.minus(seed.bits)
     for p in range(free.rank, 0, -1):
         hits = []
-        for add in free.p_sets(p):
+        for add in p_sets(free, p):
             cand = seed.union(add)
             count = len(family.restrict(cand))
             if (over.shadow_contains(cand) and count
@@ -187,7 +223,7 @@ def cored_families(draw):
     if draw(st.booleans()):
         masks.add(0)
     m = max((u.bit_count() for u in masks), default=0)
-    return SetFamily.from_masks(Universe(n), masks, m=m)
+    return SetFamily(Universe(n), masks, m=m)
 
 
 PRODUCT_3_6 = build_extremal(3, 6).family.masks()
@@ -195,10 +231,10 @@ PRODUCT_3_6 = build_extremal(3, 6).family.masks()
 
 @SETTINGS
 @given(st.one_of(families(), cored_families()), st.integers(2, 5))
-@example(SetFamily.from_masks(Universe(18), PRODUCT_3_6, m=6), 3)
-@example(SetFamily.from_masks(Universe(18),
-                              PRODUCT_3_6 + (labels_mask([0, 1, 2, 3, 12, 13]),),
-                              m=6), 3)
+@example(SetFamily(Universe(18), PRODUCT_3_6, m=6), 3)
+@example(SetFamily(Universe(18),
+                   PRODUCT_3_6 + (labels_mask([0, 1, 2, 3, 12, 13]),),
+                   m=6), 3)
 def test_find_sunflower_exact_matches_backtracking(family, k):
     assert find_sunflower_exact(family, k) == find_sunflower_backtrack(family, k)
 
@@ -215,7 +251,7 @@ def uniform_families(draw, min_size=0):
     pool = [labels_mask(c) for c in combinations(range(n), m)]
     masks = draw(st.sets(st.sampled_from(pool), min_size=min_size,
                          max_size=min(12, len(pool))))
-    return SetFamily.from_masks(Universe(n), masks, m=m)
+    return SetFamily(Universe(n), masks, m=m)
 
 
 def reference_exhaustive(family):
@@ -333,7 +369,7 @@ def engine_cases(draw):
 
 def pinned_case(n, m, masks, fam_size, top, anchored_top, anchor_seed):
     split = Split.contiguous(n, m)
-    return (SetFamily.from_masks(split.universe, masks, m=m), split,
+    return (SetFamily(split.universe, masks, m=m), split,
             bs.Constants(0.995, 1.0005, 1.001, 2, m, fam_size), top,
             anchored_top, anchor_seed)
 
@@ -401,10 +437,10 @@ def anchored_collection(family, split, seed):
     anchors.add(project(family.masks()[0], keys[-1]))
     collection, _ = bs.ComponentCollection.derive(
         family, split, rank,
-        SetFamily.from_masks(split.universe, anchors, m=rank))
+        SetFamily(split.universe, anchors, m=rank))
     used = {project(u, key) for key, comp in collection.components.items()
             for u in comp}
-    return collection, SetFamily.from_masks(split.universe, used, m=rank)
+    return collection, SetFamily(split.universe, used, m=rank)
 
 
 @SETTINGS

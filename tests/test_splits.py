@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +16,6 @@ from sunflower.splits import (
     find_good_split,
     retained_on,
     retention_bound,
-    stirling_floor,
     transversal_count_brute,
     transversal_formula,
 )
@@ -86,24 +84,13 @@ def test_averaging_identity():
         assert Fraction(sum(counts), len(counts)) == retention_bound(fam, 2)
 
 
-def test_stirling_floor_value():
-    fam = all_m_subsets(4, 2)
-    assert stirling_floor(fam) == 6 * math.exp(-2)
-    with pytest.raises(ValueError):
-        stirling_floor(SetFamily.of(4, []))
-    with pytest.raises(ValueError):
-        stirling_floor(SetFamily.of(4, [[0], [1, 2]]))
-
-
 def test_find_good_split_exhaustive_uniform_case():
     fam = all_m_subsets(4, 2)
     result = find_good_split(fam)
     # every split of a 4-universe kills exactly the 2 within-strip pairs
     assert len(result.retained) == 4
     assert result.bound == Fraction(4)
-    assert result.stirling == 6 * math.exp(-2)
     assert len(result.retained) >= result.bound
-    assert result.bound > result.stirling
 
 
 def test_find_good_split_exhaustive_maximizes():
@@ -126,7 +113,7 @@ def test_find_good_split_postcondition_raises(monkeypatch):
     # a best split below the averaging floor is a contract violation that
     # must be raised, not asserted (asserts vanish under python -O)
     monkeypatch.setattr(splits, "retained_on", lambda family, split:
-                        SetFamily.from_masks(family.universe, [], m=family.m))
+                        SetFamily(family.universe, [], m=family.m))
     with pytest.raises(ContractViolationError):
         find_good_split(all_m_subsets(4, 2))
 
@@ -142,7 +129,7 @@ def test_find_good_split_cross_checks_the_kernel_count(monkeypatch):
         # the best split of an exhausted search is checked too (0 counted)
         find_good_split(fam, mode="random", trials=1, seed=0)
     monkeypatch.setattr(splits, "retained_on", lambda family, split:
-                        SetFamily.from_masks(family.universe, [], m=family.m))
+                        SetFamily(family.universe, [], m=family.m))
     with pytest.raises(ContractViolationError, match="kernel counted"):
         find_good_split(fam, mode="random", trials=1, seed=1)  # 1 counted
 
