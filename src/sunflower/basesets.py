@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
 from .families import (GroundSet, SetFamily, Split, Subsplit, _mask_repr,
@@ -422,56 +423,59 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
     return t
 
 
-def _find_extraction(r: int, mprime: int, work: dict[tuple[int, ...], set[int]],
-                     lookups: dict[tuple[int, ...], dict[int, list[int]]],
-                     collection: ComponentCollection, bases: SetFamily,
-                     cfg: Constants, thr: Threshold, b: Fraction,
-                     used_pairs: set[tuple[int, tuple[int, ...]]],
-                     cand_cache: dict,
-                     skipped: dict[tuple[int, tuple[int, ...]], int]
-                     ) -> tuple[tuple[int, ...], int, list[int], str] | None:
-    """One scan for the next extraction at rank r, in canonical order:
-    components by key, candidate bases by label.  ``work`` holds each
-    component's live members and ``lookups`` its subset map, built once per
-    engine call, so a bucket is the map's entry for the base filtered by
-    the live set, in canonical order.  Returns (key, base mask, member
-    masks, variant) or None when no pair qualifies.
+def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
+                 bases: SetFamily, cfg: Constants, thr: Threshold,
+                 b: Fraction) -> Iterator[tuple[int, list[int], str]]:
+    """Drain one component at rank r: yield (base mask, member masks,
+    variant) for each extraction, after removing its members from
+    ``live``.  ``lookup`` is the component's subset map, so a base's
+    bucket is the map's entry filtered by ``live``, in canonical order.
 
-    ``skipped`` memoizes skip verdicts: it maps each (base mask, key) pair
-    the scan passed over (below the threshold, empty, or cleaned to empty
-    or below the floor) to the size of its live bucket then, and a pair
-    whose live bucket still has that size is passed over again unread.
-    This is exact within one engine call: live sets only shrink, so an
-    equal size means an identical bucket, and a verdict depends only on
-    the bucket and on what the call fixes (r, m', the threshold, cfg, the
-    bases, b and the free strips off the base; the base's cardinality is
-    r, so no pair recurs at another rank).  The memo must not outlive the
-    call."""
-    for key in collection.components:
-        live = work[key]
-        if not live:
-            continue
-        sub = collection.subsplit(key)
-        lookup = lookups[key]
-        cache_key = (r, key)
-        if cache_key not in cand_cache:
-            cand_cache[cache_key] = _candidate_bases(sub, r, bases)
-        for bm in cand_cache[cache_key]:
-            pair = (bm, key)
-            if pair in used_pairs:
+    A min-heap holds the label-order indices of the undecided candidate
+    bases, all of them at the start.  The smallest is popped and decided
+    on its live bucket: at r = m' whole if it meets f(m'), below m' cleaned
+    to spreadness on the strips off the base, nonempty and, at r = 0, up
+    to the epsilon floor.  An extracted base is never decided again; the
+    other bases its members contain go back on the heap unless already on
+    it.  An empty live set ends the drain, as no empty bucket qualifies.
+
+    This yields what a scan restarting from the first (component, base)
+    pair after every extraction would take.  A base passed over keeps its
+    verdict until an extraction takes a member of its bucket, because live
+    sets only shrink and a verdict depends only on the bucket and on what
+    the call fixes (r, m', the threshold, cfg, the bases, b and the strips
+    off the base).  And a restart only passed over earlier components
+    again, whose live sets an extraction here leaves unchanged.
+    """
+    cands = _candidate_bases(sub, r, bases)
+    index = {bm: i for i, bm in enumerate(cands)}
+    heap = list(range(len(cands)))
+    queued = set(heap)
+    while heap and live:
+        i = heappop(heap)
+        queued.discard(i)
+        bm = cands[i]
+        bucket = [u for u in lookup.get(bm, ()) if u in live]
+        if r == mprime:
+            if not thr.meets(len(bucket), mprime):
                 continue
-            bucket = [u for u in lookup.get(bm, ()) if u in live]
-            if skipped.get(pair) == len(bucket):
+            t, variant = bucket, "ii"
+        else:
+            t = bucket and _clean_to_spread(bucket, sub.minus(bm), bases, b)
+            if not t or (r == 0 and not cfg.eps_floor_meets(len(t))):
                 continue
-            if r == mprime:
-                if thr.meets(len(bucket), mprime):
-                    return key, bm, bucket, "ii"
-            elif bucket:
-                t = _clean_to_spread(bucket, sub.minus(bm), bases, b)
-                if t and (r > 0 or cfg.eps_floor_meets(len(t))):
-                    return key, bm, t, "i"
-            skipped[pair] = len(bucket)
-    return None
+            variant = "i"
+        live.difference_update(t)
+        del index[bm]
+        for u in t:
+            s = u
+            while s:
+                j = index.get(s)
+                if j is not None and j not in queued:
+                    queued.add(j)
+                    heappush(heap, j)
+                s = (s - 1) & u
+        yield bm, t, variant
 
 
 def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
@@ -481,12 +485,11 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
 
     The working family persists across ranks (extractions at a failed rank
     stay removed); the accumulated union and base list reset per rank.
-    Each (base, component) pair is extracted at most once per call.  After
-    each extraction the scan restarts from the first pair, but a pair it
-    skipped is decided again only once its live bucket has shrunk: the
-    call keeps one memo of skip verdicts per (base, component) pair, keyed
-    by live-bucket size, which is exact because live sets only shrink
-    within the call (see :func:`_find_extraction`).  Raises
+    At each rank the components are drained one at a time in key order
+    (see :func:`_extractions`): a queue of undecided candidate bases, in
+    label order, is decided one by one, and after an extraction only the
+    bases its members contain are decided again.  Each (base, component)
+    pair is extracted at most once per call.  Raises
     ContractViolationError with the full extraction trace when no rank
     reaches its bound.
     """
@@ -531,31 +534,24 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
     work = {key: set(comp) for key, comp in components.items()}
-    used_pairs: set[tuple[int, tuple[int, ...]]] = set()
-    cand_cache: dict = {}
-    skipped: dict[tuple[int, tuple[int, ...]], int] = {}
     trace: list[dict] = []
     uni = split.universe
 
     for r in range(mprime, -1, -1):
         round_parts: list[ElementaryPart] = []
         cumulative = 0
-        while True:
-            found = _find_extraction(r, mprime, work, lookups, collection,
-                                     bases, cfg, thr, b, used_pairs,
-                                     cand_cache, skipped)
-            if found is None:
-                break
-            key, bm, t_masks, variant = found
-            work[key].difference_update(t_masks)
-            used_pairs.add((bm, key))
-            part = ElementaryPart(uni.from_bits(bm), key, tuple(t_masks),
-                                  variant)
-            round_parts.append(part)
-            cumulative += len(t_masks)
-            trace.append({"p": p_label, "r": r, "B": list(mask_labels(bm)),
-                          "Xprime": list(key), "sizeT": len(t_masks),
-                          "cumulative": cumulative})
+        for key, live in work.items():
+            for bm, t_masks, variant in _extractions(
+                    r, mprime, live, lookups[key], collection.subsplit(key),
+                    bases, cfg, thr, b):
+                part = ElementaryPart(uni.from_bits(bm), key, tuple(t_masks),
+                                      variant)
+                round_parts.append(part)
+                cumulative += len(t_masks)
+                trace.append({"p": p_label, "r": r,
+                              "B": list(mask_labels(bm)), "Xprime": list(key),
+                              "sizeT": len(t_masks),
+                              "cumulative": cumulative})
         if cumulative * 3 ** (mprime - r + 1) >= size:
             return _finish(r, mprime, round_parts, trace, collection, bases,
                            cfg, thr, b)

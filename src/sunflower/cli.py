@@ -179,9 +179,7 @@ def _cmd_split(args) -> int:
                                  seed=args.seed,
                                  enum_budget=_budget_default(1 << 20))
     except TrialsExhaustedError as exc:
-        best = exc.best
-        results = {"met": False,
-                   "bestRetained": len(best.retained) if best else 0}
+        results = {"met": False, "bestRetained": len(exc.best.retained)}
         _emit("split", inputs, results, args.seed, t0)
         return EXIT_BUDGET
     results = {
@@ -250,8 +248,7 @@ def _cmd_basesets(args) -> int:
     except ContractViolationError as exc:
         if args.trace:
             _write_trace(args.trace, exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise
     results = {"r": out.r, "baseSets": out.base_sets.to_json_obj(),
                "family": out.family.to_json_obj(),
                "parts": [_part_obj(p) for p in out.parts],
@@ -275,8 +272,7 @@ def _cmd_process_r(args) -> int:
     except ContractViolationError as exc:
         if args.trace:
             _write_trace(args.trace, exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise
     audit = bs.audit_terminal_bases(result, family, cfg)
     results = {
         "pHat": result.p_hat,
@@ -294,9 +290,11 @@ def _cmd_process_r(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    lo, _, hi = text.partition(":")
-    if not _:
+    lo, sep, hi = text.partition(":")
+    if not sep:
         return [int(lo)]
+    if int(hi) < int(lo):
+        raise ValueError(f"range {text!r} runs backwards")
     return list(range(int(lo), int(hi) + 1))
 
 

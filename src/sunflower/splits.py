@@ -150,7 +150,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     most members (first in enumeration order on ties) — always at least the
     floor.  ``random`` samples splits uniformly until one meets the floor,
     raising TrialsExhaustedError (carrying the best result seen) if none of
-    ``trials`` samples does.
+    ``trials`` samples does; ``trials`` below 1 is a ValueError.
 
     Splits are scored by the incidence kernel: on an m-uniform family, a
     member meeting each of the m strips exactly once is exactly a member
@@ -188,10 +188,12 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
                 "no split retains the averaging floor of members")
         return result
     if mode == "random":
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
         rng = CounterRng(seed)
         d = n // m
         labels = list(range(n))
-        best, best_count = None, -1
+        best_count = -1
         for _ in range(trials):
             perm = labels[:]
             rng.shuffle(perm)
@@ -203,8 +205,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
                 best, best_count = blocks, count
         raise TrialsExhaustedError(
             f"no split met the floor {bound} in {trials} random trials",
-            best=None if best is None
-            else materialize(Split.of(n, best), best_count))
+            best=materialize(Split.of(n, best), best_count))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -8,6 +8,9 @@ backtracking that the pair-link kernel of ``find_sunflower_exact``
 replaced, kept as is; it reads the subset-bucket kernel, which the
 property tests check against restrictions on their own, and it pins the
 kernel's first certificate (core, and petals in order).
+``extractions_by_rescan`` is the engine's extraction scan with nothing
+carried between scans: it decides every (component, base) pair again
+from the first after each extraction, on buckets read off the live sets.
 """
 
 from __future__ import annotations
@@ -16,9 +19,12 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
+from sunflower.basesets import (Constants, ComponentCollection, Threshold,
+                                _candidate_bases, _clean_to_spread)
 from sunflower.errors import BudgetExceededError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 Subsplit, mask_labels)
+from sunflower.gamma import exact_base
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
@@ -114,3 +120,42 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
             petals = tuple(uni.from_bits(b | core) for b in chosen)
             return SunflowerCertificate(petals, uni.from_bits(core))
     return None
+
+
+def extractions_by_rescan(r: int, mprime: int,
+                          work: dict[tuple[int, ...], set[int]],
+                          collection: ComponentCollection, bases: SetFamily,
+                          cfg: Constants) -> list[tuple]:
+    """The extractions of one engine rank r, as (key, base mask, member
+    masks, variant) in the order taken, by a restart scan: each scan
+    decides every (component, base) pair not yet extracted, components by
+    key and candidate bases by label, and takes the first that qualifies.
+    A bucket is the component's live members containing the base, read
+    off ``work`` (live members per key), which is updated in place."""
+    thr = Threshold(cfg)
+    b = exact_base(cfg.b)
+    extracted: set[tuple[tuple[int, ...], int]] = set()
+    found = []
+
+    def first_extraction():
+        for key, comp in collection.components.items():
+            sub = collection.subsplit(key)
+            for bm in _candidate_bases(sub, r, bases):
+                if (key, bm) in extracted:
+                    continue
+                bucket = [u for u in comp if u & bm == bm and u in work[key]]
+                if r == mprime:
+                    if thr.meets(len(bucket), mprime):
+                        return key, bm, bucket, "ii"
+                elif bucket:
+                    t = _clean_to_spread(bucket, sub.minus(bm), bases, b)
+                    if t and (r > 0 or cfg.eps_floor_meets(len(t))):
+                        return key, bm, t, "i"
+        return None
+
+    while (hit := first_extraction()) is not None:
+        key, bm, t_masks, _ = hit
+        work[key].difference_update(t_masks)
+        extracted.add((key, bm))
+        found.append(hit)
+    return found

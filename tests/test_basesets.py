@@ -12,7 +12,7 @@ from sunflower.basesets import (
     Constants,
     ElementaryPart,
     Threshold,
-    _find_extraction,
+    _extractions,
     audit_terminal_bases,
     base_sets,
     constants_from_dict,
@@ -419,47 +419,54 @@ def test_base_sets_input_validation():
         base_sets(2, IMMEDIATE, coll, cfg.with_fam_size(4 * 81 + 1))
 
 
-def test_find_extraction_rank_zero_round():
-    # driving the scanner by hand at rank 0: the whole spread product comes
-    # out as a single base-free part, in canonical order
+def test_extractions_rank_zero_round():
+    # draining the component by hand at rank 0: the whole spread product
+    # comes out as a single base-free part, in canonical order
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
-    thr = Threshold(cfg)
-    b = exact_base(cfg.b)
     comp = coll.components[(0, 1)]
-    work = {(0, 1): set(comp)}
-    lookups = {(0, 1): subset_lookup(comp)}
-    found = _find_extraction(0, 2, work, lookups, coll, GRID16, cfg, thr, b,
-                             set(), {}, {})
-    assert found is not None
-    key, bm, t_masks, variant = found
-    assert key == (0, 1)
+    live = set(comp)
+    found = list(_extractions(0, 2, live, subset_lookup(comp),
+                              coll.subsplit((0, 1)), GRID16, cfg,
+                              Threshold(cfg), exact_base(cfg.b)))
+    assert len(found) == 1
+    bm, t_masks, variant = found[0]
     assert bm == 0
     assert tuple(t_masks) == GRID16.masks()
     assert variant == "i"
-    part = ElementaryPart(GRID16.universe.from_bits(bm), key, tuple(t_masks),
-                          variant)
+    assert not live
+    part = ElementaryPart(GRID16.universe.from_bits(bm), (0, 1),
+                          tuple(t_masks), variant)
     assert is_elementary_part(part, coll, GRID16, cfg)
 
 
-def test_find_extraction_reads_live_members_only():
+def test_extractions_read_live_members_only():
     # at full rank f(2) < 1, so the first candidate base with a live member
     # wins: removing {0,4} from the live set (not from the map) skips it
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
-    lookups = {(0, 1): subset_lookup(comp)}
-    args = (coll, GRID16, cfg, Threshold(cfg), exact_base(cfg.b))
-    first = _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
-                             set(), {}, {})
-    assert first == ((0, 1), 0b10001, [0b10001], "ii")
-    live = set(comp) - {0b10001}
-    second = _find_extraction(2, 2, {(0, 1): live}, lookups, *args, set(), {},
-                              {})
-    assert second == ((0, 1), 0b100001, [0b100001], "ii")
-    # a used (base, component) pair is skipped the same way
-    assert _find_extraction(2, 2, {(0, 1): set(comp)}, lookups, *args,
-                            {(0b10001, (0, 1))}, {}, {}) == second
+    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16, cfg,
+            Threshold(cfg), exact_base(cfg.b))
+    first = next(_extractions(2, 2, set(comp), *args))
+    assert first == (0b10001, [0b10001], "ii")
+    second = next(_extractions(2, 2, set(comp) - {0b10001}, *args))
+    assert second == (0b100001, [0b100001], "ii")
+    # a yielded base is never yielded, nor its bucket read, again: the
+    # drain takes every member's own bucket once, in label order, and
+    # leaves nothing live
+    reads = []
+
+    class ReadLog(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    live = set(comp)
+    drained = list(_extractions(2, 2, live, ReadLog(args[0]), *args[1:]))
+    assert drained[:2] == [first, second]
+    assert [bm for bm, _, _ in drained] == reads == list(comp)
+    assert not live
 
 
 def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):

@@ -371,6 +371,17 @@ def test_input_errors_exit_five(capsys, tmp_path):
         assert err.startswith("error: bad family object")
         assert "Traceback" not in err
 
+    # a random split search of no trials, and a reversed range
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, ["split", fam_path, "--mode", "random",
+                                      "--trials", trials])
+        assert (code, out) == (5, ""), trials
+        assert err == "error: trials must be at least 1\n"
+    code, out, err = run(capsys, ["verify-bound", "--k-range", "3:2",
+                                  "--m-range", "2:2"])
+    assert (code, out) == (5, "")
+    assert err.startswith("error: range '3:2'")
+
 
 def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,
                                                   monkeypatch):
@@ -403,6 +414,32 @@ def test_split_contract_violation_exits_one(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "error: kernel disagrees with its cross-check" in err.splitlines()
     assert "Traceback" not in err
+
+
+def test_engine_contract_violation_writes_trace_and_exits_one(
+        capsys, tmp_path, monkeypatch):
+    # the engine commands write the partial trace, then fail like any
+    # other command: exit 1 and one error line
+    row = {"p": 1, "r": 0, "B": [], "Xprime": [0, 1], "sizeT": 2,
+           "cumulative": 2}
+
+    def violate(*args, **kwargs):
+        raise ContractViolationError("no rank reached its bound", trace=[row])
+
+    monkeypatch.setattr(cli.bs, "process_r", violate)
+    monkeypatch.setattr(cli.bs, "base_sets", violate)
+    fam_path = family_file(tmp_path, IMMEDIATE)
+    cfg_path = constants_file(tmp_path, CONSTANTS)
+    trace = tmp_path / "trace.jsonl"
+    for argv in (["process-r", fam_path], ["basesets", fam_path,
+                                            "--mprime", "2"]):
+        trace.unlink(missing_ok=True)
+        code, out, err = run(capsys, argv + ["--constants", cfg_path,
+                                             "--trace", str(trace)])
+        assert (code, out) == (1, ""), argv
+        assert err.splitlines() == ["error: no rank reached its bound"]
+        assert [json.loads(line)
+                for line in trace.read_text().splitlines()] == [row]
 
 
 def test_gamma_contract_violation_exits_one(capsys, tmp_path, monkeypatch):

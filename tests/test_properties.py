@@ -8,9 +8,9 @@ the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
 enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
 member scan, none of which goes through the incidence kernel of the
-split searches.  The engine's skip memo is checked against
-the same scan run with a fresh memo that never answers, and the family
-constructor's canonical order against sorted label lists.
+split searches.  The engine's per-component drain is checked against
+the restart scan that decides every pair again after each extraction,
+and the family constructor's canonical order against sorted label lists.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
                               transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import (find_sunflower_backtrack, p_sets,
-                     sunflower_free_check_oracle)
+from oracles import (extractions_by_rescan, find_sunflower_backtrack,
+                     p_sets, sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -266,7 +266,7 @@ def reference_exhaustive(family):
 
 def reference_random(family, trials, seed):
     """Replays the sampler's draws: ("met", split, kept) for the first
-    sample meeting the floor, else ("exhausted", best sample or None)."""
+    sample meeting the floor, else ("exhausted", best sample)."""
     n, m = family.universe.n, family.m
     d = n // m
     bound = retention_bound(family, m)
@@ -321,6 +321,10 @@ def test_exhaustive_split_matches_reference(family):
 @given(uniform_families(min_size=1), st.integers(0, 5),
        st.integers(0, 1 << 16))
 def test_random_split_replays_reference(family, trials, seed):
+    if trials == 0:
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            find_good_split(family, mode="random", trials=0, seed=seed)
+        return
     want = reference_random(family, trials, seed)
     if want[0] == "met":
         result = find_good_split(family, mode="random", trials=trials,
@@ -330,10 +334,7 @@ def test_random_split_replays_reference(family, trials, seed):
     with pytest.raises(TrialsExhaustedError) as info:
         find_good_split(family, mode="random", trials=trials, seed=seed)
     best = info.value.best
-    if want[1] is None:
-        assert best is None
-    else:
-        assert (best.split, best.retained) == want[1]
+    assert (best.split, best.retained) == want[1]
 
 
 @SETTINGS
@@ -379,6 +380,11 @@ def pinned_case(n, m, masks, fam_size, top, anchored_top, anchor_seed):
 SHRUNK_BUCKET_SPREADS = pinned_case(
     12, 3, [273, 529, 1089, 546, 322, 2178, 1092, 644, 552, 328, 584, 2120,
             2184], 52, 1, 0, 0)
+# as above, with {0, 5, 11} and {2, 5, 11} added: after the extraction at
+# {9} the bucket of {11} is spread too, and {6}, queued again, comes first
+REQUEUED_BASE_COMES_FIRST = pinned_case(
+    12, 3, [273, 529, 1089, 546, 322, 2178, 1092, 644, 552, 328, 584, 2120,
+            2184, 2081, 2084], 60, 1, 0, 0)
 # in the anchored collection a base passed over in one component has a
 # live bucket of the same size in another, which must still be decided
 COMPONENTS_SHARE_A_BASE = pinned_case(
@@ -386,37 +392,24 @@ COMPONENTS_SHARE_A_BASE = pinned_case(
            276, 100, 164, 292], 72, 3, 1, 58768)
 
 
-class Forgetful(dict):
-    """A fresh skip memo that never answers, so a scan decides every pair;
-    a memo consulted within the scan that fills it would show."""
-
-    def get(self, key, default=None):
-        return default
-
-
-def drive_extractions(mprime, top, bases, collection, cfg):
-    """Run base_sets' extraction loop by hand over ranks top down to 0,
-    checking each scan with the carried skip memo against a scan that
-    decides every pair.  Starting below m' skips the ranks that would have
-    drained the big buckets, which leaves more buckets to shrink and be
-    decided again."""
+def drain_matches_rescan(mprime, top, bases, collection, cfg):
+    """Run base_sets' per-rank drains by hand over ranks top down to 0,
+    with live sets carried across ranks, and check each rank's
+    extractions against the restart scan's.  Starting below m' skips the
+    ranks that would have drained the big buckets, which leaves more
+    buckets to shrink and be decided again."""
     comps = collection.components
     lookups = {key: subset_lookup(comp) for key, comp in comps.items()}
-    work = {key: set(comp) for key, comp in comps.items()}
-    args = (collection, bases, cfg, bs.Threshold(cfg), exact_base(cfg.b))
-    used_pairs, cand_cache, skipped = set(), {}, {}
+    drained = {key: set(comp) for key, comp in comps.items()}
+    rescanned = {key: set(comp) for key, comp in comps.items()}
+    args = (bases, cfg, bs.Threshold(cfg), exact_base(cfg.b))
     for r in range(top, -1, -1):
-        while True:
-            found = bs._find_extraction(r, mprime, work, lookups, *args,
-                                        used_pairs, cand_cache, skipped)
-            assert found == bs._find_extraction(r, mprime, work, lookups,
-                                                *args, used_pairs,
-                                                cand_cache, Forgetful())
-            if found is None:
-                break
-            key, bm, t_masks, _ = found
-            work[key].difference_update(t_masks)
-            used_pairs.add((bm, key))
+        got = [(key, *found) for key, live in drained.items()
+               for found in bs._extractions(r, mprime, live, lookups[key],
+                                            collection.subsplit(key), *args)]
+        assert got == extractions_by_rescan(r, mprime, rescanned, collection,
+                                            bases, cfg)
+        assert drained == rescanned
 
 
 def anchored_collection(family, split, seed):
@@ -445,11 +438,12 @@ def anchored_collection(family, split, seed):
 
 @SETTINGS
 @example(SHRUNK_BUCKET_SPREADS)
+@example(REQUEUED_BASE_COMES_FIRST)
 @example(COMPONENTS_SHARE_A_BASE)
 @given(engine_cases())
-def test_skip_memo_matches_fresh_scans(case):
+def test_drain_matches_restart_scan(case):
     family, split, cfg, top, anchored_top, anchor_seed = case
-    drive_extractions(cfg.m, top, family,
-                      bs.ComponentCollection.initial(family, split), cfg)
+    drain_matches_rescan(cfg.m, top, family,
+                         bs.ComponentCollection.initial(family, split), cfg)
     collection, bases = anchored_collection(family, split, anchor_seed)
-    drive_extractions(split.m - 1, anchored_top, bases, collection, cfg)
+    drain_matches_rescan(split.m - 1, anchored_top, bases, collection, cfg)

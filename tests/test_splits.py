@@ -145,6 +145,10 @@ def test_find_good_split_random_mode():
     # with enough trials the sampler finds a qualifying split
     recovered = find_good_split(fam, mode="random", trials=50, seed=0)
     assert len(recovered.retained) >= recovered.bound
+    # a search of no trials is an input error, not an exhausted search
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            find_good_split(fam, mode="random", trials=trials, seed=1)
 
 
 def test_find_good_split_random_is_deterministic():
