@@ -20,10 +20,11 @@ All comparisons against the threshold f(x) = k^-5 * eps^2m *
 extraction decisions and the post-run audits can never disagree; f and the
 epsilon floor switch to log-space below 1e-300.
 
-Inside the engine, components and part members are tuples of int masks in
-canonical label order, the order :meth:`SetFamily.masks` stores;
-``SetFamily(split.universe, part.T)`` converts one.  SetFamily appears
-only at the engine's edges: its inputs and its output families.
+Inside the engine, strips and base sets are int masks, and components and
+part members are tuples of int masks in canonical label order, the order
+:meth:`SetFamily.masks` stores; ``SetFamily(split.universe, part.T)``
+converts one.  SetFamily appears only at the engine's edges: its inputs
+and its output families.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
-from .families import (GroundSet, SetFamily, Split, Subsplit, _mask_repr,
-                       mask_labels, subset_buckets, subset_lookup)
+from .families import (SetFamily, Split, Subsplit, _mask_repr, mask_labels,
+                       subset_buckets, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -136,30 +137,37 @@ def canonical_constants(epsilon: float, k: int, m: int,
 
 
 def constants_from_dict(obj: dict) -> Constants:
-    """Parse the constants file format {mode, epsilon, h, c, k, m[, famSize]}."""
-    try:
-        mode = obj.get("mode", "surrogate")
-        epsilon = float(obj["epsilon"])
-        k = int(obj["k"])
-        m = int(obj["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad constants object: {exc}") from None
-    fam_size = obj.get("famSize")
-    if fam_size is not None:
-        fam_size = int(fam_size)
-    if mode == "canonical":
-        if "h" in obj or "c" in obj:
-            raise ValueError("mode 'canonical' derives h and c from epsilon; "
-                             "remove the explicit values")
-        return canonical_constants(epsilon, k, m, fam_size)
-    if mode != "surrogate":
+    """Parse the constants file format {mode, epsilon, h, c, k, m[, famSize]}.
+
+    ``k``, ``m`` and ``famSize`` must be JSON integers and ``epsilon``,
+    ``h`` and ``c`` finite JSON numbers: anything else, a missing key or
+    a non-object raises ValueError("bad constants object: ...").
+    """
+    if type(obj) is not dict:
+        raise ValueError("bad constants object: not a JSON object")
+    mode = obj.get("mode", "surrogate")
+    if mode == "canonical" and ("h" in obj or "c" in obj):
+        raise ValueError("mode 'canonical' derives h and c from epsilon; "
+                         "remove the explicit values")
+    if mode not in ("surrogate", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
+    reals = ("epsilon", "h", "c") if mode == "surrogate" else ("epsilon",)
+    for key in reals + ("k", "m", "famSize"):
+        x = obj.get(key)
+        # type(x) is int also rejects bools, which JSON true/false parse to
+        if not (type(x) is int or x is None and key == "famSize"
+                or type(x) is float and key in reals and math.isfinite(x)):
+            kind = "a finite number" if key in reals else "an integer"
+            raise ValueError(f"bad constants object: {key} must be {kind}, "
+                             f"got {x!r}")
     try:
-        h = float(obj["h"])
-        c = float(obj["c"])
-    except (KeyError, TypeError, ValueError) as exc:
+        epsilon, *h_c = (float(obj[key]) for key in reals)
+    except OverflowError as exc:
         raise ValueError(f"bad constants object: {exc}") from None
-    return Constants(epsilon, h, c, k, m, fam_size, mode="surrogate")
+    k, m, fam_size = obj["k"], obj["m"], obj.get("famSize")
+    if mode == "canonical":
+        return canonical_constants(epsilon, k, m, fam_size)
+    return Constants(epsilon, *h_c, k, m, fam_size, mode="surrogate")
 
 
 class Threshold:
@@ -210,25 +218,24 @@ class Threshold:
 class ElementaryPart:
     """One extracted piece: base set B, origin component key, members T.
 
-    ``T`` is a tuple of member masks in canonical label order; ``key`` is
-    the strip-index tuple of the component's subsplit; ``variant`` is "ii"
-    for threshold buckets taken at r = m' and "i" for spreadness-cleaned
-    buckets taken at r < m'.
+    ``B`` is the base set's mask and ``T`` a tuple of member masks in
+    canonical label order; ``key`` is the strip-index tuple of the
+    component's subsplit; ``variant`` is "ii" for threshold buckets taken
+    at r = m' and "i" for spreadness-cleaned buckets taken at r < m'.
     """
 
-    B: GroundSet
+    B: int
     key: tuple[int, ...]
     T: tuple[int, ...]
     variant: str
 
     @property
     def r(self) -> int:
-        return self.B.cardinality
+        return self.B.bit_count()
 
     def base_strips(self, split: Split) -> tuple[int, ...]:
         """Indices of the strips the base set meets."""
-        return tuple(i for i, s in enumerate(split.strips)
-                     if s.bits & self.B.bits)
+        return tuple(i for i, s in enumerate(split.strips) if s & self.B)
 
 
 class ComponentCollection:
@@ -295,9 +302,9 @@ class ComponentCollection:
         their base sets occupy."""
         grouped: dict[tuple[int, ...], list[int]] = {}
         for part in parts:
-            if part.B.cardinality != rank:
+            if part.r != rank:
                 raise ValueError(
-                    f"part base {part.B!r} has rank {part.B.cardinality}, "
+                    f"part base {_mask_repr(part.B)} has rank {part.r}, "
                     f"expected {rank}")
             grouped.setdefault(part.base_strips(split), []).extend(part.T)
         return cls(split, grouped)
@@ -313,7 +320,6 @@ class ComponentCollection:
         """
         if not family.universe.n == anchors.universe.n == split.universe.n:
             raise ValueError("family or anchors over a different universe")
-        strips = [s.bits for s in split.strips]
         anchor_masks = set(anchors.masks())
         grouped: dict[tuple[int, ...], list[int]] = {}
         skipped = []
@@ -321,7 +327,7 @@ class ComponentCollection:
             for key in combinations(range(split.m), rank):
                 proj = 0
                 for i in key:
-                    proj |= u & strips[i]
+                    proj |= u & split.strips[i]
                 if proj in anchor_masks:
                     grouped.setdefault(key, []).append(u)
                     break
@@ -348,15 +354,16 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
     if part.key not in collection.components:
         raise ValueError(f"unknown component key {part.key}")
     sub = collection.subsplit(part.key)
-    if part.B.bits and not sub.carries(part.B):
-        raise ValueError(f"base {part.B!r} does not lie on subsplit {part.key}")
+    b_bits = part.B
+    if b_bits and not sub.carries_mask(b_bits):
+        raise ValueError(f"base {_mask_repr(b_bits)} does not lie on "
+                         f"subsplit {part.key}")
     if not set(part.T) <= set(collection.components[part.key]):
         raise ValueError("part members must come from the keyed component")
     if not part.T:
         return False
     r = part.r
     mprime = collection.rank
-    b_bits = part.B.bits
     if b_bits not in bases.subset_lookup():
         return False
     if part.variant == "i":
@@ -515,13 +522,12 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
         if not any(u in lookup for lookup in lookups.values()):
             raise ValueError(
                 f"base {_mask_repr(u)} is not in the family's shadow")
-    strips = [s.bits for s in split.strips]
     base_mask_set = set(bases.masks())
     for key, comp in components.items():
         for u in comp:
             proj = 0
             for i in key:
-                proj |= u & strips[i]
+                proj |= u & split.strips[i]
             if proj not in base_mask_set:
                 raise ValueError(
                     f"member projection {mask_labels(proj)} of component "
@@ -535,7 +541,6 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     b = exact_base(cfg.b)
     work = {key: set(comp) for key, comp in components.items()}
     trace: list[dict] = []
-    uni = split.universe
 
     for r in range(mprime, -1, -1):
         round_parts: list[ElementaryPart] = []
@@ -544,8 +549,7 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
             for bm, t_masks, variant in _extractions(
                     r, mprime, live, lookups[key], collection.subsplit(key),
                     bases, cfg, thr, b):
-                part = ElementaryPart(uni.from_bits(bm), key, tuple(t_masks),
-                                      variant)
+                part = ElementaryPart(bm, key, tuple(t_masks), variant)
                 round_parts.append(part)
                 cumulative += len(t_masks)
                 trace.append({"p": p_label, "r": r,
@@ -576,9 +580,9 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     all_masks = [u for part in parts for u in part.T]
     require(len(set(all_masks)) == len(all_masks), "parts must be disjoint")
     fdagger = SetFamily(uni, all_masks, m=cfg.m)
-    pair_keys = [(part.B.bits, part.key) for part in parts]
+    pair_keys = [(part.B, part.key) for part in parts]
     require(len(set(pair_keys)) == len(pair_keys), "pairs must be unique")
-    base_family = SetFamily(uni, {part.B.bits for part in parts}, m=r)
+    base_family = SetFamily(uni, {part.B for part in parts}, m=r)
 
     by_key: dict[tuple[int, ...], list[int]] = {}
     for part in parts:
@@ -699,17 +703,16 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     for part in result.parts_hat:
         c_set = part.B
         size_t = len(part.T)
-        in_family = len(restriction.get(c_set.bits, ()))
-        restriction_totals[c_set.bits] = restriction_totals.get(
-            c_set.bits, 0) + size_t
+        in_family = len(restriction.get(c_set, ()))
+        restriction_totals[c_set] = restriction_totals.get(c_set, 0) + size_t
         # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the
         # original family to be (c^c k ln k)-spread
         log_big_base = c * math.log(c) + math.log(k) + math.log(math.log(k))
-        rhs_log = -c_set.cardinality * log_big_base + math.log(fam_size)
+        rhs_log = -part.r * log_big_base + math.log(fam_size)
         upper_chain = (math.log(in_family) < rhs_log if in_family > 0
                        else True)
         part_lines.append({
-            "C": list(c_set.labels()),
+            "C": list(mask_labels(c_set)),
             "Xprime": list(part.key),
             "sizeT": size_t,
             "restriction": in_family,

@@ -30,7 +30,8 @@ from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError, TrialsExhaustedError)
 from .extremal import build_extremal
 from .families import (SetFamily, Split, family_from_json_obj,
-                       family_from_text, family_to_text, pad_universe)
+                       family_from_text, family_to_text, mask_labels,
+                       pad_universe)
 from .gamma import check_gamma
 from .harness import generate_random_family, verify_bound_experiment
 from .splits import find_good_split, transversal_count_brute, transversal_formula
@@ -184,7 +185,7 @@ def _cmd_split(args) -> int:
         return EXIT_BUDGET
     results = {
         "met": True,
-        "split": [list(s.labels()) for s in result.split.strips],
+        "split": result.split.strip_labels(),
         "retained": result.retained.to_json_obj(),
         "retainedSize": len(result.retained),
         "bound": [result.bound.numerator, result.bound.denominator],
@@ -212,7 +213,7 @@ def _cmd_transversal_check(args) -> int:
 
 
 def _part_obj(part: bs.ElementaryPart) -> dict:
-    return {"B": list(part.B.labels()), "Xprime": list(part.key),
+    return {"B": list(mask_labels(part.B)), "Xprime": list(part.key),
             "size": len(part.T), "variant": part.variant}
 
 

@@ -6,8 +6,8 @@ mask.  A family is built from masks (``SetFamily(universe, masks, m)``, or
 deduplicated and canonically ordered (lexicographically by sorted label
 tuple, empty set first) so that equality, hashing and serialization are
 bitwise stable; its ``GroundSet`` members are built only when asked for.
-Splits partition the universe into equal-size ordered strips; subsplits
-select strips in order.
+Splits partition the universe into equal-size ordered strips, stored as
+int masks too; subsplits select strips in order.
 
 Everything here is immutable and pure, hence safe to share across threads.
 """
@@ -383,31 +383,34 @@ class SetFamily:
 
 @dataclass(frozen=True)
 class Split:
-    """An ordered partition of the universe into equal-size strips."""
+    """An ordered partition of the universe into equal-size strips, each
+    an int mask."""
 
     universe: Universe
-    strips: tuple[GroundSet, ...]
+    strips: tuple[int, ...]
 
     def __post_init__(self):
         if not self.strips:
             raise ValueError("split needs at least one strip")
-        d = self.strips[0].cardinality
+        full = self.universe.full_mask
+        d = self.strips[0].bit_count()
         union = 0
         for s in self.strips:
-            if s.universe.n != self.universe.n:
-                raise UniverseMismatchError("strip from a different universe")
-            if s.cardinality != d:
+            if not 0 <= s <= full:
+                raise ValueError("strip bits outside universe width")
+            if s.bit_count() != d:
                 raise ValueError("strips must have equal size")
-            if union & s.bits:
+            if union & s:
                 raise ValueError("strips must be pairwise disjoint")
-            union |= s.bits
-        if union != self.universe.full_mask:
+            union |= s
+        if union != full:
             raise ValueError("strips must cover the universe")
 
     @classmethod
     def of(cls, n: int, strips: Iterable[Iterable[int]]) -> "Split":
         uni = Universe(n)
-        return cls(uni, tuple(uni.set_of(s) for s in strips))
+        return cls(uni, tuple(labels_mask(uni._check_labels(s))
+                              for s in strips))
 
     @classmethod
     def contiguous(cls, n: int, m: int) -> "Split":
@@ -423,7 +426,7 @@ class Split:
 
     @property
     def strip_size(self) -> int:
-        return self.strips[0].cardinality
+        return self.strips[0].bit_count()
 
     def subsplit(self, indices: Iterable[int]) -> "Subsplit":
         return Subsplit(self, tuple(indices))
@@ -432,7 +435,7 @@ class Split:
         return Subsplit(self, tuple(range(self.m)))
 
     def strip_labels(self) -> list[list[int]]:
-        return [list(s.labels()) for s in self.strips]
+        return [list(mask_labels(s)) for s in self.strips]
 
 
 @dataclass(frozen=True)
@@ -453,7 +456,7 @@ class Subsplit:
             if i <= prev:
                 raise ValueError("strip indices must be strictly increasing")
             prev = i
-        masks = tuple(self.split.strips[i].bits for i in self.indices)
+        masks = tuple(self.split.strips[i] for i in self.indices)
         object.__setattr__(self, "strip_masks", masks)
         object.__setattr__(self, "union_mask", sum(masks))  # disjoint strips
 
@@ -461,21 +464,11 @@ class Subsplit:
     def rank(self) -> int:
         return len(self.indices)
 
-    @property
-    def strips(self) -> tuple[GroundSet, ...]:
-        return tuple(self.split.strips[i] for i in self.indices)
-
-    def union_set(self) -> GroundSet:
-        return GroundSet(self.split.universe, self.union_mask)
-
     def carries_mask(self, s: int) -> bool:
         """True iff mask ``s`` is on this subsplit: within its union, at
         most one element per strip."""
         return not s & ~self.union_mask and all(
             (s & bits).bit_count() <= 1 for bits in self.strip_masks)
-
-    def carries(self, s: GroundSet) -> bool:
-        return self.carries_mask(s.bits)
 
     def minus(self, b: int) -> "Subsplit":
         """The subsplit of the strips disjoint from mask ``b`` (order
@@ -497,7 +490,7 @@ class Subsplit:
             return
         if p > self.rank:
             return
-        strip_labels = [self.split.strips[i].labels() for i in self.indices]
+        strip_labels = [mask_labels(s) for s in self.strip_masks]
         for which in combinations(range(self.rank), p):
             for choice in product(*(strip_labels[i] for i in which)):
                 yield labels_mask(choice)

@@ -181,7 +181,7 @@ def maximal_violator(family: SetFamily, sub: Subsplit, over: SetFamily,
         raise ValueError("subsplit over a different universe")
     if seed.universe.n != family.universe.n:
         raise ValueError("seed from a different universe")
-    if seed.bits and not sub.carries(seed):
+    if seed.bits and not sub.carries_mask(seed.bits):
         raise ValueError("seed must lie on the subsplit")
     if over.universe.n != family.universe.n:
         raise UniverseMismatchError("range family over a different universe")

@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import BudgetExceededError
 from .extremal import build_extremal
-from .families import SetFamily, Split, Universe, pad_universe
+from .families import SetFamily, Split, Universe, mask_labels, pad_universe
 from .rng import CounterRng
 from .sunflowers import DEFAULT_SEARCH_NODE_BUDGET, find_sunflower_exact
 
@@ -42,7 +42,7 @@ def _unrank_on_split(split: Split, rank: int) -> int:
     mask = 0
     for i in range(split.m - 1, -1, -1):
         rank, digit = divmod(rank, d)
-        mask |= 1 << split.strips[i].labels()[digit]
+        mask |= 1 << mask_labels(split.strips[i])[digit]
     return mask
 
 
@@ -69,8 +69,8 @@ def generate_random_family(n: int, m: int, size: int, seed: int,
     With ``on_split`` the sets are one-per-strip sets of that split
     (requiring its universe size n and strip count m).
     """
-    if m < 0 or n < 1:
-        raise ValueError("need n >= 1 and m >= 0")
+    if m < 0 or n < 1 or size < 0:
+        raise ValueError("need n >= 1, m >= 0 and size >= 0")
     if on_split is not None:
         if on_split.universe.n != n or on_split.m != m:
             raise ValueError("split must have the stated universe and strip count")

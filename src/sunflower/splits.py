@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import GroundSet, SetFamily, Split, Universe, labels_mask
+from .families import SetFamily, Split, Universe, labels_mask
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -68,7 +68,7 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
 
     def rec(remaining: int, strips: list[int]) -> Iterator[Split]:
         if not remaining:
-            yield Split(universe, tuple(GroundSet(universe, b) for b in strips))
+            yield Split(universe, tuple(strips))
             return
         anchor = remaining & -remaining
         rest = remaining ^ anchor
@@ -179,7 +179,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
                 needed=total, budget=enum_budget)
         best, best_count = None, -1
         for split in enumerate_splits(family.universe, m):
-            count = meet.retained(s.bits for s in split.strips)
+            count = meet.retained(split.strips)
             if count > best_count:
                 best, best_count = split, count
         result = materialize(best, best_count)

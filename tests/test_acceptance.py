@@ -20,7 +20,7 @@ import pytest
 
 from sunflower import basesets as bs
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Split
+from sunflower.families import SetFamily, Split, mask_labels
 from sunflower.gamma import check_gamma
 from sunflower.harness import EXPERIMENT_LABEL, generate_random_family, \
     verify_bound_experiment
@@ -374,7 +374,7 @@ def test_engine_corpus_digest():
     rows = []
     for label, fam, split, cfg in engine_corpus():
         result = bs.process_r(fam, split, cfg)
-        parts = [[list(part.B.labels()), list(part.key), list(part.T),
+        parts = [[list(mask_labels(part.B)), list(part.key), list(part.T),
                   part.variant] for part in result.parts_hat]
         rows.append([label, list(result.trace), parts,
                      bs.audit_terminal_bases(result, fam, cfg)])

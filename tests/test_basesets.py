@@ -21,7 +21,8 @@ from sunflower.basesets import (
     process_r,
 )
 from sunflower.errors import ContractViolationError
-from sunflower.families import SetFamily, Split, mask_labels, subset_lookup
+from sunflower.families import (SetFamily, Split, labels_mask, mask_labels,
+                                subset_lookup)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -104,6 +105,18 @@ def test_constants_from_dict():
                                      "k": 3, "m": 2})
     assert canonical.mode == "canonical"
     assert canonical.h == math.exp(2.0)
+    # wrong JSON types are rejected, never coerced
+    for bad in [dict(obj, k=2.9), dict(obj, famSize=40.7), dict(obj, m=True),
+                dict(obj, k="2"), dict(obj, famSize=False),
+                dict(obj, epsilon=True), dict(obj, h="1.2"),
+                dict(obj, c=None), dict(obj, epsilon=10 ** 400),
+                dict(obj, c=math.inf), dict(obj, h=math.nan),
+                {"mode": "canonical", "epsilon": "0.5", "k": 3, "m": 2},
+                [1, 2], "constants", None]:
+        with pytest.raises(ValueError) as info:
+            constants_from_dict(bad)
+        assert str(info.value).startswith("bad constants object: "), bad
+    assert constants_from_dict(dict(obj, h=2)).h == 2.0  # ints are numbers
 
 
 def test_canonical_constants_schedule():
@@ -234,11 +247,10 @@ def test_component_collection_derive_lex_first():
 
 
 def test_component_collection_regroup():
-    uni = GRID16.universe
     parts = [
-        ElementaryPart(uni.set_of([1]), (0, 1), masks8([1, 4]), "i"),
-        ElementaryPart(uni.set_of([0]), (0, 1), masks8([0, 4], [0, 5]), "i"),
-        ElementaryPart(uni.set_of([4]), (0, 1), masks8([2, 4]), "i"),
+        ElementaryPart(labels_mask([1]), (0, 1), masks8([1, 4]), "i"),
+        ElementaryPart(labels_mask([0]), (0, 1), masks8([0, 4], [0, 5]), "i"),
+        ElementaryPart(labels_mask([4]), (0, 1), masks8([2, 4]), "i"),
     ]
     coll = ComponentCollection.regroup(parts, 1, SPLIT8)
     assert set(coll.components) == {(0,), (1,)}
@@ -252,42 +264,40 @@ def test_component_collection_regroup():
 
 def test_is_elementary_part_variant_i():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
-    uni = GRID16.universe
-    whole = ElementaryPart(uni.empty, (0, 1), GRID16.masks(), "i")
+    whole = ElementaryPart(0, (0, 1), GRID16.masks(), "i")
     assert is_elementary_part(whole, coll, GRID16, GRID16_CFG) is True
     # a bucket concentrated on one element is not spread off its base
-    lump = ElementaryPart(uni.empty, (0, 1),
+    lump = ElementaryPart(0, (0, 1),
                           masks8([0, 4], [0, 5], [0, 6], [0, 7]), "i")
     assert is_elementary_part(lump, coll, GRID16, GRID16_CFG) is False
     # spread but below the rank-0 epsilon floor for a larger famSize
     strict = Constants(0.9, 1.1, 1.2, 2, 2, 64)
     assert is_elementary_part(whole, coll, GRID16, strict) is False
     # members must all contain the base
-    offbase = ElementaryPart(uni.set_of([0]), (0, 1),
+    offbase = ElementaryPart(labels_mask([0]), (0, 1),
                              masks8([0, 4], [1, 5]), "i")
     assert is_elementary_part(offbase, coll, GRID16, GRID16_CFG) is False
     # rank must sit below the collection's
-    full_rank = ElementaryPart(uni.set_of([0, 4]), (0, 1),
+    full_rank = ElementaryPart(labels_mask([0, 4]), (0, 1),
                                masks8([0, 4]), "i")
     assert is_elementary_part(full_rank, coll, GRID16, GRID16_CFG) is False
 
 
 def test_is_elementary_part_variant_ii():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
-    uni = GRID16.universe
     # at full rank the bucket floor is trivially satisfied when m' = m
-    part = ElementaryPart(uni.set_of([0, 4]), (0, 1),
+    part = ElementaryPart(labels_mask([0, 4]), (0, 1),
                           masks8([0, 4]), "ii")
     assert is_elementary_part(part, coll, GRID16, GRID16_CFG) is True
-    short = ElementaryPart(uni.set_of([0]), (0, 1),
+    short = ElementaryPart(labels_mask([0]), (0, 1),
                            masks8([0, 4]), "ii")
     assert is_elementary_part(short, coll, GRID16, GRID16_CFG) is False
     # below full ambient rank the f(m') floor bites
     sub_coll, _ = ComponentCollection.derive(
         PLANTED, SPLIT8, 1, SetFamily.of(8, [[0]]))
-    big = ElementaryPart(uni.set_of([0]), (0,), PLANTED.masks(), "ii")
+    big = ElementaryPart(labels_mask([0]), (0,), PLANTED.masks(), "ii")
     assert is_elementary_part(big, sub_coll, PLANTED, PLANTED_CFG) is True
-    small = ElementaryPart(uni.set_of([0]), (0,),
+    small = ElementaryPart(labels_mask([0]), (0,),
                            masks8([0, 4], [0, 5]), "ii")
     # bucket of 2 misses f(1) = 2.9457...
     assert is_elementary_part(small, sub_coll, PLANTED, PLANTED_CFG) is False
@@ -295,18 +305,17 @@ def test_is_elementary_part_variant_ii():
 
 def test_is_elementary_part_structural_errors():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
-    uni = GRID16.universe
     with pytest.raises(ValueError):
         is_elementary_part(
-            ElementaryPart(uni.empty, (0,), GRID16.masks(), "i"),
+            ElementaryPart(0, (0,), GRID16.masks(), "i"),
             coll, GRID16, GRID16_CFG)  # unknown key
     with pytest.raises(ValueError):
         is_elementary_part(
-            ElementaryPart(uni.set_of([0, 1]), (0, 1),
+            ElementaryPart(labels_mask([0, 1]), (0, 1),
                            masks8([0, 4]), "ii"),
             coll, GRID16, GRID16_CFG)  # base off the subsplit
     # part members outside the keyed component
-    alien = ElementaryPart(uni.empty, (0, 1),
+    alien = ElementaryPart(0, (0, 1),
                            masks8([2, 5], [3, 4], [0, 6], [1, 7], [2, 7]),
                            "i")
     tiny_coll = ComponentCollection(SPLIT8, {
@@ -315,11 +324,11 @@ def test_is_elementary_part_structural_errors():
         is_elementary_part(alien, tiny_coll, GRID16, GRID16_CFG)
     with pytest.raises(ValueError):
         is_elementary_part(
-            ElementaryPart(uni.set_of([0, 4]), (0, 1),
+            ElementaryPart(labels_mask([0, 4]), (0, 1),
                            masks8([0, 4]), "iii"),
             coll, GRID16, GRID16_CFG)
     # empty member list is a condition failure, not a structural one
-    empty = ElementaryPart(uni.empty, (0, 1), (), "i")
+    empty = ElementaryPart(0, (0, 1), (), "i")
     assert is_elementary_part(empty, coll, GRID16, GRID16_CFG) is False
 
 
@@ -335,7 +344,7 @@ def test_base_sets_flagship_first_call():
     assert out.family == FLAGSHIP
     assert len(out.parts) == 8
     for i, part in enumerate(out.parts):
-        assert part.B.labels() == (i,)
+        assert mask_labels(part.B) == (i,)
         assert part.key == (0, 1)
         assert len(part.T) == 8
         assert part.variant == "i"
@@ -363,7 +372,8 @@ def test_base_sets_immediate_threshold():
     coll = ComponentCollection.initial(IMMEDIATE, Split.contiguous(4, 2))
     out = base_sets(2, IMMEDIATE, coll, IMMEDIATE_CFG)
     assert out.r == 2
-    assert [(p.B.labels(), p.key, len(p.T), p.variant) for p in out.parts] == [
+    assert [(mask_labels(p.B), p.key, len(p.T), p.variant)
+            for p in out.parts] == [
         ((0, 2), (0, 1), 1, "ii"),
         ((0, 3), (0, 1), 1, "ii"),
         ((1, 2), (0, 1), 1, "ii"),
@@ -435,8 +445,7 @@ def test_extractions_rank_zero_round():
     assert tuple(t_masks) == GRID16.masks()
     assert variant == "i"
     assert not live
-    part = ElementaryPart(GRID16.universe.from_bits(bm), (0, 1),
-                          tuple(t_masks), variant)
+    part = ElementaryPart(bm, (0, 1), tuple(t_masks), variant)
     assert is_elementary_part(part, coll, GRID16, cfg)
 
 
@@ -507,7 +516,7 @@ def test_process_r_flagship():
     assert res.family_hat == FLAGSHIP
     assert [(s.p, s.r_in, s.output.r, len(s.output.family))
             for s in res.steps] == [(1, 2, 1, 64), (2, 1, 1, 64)]
-    assert [(p.B.labels(), p.key, len(p.T), p.variant)
+    assert [(mask_labels(p.B), p.key, len(p.T), p.variant)
             for p in res.parts_hat] == [
         ((i,), (0,), 8, "ii") for i in range(8)]
     assert len(res.trace) == 16
@@ -521,7 +530,7 @@ def test_process_r_planted():
     assert [s.labels() for s in res.bases_hat] == [(0,)]
     assert [(s.p, s.r_in, s.output.r, len(s.output.family))
             for s in res.steps] == [(1, 2, 1, 4), (2, 1, 1, 4)]
-    assert [(p.B.labels(), p.key, len(p.T), p.variant)
+    assert [(mask_labels(p.B), p.key, len(p.T), p.variant)
             for p in res.parts_hat] == [((0,), (0,), 4, "ii")]
 
 
@@ -540,7 +549,7 @@ def test_process_r_three_strips():
     assert res.r_hat == 2
     assert [(s.p, s.r_in, s.output.r, len(s.output.family))
             for s in res.steps] == [(1, 3, 2, 25), (2, 2, 2, 25)]
-    assert [(p.B.labels(), p.key, len(p.T), p.variant)
+    assert [(mask_labels(p.B), p.key, len(p.T), p.variant)
             for p in res.parts_hat] == [
         ((0, y), (0, 1), 5, "ii") for y in range(5, 10)]
 

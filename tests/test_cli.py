@@ -11,7 +11,8 @@ import pytest
 from sunflower import cli
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
-from sunflower.families import GroundSet, SetFamily, family_from_text
+from sunflower.families import GroundSet, SetFamily, Split, family_from_text
+from sunflower.harness import generate_random_family
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
     FAMILY_SCHEMA,
@@ -371,6 +372,24 @@ def test_input_errors_exit_five(capsys, tmp_path):
         assert err.startswith("error: bad family object")
         assert "Traceback" not in err
 
+    # constants of the wrong JSON type, or not an object at all
+    for i, bad in enumerate([dict(CONSTANTS, k=2.9),
+                             dict(CONSTANTS, famSize=40.7),
+                             dict(CONSTANTS, m=True),
+                             dict(CONSTANTS, c=float("inf")), [1, 2]]):
+        cfg_path = constants_file(tmp_path, bad, name=f"badcfg{i}.json")
+        code, out, err = run(capsys, ["process-r", fam_path,
+                                      "--constants", cfg_path])
+        assert (code, out) == (5, ""), bad
+        assert err.startswith("error: bad constants object: "), bad
+        assert "Traceback" not in err
+
+    # a negative family size
+    code, out, err = run(capsys, ["gen-random", "--n", "6", "--m", "2",
+                                  "--size", "-3"])
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ")
+
     # a random split search of no trials, and a reversed range
     for trials in ("0", "-5"):
         code, out, err = run(capsys, ["split", fam_path, "--mode", "random",
@@ -401,6 +420,19 @@ def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,
     code, report, _ = run_report(capsys, ["find-sunflower", path, "--k", "3"])
     assert code == 0 and report["results"]["found"] is True
     assert built[0] <= 3 + 1
+    # splits and engine parts keep masks too: no GroundSet at all
+    split = Split.contiguous(12, 3)
+    on_split = family_file(tmp_path, generate_random_family(
+        12, 3, 40, seed=11, on_split=split), name="on_split.txt")
+    cfg_path = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
+                                         "c": 1.001, "k": 2, "m": 3})
+    for argv in (["split", path], ["split", path, "--mode", "random"],
+                 ["transversal-check", path, "--j", "2"],
+                 ["process-r", on_split, "--constants", cfg_path]):
+        built[0] = 0
+        code, report, _ = run_report(capsys, argv)
+        assert code == 0, argv
+        assert built[0] == 0, argv
 
 
 def _violate(*args, **kwargs):

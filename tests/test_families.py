@@ -218,14 +218,22 @@ def test_split_validation():
         Split.of(4, [[0, 1], [2]])  # unequal strips
     with pytest.raises(ValueError):
         Split.of(4, [[0], [1], [2]])  # does not cover
+    uni = Universe(4)
+    with pytest.raises(ValueError):
+        Split(uni, (-4, 0b0011))  # negative strip mask
+    with pytest.raises(ValueError):
+        Split(uni, (0b10011, 0b1100))  # bit beyond the universe width
+    with pytest.raises(ValueError):
+        Split.of(4, [[0, 4], [1, 2]])  # label out of range
+    assert Split(uni, (0b0011, 0b1100)) == Split.contiguous(4, 2)
 
 
 def test_subsplit_selection():
     sp = Split.contiguous(9, 3)
     sub = sp.subsplit([0, 2])
     assert sub.rank == 2
-    assert [s.labels() for s in sub.strips] == [(0, 1, 2), (6, 7, 8)]
-    assert sub.union_set().labels() == (0, 1, 2, 6, 7, 8)
+    assert [mask_labels(s) for s in sub.strip_masks] == [(0, 1, 2), (6, 7, 8)]
+    assert mask_labels(sub.union_mask) == (0, 1, 2, 6, 7, 8)
     with pytest.raises(ValueError):
         sp.subsplit([2, 0])  # order-preserving selection only
     with pytest.raises(ValueError):
@@ -235,27 +243,24 @@ def test_subsplit_selection():
 def test_carries_is_the_on_subsplit_test():
     sp = Split.contiguous(6, 2)
     full = sp.full_subsplit()
-    uni = sp.universe
-    assert full.carries(uni.set_of([0, 3]))
-    assert full.carries(uni.set_of([2])) is True
-    assert full.carries(uni.empty) is True
-    assert not full.carries(uni.set_of([0, 1]))  # two in one strip
+    assert full.carries_mask(labels_mask([0, 3]))
+    assert full.carries_mask(labels_mask([2])) is True
+    assert full.carries_mask(0) is True
+    assert not full.carries_mask(labels_mask([0, 1]))  # two in one strip
     sub = sp.subsplit([1])
-    assert sub.carries(uni.set_of([4]))
-    assert not sub.carries(uni.set_of([0]))  # outside the union
+    assert sub.carries_mask(labels_mask([4]))
+    assert not sub.carries_mask(labels_mask([0]))  # outside the union
 
 
 def test_carries_brute_oracle():
     sp = Split.contiguous(8, 2)
     sub = sp.subsplit([0, 1])
-    uni = sp.universe
-    strips = [set(s.labels()) for s in sub.strips]
+    strips = [set(mask_labels(s)) for s in sub.strip_masks]
     union = set().union(*strips)
     for mask in range(1 << 8):
-        s = uni.from_bits(mask)
-        labels = set(s.labels())
+        labels = set(mask_labels(mask))
         want = labels <= union and all(len(labels & st) <= 1 for st in strips)
-        assert sub.carries(s) == want
+        assert sub.carries_mask(mask) == want
 
 
 def test_subsplit_minus_drops_touched_strips():
@@ -277,7 +282,7 @@ def test_p_sets_enumeration():
         assert len(masks) == len(list(combinations(range(3), p))) * 2 ** p
         assert len(set(masks)) == len(masks)
         for mask in masks:
-            assert sub.carries(sp.universe.from_bits(mask))
+            assert sub.carries_mask(mask)
             assert bin(mask).count("1") == p
     assert list(sub.p_set_masks(0)) == [0]
     assert list(sub.p_set_masks(4)) == []

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from sunflower.errors import BudgetExceededError
-from sunflower.families import SetFamily, Split
+from sunflower.families import SetFamily, Split, mask_labels
 from sunflower.gamma import (
     GammaReport,
     check_gamma,
@@ -216,7 +216,7 @@ def test_maximal_violator_result_properties():
         uni = fam.universe
         for seed_labels in [[], [0], [4]]:
             seed = uni.set_of(seed_labels)
-            if seed.bits and not sub.carries(seed):
+            if seed.bits and not sub.carries_mask(seed.bits):
                 continue
             got = maximal_violator(fam, sub, fam, seed, b)
             if got is None:
@@ -230,8 +230,8 @@ def test_maximal_violator_result_properties():
             weight = len(fam.restrict(got)) * b ** got.cardinality
             assert weight >= floor
             free = sub.minus(got.bits)
-            for strip in free.strips:
-                for label in strip.labels():
+            for strip in free.strip_masks:
+                for label in mask_labels(strip):
                     ext = got.union(uni.set_of([label]))
                     if not fam.shadow_contains(ext):
                         continue

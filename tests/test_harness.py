@@ -126,8 +126,8 @@ def test_generate_random_family_complete_draws():
     on = generate_random_family(4, 2, 4, seed=0, on_split=split)
     assert [list(s.labels()) for s in on] == [[0, 2], [0, 3], [1, 2], [1, 3]]
     for member in on:
-        assert split.strips[0].bits & member.bits
-        assert split.strips[1].bits & member.bits
+        assert split.strips[0] & member.bits
+        assert split.strips[1] & member.bits
 
 
 def test_generate_random_family_validation():
@@ -139,6 +139,11 @@ def test_generate_random_family_validation():
         generate_random_family(0, 0, 1, seed=0)
     with pytest.raises(ValueError):
         generate_random_family(4, -1, 1, seed=0)
+    with pytest.raises(ValueError):
+        generate_random_family(6, 2, -3, seed=0)  # negative size
+    with pytest.raises(ValueError):
+        generate_random_family(6, 2, -3, seed=0,
+                               on_split=Split.contiguous(6, 2))
     split = Split.contiguous(6, 2)
     with pytest.raises(ValueError):
         generate_random_family(6, 3, 2, seed=0, on_split=split)

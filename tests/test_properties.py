@@ -27,7 +27,7 @@ from sunflower import basesets as bs
 from sunflower.errors import TrialsExhaustedError
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, labels_mask,
-                                subset_buckets, subset_lookup)
+                                mask_labels, subset_buckets, subset_lookup)
 from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
                              exact_base, maximal_violator)
 from sunflower.harness import generate_random_family
@@ -52,8 +52,7 @@ def families(draw, n=None, min_size=0, split=None):
     m = draw(st.integers(0, 3))
     pool = [x for x in range(1 << n) if x.bit_count() <= m]
     if split is not None:
-        pool = [x for x in pool if split.full_subsplit().carries(
-            split.universe.from_bits(x))]
+        pool = [x for x in pool if split.full_subsplit().carries_mask(x)]
     masks = draw(st.sets(st.sampled_from(pool), min_size=min_size,
                          max_size=min(12, len(pool))))
     return SetFamily(Universe(n), masks, m=m)
@@ -185,8 +184,8 @@ def brute_max_violator(family, sub, over, seed, b):
 def test_maximal_violator_matches_brute_search(case, b):
     family, sub, over = case
     uni = family.universe
-    for seed in [uni.empty] + [uni.set_of([x]) for strip in sub.strips
-                               for x in strip.labels()]:
+    for seed in [uni.empty] + [uni.set_of([x]) for strip in sub.strip_masks
+                               for x in mask_labels(strip)]:
         assert maximal_violator(family, sub, over, seed, b) == \
             brute_max_violator(family, sub, over, seed, b)
 
@@ -417,7 +416,7 @@ def anchored_collection(family, split, seed):
     assigned by ComponentCollection.derive to a seeded random half of
     their projections, and the anchors actually used as bases."""
     rank = split.m - 1
-    strips = [s.bits for s in split.strips]
+    strips = split.strips
 
     def project(u, key):
         return sum(u & strips[i] for i in key)

@@ -62,7 +62,7 @@ def test_retained_on_matches_oracle():
     fam = random_family(6, 2, 10, seed=4)
     for sp in enumerate_splits(fam.universe, 2):
         got = retained_on(fam, sp)
-        strips = [set(s.labels()) for s in sp.strips]
+        strips = [set(s) for s in sp.strip_labels()]
         want = [u for u in fam
                 if all(len(set(u.labels()) & st) == 1 for st in strips)]
         assert list(got) == sorted(want)
