@@ -37,8 +37,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
-from .families import (SetFamily, Split, Subsplit, _mask_repr, mask_labels,
-                       subset_buckets, subset_lookup)
+from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
+                       mask_labels, subset_buckets, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -238,6 +238,30 @@ class ElementaryPart:
         return tuple(i for i, s in enumerate(split.strips) if s & self.B)
 
 
+def _canonical_components(split: Split,
+                          components: dict[tuple[int, ...], Iterable[int]],
+                          ) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
+    """The common rank of ``components`` and the components in key order,
+    each a tuple of member masks in canonical order; raises ValueError on
+    mixed or out-of-range ranks, bad keys and empty components."""
+    ranks = {len(k) for k in components}
+    if not components or len(ranks) != 1:
+        raise ValueError("components must share one positive rank")
+    rank = ranks.pop()
+    if not 1 <= rank <= split.m:
+        raise ValueError(f"rank {rank} out of range [1, {split.m}]")
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for key in sorted(components):
+        if len(set(key)) != len(key) or list(key) != sorted(key) \
+                or not all(0 <= i < split.m for i in key):
+            raise ValueError(f"bad component key {key}")
+        masks = tuple(sorted(components[key], key=_canonical_key))
+        if not masks:
+            raise ValueError(f"component {key} is empty")
+        canonical[key] = masks
+    return rank, canonical
+
+
 class ComponentCollection:
     """A family partitioned into components indexed by rank-r subsplits.
 
@@ -253,23 +277,11 @@ class ComponentCollection:
 
     def __init__(self, split: Split,
                  components: dict[tuple[int, ...], Iterable[int]]):
-        ranks = {len(k) for k in components}
-        if not components or len(ranks) != 1:
-            raise ValueError("components must share one positive rank")
-        rank = ranks.pop()
-        if not 1 <= rank <= split.m:
-            raise ValueError(f"rank {rank} out of range [1, {split.m}]")
+        rank, canonical = _canonical_components(split, components)
         full = split.full_subsplit()
         n = split.universe.n
         seen: set[int] = set()
-        canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for key in sorted(components):
-            if len(set(key)) != len(key) or list(key) != sorted(key) \
-                    or not all(0 <= i < split.m for i in key):
-                raise ValueError(f"bad component key {key}")
-            masks = tuple(components[key])
-            if not masks:
-                raise ValueError(f"component {key} is empty")
+        for masks in canonical.values():
             for u in masks:
                 if u >> n:  # also every negative mask
                     raise ValueError(f"member mask {u} has bits outside "
@@ -280,7 +292,6 @@ class ComponentCollection:
                 if u in seen:
                     raise ValueError(f"member {mask_labels(u)} appears twice")
                 seen.add(u)
-            canonical[key] = tuple(sorted(masks, key=mask_labels))
         self.split = split
         self.rank = rank
         self.components = canonical
@@ -299,7 +310,9 @@ class ComponentCollection:
     def regroup(cls, parts: Iterable[ElementaryPart], rank: int,
                 split: Split) -> "ComponentCollection":
         """Collection for the next engine call: parts merged by the strips
-        their base sets occupy."""
+        their base sets occupy.  Only ranks and keys are checked: the
+        parts' members were checked when they entered the engine, and
+        its postconditions keep parts disjoint."""
         grouped: dict[tuple[int, ...], list[int]] = {}
         for part in parts:
             if part.r != rank:
@@ -307,7 +320,10 @@ class ComponentCollection:
                     f"part base {_mask_repr(part.B)} has rank {part.r}, "
                     f"expected {rank}")
             grouped.setdefault(part.base_strips(split), []).extend(part.T)
-        return cls(split, grouped)
+        coll = cls.__new__(cls)
+        coll.split = split
+        coll.rank, coll.components = _canonical_components(split, grouped)
+        return coll
 
     @classmethod
     def derive(cls, family: SetFamily, split: Split, rank: int,
@@ -412,7 +428,7 @@ def _candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
         return [0] if len(bases) else []
     shadow = bases.subset_lookup()
     cands = [b for b in sub.p_set_masks(r) if b in shadow]
-    cands.sort(key=mask_labels)
+    cands.sort(key=_canonical_key)
     return cands
 
 
@@ -723,7 +739,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
 
     consistency_lines = []
     for bits, total in sorted(restriction_totals.items(),
-                              key=lambda kv: mask_labels(kv[0])):
+                              key=lambda kv: _canonical_key(kv[0])):
         in_family = len(restriction.get(bits, ()))
         consistency_lines.append({
             "C": list(mask_labels(bits)),

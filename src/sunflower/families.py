@@ -6,6 +6,9 @@ mask.  A family is built from masks (``SetFamily(universe, masks, m)``, or
 deduplicated and canonically ordered (lexicographically by sorted label
 tuple, empty set first) so that equality, hashing and serialization are
 bitwise stable; its ``GroundSet`` members are built only when asked for.
+Canonical sorts use ``_canonical_key``, a string per mask that orders
+like the label tuple.  The text and JSON parsers turn each row straight
+into a mask, caching every label's bit for the parse.
 Splits partition the universe into equal-size ordered strips, stored as
 int masks too; subsplits select strips in order.
 
@@ -98,6 +101,15 @@ def mask_labels(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _canonical_key(mask: int) -> str:
+    """Sort key that orders masks as their :func:`mask_labels` tuples
+    do, from C string operations: the label-order bit string of ``mask``
+    with '1' for a member and '2' for a non-member, "" for the empty set.
+    The first label in which two sets differ decides, the set holding it
+    first; a proper prefix (a shorter string) sorts first."""
+    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
+
+
 def labels_mask(labels: Iterable[int]) -> int:
     mask = 0
     for x in labels:
@@ -179,7 +191,7 @@ class GroundSet:
         return hash((self.universe.n, self.bits))
 
     def __lt__(self, other: "GroundSet") -> bool:
-        return self.labels() < other.labels()
+        return _canonical_key(self.bits) < _canonical_key(other.bits)
 
     def __le__(self, other: "GroundSet") -> bool:
         return self == other or self < other
@@ -228,24 +240,31 @@ class SetFamily:
 
     def __init__(self, universe: Universe, masks: Iterable[int],
                  m: int | None = None):
-        full = universe.full_mask
-        seen: set[int] = set()
-        for u in masks:
-            if not 0 <= u <= full:
-                raise ValueError("bits outside universe width")
-            if u in seen:
-                raise ValueError(f"duplicate member {_mask_repr(u)}")
-            seen.add(u)
-        ordered = tuple(sorted(seen, key=mask_labels))
-        actual = max((u.bit_count() for u in ordered), default=0)
+        masks = list(masks)
+        mask_set = frozenset(masks)
+        if len(mask_set) != len(masks) or masks and (
+                min(masks) < 0 or max(masks).bit_length() > universe.n):
+            # name the first bad member, in input order
+            full = universe.full_mask
+            seen: set[int] = set()
+            for u in masks:
+                if not 0 <= u <= full:
+                    raise ValueError("bits outside universe width")
+                if u in seen:
+                    raise ValueError(f"duplicate member {_mask_repr(u)}")
+                seen.add(u)
+        ordered = tuple(sorted(mask_set, key=_canonical_key))
+        actual = max(map(int.bit_count, ordered), default=0)
         if m is None:
             m = actual
-        if m < actual:
+        elif m < 0:
+            raise ValueError(f"cardinality bound must be nonnegative, got {m}")
+        elif m < actual:
             raise ValueError(f"member of cardinality {actual} exceeds bound {m}")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_masks", ordered)
-        object.__setattr__(self, "_mask_set", frozenset(seen))
+        object.__setattr__(self, "_mask_set", mask_set)
         object.__setattr__(self, "_members", None)
         object.__setattr__(self, "_subsets", None)
 
@@ -523,27 +542,44 @@ def family_to_text(family: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row_mask(labels: Iterable, bits: dict, n: int) -> int:
+    """Mask of one row of labels (text tokens or ints).  ``bits`` caches
+    each label's bit for one parse, filled on first sight through
+    ``int()`` and the range check."""
+    mask = 0
+    for x in labels:
+        bit = bits.get(x)
+        if bit is None:
+            label = int(x)
+            if not 0 <= label < n:
+                raise ValueError(f"label {label} outside universe of size {n}")
+            bit = bits[x] = 1 << label
+        mask |= bit
+    return mask
+
+
 def family_from_text(text: str) -> SetFamily:
-    header = None
-    rows: list[list[int]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "universe" or parts[2] != "maxcard":
-                raise ValueError(f"bad header line: {raw!r}")
-            header = (int(parts[1]), int(parts[3]))
-            continue
-        if line == "-":
-            rows.append([])
-        else:
-            rows.append([int(tok) for tok in line.split()])
-    if header is None:
+    """Parse the text format row by row, straight to masks.  A bad label
+    raises ValueError at its row, a duplicate member once every row is
+    read."""
+    lines = iter(text.splitlines())
+    for raw in lines:
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            break
+    else:
         raise ValueError("missing 'universe <n> maxcard <m>' header")
-    n, m = header
-    return SetFamily.of(n, rows, m=m)
+    if len(parts) != 4 or parts[0] != "universe" or parts[2] != "maxcard":
+        raise ValueError(f"bad header line: {raw!r}")
+    n, m = int(parts[1]), int(parts[3])
+    uni = Universe(n)
+    bits: dict[str, int] = {}
+    masks = []
+    for raw in lines:
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            masks.append(0 if tokens == ["-"] else _row_mask(tokens, bits, n))
+    return SetFamily(uni, masks, m=m)
 
 
 def family_to_json_obj(family: SetFamily) -> dict:
@@ -561,4 +597,6 @@ def family_from_json_obj(obj: dict) -> SetFamily:
             and all(type(x) is int for x in (n, m, *chain(*sets)))):
         raise ValueError("bad family object: n, m and the labels must be "
                          "integers, sets a list of lists")
-    return SetFamily.of(n, sets, m=m)
+    uni = Universe(n)
+    bits: dict[int, int] = {}
+    return SetFamily(uni, [_row_mask(s, bits, n) for s in sets], m=m)

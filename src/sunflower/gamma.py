@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       mask_labels, subset_buckets)
+                       _canonical_key, subset_buckets)
 
 
 def exact_base(b) -> Fraction:
@@ -68,8 +68,8 @@ def _spread_report(family: SetFamily, base: Fraction,
         size = mask.bit_count()
         num = count * p ** size
         lhs, rhs = num * best_den, best_num * q ** size
-        if lhs > rhs or (lhs == rhs
-                         and mask_labels(mask) < mask_labels(best_mask)):
+        if lhs > rhs or (lhs == rhs and _canonical_key(mask)
+                         < _canonical_key(best_mask)):
             best_mask, best_num, best_den = mask, num, q ** size
     best = Fraction(best_num, best_den * len(family))
     if best >= 1:
@@ -155,7 +155,7 @@ def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
         if size < best_size or cand not in shadow \
                 or count * p ** size < seed_count * q ** size:
             continue
-        if size > best_size or mask_labels(cand) < mask_labels(best_mask):
+        if size > best_size or _canonical_key(cand) < _canonical_key(best_mask):
             best_mask, best_size = cand, size
     if best_mask is not None:
         return best_mask

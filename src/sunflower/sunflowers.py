@@ -24,7 +24,7 @@ from itertools import combinations
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                       _check_shadow_budget, mask_labels)
+                       _canonical_key, _check_shadow_budget)
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
@@ -135,7 +135,8 @@ def find_sunflower_exact(family: SetFamily, k: int,
                 chosen.pop()
         return False
 
-    for core in sorted(cores, key=lambda c: (c.bit_count(), mask_labels(c))):
+    for core in sorted(cores,
+                       key=lambda c: (c.bit_count(), _canonical_key(c))):
         linked = links[core]
         for i, later in linked.items():
             if later.bit_count() >= k - 1:

@@ -11,11 +11,15 @@ kernel's first certificate (core, and petals in order).
 ``extractions_by_rescan`` is the engine's extraction scan with nothing
 carried between scans: it decides every (component, base) pair again
 from the first after each extraction, on buckets read off the live sets.
+``family_from_text_reference`` and ``family_from_json_obj_reference``
+are the parsers that read every row into a label list first and build
+the family with ``SetFamily.of``, the route the mask-direct parsers
+replaced.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterator
 
@@ -159,3 +163,41 @@ def extractions_by_rescan(r: int, mprime: int,
         extracted.add((key, bm))
         found.append(hit)
     return found
+
+
+def family_from_text_reference(text: str) -> SetFamily:
+    """The text format read into label lists, then ``SetFamily.of``."""
+    header = None
+    rows: list[list[int]] = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "universe" \
+                    or parts[2] != "maxcard":
+                raise ValueError(f"bad header line: {raw!r}")
+            header = (int(parts[1]), int(parts[3]))
+            continue
+        if line == "-":
+            rows.append([])
+        else:
+            rows.append([int(tok) for tok in line.split()])
+    if header is None:
+        raise ValueError("missing 'universe <n> maxcard <m>' header")
+    n, m = header
+    return SetFamily.of(n, rows, m=m)
+
+
+def family_from_json_obj_reference(obj: dict) -> SetFamily:
+    """The JSON family object, type-checked, then ``SetFamily.of``."""
+    try:
+        n, m, sets = obj["n"], obj["m"], obj["sets"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad family object: {exc}") from None
+    if not (type(sets) is list and all(type(s) is list for s in sets)
+            and all(type(x) is int for x in (n, m, *chain(*sets)))):
+        raise ValueError("bad family object: n, m and the labels must be "
+                         "integers, sets a list of lists")
+    return SetFamily.of(n, sets, m=m)

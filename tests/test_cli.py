@@ -402,6 +402,41 @@ def test_input_errors_exit_five(capsys, tmp_path):
     assert err.startswith("error: range '3:2'")
 
 
+# One defect each, and the one error line it gives.  The parsers check
+# each row as they read it and duplicates once every row is read, so of
+# several defects the first bad label is named, then a duplicate.
+MALFORMED_FAMILIES = [
+    ("universe 4 maxcard 2\n0 1\n-2 3\n",
+     "label -2 outside universe of size 4"),
+    ("universe 4 maxcard 2\n0 1\n0 9\n", "label 9 outside universe of size 4"),
+    ("universe 4 maxcard 2\n0 1\n0 x\n",
+     "invalid literal for int() with base 10: 'x'"),
+    ("universe 4 max 2\n0 1\n", "bad header line: 'universe 4 max 2'"),
+    ("universe 4 maxcard 2\n0 1\n1 0\n", "duplicate member {0,1}"),
+    ("universe 4 maxcard -1\n", "cardinality bound must be nonnegative, got -1"),
+    ("universe 4 maxcard 2\n0 9\n0 x\n", "label 9 outside universe of size 4"),
+    ("universe 4 maxcard 2\n0 1\n1 0\n3 7\n",
+     "label 7 outside universe of size 4"),
+    ({"n": 4, "m": 2, "sets": [[0, 1], [-2, 3]]},
+     "label -2 outside universe of size 4"),
+    ({"n": 4, "m": 2, "sets": [[0, 1], [0, 9]]},
+     "label 9 outside universe of size 4"),
+    ({"n": 4, "m": 2, "sets": [[0, 1], [1, 0]]}, "duplicate member {0,1}"),
+    ({"n": 4, "m": -3, "sets": []},
+     "cardinality bound must be nonnegative, got -3"),
+]
+
+
+@pytest.mark.parametrize("source, message", MALFORMED_FAMILIES)
+def test_malformed_families_exit_five(capsys, tmp_path, source, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(source if isinstance(source, str) else json.dumps(source))
+    for argv in (["check-gamma", str(path), "--b", "2"],
+                 ["find-sunflower", str(path), "--k", "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (5, "", f"error: {message}\n"), argv
+
+
 def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,
                                                   monkeypatch):
     # the family keeps int masks; GroundSets are built only for output

@@ -107,6 +107,17 @@ def test_family_rejects_duplicates_and_oversized_members():
         SetFamily.of(4, [[0, 1, 2]], m=2)
 
 
+def test_negative_maxcard_is_rejected_on_every_route():
+    # with no member to exceed it, a negative bound needs its own check
+    message = "cardinality bound must be nonnegative, got"
+    with pytest.raises(ValueError, match=message + " -1"):
+        family_from_text("universe 5 maxcard -1\n")
+    with pytest.raises(ValueError, match=message + " -3"):
+        family_from_json_obj({"n": 4, "m": -3, "sets": []})
+    with pytest.raises(ValueError, match=message + " -1"):
+        SetFamily(Universe(5), [], m=-1)
+
+
 def test_family_declared_maxcard_defaults_to_actual():
     fam = SetFamily.of(6, [[0], [1, 2]])
     assert fam.m == 2

@@ -26,8 +26,10 @@ from hypothesis import strategies as st
 from sunflower import basesets as bs
 from sunflower.errors import TrialsExhaustedError
 from sunflower.extremal import build_extremal
-from sunflower.families import (SetFamily, Split, Universe, labels_mask,
-                                mask_labels, subset_buckets, subset_lookup)
+from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
+                                family_from_json_obj, family_from_text,
+                                labels_mask, mask_labels, subset_buckets,
+                                subset_lookup)
 from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
                              exact_base, maximal_violator)
 from sunflower.harness import generate_random_family
@@ -37,7 +39,8 @@ from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
                               transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import (extractions_by_rescan, find_sunflower_backtrack,
+from oracles import (extractions_by_rescan, family_from_json_obj_reference,
+                     family_from_text_reference, find_sunflower_backtrack,
                      p_sets, sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -132,6 +135,128 @@ def test_family_constructor_is_canonical(case, data):
                 data.draw(st.integers(min_value=1 << n))):
         with pytest.raises(ValueError, match="outside universe width"):
             SetFamily(Universe(n), shuffled + [bad])
+
+
+@SETTINGS
+@given(label_lists())
+def test_canonical_key_orders_like_label_tuples(case):
+    _, lists = case
+    masks = [labels_mask(s) for s in lists]
+    assert sorted(masks, key=_canonical_key) == sorted(masks, key=mask_labels)
+    for a, b in combinations(masks, 2):
+        assert (_canonical_key(a) < _canonical_key(b)) == \
+            (mask_labels(a) < mask_labels(b))
+
+
+@st.composite
+def family_rows(draw):
+    """(n, m, rows): a family as rows of labels, each row in any order and
+    with labels possibly repeated, the rows in any order."""
+    n, lists = draw(label_lists())
+    m = max(map(len, lists), default=0) + draw(st.integers(0, 2))
+    rows = []
+    for labels in lists:
+        row = labels + draw(st.lists(st.sampled_from(labels), max_size=2)
+                            if labels else st.just([]))
+        rows.append(draw(st.permutations(row)))
+    return n, m, rows
+
+
+@st.composite
+def family_text(draw, n, m, rows, header=None):
+    """The text format of ``rows`` with blank lines, comment lines and
+    trailing comments, tab separators, '-' for the empty set, labels
+    written as '07' or '+3', and LF or CRLF line endings.  A string in a
+    row is written as it is, and so is ``header`` when given."""
+    def note():
+        return draw(st.sampled_from(["", "", " # note", "\t#x 1 2"]))
+
+    def token(x):
+        if isinstance(x, str) or x < 0:
+            return str(x)
+        return draw(st.sampled_from([str(x), str(x), f"0{x}", f"+{x}"]))
+
+    lines = [draw(st.sampled_from(["", "# comment", "  "]))
+             for _ in range(draw(st.integers(0, 2)))]
+    lines.append(header or f"universe {n} maxcard {m}" + note())
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "#", " \t"])))
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        body = sep.join(token(x) for x in row) if row else "-"
+        lines.append(body + note())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def family_json(n, m, rows):
+    return {"n": n, "m": m, "sets": [list(r) for r in rows]}
+
+
+def raised(parse, source):
+    """The class of the exception ``parse(source)`` raises, or None."""
+    try:
+        parse(source)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+    return None
+
+
+@SETTINGS
+@given(family_rows(), st.data())
+def test_parsers_match_reference_parsers(case, data):
+    n, m, rows = case
+    text = data.draw(family_text(n, m, rows))
+    want = family_from_text_reference(text)
+    got = family_from_text(text)
+    assert got == want and got.masks() == want.masks()
+    obj = family_json(n, m, rows)
+    assert family_from_json_obj(obj).masks() == want.masks()
+    assert family_from_json_obj(obj) == family_from_json_obj_reference(obj)
+
+
+# One defect each; the JSON form exists for the integer ones.
+MALFORMED = ("negative label", "label >= n", "non-integer token",
+             "bad header", "duplicate member")
+
+
+@st.composite
+def malformed_family(draw):
+    """(kind, text, JSON object or None) of a family with one defect."""
+    kind = draw(st.sampled_from(MALFORMED))
+    n, m, rows = draw(family_rows())
+    at = draw(st.integers(0, len(rows)))
+    header = None
+    if kind == "negative label":
+        rows.insert(at, [0, draw(st.integers(-3, -1))])
+    elif kind == "label >= n":
+        rows.insert(at, [draw(st.integers(n, n + 3))])
+    elif kind == "non-integer token":
+        rows.insert(at, [0, draw(st.sampled_from(["x", "1.5", "0x1", "-"]))])
+    elif kind == "bad header":
+        header = draw(st.sampled_from([
+            f"universe {n}", f"universe {n} max {m}", f"universe x maxcard {m}",
+            f"universe 0 maxcard {m}", f"universe {n} maxcard -1", "0 1"]))
+    else:
+        rows.append([])
+        rows.insert(at, rows[draw(st.integers(0, len(rows) - 1))][::-1])
+    text = draw(family_text(n, m, rows, header))
+    obj = family_json(n, m, rows) if kind in (
+        "negative label", "label >= n", "duplicate member") else None
+    return kind, text, obj
+
+
+@SETTINGS
+@given(malformed_family())
+def test_parsers_reject_like_reference_parsers(case):
+    kind, text, obj = case
+    want = raised(family_from_text_reference, text)
+    assert want is not None, kind
+    assert raised(family_from_text, text) is want
+    if obj is not None:
+        want = raised(family_from_json_obj_reference, obj)
+        assert want is not None, kind
+        assert raised(family_from_json_obj, obj) is want
 
 
 @SETTINGS
