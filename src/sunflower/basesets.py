@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       mask_labels, subset_buckets, subset_lookup)
+                       mask_labels, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
 
@@ -320,9 +320,16 @@ class ComponentCollection:
                     f"part base {_mask_repr(part.B)} has rank {part.r}, "
                     f"expected {rank}")
             grouped.setdefault(part.base_strips(split), []).extend(part.T)
+        return cls._unchecked(split, *_canonical_components(split, grouped))
+
+    @classmethod
+    def _unchecked(cls, split: Split, rank: int,
+                   components: dict[tuple[int, ...], tuple[int, ...]],
+                   ) -> "ComponentCollection":
+        """A collection over components already keyed, ordered and checked
+        by the caller: nothing is validated or sorted."""
         coll = cls.__new__(cls)
-        coll.split = split
-        coll.rank, coll.components = _canonical_components(split, grouped)
+        coll.split, coll.rank, coll.components = split, rank, components
         return coll
 
     @classmethod
@@ -528,26 +535,37 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
         raise ValueError("bases over a different universe")
     cfg._need_fam_size()
     components = collection.components
-    lookups = {key: subset_lookup(comp) for key, comp in components.items()}
+    # the family anchoring itself (the first step of process_r, or
+    # basesets at m' = m): the one component holds exactly the bases, so
+    # every base is a member and every member its own projection, and
+    # the bases' cached subset map serves the component
+    self_anchored = list(components.values()) == [bases.masks()]
+    if self_anchored:
+        lookups = {key: bases.subset_lookup() for key in components}
+    else:
+        lookups = {key: subset_lookup(comp)
+                   for key, comp in components.items()}
     size = sum(len(comp) for comp in components.values())
     full = split.full_subsplit()
     for u in bases.masks():
         if u.bit_count() != mprime or not full.carries_mask(u):
             raise ValueError(
                 f"base {_mask_repr(u)} is not an on-split {mprime}-set")
-        if not any(u in lookup for lookup in lookups.values()):
+        if not self_anchored and not any(u in lookup
+                                         for lookup in lookups.values()):
             raise ValueError(
                 f"base {_mask_repr(u)} is not in the family's shadow")
-    base_mask_set = set(bases.masks())
-    for key, comp in components.items():
-        for u in comp:
-            proj = 0
-            for i in key:
-                proj |= u & split.strips[i]
-            if proj not in base_mask_set:
-                raise ValueError(
-                    f"member projection {mask_labels(proj)} of component "
-                    f"{key} is not an anchor base")
+    if not self_anchored:
+        base_mask_set = set(bases.masks())
+        for key, comp in components.items():
+            for u in comp:
+                proj = 0
+                for i in key:
+                    proj |= u & split.strips[i]
+                if proj not in base_mask_set:
+                    raise ValueError(
+                        f"member projection {mask_labels(proj)} of "
+                        f"component {key} is not an anchor base")
     if size * 3 ** (2 * cfg.m) < cfg.fam_size:
         raise ValueError(
             f"input family of size {size} is below the "
@@ -573,8 +591,8 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                               "sizeT": len(t_masks),
                               "cumulative": cumulative})
         if cumulative * 3 ** (mprime - r + 1) >= size:
-            return _finish(r, mprime, round_parts, trace, collection, bases,
-                           cfg, thr, b)
+            return _finish(r, mprime, round_parts, trace, collection,
+                           lookups, bases, cfg, thr, b)
     raise ContractViolationError(
         "no rank produced the guaranteed retained fraction; the constants "
         "are outside the supported regime or the engine has a bug",
@@ -583,10 +601,11 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
 
 def _finish(r: int, mprime: int, parts: list[ElementaryPart],
             trace: list[dict], collection: ComponentCollection,
-            bases: SetFamily, cfg: Constants, thr: Threshold,
-            b: Fraction) -> BaseSetsOutput:
+            lookups: dict, bases: SetFamily, cfg: Constants,
+            thr: Threshold, b: Fraction) -> BaseSetsOutput:
     """Assemble the output and check the engine's postconditions; a
-    failed one raises ContractViolationError carrying the trace."""
+    failed one raises ContractViolationError carrying the trace.
+    ``lookups`` maps each component key to its subset map."""
 
     def require(ok: bool, what: str) -> None:
         if not ok:
@@ -604,12 +623,15 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
     if r < mprime:
-        # all full-rank buckets were drained below f(m') before rank fell
-        for masks in by_key.values():
-            buckets = subset_buckets(masks)
-            for u in bases.masks():
-                require(not thr.meets(len(buckets.get(u, ())), mprime),
-                        "threshold property failed for the returned rank")
+        # all full-rank buckets were drained below f(m') before rank fell;
+        # a bucket of the parts is the component's bucket filtered by them,
+        # and as meets is monotone in the count the largest one decides
+        for key, masks in by_key.items():
+            lookup, members = lookups[key], set(masks)
+            largest = max((len(members.intersection(lookup.get(u, ())))
+                           for u in bases.masks()), default=0)
+            require(not thr.meets(largest, mprime),
+                    "threshold property failed for the returned rank")
     if r == 0:
         for key, masks in by_key.items():
             require(cfg.eps_floor_meets(len(masks)),
@@ -662,7 +684,11 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     steps: list[ProcessStep] = []
     trace: list[dict] = []
     bases = family
-    collection = ComponentCollection.initial(family, split)
+    # ComponentCollection.initial without its member checks and sort: the
+    # masks are distinct, in the universe and canonical, and the first
+    # base_sets call checks each as an on-split m-set base
+    collection = ComponentCollection._unchecked(
+        split, split.m, {tuple(range(split.m)): family.masks()})
     r_p = cfg.m
     p = 1
     while True:

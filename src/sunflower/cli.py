@@ -3,7 +3,8 @@
 One binary, nine subcommands.  Generation subcommands print the family
 text format by default (``--json`` for the JSON form); analysis
 subcommands print a JSON report envelope {command, inputs, results,
-timings, seed} with stable key order.
+timings, seed}: one line per top-level key, in sorted order, each value
+compact with sorted keys.
 
 Exit codes: 0 success or found; 1 an engine or kernel contract violation,
 or a transversal-check identity mismatch; 3 proven absent; 4 budget or
@@ -63,10 +64,20 @@ def _read_constants(path: str) -> bs.Constants:
 
 def _emit(command: str, inputs: dict, results: dict, seed: int | None,
           t0: float) -> None:
-    report = {"command": command, "inputs": inputs, "results": results,
-              "timings": {"totalSeconds": time.perf_counter() - t0},
-              "seed": seed}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _print_report({"command": command, "inputs": inputs, "results": results,
+                   "timings": {"totalSeconds": time.perf_counter() - t0},
+                   "seed": seed})
+
+
+def _print_report(report: dict) -> None:
+    """Print ``{``, one ``  "key": value`` line per top-level key in sorted
+    order, then ``}``.  Each value is compact JSON with sorted keys, which
+    the C encoder writes (any ``indent`` selects the pure-Python one); the
+    parsed object is the one ``json.dumps(report, sort_keys=True,
+    indent=2)`` prints."""
+    lines = (f"  {json.dumps(key)}: {json.dumps(report[key], sort_keys=True)}"
+             for key in sorted(report))
+    print("{\n" + ",\n".join(lines) + "\n}")
 
 
 def _emit_family(family: SetFamily, as_json: bool) -> None:
@@ -89,7 +100,25 @@ def _contiguous_split(family: SetFamily, m: int) -> Split:
 
 def _budget_default(default: int) -> int:
     env = os.environ.get("SUNFLOWER_BUDGET")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(
+            f"SUNFLOWER_BUDGET must be a positive integer, got {env!r}")
+    return budget
+
+
+def _parse_base(text: str) -> Fraction:
+    """A spreadness base (integer, decimal or p/q) as an exact fraction;
+    a zero denominator raises ValueError like any other malformed base."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"base {text!r} has a zero denominator") from None
 
 
 def _cmd_gen_extremal(args) -> int:
@@ -121,7 +150,7 @@ def _cmd_find_sunflower(args) -> int:
             results["verified"] = verify_certificate(cert)
         _emit("find-sunflower", inputs, results, None, t0)
         return EXIT_OK if found else EXIT_ABSENT
-    b = Fraction(args.gamma)
+    b = _parse_base(args.gamma)
     core_labels = _parse_labels(args.core) if args.core else []
     inputs["b"] = str(b)
     inputs["core"] = core_labels
@@ -160,7 +189,7 @@ def _cmd_find_sunflower(args) -> int:
 def _cmd_check_gamma(args) -> int:
     t0 = time.perf_counter()
     family = _read_family(args.family)
-    b = Fraction(args.b)
+    b = _parse_base(args.b)
     report = check_gamma(family, b, budget=_budget_default(1 << 22))
     _emit("check-gamma",
           {"b": str(b), "familySize": len(family), "n": family.universe.n},
@@ -303,7 +332,7 @@ def _cmd_verify_bound(args) -> int:
     report = verify_bound_experiment(
         _parse_range(args.k_range), _parse_range(args.m_range),
         args.trials, args.seed, node_budget=_budget_default(1 << 22))
-    print(json.dumps(report.to_json_obj(), sort_keys=True, indent=2))
+    _print_report(report.to_json_obj())
     return EXIT_OK
 
 

@@ -209,6 +209,9 @@ def test_component_collection_validation():
     with pytest.raises(ValueError):
         # {0} misses strip 1
         ComponentCollection(SPLIT8, {(0, 1): (0b1,)})
+    with pytest.raises(ValueError, match="not a one-per-strip 2-set"):
+        # initial keeps every check
+        ComponentCollection.initial(SetFamily.of(8, [[0, 4], [0, 1]]), SPLIT8)
     with pytest.raises(ValueError):
         # the same member in two components
         ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)})
@@ -355,13 +358,26 @@ def test_base_sets_flagship_first_call():
 
 
 def test_base_sets_postcondition_raises_with_trace(monkeypatch):
-    # make every full-rank bucket look full: the returned rank 1 then
-    # breaks the threshold postcondition, which must raise, not assert
-    class Full(dict):
-        def get(self, key, default=None):
-            return range(10 ** 9)
+    # make the last full-rank bucket look full (it holds the whole
+    # component) and the others empty: the returned rank 1 then breaks
+    # the threshold postcondition, which must raise, not assert
+    last = FLAGSHIP.masks()[-1]
 
-    monkeypatch.setattr(basesets, "subset_buckets", lambda masks: Full())
+    class OneFull(dict):
+        def __init__(self, comp):
+            self.comp = comp
+
+        def get(self, key, default=None):
+            return self.comp if key == last else ()
+
+    real_finish = basesets._finish
+
+    def finish(r, mprime, parts, trace, collection, lookups, *rest):
+        full = {key: OneFull(comp)
+                for key, comp in collection.components.items()}
+        return real_finish(r, mprime, parts, trace, collection, full, *rest)
+
+    monkeypatch.setattr(basesets, "_finish", finish)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
     with pytest.raises(ContractViolationError, match="threshold") as info:
         base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG)
@@ -583,6 +599,39 @@ def test_process_r_input_validation():
     with pytest.raises(ValueError):
         process_r(SetFamily.of(4, [], m=2), Split.contiguous(4, 2),
                   IMMEDIATE_CFG)
+    # {0, 1} is not one-per-strip: the first engine call checks every
+    # member as a base
+    with pytest.raises(ValueError, match="not an on-split 2-set") as info:
+        process_r(SetFamily.of(4, [[0, 2], [0, 3], [0, 1]]),
+                  Split.contiguous(4, 2), IMMEDIATE_CFG)
+    assert info.value.partial_steps == ()
+
+
+def test_process_r_first_step_reuses_the_family(monkeypatch):
+    # step 1's only component is the family itself: the engine reads the
+    # family's cached subset map and builds no component map, and no
+    # collection is re-validated at any step
+    step = []
+    lookups_by_step = []
+    real_base_sets, real_lookup = basesets.base_sets, basesets.subset_lookup
+
+    def base_sets_call(mprime, bases, collection, cfg, p_label=1):
+        step[:] = [p_label]
+        return real_base_sets(mprime, bases, collection, cfg, p_label)
+
+    def lookup(masks):
+        lookups_by_step.append(step[0])
+        return real_lookup(masks)
+
+    def no_init(self, split, components):
+        raise AssertionError("process_r re-validated a collection")
+
+    monkeypatch.setattr(basesets, "base_sets", base_sets_call)
+    monkeypatch.setattr(basesets, "subset_lookup", lookup)
+    monkeypatch.setattr(ComponentCollection, "__init__", no_init)
+    res = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
+    assert [s.p for s in res.steps] == [1, 2]
+    assert lookups_by_step == [2]
 
 
 def test_process_r_steps_meet_interstep_floor():

@@ -342,6 +342,30 @@ def test_budget_env_override(capsys, tmp_path, monkeypatch):
     assert "exceeded 1 nodes" in err
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "1.5", "many"])
+def test_bad_budget_env_exits_five(capsys, tmp_path, monkeypatch, value):
+    # an input error, not a search that ran out of nodes
+    path = family_file(tmp_path, FULL4)
+    monkeypatch.setenv("SUNFLOWER_BUDGET", value)
+    code, out, err = run(capsys, ["find-sunflower", path, "--k", "3"])
+    assert (code, out) == (5, "")
+    assert err == ("error: SUNFLOWER_BUDGET must be a positive integer, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("command, option, base", [
+    ("check-gamma", [], "1/0"),
+    ("find-sunflower", ["--k", "2"], "3/0"),
+])
+def test_zero_denominator_base_exits_five(capsys, tmp_path, command, option,
+                                          base):
+    path = family_file(tmp_path, FULL4)
+    flag = "--b" if command == "check-gamma" else "--gamma"
+    code, out, err = run(capsys, [command, path, *option, flag, base])
+    assert (code, out) == (5, "")
+    assert err == f"error: base {base!r} has a zero denominator\n"
+
+
 def test_input_errors_exit_five(capsys, tmp_path):
     code, out, err = run(capsys, ["check-gamma", str(tmp_path / "nope.txt"),
                                   "--b", "2"])
@@ -572,3 +596,67 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     # and a good call after them still works
     code, report, _ = run_report(capsys, ["split", path])
     assert code == 0 and report["results"]["retainedSize"] == 4
+
+
+TIMINGS_MARK = ',\n  "timings": '
+
+
+def report_calls(tmp_path):
+    """One call of every subcommand that prints a report envelope."""
+    fam = family_file(tmp_path, FULL4)
+    imm = family_file(tmp_path, IMMEDIATE, name="immediate.txt")
+    cfg = constants_file(tmp_path, CONSTANTS)
+    return [["find-sunflower", fam, "--k", "3"],
+            ["find-sunflower", fam, "--k", "2", "--gamma", "2", "--core", "0"],
+            ["check-gamma", fam, "--b", "2"],
+            ["split", fam],
+            ["transversal-check", fam, "--j", "1"],
+            ["basesets", imm, "--mprime", "2", "--constants", cfg],
+            ["process-r", imm, "--constants", cfg],
+            ["verify-bound", "--k-range", "2", "--m-range", "1",
+             "--trials", "1", "--seed", "0"]]
+
+
+def test_reports_print_one_line_per_top_level_key(capsys, tmp_path):
+    for argv in report_calls(tmp_path):
+        _, out, _ = run(capsys, argv)
+        report = json.loads(out)
+        lines = out.splitlines()
+        assert out.endswith("\n}\n"), argv
+        assert lines[0] == "{" and lines[-1] == "}", argv
+        assert len(lines) == len(report) + 2, argv
+        for key, line in zip(sorted(report), lines[1:-1]):
+            prefix = f"  {json.dumps(key)}: "
+            assert line.startswith(prefix), (argv, line)
+            value = line[len(prefix):].removesuffix(",")
+            assert json.loads(value) == report[key], (argv, key)
+
+
+def test_reports_parse_as_the_indented_printer_did(capsys, tmp_path,
+                                                   monkeypatch):
+    def parsed(argv):
+        code, out, _ = run(capsys, argv)
+        report = json.loads(out)
+        del report["timings"]
+        return code, report
+
+    calls = report_calls(tmp_path)
+    compact = [parsed(argv) for argv in calls]
+    monkeypatch.setattr(cli, "_print_report", lambda report: print(
+        json.dumps(report, sort_keys=True, indent=2)))
+    indented = [parsed(argv) for argv in calls]
+    assert compact == indented
+
+
+def test_timings_line_is_cut_by_its_marker(capsys, tmp_path):
+    # the first "}" after the marker closes the timings object, so cutting
+    # from the marker through it leaves the report without its timings
+    for argv in report_calls(tmp_path):
+        _, out, _ = run(capsys, argv)
+        cut = out.find(TIMINGS_MARK)
+        assert cut > 0, argv
+        end = out.find("}", cut)
+        report = json.loads(out)
+        timings = report.pop("timings")
+        assert json.loads(out[cut + len(TIMINGS_MARK):end + 1]) == timings
+        assert json.loads(out[:cut] + out[end + 1:]) == report, argv
