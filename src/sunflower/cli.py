@@ -219,10 +219,11 @@ def _cmd_split(args) -> int:
         "retainedSize": len(result.retained),
         "bound": [result.bound.numerator, result.bound.denominator],
     }
-    _emit("split", inputs, results, args.seed, t0)
+    # written before the report, so a failed write prints no report
     if args.emit_family:
         with open(args.emit_family, "w") as fh:
             fh.write(family_to_text(result.retained))
+    _emit("split", inputs, results, args.seed, t0)
     return EXIT_OK
 
 

@@ -117,6 +117,17 @@ def labels_mask(labels: Iterable[int]) -> int:
     return mask
 
 
+def _strip_size(n: int, m: int, what: str = "strip count") -> int:
+    """n/m, the strip size of a split of n labels into m strips.  ``what``
+    names m in the ValueError raised when m is below 1 or does not divide
+    n."""
+    if m < 1:
+        raise ValueError(f"{what} {m} must be at least 1")
+    if n % m:
+        raise ValueError(f"{what} {m} must divide universe size {n}")
+    return n // m
+
+
 def _mask_repr(mask: int) -> str:
     """``{0,1}``: the label set of ``mask``, as :class:`GroundSet` prints."""
     return "{%s}" % ",".join(str(x) for x in mask_labels(mask))
@@ -434,9 +445,7 @@ class Split:
     @classmethod
     def contiguous(cls, n: int, m: int) -> "Split":
         """The split whose strips are consecutive blocks of size n/m."""
-        if m < 1 or n % m:
-            raise ValueError(f"strip count {m} must divide universe size {n}")
-        d = n // m
+        d = _strip_size(n, m)
         return cls.of(n, (range(i * d, (i + 1) * d) for i in range(m)))
 
     @property

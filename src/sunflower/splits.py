@@ -11,13 +11,16 @@ tuples of j pairwise disjoint strips-sized sets, weighted by how many
 members meet each of them once, has a closed product form that the brute
 count validates.
 
-One incidence kernel serves every search and the brute count:
-:func:`_meet_once` gives, for a block, the bitset over member indices (in
-``family.masks()`` order) of the members meeting it in exactly one element.
-A split's retained members are the AND of its strips' bitsets, and a
-tuple's transversal weight is the popcount of the AND of its blocks'
-bitsets, so no member is rescanned per split or per tuple.  The searches
-build a ``SetFamily`` only for the split they return.
+One incidence kernel serves every search and the brute count: for a block
+it gives the bitset over member indices (in ``family.masks()`` order) of
+the members meeting the block in exactly one element.  It is built from
+one pass over the members, which gives each label its column, the bitset
+of the members containing it; a block's bitset then folds the block's
+columns (members seen once, members seen twice or more) with no member
+rescanned.  A split's retained members are the AND of its strips'
+bitsets, and a tuple's transversal weight is the popcount of the AND of
+its blocks' bitsets.  The searches build a ``SetFamily`` only for the
+split they return.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import SetFamily, Split, Universe, labels_mask
+from .families import SetFamily, Split, Universe, _strip_size, labels_mask
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -48,9 +51,7 @@ def _uniform_cardinality(family: SetFamily) -> int:
 
 def count_splits(n: int, m: int) -> int:
     """Number of unordered partitions of an n-set into m blocks of size n/m."""
-    if m < 1 or n % m:
-        raise ValueError(f"strip count {m} must divide universe size {n}")
-    d = n // m
+    d = _strip_size(n, m)
     return factorial(n) // (factorial(d) ** m * factorial(m))
 
 
@@ -59,29 +60,24 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
 
     Canonical form: the smallest label not yet assigned starts the next
     strip, so strips come out ordered by minimum element and every
-    unordered partition appears exactly once.
+    unordered partition appears exactly once.  The last strip is whatever
+    labels remain, so it is taken as is.
     """
-    n = universe.n
-    if m < 1 or n % m:
-        raise ValueError(f"strip count {m} must divide universe size {n}")
-    d = n // m
+    d = _strip_size(universe.n, m)
 
     def rec(remaining: int, strips: list[int]) -> Iterator[Split]:
-        if not remaining:
-            yield Split(universe, tuple(strips))
+        if remaining.bit_count() == d:
+            yield Split(universe, (*strips, remaining))
             return
         anchor = remaining & -remaining
-        rest = remaining ^ anchor
         rest_labels = []
-        x = rest
+        x = remaining ^ anchor
         while x:
             low = x & -x
             rest_labels.append(low)
             x ^= low
         for extra in combinations(rest_labels, d - 1):
-            block = anchor
-            for bit in extra:
-                block |= bit
+            block = anchor + sum(extra)
             strips.append(block)
             yield from rec(remaining ^ block, strips)
             strips.pop()
@@ -89,27 +85,42 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
     yield from rec(universe.full_mask, [])
 
 
-def _meet_once(masks: tuple[int, ...], block: int) -> int:
-    """Bitset over member indices of the members meeting ``block`` in
-    exactly one element."""
-    bits = 0
-    for i, u in enumerate(masks):
-        if (u & block).bit_count() == 1:
-            bits |= 1 << i
-    return bits
-
-
 class _Incidence(dict):
-    """Block mask -> its :func:`_meet_once` bitset, computed on first
-    lookup; ``everyone`` is the bitset of all members."""
+    """Block mask -> the bitset over member indices of the members meeting
+    the block in exactly one element, computed on first lookup;
+    ``everyone`` is the bitset of all members.
+
+    ``cols`` maps a label's bit to its column, the bitset of the members
+    containing the label, built in one pass over the members.  A block's
+    bitset folds its columns: ``ones`` collects the members seen in some
+    column, ``twos`` those seen in two or more, and ``ones & ~twos`` meet
+    the block once.  That is one step per label of the block, whatever
+    the family size; a label no member uses has an empty column.
+    """
 
     def __init__(self, masks: tuple[int, ...]):
         super().__init__()
-        self.masks = masks
+        cols: dict[int, int] = {}
+        for i, u in enumerate(masks):
+            member = 1 << i
+            while u:
+                low = u & -u
+                cols[low] = cols.get(low, 0) | member
+                u ^= low
+        self.cols = cols
         self.everyone = (1 << len(masks)) - 1
 
     def __missing__(self, block: int) -> int:
-        bits = self[block] = _meet_once(self.masks, block)
+        cols = self.cols
+        ones = twos = 0
+        x = block
+        while x:
+            low = x & -x
+            c = cols.get(low, 0)
+            twos |= ones & c
+            ones |= c
+            x ^= low
+        bits = self[block] = ones & ~twos
         return bits
 
     def retained(self, blocks) -> int:
@@ -128,9 +139,7 @@ def retained_on(family: SetFamily, split: Split) -> SetFamily:
 def retention_bound(family: SetFamily, m: int) -> Fraction:
     """The averaging floor d^m * |F| / C(n, m) for splits into m strips."""
     n = family.universe.n
-    if m < 1 or n % m:
-        raise ValueError(f"strip count {m} must divide universe size {n}")
-    d = n // m
+    d = _strip_size(n, m)
     return Fraction(d ** m * len(family), comb(n, m))
 
 
@@ -159,8 +168,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     """
     m = _uniform_cardinality(family)
     n = family.universe.n
-    if m < 1 or n % m:
-        raise ValueError(f"member cardinality {m} must divide universe size {n}")
+    d = _strip_size(n, m, "member cardinality")
     bound = retention_bound(family, m)
     meet = _Incidence(family.masks())
 
@@ -191,7 +199,6 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
         if trials < 1:
             raise ValueError("trials must be at least 1")
         rng = CounterRng(seed)
-        d = n // m
         labels = list(range(n))
         best_count = -1
         for _ in range(trials):
@@ -226,9 +233,10 @@ def transversal_count_brute(family: SetFamily, j: int,
     An empty family counts 0 for every j in [0, declared m].
 
     Every ordered tuple is still visited, so the count stays an independent
-    check of the closed form.  The recursion carries the AND of the picked
-    blocks' :func:`_meet_once` bitsets (cached per block) and adds its
-    popcount at each leaf; with j = 0 every member counts.
+    check of the closed form.  The d-subsets are tabled once with their
+    incidence bitsets; each depth walks the blocks disjoint from those
+    picked, carrying the AND of the picked blocks' bitsets, and the last
+    depth adds its popcounts in one loop.  With j = 0 every member counts.
     """
     if len(family) == 0:
         if not 0 <= j <= family.m:
@@ -240,30 +248,33 @@ def transversal_count_brute(family: SetFamily, j: int,
             raise ValueError("tuple length must be 0 for cardinality-0 members")
         return len(family)
     n = family.universe.n
-    if n % m:
-        raise ValueError(f"member cardinality {m} must divide universe size {n}")
+    d = _strip_size(n, m, "member cardinality")
     if not 0 <= j <= m:
         raise ValueError(f"tuple length {j} must lie in [0, {m}]")
-    d = n // m
     tuples = _disjoint_tuple_count(n, d, j)
     if tuples > budget:
         raise BudgetExceededError(
             f"{tuples} disjoint tuples exceed budget {budget}",
             needed=tuples, budget=budget)
+    if j == 0:
+        return len(family)
     meet = _Incidence(family.masks())
-    total = 0
+    table = [(b, meet[b]) for b in map(labels_mask, combinations(range(n), d))]
+    last = j - 1
 
-    def rec(depth: int, used: int, kept: int) -> None:
-        nonlocal total
-        if depth == j:
-            total += kept.bit_count()
-            return
-        for c in combinations([x for x in range(n) if not used >> x & 1], d):
-            b = labels_mask(c)
-            rec(depth + 1, used | b, kept & meet[b])
+    def rec(depth: int, used: int, kept: int) -> int:
+        total = 0
+        if depth == last:
+            for b, bits in table:
+                if not b & used:
+                    total += (kept & bits).bit_count()
+            return total
+        for b, bits in table:
+            if not b & used:
+                total += rec(depth + 1, used | b, kept & bits)
+        return total
 
-    rec(0, 0, meet.everyone)
-    return total
+    return rec(0, 0, meet.everyone)
 
 
 def transversal_formula(family: SetFamily, j: int) -> Fraction:
@@ -276,11 +287,9 @@ def transversal_formula(family: SetFamily, j: int) -> Fraction:
     """
     m = _uniform_cardinality(family)
     n = family.universe.n
-    if m < 1 or n % m:
-        raise ValueError(f"member cardinality {m} must divide universe size {n}")
+    d = _strip_size(n, m, "member cardinality")
     if not 0 <= j <= m:
         raise ValueError(f"tuple length {j} must lie in [0, {m}]")
-    d = n // m
     if d < 2:
         raise ValueError("closed form requires strip size at least 2")
     density = Fraction(len(family), comb(n, m))

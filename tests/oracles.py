@@ -15,6 +15,10 @@ from the first after each extraction, on buckets read off the live sets.
 are the parsers that read every row into a label list first and build
 the family with ``SetFamily.of``, the route the mask-direct parsers
 replaced.
+``meet_once`` is the member scan the split searches' column-bitset
+incidence kernel replaced, and ``enumerate_splits_reference`` the split
+enumerator that recursed until no label remained, kept as is to pin the
+order in which splits are yielded.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from sunflower.basesets import (Constants, ComponentCollection, Threshold,
                                 _candidate_bases, _clean_to_spread)
 from sunflower.errors import BudgetExceededError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                                Subsplit, mask_labels)
+                                Split, Subsplit, Universe, mask_labels)
 from sunflower.gamma import exact_base
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
@@ -201,3 +205,48 @@ def family_from_json_obj_reference(obj: dict) -> SetFamily:
         raise ValueError("bad family object: n, m and the labels must be "
                          "integers, sets a list of lists")
     return SetFamily.of(n, sets, m=m)
+
+
+def meet_once(masks: tuple[int, ...], block: int) -> int:
+    """Bitset over member indices of the members meeting ``block`` in
+    exactly one element."""
+    bits = 0
+    for i, u in enumerate(masks):
+        if (u & block).bit_count() == 1:
+            bits |= 1 << i
+    return bits
+
+
+def enumerate_splits_reference(universe: Universe, m: int) -> Iterator[Split]:
+    """All splits of the universe into m strips, each once.
+
+    Canonical form: the smallest label not yet assigned starts the next
+    strip, so strips come out ordered by minimum element and every
+    unordered partition appears exactly once.
+    """
+    n = universe.n
+    if m < 1 or n % m:
+        raise ValueError(f"strip count {m} must divide universe size {n}")
+    d = n // m
+
+    def rec(remaining: int, strips: list[int]) -> Iterator[Split]:
+        if not remaining:
+            yield Split(universe, tuple(strips))
+            return
+        anchor = remaining & -remaining
+        rest = remaining ^ anchor
+        rest_labels = []
+        x = rest
+        while x:
+            low = x & -x
+            rest_labels.append(low)
+            x ^= low
+        for extra in combinations(rest_labels, d - 1):
+            block = anchor
+            for bit in extra:
+                block |= bit
+            strips.append(block)
+            yield from rec(remaining ^ block, strips)
+            strips.pop()
+
+    yield from rec(universe.full_mask, [])

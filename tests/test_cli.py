@@ -199,6 +199,28 @@ def test_split_exhaustive(capsys, tmp_path):
     assert [list(s.labels()) for s in emitted] == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
+def test_split_emit_family_write_failure_prints_no_report(capsys, tmp_path):
+    path = family_file(tmp_path, FULL4)
+    missing = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, ["split", path, "--emit-family",
+                                  str(missing)])
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [["split"], ["transversal-check", "--j", "0"]])
+def test_cardinality_zero_family_is_not_a_divisibility_error(capsys, tmp_path,
+                                                             argv):
+    path = tmp_path / "empty-member.txt"
+    path.write_text("universe 4 maxcard 2\n-\n")
+    code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+    assert (code, out) == (5, "")
+    assert err == "error: member cardinality 0 must be at least 1\n"
+    assert "divide" not in err
+
+
 def test_split_pad_to_widens_the_universe(capsys, tmp_path):
     path = family_file(tmp_path, FULL4)
     code, report, _ = run_report(capsys, ["split", path, "--pad-to", "6"])

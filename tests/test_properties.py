@@ -8,7 +8,9 @@ the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
 enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
 member scan, none of which goes through the incidence kernel of the
-split searches.  The engine's per-component drain is checked against
+split searches; the kernel itself is checked block by block against the
+member scan it replaced, and enumerate_splits against the enumerator it
+replaced, which pins the order the exhaustive tie-break depends on.  The engine's per-component drain is checked against
 the restart scan that decides every pair again after each extraction,
 and the family constructor's canonical order against sorted label lists.
 """
@@ -34,14 +36,15 @@ from sunflower.gamma import (check_gamma, check_gamma_on_subsplit,
                              exact_base, maximal_violator)
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
-from sunflower.splits import (enumerate_splits, find_good_split, retained_on,
-                              retention_bound, transversal_count_brute,
-                              transversal_formula)
+from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
+                              find_good_split, retained_on, retention_bound,
+                              transversal_count_brute, transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import (extractions_by_rescan, family_from_json_obj_reference,
+from oracles import (enumerate_splits_reference, extractions_by_rescan,
+                     family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
-                     p_sets, sunflower_free_check_oracle)
+                     meet_once, p_sets, sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -369,9 +372,9 @@ SPLIT_SHAPES = [(4, 2), (6, 2), (6, 3), (8, 2), (9, 3)]
 
 
 @st.composite
-def uniform_families(draw, min_size=0):
-    """Random m-uniform families (declared m) for (n, m) in SPLIT_SHAPES."""
-    n, m = draw(st.sampled_from(SPLIT_SHAPES))
+def uniform_families(draw, min_size=0, shapes=SPLIT_SHAPES):
+    """Random m-uniform families (declared m) for (n, m) in ``shapes``."""
+    n, m = draw(st.sampled_from(shapes))
     pool = [labels_mask(c) for c in combinations(range(n), m)]
     masks = draw(st.sets(st.sampled_from(pool), min_size=min_size,
                          max_size=min(12, len(pool))))
@@ -432,6 +435,33 @@ def scan_transversal_count(family, j):
 
 
 @SETTINGS
+@given(uniform_families(), st.data())
+def test_incidence_matches_member_scan(family, data):
+    masks = family.masks()
+    n = family.universe.n
+    used = 0
+    for u in masks:
+        used |= u
+    drawn = data.draw(st.integers(0, (1 << n) - 1), label="block")
+    # the empty block, a drawn one, the labels no member uses, and a block
+    # reaching past the universe
+    blocks = [0, drawn, family.universe.full_mask & ~used,
+              drawn | 1 << (n + 1)]
+    meet = _Incidence(masks)
+    for block in blocks:
+        assert meet[block] == meet_once(masks, block), block
+    assert meet.everyone.bit_count() == len(family)
+
+
+@pytest.mark.parametrize("n, m", SPLIT_SHAPES + [(3, 3), (4, 1)])
+def test_enumerate_splits_keeps_the_reference_order(n, m):
+    uni = Universe(n)
+    splits = list(enumerate_splits(uni, m))
+    assert splits == list(enumerate_splits_reference(uni, m))
+    assert len(splits) == count_splits(n, m)
+
+
+@SETTINGS
 @given(uniform_families(min_size=1))
 def test_exhaustive_split_matches_reference(family):
     result = find_good_split(family)
@@ -469,6 +499,21 @@ def test_transversal_count_matches_scan_and_formula(family, data):
     assert count == scan_transversal_count(family, j)
     if len(family):
         assert count == transversal_formula(family, j)
+
+
+@SETTINGS
+@given(uniform_families(shapes=[(3, 3)]), st.data())
+def test_transversal_count_matches_scan_at_strip_size_one(family, data):
+    j = data.draw(st.integers(0, family.m))
+    assert transversal_count_brute(family, j) == scan_transversal_count(
+        family, j)
+
+
+@SETTINGS
+@given(uniform_families(shapes=SPLIT_SHAPES + [(3, 3)]))
+def test_transversal_count_at_j_zero_matches_scan(family):
+    assert transversal_count_brute(family, 0) == scan_transversal_count(
+        family, 0) == len(family)
 
 
 @st.composite

@@ -43,6 +43,31 @@ def test_count_splits_small_values():
         count_splits(7, 2)
 
 
+def test_strip_count_errors_name_the_failed_condition():
+    # one check serves every entry point: m below 1 is not a divisibility
+    # failure, and each message names what m stands for
+    for check in (lambda m: count_splits(4, m),
+                  lambda m: list(enumerate_splits(Universe(4), m)),
+                  lambda m: retention_bound(all_m_subsets(4, 2), m),
+                  lambda m: Split.contiguous(4, m)):
+        with pytest.raises(ValueError,
+                           match="^strip count 0 must be at least 1$"):
+            check(0)
+        with pytest.raises(ValueError, match="^strip count 3 must divide "
+                                             "universe size 4$"):
+            check(3)
+    for check in (find_good_split, lambda f: transversal_formula(f, 0)):
+        with pytest.raises(ValueError, match="^member cardinality 0 must be "
+                                             "at least 1$"):
+            check(SetFamily.of(4, [[]]))
+        with pytest.raises(ValueError, match="^member cardinality 2 must "
+                                             "divide universe size 5$"):
+            check(SetFamily.of(5, [[0, 1]]))
+    with pytest.raises(ValueError, match="^member cardinality 2 must divide "
+                                         "universe size 5$"):
+        transversal_count_brute(SetFamily.of(5, [[0, 1]]), 1)
+
+
 def test_enumerate_splits_is_exhaustive_and_canonical():
     for n, m in [(4, 2), (6, 2), (6, 3), (8, 2)]:
         splits = list(enumerate_splits(Universe(n), m))
