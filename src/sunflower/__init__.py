@@ -10,8 +10,8 @@ recursive driver and audit reports.
 from .basesets import (BaseSetsOutput, ComponentCollection, Constants,
                        ElementaryPart, ProcessRResult, ProcessStep,
                        Threshold, audit_terminal_bases, base_sets,
-                       constants_from_dict, is_elementary_part,
-                       canonical_constants, process_r)
+                       constants_from_dict, canonical_constants,
+                       process_r)
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError, TrialsExhaustedError,
                      UniverseMismatchError)
@@ -20,10 +20,8 @@ from .families import (GroundSet, SetFamily, Split, Subsplit, Universe,
                        family_from_json_obj, family_from_text,
                        family_to_json_obj, family_to_text, pad_universe,
                        subset_buckets)
-from .gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
-                    maximal_violator)
-from .harness import (ExperimentReport, generate_random_family,
-                      verify_bound_experiment)
+from .gamma import GammaReport, check_gamma, check_gamma_on_subsplit
+from .harness import generate_random_family, verify_bound_experiment
 from .rng import CounterRng
 from .splits import (SplitSearchResult, count_splits, enumerate_splits,
                      find_good_split, retained_on, retention_bound,

@@ -238,6 +238,11 @@ class ElementaryPart:
         return tuple(i for i, s in enumerate(split.strips) if s & self.B)
 
 
+def _check_rank(rank: int, m: int) -> None:
+    if not 1 <= rank <= m:
+        raise ValueError(f"rank {rank} out of range [1, {m}]")
+
+
 def _canonical_components(split: Split,
                           components: dict[tuple[int, ...], Iterable[int]],
                           ) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
@@ -248,8 +253,7 @@ def _canonical_components(split: Split,
     if not components or len(ranks) != 1:
         raise ValueError("components must share one positive rank")
     rank = ranks.pop()
-    if not 1 <= rank <= split.m:
-        raise ValueError(f"rank {rank} out of range [1, {split.m}]")
+    _check_rank(rank, split.m)
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
     for key in sorted(components):
         if len(set(key)) != len(key) or list(key) != sorted(key) \
@@ -343,15 +347,16 @@ class ComponentCollection:
         """
         if not family.universe.n == anchors.universe.n == split.universe.n:
             raise ValueError("family or anchors over a different universe")
+        _check_rank(rank, split.m)
         anchor_masks = set(anchors.masks())
+        # strips are disjoint: a projection is the trace on their union
+        unions = [(key, split.subsplit(key).union_mask)
+                  for key in combinations(range(split.m), rank)]
         grouped: dict[tuple[int, ...], list[int]] = {}
         skipped = []
         for u in family.masks():
-            for key in combinations(range(split.m), rank):
-                proj = 0
-                for i in key:
-                    proj |= u & split.strips[i]
-                if proj in anchor_masks:
+            for key, union in unions:
+                if u & union in anchor_masks:
                     grouped.setdefault(key, []).append(u)
                     break
             else:
@@ -360,55 +365,6 @@ class ComponentCollection:
             raise ValueError("no member projects into the anchor family")
         return (cls(split, grouped),
                 SetFamily(family.universe, skipped, m=family.m))
-
-
-def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
-                       bases: SetFamily, cfg: Constants) -> bool:
-    """Exact check that a candidate part satisfies its variant's conditions.
-
-    Variant "i" (rank below the collection's): base in the bases' shadow,
-    members all containing the base, spreadness with base b = c*k on the
-    component strips off the base over the bases, and the epsilon floor
-    when the base is empty.  Variant "ii" (full rank): base in the bases'
-    shadow, and the bucket at the base meets f(rank) whenever rank < m.
-    Structural defects (unknown component, base not on the subsplit, part
-    not inside the component) raise; condition failures return False.
-    """
-    if part.key not in collection.components:
-        raise ValueError(f"unknown component key {part.key}")
-    sub = collection.subsplit(part.key)
-    b_bits = part.B
-    if b_bits and not sub.carries_mask(b_bits):
-        raise ValueError(f"base {_mask_repr(b_bits)} does not lie on "
-                         f"subsplit {part.key}")
-    if not set(part.T) <= set(collection.components[part.key]):
-        raise ValueError("part members must come from the keyed component")
-    if not part.T:
-        return False
-    r = part.r
-    mprime = collection.rank
-    if b_bits not in bases.subset_lookup():
-        return False
-    if part.variant == "i":
-        if r >= mprime:
-            return False
-        if not all(u & b_bits == b_bits for u in part.T):
-            return False
-        members = SetFamily(collection.split.universe, part.T)
-        if not check_gamma_on_subsplit(members, sub.minus(b_bits), bases,
-                                       exact_base(cfg.b)).holds:
-            return False
-        if r == 0:
-            return cfg.eps_floor_meets(len(part.T))
-        return True
-    if part.variant == "ii":
-        if r != mprime:
-            return False
-        if cfg.m > mprime:
-            bucket = sum(1 for u in part.T if u & b_bits == b_bits)
-            return Threshold(cfg).meets(bucket, mprime)
-        return True
-    raise ValueError(f"unknown variant {part.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -524,8 +480,7 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     reaches its bound.
     """
     split = collection.split
-    if not 1 <= mprime <= cfg.m:
-        raise ValueError(f"rank {mprime} out of range [1, {cfg.m}]")
+    _check_rank(mprime, cfg.m)
     if mprime != collection.rank:
         raise ValueError(f"rank {mprime} does not match the collection's "
                          f"rank {collection.rank}")
@@ -558,10 +513,9 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     if not self_anchored:
         base_mask_set = set(bases.masks())
         for key, comp in components.items():
+            union = collection.subsplit(key).union_mask
             for u in comp:
-                proj = 0
-                for i in key:
-                    proj |= u & split.strips[i]
+                proj = u & union
                 if proj not in base_mask_set:
                     raise ValueError(
                         f"member projection {mask_labels(proj)} of "
@@ -740,6 +694,9 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     fam_size = cfg.fam_size
 
     restriction = family.subset_lookup()
+    # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the original
+    # family to be (c^c k ln k)-spread
+    log_big_base = c * math.log(c) + math.log(k) + math.log(math.log(k))
     part_lines = []
     restriction_totals: dict[int, int] = {}
     for part in result.parts_hat:
@@ -747,9 +704,6 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
         size_t = len(part.T)
         in_family = len(restriction.get(c_set, ()))
         restriction_totals[c_set] = restriction_totals.get(c_set, 0) + size_t
-        # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the
-        # original family to be (c^c k ln k)-spread
-        log_big_base = c * math.log(c) + math.log(k) + math.log(math.log(k))
         rhs_log = -part.r * log_big_base + math.log(fam_size)
         upper_chain = (math.log(in_family) < rhs_log if in_family > 0
                        else True)

@@ -94,10 +94,6 @@ def _parse_labels(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _contiguous_split(family: SetFamily, m: int) -> Split:
-    return Split.contiguous(family.universe.n, m)
-
-
 def _budget_default(default: int) -> int:
     env = os.environ.get("SUNFLOWER_BUDGET")
     if not env:
@@ -259,7 +255,7 @@ def _cmd_basesets(args) -> int:
     cfg = _read_constants(args.constants)
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
-    split = _contiguous_split(family, cfg.m)
+    split = Split.contiguous(family.universe.n, cfg.m)
     if args.g_family:
         bases = _read_family(args.g_family)
         collection, skipped = bs.ComponentCollection.derive(
@@ -271,6 +267,7 @@ def _cmd_basesets(args) -> int:
         bases = family
         collection = bs.ComponentCollection.initial(family, split)
     else:
+        bs._check_rank(args.mprime, cfg.m)
         raise ValueError("--g-family is required when --mprime is below m")
     inputs = {"mprime": args.mprime, "constants": cfg.to_json_obj(),
               "familySize": len(family)}
@@ -296,7 +293,7 @@ def _cmd_process_r(args) -> int:
     cfg = _read_constants(args.constants)
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
-    split = _contiguous_split(family, cfg.m)
+    split = Split.contiguous(family.universe.n, cfg.m)
     inputs = {"constants": cfg.to_json_obj(), "familySize": len(family)}
     try:
         result = bs.process_r(family, split, cfg)
@@ -330,10 +327,13 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_verify_bound(args) -> int:
-    report = verify_bound_experiment(
-        _parse_range(args.k_range), _parse_range(args.m_range),
-        args.trials, args.seed, node_budget=_budget_default(1 << 22))
-    _print_report(report.to_json_obj())
+    t0 = time.perf_counter()
+    inputs = {"k": _parse_range(args.k_range),
+              "m": _parse_range(args.m_range), "trials": args.trials}
+    results = verify_bound_experiment(
+        inputs["k"], inputs["m"], args.trials, args.seed,
+        node_budget=_budget_default(1 << 22))
+    _emit("verify-bound", inputs, results, args.seed, t0)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .families import SetFamily, Split, Universe
+from .families import SetFamily, Universe
 
 DEFAULT_EXTREMAL_BUDGET = 1 << 20
 
@@ -23,10 +23,6 @@ class ExtremalFamily:
     k: int
     m: int
     family: SetFamily
-
-    def natural_split(self) -> Split:
-        """Generations as strips: m strips of size k-1."""
-        return Split.contiguous((self.k - 1) * self.m, self.m)
 
 
 def build_extremal(k: int, m: int,

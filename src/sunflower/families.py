@@ -166,7 +166,8 @@ class Universe:
 
 
 class GroundSet:
-    """An immutable subset of a universe, stored as a bit mask.
+    """An immutable subset of a universe, stored as a bit mask: an output
+    view with no set algebra, as computations work on ``bits``.
 
     Ordering compares sorted label tuples, so ``sorted`` over ground sets
     yields the canonical lexicographic order used everywhere else.
@@ -187,12 +188,6 @@ class GroundSet:
     def labels(self) -> tuple[int, ...]:
         return mask_labels(self.bits)
 
-    def __contains__(self, label: int) -> bool:
-        return bool(self.bits >> label & 1)
-
-    def __len__(self) -> int:
-        return self.cardinality
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroundSet)
                 and self.universe.n == other.universe.n
@@ -206,31 +201,6 @@ class GroundSet:
 
     def __le__(self, other: "GroundSet") -> bool:
         return self == other or self < other
-
-    def issubset(self, other: "GroundSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits == self.bits
-
-    def isdisjoint(self, other: "GroundSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
-    def union(self, other: "GroundSet") -> "GroundSet":
-        self._check(other)
-        return GroundSet(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: "GroundSet") -> "GroundSet":
-        self._check(other)
-        return GroundSet(self.universe, self.bits & other.bits)
-
-    def difference(self, other: "GroundSet") -> "GroundSet":
-        self._check(other)
-        return GroundSet(self.universe, self.bits & ~other.bits)
-
-    def _check(self, other: "GroundSet") -> None:
-        if self.universe.n != other.universe.n:
-            raise UniverseMismatchError(
-                f"universe sizes differ: {self.universe.n} vs {other.universe.n}")
 
     def __repr__(self) -> str:
         return _mask_repr(self.bits)
@@ -307,9 +277,6 @@ class SetFamily:
 
     def __iter__(self) -> Iterator[GroundSet]:
         return iter(self.members)
-
-    def __contains__(self, s: GroundSet) -> bool:
-        return s.universe.n == self.universe.n and s.bits in self._mask_set
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SetFamily)

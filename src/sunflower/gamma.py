@@ -133,7 +133,8 @@ def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
     """Maximal extension of ``seed_mask`` by strips of ``sub`` whose weighted
     restriction count stays at or above the seed's.
 
-    Candidates are confined to sets carried by some member of ``over``.
+    Candidates are confined to sets carried by some member of ``over``, and
+    the seed must lie on ``sub`` (unchecked; the engine seeds with 0).
     Returns a mask S containing the seed with |F[S]| * b^|S| >=
     |F[seed]| * b^|seed|, of maximum cardinality (lexicographically least on
     ties); maximum cardinality means no further in-range one-strip extension
@@ -160,30 +161,3 @@ def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
     if best_mask is not None:
         return best_mask
     return seed_mask if seed_mask else None
-
-
-def maximal_violator(family: SetFamily, sub: Subsplit, over: SetFamily,
-                     seed: GroundSet, b) -> GroundSet | None:
-    """A maximal set on ``sub`` extending ``seed`` whose weighted restriction
-    count does not drop below the seed's own.
-
-    Candidates come from the same range as :func:`check_gamma_on_subsplit`:
-    nonempty sets on ``sub``, one element per strip, carried by some member
-    of ``over``.  The returned set S contains the seed, satisfies
-    |F[S]| * b^|S| >= |F[seed]| * b^|seed|, and admits no in-range
-    one-element extension keeping that bound, so removing F[S] from F never
-    strands a worse violator above it.  With an empty seed the bound makes
-    S a genuine violator; None is returned when there is none.  A nonempty
-    seed is always returned at worst unchanged.
-    """
-    base = exact_base(b)
-    if sub.split.universe.n != family.universe.n:
-        raise ValueError("subsplit over a different universe")
-    if seed.universe.n != family.universe.n:
-        raise ValueError("seed from a different universe")
-    if seed.bits and not sub.carries_mask(seed.bits):
-        raise ValueError("seed must lie on the subsplit")
-    if over.universe.n != family.universe.n:
-        raise UniverseMismatchError("range family over a different universe")
-    mask = _max_violator_masks(family.masks(), sub, over, seed.bits, base)
-    return None if mask is None else family.universe.from_bits(mask)

@@ -11,6 +11,9 @@ kernel's first certificate (core, and petals in order).
 ``extractions_by_rescan`` is the engine's extraction scan with nothing
 carried between scans: it decides every (component, base) pair again
 from the first after each extraction, on buckets read off the live sets.
+``is_elementary_part`` is the reference checker of one extracted part
+against its variant's conditions, which the engine tests hold every part
+the engine returns to.
 ``family_from_text_reference`` and ``family_from_json_obj_reference``
 are the parsers that read every row into a label list first and build
 the family with ``SetFamily.of``, the route the mask-direct parsers
@@ -27,12 +30,13 @@ from itertools import chain, combinations
 from math import comb
 from typing import Iterator
 
-from sunflower.basesets import (Constants, ComponentCollection, Threshold,
-                                _candidate_bases, _clean_to_spread)
+from sunflower.basesets import (Constants, ComponentCollection, ElementaryPart,
+                                Threshold, _candidate_bases, _clean_to_spread)
 from sunflower.errors import BudgetExceededError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                                Split, Subsplit, Universe, mask_labels)
-from sunflower.gamma import exact_base
+                                Split, Subsplit, Universe, _mask_repr,
+                                mask_labels)
+from sunflower.gamma import check_gamma_on_subsplit, exact_base
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
@@ -167,6 +171,55 @@ def extractions_by_rescan(r: int, mprime: int,
         extracted.add((key, bm))
         found.append(hit)
     return found
+
+
+def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
+                       bases: SetFamily, cfg: Constants) -> bool:
+    """Exact check that a candidate part satisfies its variant's conditions.
+
+    Variant "i" (rank below the collection's): base in the bases' shadow,
+    members all containing the base, spreadness with base b = c*k on the
+    component strips off the base over the bases, and the epsilon floor
+    when the base is empty.  Variant "ii" (full rank): base in the bases'
+    shadow, and the bucket at the base meets f(rank) whenever rank < m.
+    Structural defects (unknown component, base not on the subsplit, part
+    not inside the component) raise; condition failures return False.
+    """
+    if part.key not in collection.components:
+        raise ValueError(f"unknown component key {part.key}")
+    sub = collection.subsplit(part.key)
+    b_bits = part.B
+    if b_bits and not sub.carries_mask(b_bits):
+        raise ValueError(f"base {_mask_repr(b_bits)} does not lie on "
+                         f"subsplit {part.key}")
+    if not set(part.T) <= set(collection.components[part.key]):
+        raise ValueError("part members must come from the keyed component")
+    if not part.T:
+        return False
+    r = part.r
+    mprime = collection.rank
+    if b_bits not in bases.subset_lookup():
+        return False
+    if part.variant == "i":
+        if r >= mprime:
+            return False
+        if not all(u & b_bits == b_bits for u in part.T):
+            return False
+        members = SetFamily(collection.split.universe, part.T)
+        if not check_gamma_on_subsplit(members, sub.minus(b_bits), bases,
+                                       exact_base(cfg.b)).holds:
+            return False
+        if r == 0:
+            return cfg.eps_floor_meets(len(part.T))
+        return True
+    if part.variant == "ii":
+        if r != mprime:
+            return False
+        if cfg.m > mprime:
+            bucket = sum(1 for u in part.T if u & b_bits == b_bits)
+            return Threshold(cfg).meets(bucket, mprime)
+        return True
+    raise ValueError(f"unknown variant {part.variant!r}")
 
 
 def family_from_text_reference(text: str) -> SetFamily:

@@ -402,10 +402,10 @@ def test_bound_disclaimer():
     with pytest.raises(ValueError):
         bs.canonical_constants(0.15, 2, 2, 500)
 
-    report = verify_bound_experiment([2, 3], [1, 2], trials=2, seed=5)
-    if report.results["label"] != EXPERIMENT_LABEL:
+    results = verify_bound_experiment([2, 3], [1, 2], trials=2, seed=5)
+    if results["label"] != EXPERIMENT_LABEL:
         problems.append("experiment rows are not labeled")
-    for row in report.results["rows"]:
+    for row in results["rows"]:
         if set(row) != {"k", "m", "baselineSize", "baselineFree", "thresholds",
                         "budgetExceeded"}:
             problems.append(f"row {row} reports more than the empirical floor")

@@ -16,7 +16,6 @@ from sunflower.basesets import (
     audit_terminal_bases,
     base_sets,
     constants_from_dict,
-    is_elementary_part,
     canonical_constants,
     process_r,
 )
@@ -25,6 +24,8 @@ from sunflower.families import (SetFamily, Split, labels_mask, mask_labels,
                                 subset_lookup)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
+
+from oracles import is_elementary_part
 
 # the five pinned configurations exercised throughout this file
 SPLIT16 = Split.contiguous(16, 2)
@@ -247,6 +248,16 @@ def test_component_collection_derive_lex_first():
     assert [s.labels() for s in skipped] == [(0, 5), (0, 6), (0, 7)]
     with pytest.raises(ValueError):
         ComponentCollection.derive(fam, SPLIT8, 1, SetFamily.of(8, [[2]]))
+
+
+def test_component_collection_derive_rejects_rank_out_of_range():
+    # a rank above m has no strip selection at all, and rank 0 projects
+    # every member to the empty set: both are input errors, not skips
+    fam = SetFamily.of(8, [[0, 4], [1, 5]])
+    for rank, anchors in ((3, fam), (0, SetFamily.of(8, [[]]))):
+        with pytest.raises(ValueError,
+                           match=rf"rank {rank} out of range \[1, 2\]"):
+            ComponentCollection.derive(fam, SPLIT8, rank, anchors)
 
 
 def test_component_collection_regroup():

@@ -12,7 +12,7 @@ from sunflower import cli
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
 from sunflower.families import GroundSet, SetFamily, Split, family_from_text
-from sunflower.harness import generate_random_family
+from sunflower.harness import EXPERIMENT_LABEL, generate_random_family
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
     FAMILY_SCHEMA,
@@ -309,6 +309,18 @@ def test_basesets_requires_anchor_family_below_m(capsys, tmp_path):
     assert "--g-family is required" in err
 
 
+def test_basesets_rejects_rank_above_m(capsys, tmp_path):
+    # with or without an anchor family, m' = 3 > m = 2 is a rank error
+    fam_path = family_file(tmp_path, IMMEDIATE)
+    cfg_path = constants_file(tmp_path, CONSTANTS)
+    anchors_path = family_file(tmp_path, IMMEDIATE, name="anchors.txt")
+    argv = ["basesets", fam_path, "--mprime", "3", "--constants", cfg_path]
+    for extra in ([], ["--g-family", anchors_path]):
+        code, out, err = run(capsys, argv + extra)
+        assert (code, out) == (5, "")
+        assert err == "error: rank 3 out of range [1, 2]\n"
+
+
 def test_process_r_fills_family_size(capsys, tmp_path):
     fam_path = family_file(tmp_path, IMMEDIATE)
     cfg = dict(CONSTANTS)
@@ -346,6 +358,19 @@ def test_verify_bound_reports_empirical_rows(capsys):
          "thresholds": [2, 2], "budgetExceeded": False}
     ]
     assert "empirical" in report["results"]["label"]
+
+
+def test_verify_bound_report_envelope(capsys):
+    # the envelope every other report has, printed by the same printer
+    code, report, _ = run_report(
+        capsys, ["verify-bound", "--k-range", "2", "--m-range", "1",
+                 "--trials", "1", "--seed", "3"])
+    assert code == 0
+    assert report["command"] == "verify-bound"
+    assert report["seed"] == 3
+    assert report["inputs"] == {"k": [2], "m": [1], "trials": 1}
+    assert report["timings"]["totalSeconds"] >= 0
+    assert report["results"]["label"] == EXPERIMENT_LABEL
 
 
 def test_verify_bound_parses_ranges(capsys):

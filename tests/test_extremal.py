@@ -6,7 +6,7 @@ import pytest
 
 from sunflower.errors import BudgetExceededError
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Split
+from sunflower.families import SetFamily, Split, labels_mask
 from sunflower.splits import retained_on
 from sunflower.sunflowers import find_sunflower_exact
 
@@ -33,9 +33,9 @@ def test_build_extremal_sizes():
 
 def test_extremal_lies_on_its_natural_split():
     for k, m in [(3, 2), (4, 2), (3, 3), (5, 2)]:
+        # generations as strips: m contiguous strips of size k-1
         ef = build_extremal(k, m)
-        split = ef.natural_split()
-        assert split == Split.contiguous((k - 1) * m, m)
+        split = Split.contiguous((k - 1) * m, m)
         assert retained_on(ef.family, split) == ef.family
 
 
@@ -51,11 +51,11 @@ def test_extremal_is_maximal_for_small_cases():
         ef = build_extremal(k, m)
         n = ef.family.universe.n
         for extra in combinations(range(n), m):
-            candidate = ef.family.universe.set_of(extra)
-            if candidate in ef.family:
+            candidate = labels_mask(extra)
+            if candidate in ef.family.masks():
                 continue
             grown = SetFamily(ef.family.universe,
-                              ef.family.masks() + (candidate.bits,), m=m)
+                              ef.family.masks() + (candidate,), m=m)
             assert find_sunflower_exact(grown, k) is not None
 
 

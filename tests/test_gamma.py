@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 
 from sunflower.errors import BudgetExceededError
-from sunflower.families import SetFamily, Split, mask_labels
+from sunflower.families import SetFamily, Split, labels_mask, mask_labels
 from sunflower.gamma import (
     GammaReport,
+    _max_violator_masks,
     check_gamma,
     check_gamma_on_subsplit,
     exact_base,
-    maximal_violator,
 )
 from sunflower.rng import CounterRng
 
@@ -32,8 +32,8 @@ def brute_spread_report(family: SetFamily, b: Fraction) -> tuple[bool, Fraction]
         labels = member.labels()
         for r in range(1, len(labels) + 1):
             for sub in combinations(labels, r):
-                s = family.universe.set_of(sub)
-                count = sum(1 for u in family if s.issubset(u))
+                s = labels_mask(sub)
+                count = sum(1 for u in family.masks() if u & s == s)
                 best = max(best, Fraction(count) * b ** r / total)
     return best < 1, best
 
@@ -175,35 +175,32 @@ VIOLATOR_FAMILY = SetFamily.of(
     8, [[0, 4], [0, 5], [0, 7], [1, 4], [1, 5], [2, 6]])
 
 
+def max_violator(family: SetFamily, sub, seed: list[int], b):
+    """The engine's maximal-violator kernel on ``family`` over itself, from
+    the seed labels; the labels of the result, or None."""
+    got = _max_violator_masks(family.masks(), sub, family, labels_mask(seed),
+                              exact_base(b))
+    return None if got is None else mask_labels(got)
+
+
 def test_maximal_violator_from_empty_seed():
     sub = Split.contiguous(8, 2).full_subsplit()
-    uni = VIOLATOR_FAMILY.universe
-    got = maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY, uni.empty, 2)
+    got = max_violator(VIOLATOR_FAMILY, sub, [], 2)
     # pairs reach 1*2^2 = 4 < 6, so the search settles at the singleton level
-    assert got.labels() == (0,)
-    none = maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY, uni.empty,
-                            Fraction(6, 5))
-    assert none is None
+    assert got == (0,)
+    assert max_violator(VIOLATOR_FAMILY, sub, [], Fraction(6, 5)) is None
 
 
 def test_maximal_violator_extends_nonempty_seed():
     sub = Split.contiguous(8, 2).full_subsplit()
-    uni = VIOLATOR_FAMILY.universe
-    got = maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY,
-                           uni.set_of([4]), 2)
     # |F[{0,4}]| * 4 = 4 matches the seed's |F[{4}]| * 2 = 4; lex-least wins
-    assert got.labels() == (0, 4)
-    lone = maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY,
-                            uni.set_of([2]), 2)
-    assert lone.labels() == (2, 6)
+    assert max_violator(VIOLATOR_FAMILY, sub, [4], 2) == (0, 4)
+    assert max_violator(VIOLATOR_FAMILY, sub, [2], 2) == (2, 6)
 
 
 def test_maximal_violator_returns_seed_when_nothing_extends():
     sub = Split.contiguous(8, 2).full_subsplit()
-    uni = VIOLATOR_FAMILY.universe
-    seed = uni.set_of([3])
-    assert maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY,
-                            seed, 2) == seed
+    assert max_violator(VIOLATOR_FAMILY, sub, [3], 2) == (3,)
 
 
 def test_maximal_violator_result_properties():
@@ -213,37 +210,28 @@ def test_maximal_violator_result_properties():
     b = Fraction(2)
     for seed_idx in range(12):
         fam = random_family(8, 2, 8, seed=200 + seed_idx)
-        uni = fam.universe
+        masks = fam.masks()
+
+        def weight(s: int) -> Fraction:
+            return sum(1 for u in masks if u & s == s) * b ** s.bit_count()
+
         for seed_labels in [[], [0], [4]]:
-            seed = uni.set_of(seed_labels)
-            if seed.bits and not sub.carries_mask(seed.bits):
+            seed = labels_mask(seed_labels)
+            if seed and not sub.carries_mask(seed):
                 continue
-            got = maximal_violator(fam, sub, fam, seed, b)
+            got = _max_violator_masks(masks, sub, fam, seed, b)
             if got is None:
-                assert seed.bits == 0
+                assert seed == 0
                 continue
             if got == seed:
                 continue
-            assert seed.issubset(got)
-            floor = (len(fam.restrict(seed))
-                     * b ** seed.cardinality)
-            weight = len(fam.restrict(got)) * b ** got.cardinality
-            assert weight >= floor
-            free = sub.minus(got.bits)
+            assert got & seed == seed
+            floor = weight(seed)
+            assert weight(got) >= floor
+            free = sub.minus(got)
             for strip in free.strip_masks:
                 for label in mask_labels(strip):
-                    ext = got.union(uni.set_of([label]))
-                    if not fam.shadow_contains(ext):
+                    ext = got | 1 << label
+                    if not any(u & ext == ext for u in masks):
                         continue
-                    ext_weight = (len(fam.restrict(ext))
-                                  * b ** ext.cardinality)
-                    assert ext_weight < floor
-
-
-def test_maximal_violator_rejects_off_split_seed():
-    sub = Split.contiguous(8, 2).subsplit([1])
-    uni = VIOLATOR_FAMILY.universe
-    with pytest.raises(ValueError):
-        maximal_violator(VIOLATOR_FAMILY, sub, VIOLATOR_FAMILY,
-                         uni.set_of([0]), 2)
-
+                    assert weight(ext) < floor

@@ -196,7 +196,7 @@ def test_extract_disjoint_guaranteed_regime_never_stalls():
         assert cert is not None
         assert verify_certificate(cert)
         a, b = cert.petals
-        assert a.isdisjoint(b)
+        assert a.bits & b.bits == 0
     assert count >= 10  # the sample kept the regime populated
 
 
