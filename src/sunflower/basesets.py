@@ -15,10 +15,11 @@ ranks; per-rank accumulations reset.  The driver iterates the engine,
 feeding each output's parts (regrouped by the strips of their base sets)
 and base sets back in, until the rank repeats or hits zero.
 
-All comparisons against the threshold f(x) = k^-5 * eps^2m *
-(c^h * k * ln k)^-x * famSize go through one Threshold object so the
-extraction decisions and the post-run audits can never disagree; f and the
-epsilon floor switch to log-space below 1e-300.
+Every size floor, the threshold f(x) = k^-5 * eps^2m * (c^h * k * ln k)^-x
+* famSize for x = 0..m and the rank-0 floor eps^m * famSize, is turned
+once per call into an integer table (:class:`Threshold`), so the
+extraction decisions, the postconditions and the audit each compare one
+integer count with one integer floor and can never disagree.
 
 Inside the engine, strips and base sets are int masks, and components and
 part members are tuples of int masks in canonical label order, the order
@@ -41,18 +42,6 @@ from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
                        mask_labels, subset_lookup)
 from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
                     exact_base)
-
-LOG_SPACE_SWITCH = 1e-300
-
-
-def _meets_floor(count: int, direct: float, log_value: float) -> bool:
-    """count >= floor, comparing directly or in log-space for tiny floors."""
-    if direct >= LOG_SPACE_SWITCH:
-        return count >= direct
-    if count <= 0:
-        return False
-    return math.log(count) >= log_value
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -97,17 +86,6 @@ class Constants:
     def with_fam_size(self, fam_size: int) -> "Constants":
         return Constants(self.epsilon, self.h, self.c, self.k, self.m,
                          fam_size, self.mode)
-
-    def eps_floor_log(self) -> float:
-        """ln of the rank-0 size floor epsilon^m * famSize."""
-        self._need_fam_size()
-        return self.m * math.log(self.epsilon) + math.log(self.fam_size)
-
-    def eps_floor_meets(self, count: int) -> bool:
-        """count >= epsilon^m * famSize."""
-        self._need_fam_size()
-        return _meets_floor(count, self.epsilon ** self.m * self.fam_size,
-                            self.eps_floor_log())
 
     def _need_fam_size(self) -> None:
         if self.fam_size is None:
@@ -170,48 +148,55 @@ def constants_from_dict(obj: dict) -> Constants:
     return Constants(epsilon, *h_c, k, m, fam_size, mode="surrogate")
 
 
-class Threshold:
-    """The bucket-size floor f(x) = k^-5 * eps^2m * (c^h k ln k)^-x * famSize.
+def _float_floor(direct, log: float) -> float:
+    """``direct()``, or exp(log) where that overflows, or inf where both do."""
+    try:
+        return direct()
+    except OverflowError:
+        pass
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
 
-    Strictly decreasing in x since c, h > 1 and k >= 2 make the base
-    exceed 1.  ``meets`` is the single comparison point used both to
-    accept an extraction and to audit one afterwards.
+
+def _least_count(floor: float) -> int | float:
+    """The least count >= 1 that is >= ``floor``; inf when none is."""
+    return math.inf if math.isinf(floor) else max(1, math.ceil(floor))
+
+
+class Threshold:
+    """The size floors of one engine call, as least accepted counts.
+
+    ``value(x)`` is the float f(x) = k^-5 * eps^2m * (c^h k ln k)^-x *
+    famSize, strictly decreasing in x since c, h > 1 and k >= 2 make the
+    base exceed 1 (exp of its log where the product overflows, inf past
+    the float range).  ``need[x]`` for x = 0..m and ``eps_need`` are the
+    least counts >= 1 meeting value(x) and eps^m * famSize, inf when the
+    floor is: filled once, so every decision is one integer comparison.
     """
 
-    __slots__ = ("cfg", "_log_base", "_log_f0")
+    __slots__ = ("cfg", "need", "eps_need")
 
     def __init__(self, cfg: Constants):
         cfg._need_fam_size()
         self.cfg = cfg
-        self._log_base = (cfg.h * math.log(cfg.c) + math.log(cfg.k)
-                          + math.log(math.log(cfg.k)))
-        self._log_f0 = (-5 * math.log(cfg.k)
-                        + 2 * cfg.m * math.log(cfg.epsilon)
-                        + math.log(cfg.fam_size))
-
-    def log_value(self, x: int) -> float:
-        if x < 0:
-            raise ValueError("argument must be nonnegative")
-        return self._log_f0 - x * self._log_base
+        self.need = tuple(_least_count(self.value(x))
+                          for x in range(cfg.m + 1))
+        self.eps_need = _least_count(_float_floor(
+            lambda: cfg.epsilon ** cfg.m * cfg.fam_size,
+            cfg.m * math.log(cfg.epsilon) + math.log(cfg.fam_size)))
 
     def value(self, x: int) -> float:
         if x < 0:
             raise ValueError("argument must be nonnegative")
-        cfg = self.cfg
-        try:
-            base = cfg.c ** cfg.h * cfg.k * math.log(cfg.k)
-            return (cfg.k ** -5 * cfg.epsilon ** (2 * cfg.m)
-                    * base ** -x * cfg.fam_size)
-        except OverflowError:
-            pass
-        try:
-            return math.exp(self.log_value(x))
-        except OverflowError:
-            return math.inf
-
-    def meets(self, count: int, x: int) -> bool:
-        """count >= f(x), with the documented 1e-300 log-space switch."""
-        return _meets_floor(count, self.value(x), self.log_value(x))
+        cfg, log_k = self.cfg, math.log(self.cfg.k)
+        return _float_floor(
+            lambda: (cfg.k ** -5 * cfg.epsilon ** (2 * cfg.m)
+                     * (cfg.c ** cfg.h * cfg.k * log_k) ** -x * cfg.fam_size),
+            -5 * log_k + 2 * cfg.m * math.log(cfg.epsilon)
+            + math.log(cfg.fam_size)
+            - x * (cfg.h * math.log(cfg.c) + log_k + math.log(log_k)))
 
 
 @dataclass(frozen=True)
@@ -402,7 +387,7 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
     and drop every member containing it."""
     t = list(bucket)
     while t:
-        v = _max_violator_masks(t, free, bases, 0, b)
+        v = _max_violator_masks(t, free, bases, b)
         if v is None:
             break
         t = [u for u in t if u & v != v]
@@ -410,7 +395,7 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
 
 
 def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
-                 bases: SetFamily, cfg: Constants, thr: Threshold,
+                 bases: SetFamily, floor: int | float,
                  b: Fraction) -> Iterator[tuple[int, list[int], str]]:
     """Drain one component at rank r: yield (base mask, member masks,
     variant) for each extraction, after removing its members from
@@ -419,19 +404,20 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
 
     A min-heap holds the label-order indices of the undecided candidate
     bases, all of them at the start.  The smallest is popped and decided
-    on its live bucket: at r = m' whole if it meets f(m'), below m' cleaned
-    to spreadness on the strips off the base, nonempty and, at r = 0, up
-    to the epsilon floor.  An extracted base is never decided again; the
-    other bases its members contain go back on the heap unless already on
-    it.  An empty live set ends the drain, as no empty bucket qualifies.
+    on its live bucket, whole at r = m' and below m' cleaned to spreadness
+    on the strips off the base: it is taken if its size reaches ``floor``
+    (need[m'], eps_need at r = 0, else 1).  An extracted base is never
+    decided again; the other bases its members contain go back on the
+    heap unless already on it.  An empty live set ends the drain, as no
+    empty bucket qualifies.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
     verdict until an extraction takes a member of its bucket, because live
     sets only shrink and a verdict depends only on the bucket and on what
-    the call fixes (r, m', the threshold, cfg, the bases, b and the strips
-    off the base).  And a restart only passed over earlier components
-    again, whose live sets an extraction here leaves unchanged.
+    the call fixes (r, m', the floor, the bases, b and the strips off the
+    base).  And a restart only passed over earlier components again,
+    whose live sets an extraction here leaves unchanged.
     """
     cands = _candidate_bases(sub, r, bases)
     index = {bm: i for i, bm in enumerate(cands)}
@@ -443,14 +429,12 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
         bm = cands[i]
         bucket = [u for u in lookup.get(bm, ()) if u in live]
         if r == mprime:
-            if not thr.meets(len(bucket), mprime):
-                continue
             t, variant = bucket, "ii"
         else:
             t = bucket and _clean_to_spread(bucket, sub.minus(bm), bases, b)
-            if not t or (r == 0 and not cfg.eps_floor_meets(len(t))):
-                continue
             variant = "i"
+        if len(t) < floor:
+            continue
         live.difference_update(t)
         del index[bm]
         for u in t:
@@ -533,10 +517,12 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     for r in range(mprime, -1, -1):
         round_parts: list[ElementaryPart] = []
         cumulative = 0
+        floor = (thr.need[mprime] if r == mprime
+                 else thr.eps_need if r == 0 else 1)
         for key, live in work.items():
             for bm, t_masks, variant in _extractions(
                     r, mprime, live, lookups[key], collection.subsplit(key),
-                    bases, cfg, thr, b):
+                    bases, floor, b):
                 part = ElementaryPart(bm, key, tuple(t_masks), variant)
                 round_parts.append(part)
                 cumulative += len(t_masks)
@@ -577,18 +563,18 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
     if r < mprime:
-        # all full-rank buckets were drained below f(m') before rank fell;
-        # a bucket of the parts is the component's bucket filtered by them,
-        # and as meets is monotone in the count the largest one decides
+        # all full-rank buckets were drained below need[m'] before rank
+        # fell; a bucket of the parts is the component's bucket filtered by
+        # them, so the largest one decides
         for key, masks in by_key.items():
             lookup, members = lookups[key], set(masks)
             largest = max((len(members.intersection(lookup.get(u, ())))
                            for u in bases.masks()), default=0)
-            require(not thr.meets(largest, mprime),
+            require(largest < thr.need[mprime],
                     "threshold property failed for the returned rank")
     if r == 0:
         for key, masks in by_key.items():
-            require(cfg.eps_floor_meets(len(masks)),
+            require(len(masks) >= thr.eps_need,
                     "rank-0 component below the epsilon floor")
             comp = SetFamily(uni, masks, m=cfg.m)
             report = check_gamma_on_subsplit(comp, collection.subsplit(key),
@@ -672,20 +658,24 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
         p += 1
 
 
+def _check_audit_regime(cfg: Constants) -> None:
+    if not cfg.c > cfg.h > 1:
+        raise ValueError("the audit requires c > h > 1")
+
+
 def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
                          cfg: Constants) -> dict:
     """Report on the terminal parts: the size sandwich, restriction
     consistency, and the terminal-rank inequality chain.
 
-    For every terminal part with base C: f(r_hat) <= |T| (by the same
-    comparison the extraction used) and |T| <= |F[C]| in exact integers.
+    For every terminal part with base C: |T| >= need[r_hat] (the integer
+    floor the extraction used) and |T| <= |F[C]|, both in exact integers.
     Chain lines that depend on hypotheses about the original family (a
     spreadness level of c^c * k * ln k, or m > c^c * ln k) are evaluated
     numerically and marked "hypothesis unmet" when the hypothesis fails
     or cannot be evaluated, never treated as failures.
     """
-    if not cfg.c > cfg.h > 1:
-        raise ValueError("the audit requires c > h > 1")
+    _check_audit_regime(cfg)
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
     thr = Threshold(cfg)
@@ -712,7 +702,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
             "Xprime": list(part.key),
             "sizeT": size_t,
             "restriction": in_family,
-            "lower_ok": thr.meets(size_t, r_hat),
+            "lower_ok": size_t >= thr.need[r_hat],
             "upper_ok": size_t <= in_family,
             "chain_restriction_lt_spread_bound": upper_chain,
         })

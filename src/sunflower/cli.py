@@ -138,7 +138,8 @@ def _cmd_find_sunflower(args) -> int:
               "familySize": len(family), "n": family.universe.n}
     budget = _budget_default(1 << 22)
     if args.gamma is None:
-        cert = find_sunflower_exact(family, args.k, node_budget=budget)
+        cert = find_sunflower_exact(family, args.k, node_budget=budget,
+                                    shadow_budget=budget)
         found = cert is not None
         results = {"found": found, "provenAbsent": not found,
                    "certificate": cert.to_json_obj() if cert else None}
@@ -164,7 +165,7 @@ def _cmd_find_sunflower(args) -> int:
             return EXIT_ABSENT
         work = SetFamily(family.universe, quotient,
                          m=max(0, family.m - core.cardinality))
-    cert = extract_disjoint_via_gamma(work, args.k, b)
+    cert = extract_disjoint_via_gamma(work, args.k, b, shadow_budget=budget)
     if cert is None:
         _emit("find-sunflower", inputs,
               {"found": False, "provenAbsent": False,
@@ -294,6 +295,7 @@ def _cmd_process_r(args) -> int:
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
     split = Split.contiguous(family.universe.n, cfg.m)
+    bs._check_audit_regime(cfg)  # the audit would reject cfg after the run
     inputs = {"constants": cfg.to_json_obj(), "familySize": len(family)}
     try:
         result = bs.process_r(family, split, cfg)

@@ -129,35 +129,25 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
 
 
 def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
-                        seed_mask: int, b: Fraction) -> int | None:
-    """Maximal extension of ``seed_mask`` by strips of ``sub`` whose weighted
-    restriction count stays at or above the seed's.
-
-    Candidates are confined to sets carried by some member of ``over``, and
-    the seed must lie on ``sub`` (unchecked; the engine seeds with 0).
-    Returns a mask S containing the seed with |F[S]| * b^|S| >=
-    |F[seed]| * b^|seed|, of maximum cardinality (lexicographically least on
-    ties); maximum cardinality means no further in-range one-strip extension
-    keeps the property.  Returns None when the seed is empty and no proper
-    extension qualifies.  With b = p/q and d = |S| - |seed| the bound reads
-    |F[S]| * p^d >= |F[seed]| * q^d, decided in integers.
+                        b: Fraction) -> int | None:
+    """A maximal spreadness violator on ``sub``: a nonempty mask S carried
+    by some member of ``over`` with |F[S]| * b^|S| >= |F|, of maximum
+    cardinality (lexicographically least on ties), so no in-range
+    one-strip extension keeps the bound.  Returns None when no nonempty
+    set qualifies.  With b = p/q the bound reads |F[S]| * p^|S| >=
+    |F| * q^|S|, decided in integers.
     """
     if len(masks) == 0:
         raise ValueError("spreadness is undefined for an empty family")
     p, q = b.numerator, b.denominator
-    above = [u for u in masks if u & seed_mask == seed_mask]
-    seed_count = len(above)
-    free = sub.minus(seed_mask)
+    total = len(masks)
     shadow = over.subset_lookup()
     best_mask, best_size = None, 0
-    for add, count in _carried_counts(above, free):
-        size = add.bit_count()
-        cand = seed_mask | add
-        if size < best_size or cand not in shadow \
-                or count * p ** size < seed_count * q ** size:
+    for s, count in _carried_counts(masks, sub):
+        size = s.bit_count()
+        if size < best_size or s not in shadow \
+                or count * p ** size < total * q ** size:
             continue
-        if size > best_size or _canonical_key(cand) < _canonical_key(best_mask):
-            best_mask, best_size = cand, size
-    if best_mask is not None:
-        return best_mask
-    return seed_mask if seed_mask else None
+        if size > best_size or _canonical_key(s) < _canonical_key(best_mask):
+            best_mask, best_size = s, size
+    return best_mask

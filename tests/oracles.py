@@ -13,7 +13,11 @@ carried between scans: it decides every (component, base) pair again
 from the first after each extraction, on buckets read off the live sets.
 ``is_elementary_part`` is the reference checker of one extracted part
 against its variant's conditions, which the engine tests hold every part
-the engine returns to.
+the engine returns to.  Both decide size floors with ``meets_threshold``
+and ``meets_eps_floor``, the float comparisons the engine made before it
+compared integer counts with :class:`Threshold`'s integer table: directly,
+or in log-space below ``LOG_SPACE_SWITCH``, with an independent log f
+(``log_threshold_oracle``).
 ``family_from_text_reference`` and ``family_from_json_obj_reference``
 are the parsers that read every row into a label list first and build
 the family with ``SetFamily.of``, the route the mask-direct parsers
@@ -26,6 +30,7 @@ order in which splits are yielded.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 from math import comb
 from typing import Iterator
@@ -41,6 +46,46 @@ from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
+LOG_SPACE_SWITCH = 1e-300
+
+
+def _meets_floor(count: int, direct: float, log_value: float) -> bool:
+    """count >= floor, comparing directly or in log-space for tiny floors."""
+    if direct >= LOG_SPACE_SWITCH:
+        return count >= direct
+    if count <= 0:
+        return False
+    return math.log(count) >= log_value
+
+
+def log_threshold_oracle(cfg: Constants, x: int) -> float:
+    """Independent log-space recomputation of the bucket floor f(x)."""
+    base = (cfg.h * math.log(cfg.c) + math.log(cfg.k)
+            + math.log(math.log(cfg.k)))
+    return (-5 * math.log(cfg.k) + 2 * cfg.m * math.log(cfg.epsilon)
+            + math.log(cfg.fam_size) - x * base)
+
+
+def meets_threshold(cfg: Constants, count: int, x: int) -> bool:
+    """count >= f(x): the float ``Threshold.value`` compared directly, or
+    in log-space below the switch."""
+    return _meets_floor(count, Threshold(cfg).value(x),
+                        log_threshold_oracle(cfg, x))
+
+
+def meets_eps_floor(cfg: Constants, count: int) -> bool:
+    """count >= epsilon^m * famSize, the float product compared directly
+    (exp of its log where the product overflows, inf past the float
+    range), or in log-space below the switch."""
+    log_value = cfg.m * math.log(cfg.epsilon) + math.log(cfg.fam_size)
+    try:
+        direct = cfg.epsilon ** cfg.m * cfg.fam_size
+    except OverflowError:
+        try:
+            direct = math.exp(log_value)
+        except OverflowError:
+            direct = math.inf
+    return _meets_floor(count, direct, log_value)
 
 
 def p_sets(sub: Subsplit, p: int) -> Iterator[GroundSet]:
@@ -144,7 +189,6 @@ def extractions_by_rescan(r: int, mprime: int,
     key and candidate bases by label, and takes the first that qualifies.
     A bucket is the component's live members containing the base, read
     off ``work`` (live members per key), which is updated in place."""
-    thr = Threshold(cfg)
     b = exact_base(cfg.b)
     extracted: set[tuple[tuple[int, ...], int]] = set()
     found = []
@@ -157,11 +201,11 @@ def extractions_by_rescan(r: int, mprime: int,
                     continue
                 bucket = [u for u in comp if u & bm == bm and u in work[key]]
                 if r == mprime:
-                    if thr.meets(len(bucket), mprime):
+                    if meets_threshold(cfg, len(bucket), mprime):
                         return key, bm, bucket, "ii"
                 elif bucket:
                     t = _clean_to_spread(bucket, sub.minus(bm), bases, b)
-                    if t and (r > 0 or cfg.eps_floor_meets(len(t))):
+                    if t and (r > 0 or meets_eps_floor(cfg, len(t))):
                         return key, bm, t, "i"
         return None
 
@@ -210,14 +254,14 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
                                        exact_base(cfg.b)).holds:
             return False
         if r == 0:
-            return cfg.eps_floor_meets(len(part.T))
+            return meets_eps_floor(cfg, len(part.T))
         return True
     if part.variant == "ii":
         if r != mprime:
             return False
         if cfg.m > mprime:
             bucket = sum(1 for u in part.T if u & b_bits == b_bits)
-            return Threshold(cfg).meets(bucket, mprime)
+            return meets_threshold(cfg, bucket, mprime)
         return True
     raise ValueError(f"unknown variant {part.variant!r}")
 

@@ -29,6 +29,8 @@ from sunflower.splits import find_good_split, transversal_count_brute, \
 from sunflower.sunflowers import extract_disjoint_via_gamma, \
     find_sunflower_exact, verify_certificate
 
+from oracles import meets_eps_floor, meets_threshold
+
 
 def _verdict(name: str, problems: list[str], elapsed: float,
              limit: float | None = None) -> None:
@@ -287,7 +289,6 @@ def test_engine_output_contract():
         if sorted(masks) != sorted(out.family.masks()):
             problems.append(f"{label}: parts do not union to the output family")
 
-        thr = bs.Threshold(cfg)
         if out.r < cfg.m:
             # every surviving bucket must sit below the full-rank threshold
             by_key: dict[tuple[int, ...], list[int]] = {}
@@ -296,14 +297,14 @@ def test_engine_output_contract():
             for key, group in by_key.items():
                 for u in fam.masks():
                     bucket = sum(1 for w in group if w & u == u)
-                    if thr.meets(bucket, cfg.m):
+                    if meets_threshold(cfg, bucket, cfg.m):
                         problems.append(f"{label}: component {key} keeps a "
                                         f"bucket of {bucket} at rank {out.r}")
         if out.r == 0:
             # unreachable for inputs this small, but guarded regardless
             for key, group in _group_parts(out):
                 comp = SetFamily(fam.universe, group, m=cfg.m)
-                if not cfg.eps_floor_meets(len(comp)):
+                if not meets_eps_floor(cfg, len(comp)):
                     problems.append(f"{label}: rank-0 component below the "
                                     "epsilon floor")
                 if not check_gamma(comp, Fraction(cfg.b)).holds:
@@ -344,7 +345,6 @@ def test_engine_iteration_audit():
         audit = bs.audit_terminal_bases(result, fam, cfg)
         if not audit["all_sandwich_ok"]:
             problems.append(f"{label}: sandwich flag is down")
-        thr = bs.Threshold(cfg)
         for row in audit["parts"]:
             core = fam.universe.set_of(row["C"])
             restriction = len(fam.restrict(core))
@@ -353,7 +353,7 @@ def test_engine_iteration_audit():
                                 f"!= recount {restriction} for {row['C']}")
             if not (row["lower_ok"] and row["upper_ok"]):
                 problems.append(f"{label}: sandwich fails at {row['C']}")
-            if not thr.meets(row["sizeT"], result.r_hat):
+            if not meets_threshold(cfg, row["sizeT"], result.r_hat):
                 problems.append(f"{label}: |T|={row['sizeT']} below f(r) "
                                 f"at {row['C']}")
             if row["sizeT"] > restriction:

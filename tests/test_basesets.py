@@ -25,7 +25,7 @@ from sunflower.families import (SetFamily, Split, labels_mask, mask_labels,
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
-from oracles import is_elementary_part
+from oracles import is_elementary_part, log_threshold_oracle
 
 # the five pinned configurations exercised throughout this file
 SPLIT16 = Split.contiguous(16, 2)
@@ -79,10 +79,8 @@ def test_constants_accessors():
     assert sized.fam_size == 100
     assert sized.epsilon == cfg.epsilon
     with pytest.raises(ValueError):
-        cfg.eps_floor_meets(5)  # famSize unset
-    assert sized.eps_floor_meets(25) is True   # floor is 0.25 * 100
-    assert sized.eps_floor_meets(24) is False
-    assert sized.eps_floor_log() == 2 * math.log(0.5) + math.log(100)
+        Threshold(cfg)  # famSize unset
+    assert Threshold(sized).eps_need == 25   # floor is 0.25 * 100
 
 
 def test_constants_json_shape():
@@ -134,14 +132,6 @@ def test_canonical_constants_schedule():
         canonical_constants(0.05, 2, 1)
 
 
-def log_threshold_oracle(cfg: Constants, x: int) -> float:
-    """Independent log-space recomputation of the bucket floor."""
-    base = (cfg.h * math.log(cfg.c) + math.log(cfg.k)
-            + math.log(math.log(cfg.k)))
-    return (-5 * math.log(cfg.k) + 2 * cfg.m * math.log(cfg.epsilon)
-            + math.log(cfg.fam_size) - x * base)
-
-
 def test_threshold_frozen_values():
     assert Threshold(FLAGSHIP_CFG).value(2) == 1.017988369431074
     assert Threshold(FLAGSHIP_CFG).value(1) == 1.4126434737327922
@@ -157,8 +147,6 @@ def test_threshold_matches_log_oracle():
     for cfg in (FLAGSHIP_CFG, PLANTED_CFG, IMMEDIATE_CFG, PRODUCT15_CFG):
         thr = Threshold(cfg)
         for x in range(cfg.m + 1):
-            assert thr.log_value(x) == pytest.approx(
-                log_threshold_oracle(cfg, x), rel=1e-12)
             assert thr.value(x) == pytest.approx(
                 math.exp(log_threshold_oracle(cfg, x)), rel=1e-12)
 
@@ -166,23 +154,22 @@ def test_threshold_matches_log_oracle():
 def test_threshold_strictly_decreasing_and_meets():
     thr = Threshold(PLANTED_CFG)
     assert thr.value(0) > thr.value(1) > thr.value(2) > thr.value(3)
-    assert thr.meets(3, 1) is True    # 3 >= 2.9457...
-    assert thr.meets(2, 1) is False
-    assert thr.meets(0, 2) is False
+    # least counts: 7 >= 6.643..., 3 >= 2.9457..., 2 >= 1.306...
+    assert thr.need == (7, 3, 2)
     with pytest.raises(ValueError):
         thr.value(-1)
 
 
 def test_threshold_log_space_switch():
-    # push x until the direct value underflows past the switch point and
-    # confirm the comparison survives in log space
-    thr = Threshold(IMMEDIATE_CFG)
-    x = 1
-    while thr.value(x) >= 1e-300:
-        x += 1
-    assert thr.value(x) < 1e-300
-    assert thr.meets(1, x) is True
-    assert thr.meets(0, x) is False
+    # floors far below 1e-300, where the reference float comparison
+    # switches to log space, still need a nonempty bucket: the least count
+    # is 1
+    cfg = dataclasses.replace(IMMEDIATE_CFG, epsilon=1e-80)
+    thr = Threshold(cfg)
+    for x in range(cfg.m + 1):
+        assert thr.value(x) < 1e-300
+        assert thr.need[x] == 1
+    assert thr.eps_need == 1
 
 
 def test_component_collection_initial():
@@ -464,8 +451,8 @@ def test_extractions_rank_zero_round():
     comp = coll.components[(0, 1)]
     live = set(comp)
     found = list(_extractions(0, 2, live, subset_lookup(comp),
-                              coll.subsplit((0, 1)), GRID16, cfg,
-                              Threshold(cfg), exact_base(cfg.b)))
+                              coll.subsplit((0, 1)), GRID16,
+                              Threshold(cfg).eps_need, exact_base(cfg.b)))
     assert len(found) == 1
     bm, t_masks, variant = found[0]
     assert bm == 0
@@ -482,8 +469,8 @@ def test_extractions_read_live_members_only():
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
-    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16, cfg,
-            Threshold(cfg), exact_base(cfg.b))
+    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16,
+            Threshold(cfg).need[2], exact_base(cfg.b))
     first = next(_extractions(2, 2, set(comp), *args))
     assert first == (0b10001, [0b10001], "ii")
     second = next(_extractions(2, 2, set(comp) - {0b10001}, *args))

@@ -11,6 +11,7 @@ import pytest
 from sunflower import cli
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
+from sunflower.extremal import build_extremal
 from sunflower.families import GroundSet, SetFamily, Split, family_from_text
 from sunflower.harness import EXPERIMENT_LABEL, generate_random_family
 from sunflower.schemas import (
@@ -347,6 +348,20 @@ def test_process_r_fills_family_size(capsys, tmp_path):
     assert len(trace_path.read_text().splitlines()) == 4
 
 
+def test_process_r_rejects_c_not_above_h_before_the_engine(
+        capsys, tmp_path, monkeypatch):
+    def engine(*args):
+        raise AssertionError("the engine ran on constants the audit rejects")
+
+    monkeypatch.setattr(cli.bs, "process_r", engine)
+    fam_path = family_file(tmp_path, IMMEDIATE)
+    cfg_path = constants_file(tmp_path, dict(CONSTANTS, h=2.0, c=1.5))
+    code, out, err = run(capsys, ["process-r", fam_path,
+                                  "--constants", cfg_path])
+    assert (code, out) == (5, "")
+    assert err == "error: the audit requires c > h > 1\n"
+
+
 def test_verify_bound_reports_empirical_rows(capsys):
     code, report, _ = run_report(
         capsys, ["verify-bound", "--k-range", "2", "--m-range", "1",
@@ -382,11 +397,27 @@ def test_verify_bound_parses_ranges(capsys):
 
 
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
-    path = family_file(tmp_path, FULL4)
-    monkeypatch.setenv("SUNFLOWER_BUDGET", "1")
-    code, out, err = run(capsys, ["find-sunflower", path, "--k", "3"])
+    # the extremal 5-sunflower-free family of 64 3-sets: its link table
+    # (512 entries) fits the budget, but proving absence takes 720 nodes
+    path = family_file(tmp_path, build_extremal(5, 3).family)
+    monkeypatch.setenv("SUNFLOWER_BUDGET", "512")
+    code, out, err = run(capsys, ["find-sunflower", path, "--k", "5"])
     assert code == 4
-    assert "exceeded 1 nodes" in err
+    assert "exceeded 512 nodes" in err
+
+
+@pytest.mark.parametrize("option", [["--k", "2"], ["--k", "2", "--gamma", "9"]])
+def test_budget_env_caps_find_sunflower_shadow(capsys, tmp_path, monkeypatch,
+                                               option):
+    # 20 3-sets: 160 entries in the link table of the exact search and in
+    # the subset map of the gamma mode's spreadness check, as in check-gamma
+    path = family_file(tmp_path, generate_random_family(9, 3, 20, seed=4))
+    monkeypatch.setenv("SUNFLOWER_BUDGET", "40")
+    for argv in (["find-sunflower", path, *option],
+                 ["check-gamma", path, "--b", "9"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err == "error: shadow would generate 160 subsets (budget 40)\n"
 
 
 @pytest.mark.parametrize("value", ["-5", "0", "1.5", "many"])

@@ -175,37 +175,24 @@ VIOLATOR_FAMILY = SetFamily.of(
     8, [[0, 4], [0, 5], [0, 7], [1, 4], [1, 5], [2, 6]])
 
 
-def max_violator(family: SetFamily, sub, seed: list[int], b):
-    """The engine's maximal-violator kernel on ``family`` over itself, from
-    the seed labels; the labels of the result, or None."""
-    got = _max_violator_masks(family.masks(), sub, family, labels_mask(seed),
-                              exact_base(b))
+def max_violator(family: SetFamily, sub, b):
+    """The engine's maximal-violator kernel on ``family`` over itself; the
+    labels of the result, or None."""
+    got = _max_violator_masks(family.masks(), sub, family, exact_base(b))
     return None if got is None else mask_labels(got)
 
 
 def test_maximal_violator_from_empty_seed():
     sub = Split.contiguous(8, 2).full_subsplit()
-    got = max_violator(VIOLATOR_FAMILY, sub, [], 2)
+    got = max_violator(VIOLATOR_FAMILY, sub, 2)
     # pairs reach 1*2^2 = 4 < 6, so the search settles at the singleton level
     assert got == (0,)
-    assert max_violator(VIOLATOR_FAMILY, sub, [], Fraction(6, 5)) is None
-
-
-def test_maximal_violator_extends_nonempty_seed():
-    sub = Split.contiguous(8, 2).full_subsplit()
-    # |F[{0,4}]| * 4 = 4 matches the seed's |F[{4}]| * 2 = 4; lex-least wins
-    assert max_violator(VIOLATOR_FAMILY, sub, [4], 2) == (0, 4)
-    assert max_violator(VIOLATOR_FAMILY, sub, [2], 2) == (2, 6)
-
-
-def test_maximal_violator_returns_seed_when_nothing_extends():
-    sub = Split.contiguous(8, 2).full_subsplit()
-    assert max_violator(VIOLATOR_FAMILY, sub, [3], 2) == (3,)
+    assert max_violator(VIOLATOR_FAMILY, sub, Fraction(6, 5)) is None
 
 
 def test_maximal_violator_result_properties():
-    # returned set contains the seed, keeps the weighted count, and admits
-    # no one-element in-range extension that keeps it
+    # a returned set keeps the weighted count of the whole family and
+    # admits no one-element in-range extension that keeps it
     sub = Split.contiguous(8, 2).full_subsplit()
     b = Fraction(2)
     for seed_idx in range(12):
@@ -215,23 +202,15 @@ def test_maximal_violator_result_properties():
         def weight(s: int) -> Fraction:
             return sum(1 for u in masks if u & s == s) * b ** s.bit_count()
 
-        for seed_labels in [[], [0], [4]]:
-            seed = labels_mask(seed_labels)
-            if seed and not sub.carries_mask(seed):
-                continue
-            got = _max_violator_masks(masks, sub, fam, seed, b)
-            if got is None:
-                assert seed == 0
-                continue
-            if got == seed:
-                continue
-            assert got & seed == seed
-            floor = weight(seed)
-            assert weight(got) >= floor
-            free = sub.minus(got)
-            for strip in free.strip_masks:
-                for label in mask_labels(strip):
-                    ext = got | 1 << label
-                    if not any(u & ext == ext for u in masks):
-                        continue
-                    assert weight(ext) < floor
+        got = _max_violator_masks(masks, sub, fam, b)
+        if got is None:
+            continue
+        floor = weight(0)
+        assert weight(got) >= floor
+        free = sub.minus(got)
+        for strip in free.strip_masks:
+            for label in mask_labels(strip):
+                ext = got | 1 << label
+                if not any(u & ext == ext for u in masks):
+                    continue
+                assert weight(ext) < floor

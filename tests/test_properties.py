@@ -12,11 +12,15 @@ split searches; the kernel itself is checked block by block against the
 member scan it replaced, and enumerate_splits against the enumerator it
 replaced, which pins the order the exhaustive tie-break depends on.  The engine's per-component drain is checked against
 the restart scan that decides every pair again after each extraction,
-and the family constructor's canonical order against sorted label lists.
+which decides size floors with the float comparisons of the oracles;
+the engine's integer floor table is checked against those comparisons
+too, and the family constructor's canonical order against sorted label
+lists.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -44,7 +48,8 @@ from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 from oracles import (enumerate_splits_reference, extractions_by_rescan,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
-                     meet_once, p_sets, sunflower_free_check_oracle)
+                     meet_once, meets_eps_floor, meets_threshold, p_sets,
+                     sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -290,34 +295,25 @@ def test_check_gamma_on_subsplit_matches_brute_scan(case, b):
         brute_max_ratio(family, candidates, b)
 
 
-def brute_max_violator(family, sub, over, seed, b):
-    """The maximal-violator definition, level by level from the top."""
-    floor = len(family.restrict(seed)) * b ** seed.cardinality
-    free = sub.minus(seed.bits)
-    for p in range(free.rank, 0, -1):
-        hits = []
-        for add in p_sets(free, p):
-            cand = family.universe.from_bits(seed.bits | add.bits)
-            count = len(family.restrict(cand))
-            if (over.shadow_contains(cand) and count
-                    and count * b ** cand.cardinality >= floor):
-                hits.append(cand)
+def brute_max_violator(family, sub, over, b):
+    """The maximal-violator definition, level by level from the top: the
+    largest sets S on ``sub`` in the shadow of ``over`` with |F[S]| *
+    b^|S| >= |F|, the least labels first; None when no nonempty S is."""
+    for p in range(sub.rank, 0, -1):
+        hits = [s for s in p_sets(sub, p) if over.shadow_contains(s)
+                and len(family.restrict(s)) * b ** p >= len(family)]
         if hits:
             return min(hits, key=lambda s: s.labels())
-    return seed if seed.bits else None
+    return None
 
 
 @SETTINGS
 @given(subsplit_cases(), bases())
 def test_maximal_violator_matches_brute_search(case, b):
     family, sub, over = case
-    uni = family.universe
-    for seed in [uni.empty] + [uni.set_of([x]) for strip in sub.strip_masks
-                               for x in mask_labels(strip)]:
-        want = brute_max_violator(family, sub, over, seed, b)
-        assert _max_violator_masks(family.masks(), sub, over, seed.bits,
-                                   exact_base(b)) == \
-            (None if want is None else want.bits)
+    want = brute_max_violator(family, sub, over, b)
+    assert _max_violator_masks(family.masks(), sub, over, exact_base(b)) == \
+        (None if want is None else want.bits)
 
 
 @SETTINGS
@@ -519,6 +515,40 @@ def test_transversal_count_at_j_zero_matches_scan(family):
 
 
 @st.composite
+def threshold_constants(draw):
+    """Engine constants in one of three regimes: floors under 1e-300 (a
+    tiny epsilon), c ** h overflowing a float, and famSize = 10**400."""
+    regime = draw(st.sampled_from(["tiny", "overflow", "huge"]))
+    k, m = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    epsilon = draw(st.floats(1e-300, 1e-60) if regime == "tiny"
+                   else st.floats(1e-100, 0.999))
+    h, c = ((draw(st.floats(40.0, 400.0)), draw(st.floats(1e10, 1e100)))
+            if regime == "overflow"
+            else (draw(st.floats(1.0001, 3.0)), draw(st.floats(1.001, 4.0))))
+    fam_size = 10 ** 400 if regime == "huge" else draw(st.integers(1, 10 ** 6))
+    return bs.Constants(epsilon, h, c, k, m, fam_size)
+
+
+def assert_least_accepted(need, meets):
+    """``need`` is the least count ``meets`` accepts, or inf when it
+    accepts none: every finite float floor is below 2**1024."""
+    if need == math.inf:
+        assert not meets(2 ** 1024)
+    else:
+        assert need >= 1 and meets(need) and not meets(need - 1)
+
+
+@SETTINGS
+@given(threshold_constants())
+def test_threshold_table_is_least_float_accepted_count(cfg):
+    thr = bs.Threshold(cfg)
+    assert len(thr.need) == cfg.m + 1
+    for x, need in enumerate(thr.need):
+        assert_least_accepted(need, lambda n: meets_threshold(cfg, n, x))
+    assert_least_accepted(thr.eps_need, lambda n: meets_eps_floor(cfg, n))
+
+
+@st.composite
 def engine_cases(draw):
     """A nonempty family on the contiguous m-split of n labels, engine
     constants (the corpus' surrogate regime or a coarser one, famSize up
@@ -573,11 +603,16 @@ def drain_matches_rescan(mprime, top, bases, collection, cfg):
     lookups = {key: subset_lookup(comp) for key, comp in comps.items()}
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
-    args = (bases, cfg, bs.Threshold(cfg), exact_base(cfg.b))
+    thr, b = bs.Threshold(cfg), exact_base(cfg.b)
     for r in range(top, -1, -1):
+        # a whole bucket meets need[m'], a cleaned one is nonempty and, at
+        # rank 0, meets the epsilon floor
+        floor = thr.need[mprime] if r == mprime else thr.eps_need if r == 0 \
+            else 1
         got = [(key, *found) for key, live in drained.items()
                for found in bs._extractions(r, mprime, live, lookups[key],
-                                            collection.subsplit(key), *args)]
+                                            collection.subsplit(key), bases,
+                                            floor, b)]
         assert got == extractions_by_rescan(r, mprime, rescanned, collection,
                                             bases, cfg)
         assert drained == rescanned
