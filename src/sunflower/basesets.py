@@ -191,9 +191,11 @@ class Threshold:
         if x < 0:
             raise ValueError("argument must be nonnegative")
         cfg, log_k = self.cfg, math.log(self.cfg.k)
+        # f(0) has no base factor, so no overflow of c ** h may move it
         return _float_floor(
             lambda: (cfg.k ** -5 * cfg.epsilon ** (2 * cfg.m)
-                     * (cfg.c ** cfg.h * cfg.k * log_k) ** -x * cfg.fam_size),
+                     * ((cfg.c ** cfg.h * cfg.k * log_k) ** -x if x else 1.0)
+                     * cfg.fam_size),
             -5 * log_k + 2 * cfg.m * math.log(cfg.epsilon)
             + math.log(cfg.fam_size)
             - x * (cfg.h * math.log(cfg.c) + log_k + math.log(log_k)))

@@ -25,19 +25,18 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import basesets as bs
+# Each command imports the modules it runs in its handler, so a call loads
+# only those; errors and families serve every command.
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError, TrialsExhaustedError)
-from .extremal import build_extremal
 from .families import (SetFamily, Split, family_from_json_obj,
                        family_from_text, family_to_text, mask_labels,
                        pad_universe)
-from .gamma import check_gamma
-from .harness import generate_random_family, verify_bound_experiment
-from .splits import find_good_split, transversal_count_brute, transversal_formula
-from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
-                         find_sunflower_exact, verify_certificate)
+
+if TYPE_CHECKING:
+    from .basesets import Constants, ElementaryPart
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,7 +56,8 @@ def _read_family(path: str) -> SetFamily:
     return family_from_text(text)
 
 
-def _read_constants(path: str) -> bs.Constants:
+def _read_constants(path: str) -> Constants:
+    from . import basesets as bs
     with open(path) as fh:
         return bs.constants_from_dict(json.load(fh))
 
@@ -118,12 +118,14 @@ def _parse_base(text: str) -> Fraction:
 
 
 def _cmd_gen_extremal(args) -> int:
+    from .extremal import build_extremal
     ef = build_extremal(args.k, args.m)
     _emit_family(ef.family, args.json)
     return EXIT_OK
 
 
 def _cmd_gen_random(args) -> int:
+    from .harness import generate_random_family
     split = Split.contiguous(args.n, args.m) if args.on_split else None
     family = generate_random_family(args.n, args.m, args.size, args.seed,
                                     on_split=split)
@@ -132,6 +134,8 @@ def _cmd_gen_random(args) -> int:
 
 
 def _cmd_find_sunflower(args) -> int:
+    from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
+                             find_sunflower_exact, verify_certificate)
     t0 = time.perf_counter()
     family = _read_family(args.family)
     inputs = {"k": args.k, "mode": "gamma" if args.gamma else "exact",
@@ -184,6 +188,7 @@ def _cmd_find_sunflower(args) -> int:
 
 
 def _cmd_check_gamma(args) -> int:
+    from .gamma import check_gamma
     t0 = time.perf_counter()
     family = _read_family(args.family)
     b = _parse_base(args.b)
@@ -195,6 +200,7 @@ def _cmd_check_gamma(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .splits import find_good_split
     t0 = time.perf_counter()
     family = _read_family(args.family)
     if args.pad_to:
@@ -225,6 +231,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_transversal_check(args) -> int:
+    from .splits import transversal_count_brute, transversal_formula
     t0 = time.perf_counter()
     family = _read_family(args.family)
     brute = transversal_count_brute(family, args.j,
@@ -239,7 +246,7 @@ def _cmd_transversal_check(args) -> int:
     return EXIT_OK if equal else EXIT_VIOLATION
 
 
-def _part_obj(part: bs.ElementaryPart) -> dict:
+def _part_obj(part: ElementaryPart) -> dict:
     return {"B": list(mask_labels(part.B)), "Xprime": list(part.key),
             "size": len(part.T), "variant": part.variant}
 
@@ -251,6 +258,7 @@ def _write_trace(path: str, rows) -> None:
 
 
 def _cmd_basesets(args) -> int:
+    from . import basesets as bs
     t0 = time.perf_counter()
     family = _read_family(args.family)
     cfg = _read_constants(args.constants)
@@ -289,6 +297,7 @@ def _cmd_basesets(args) -> int:
 
 
 def _cmd_process_r(args) -> int:
+    from . import basesets as bs
     t0 = time.perf_counter()
     family = _read_family(args.family)
     cfg = _read_constants(args.constants)
@@ -329,6 +338,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_verify_bound(args) -> int:
+    from .harness import verify_bound_experiment
     t0 = time.perf_counter()
     inputs = {"k": _parse_range(args.k_range),
               "m": _parse_range(args.m_range), "trials": args.trials}

@@ -17,7 +17,6 @@ Everything here is immutable and pure, hence safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -133,15 +132,40 @@ def _mask_repr(mask: int) -> str:
     return "{%s}" % ",".join(str(x) for x in mask_labels(mask))
 
 
-@dataclass(frozen=True)
-class Universe:
+class _Immutable:
+    """Base of the package's value classes: each sets its slots once, in
+    ``__init__``, through ``object.__setattr__``; after that assignment
+    and deletion raise AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Universe(_Immutable):
     """The ground set {0, .., n-1}."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("universe size must be positive")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
+
+    def __repr__(self) -> str:
+        return f"Universe(n={self.n!r})"
 
     @property
     def full_mask(self) -> int:
@@ -165,7 +189,7 @@ class Universe:
         return out
 
 
-class GroundSet:
+class GroundSet(_Immutable):
     """An immutable subset of a universe, stored as a bit mask: an output
     view with no set algebra, as computations work on ``bits``.
 
@@ -181,9 +205,6 @@ class GroundSet:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "cardinality", bits.bit_count())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroundSet is immutable")
 
     def labels(self) -> tuple[int, ...]:
         return mask_labels(self.bits)
@@ -206,7 +227,7 @@ class GroundSet:
         return _mask_repr(self.bits)
 
 
-class SetFamily:
+class SetFamily(_Immutable):
     """An immutable family of distinct sets with a cardinality bound.
 
     The family stores its members as one tuple of int masks in canonical
@@ -248,9 +269,6 @@ class SetFamily:
         object.__setattr__(self, "_mask_set", mask_set)
         object.__setattr__(self, "_members", None)
         object.__setattr__(self, "_subsets", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetFamily is immutable")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]],
@@ -378,21 +396,19 @@ class SetFamily:
         return family_to_json_obj(self)
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(_Immutable):
     """An ordered partition of the universe into equal-size strips, each
     an int mask."""
 
-    universe: Universe
-    strips: tuple[int, ...]
+    __slots__ = ("universe", "strips")
 
-    def __post_init__(self):
-        if not self.strips:
+    def __init__(self, universe: Universe, strips: tuple[int, ...]):
+        if not strips:
             raise ValueError("split needs at least one strip")
-        full = self.universe.full_mask
-        d = self.strips[0].bit_count()
+        full = universe.full_mask
+        d = strips[0].bit_count()
         union = 0
-        for s in self.strips:
+        for s in strips:
             if not 0 <= s <= full:
                 raise ValueError("strip bits outside universe width")
             if s.bit_count() != d:
@@ -402,6 +418,19 @@ class Split:
             union |= s
         if union != full:
             raise ValueError("strips must cover the universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "strips", strips)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.strips) == (other.universe, other.strips)
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.strips))
+
+    def __repr__(self) -> str:
+        return f"Split(universe={self.universe!r}, strips={self.strips!r})"
 
     @classmethod
     def of(cls, n: int, strips: Iterable[Iterable[int]]) -> "Split":
@@ -433,27 +462,37 @@ class Split:
         return [list(mask_labels(s)) for s in self.strips]
 
 
-@dataclass(frozen=True)
-class Subsplit:
-    """An order-preserving selection of strips from a split; rank 0 is legal."""
+class Subsplit(_Immutable):
+    """An order-preserving selection of strips from a split; rank 0 is
+    legal.  Equality, hash and repr read ``split`` and ``indices`` only:
+    ``strip_masks`` and ``union_mask`` are derived from them."""
 
-    split: Split
-    indices: tuple[int, ...]
-    strip_masks: tuple[int, ...] = field(init=False, repr=False,
-                                         compare=False)
-    union_mask: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("split", "indices", "strip_masks", "union_mask")
 
-    def __post_init__(self):
+    def __init__(self, split: Split, indices: tuple[int, ...]):
         prev = -1
-        for i in self.indices:
-            if not 0 <= i < self.split.m:
+        for i in indices:
+            if not 0 <= i < split.m:
                 raise ValueError(f"strip index {i} out of range")
             if i <= prev:
                 raise ValueError("strip indices must be strictly increasing")
             prev = i
-        masks = tuple(self.split.strips[i] for i in self.indices)
+        masks = tuple(split.strips[i] for i in indices)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "strip_masks", masks)
         object.__setattr__(self, "union_mask", sum(masks))  # disjoint strips
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.split, self.indices) == (other.split, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.split, self.indices))
+
+    def __repr__(self) -> str:
+        return f"Subsplit(split={self.split!r}, indices={self.indices!r})"
 
     @property
     def rank(self) -> int:

@@ -13,13 +13,12 @@ lexicographically least label tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, subset_buckets)
+                       _canonical_key, _Immutable, subset_buckets)
 
 
 def exact_base(b) -> Fraction:
@@ -30,8 +29,7 @@ def exact_base(b) -> Fraction:
     return frac
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(_Immutable):
     """Outcome of a spreadness check.
 
     ``ratio`` is the maximum of |F[S]| * b^|S| / |F| over the candidate
@@ -39,9 +37,26 @@ class GammaReport:
     check fails, None when it holds.
     """
 
-    holds: bool
-    witness: GroundSet | None
-    ratio: Fraction
+    __slots__ = ("holds", "witness", "ratio")
+
+    def __init__(self, holds: bool, witness: GroundSet | None,
+                 ratio: Fraction):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "ratio", ratio)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.holds, self.witness, self.ratio)
+                == (other.holds, other.witness, other.ratio))
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.witness, self.ratio))
+
+    def __repr__(self) -> str:
+        return (f"GammaReport(holds={self.holds!r}, "
+                f"witness={self.witness!r}, ratio={self.ratio!r})")
 
     def to_json_obj(self) -> dict:
         return {

@@ -18,20 +18,18 @@ many members any one element can kill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                       _canonical_key, _check_shadow_budget)
+                       _canonical_key, _check_shadow_budget, _Immutable)
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
 
 
-@dataclass(frozen=True)
-class SunflowerCertificate:
+class SunflowerCertificate(_Immutable):
     """k petals claimed to intersect pairwise in exactly ``core``.
 
     The constructor checks only shape (at least two petals, one universe);
@@ -39,15 +37,28 @@ class SunflowerCertificate:
     bad certificate is representable and verifiably bad.
     """
 
-    petals: tuple[GroundSet, ...]
-    core: GroundSet
+    __slots__ = ("petals", "core")
 
-    def __post_init__(self):
-        if len(self.petals) < 2:
+    def __init__(self, petals: tuple[GroundSet, ...], core: GroundSet):
+        if len(petals) < 2:
             raise ValueError("a sunflower needs at least 2 petals")
-        for p in self.petals:
-            if p.universe.n != self.core.universe.n:
+        for p in petals:
+            if p.universe.n != core.universe.n:
                 raise ValueError("petals and core must share a universe")
+        object.__setattr__(self, "petals", petals)
+        object.__setattr__(self, "core", core)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.petals, self.core) == (other.petals, other.core)
+
+    def __hash__(self) -> int:
+        return hash((self.petals, self.core))
+
+    def __repr__(self) -> str:
+        return (f"SunflowerCertificate(petals={self.petals!r}, "
+                f"core={self.core!r})")
 
     @property
     def k(self) -> int:

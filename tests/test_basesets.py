@@ -160,6 +160,15 @@ def test_threshold_strictly_decreasing_and_meets():
         thr.value(-1)
 
 
+def test_threshold_rank_zero_floor_ignores_c_and_h():
+    # f(0) = k^-5 * eps^2m * famSize = 2^-5 * 0.25 * 896 = 7 exactly, with
+    # no c or h in it; c ** h overflowing a float must not move the floor
+    for h, c in ((1.2, 1.5), (40.0, 1e10)):
+        thr = Threshold(Constants(0.5, h, c, 2, 1, 896))
+        assert thr.value(0) == 7.0
+        assert thr.need[0] == 7
+
+
 def test_threshold_log_space_switch():
     # floors far below 1e-300, where the reference float comparison
     # switches to log space, still need a nonempty bucket: the least count

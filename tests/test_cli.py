@@ -8,7 +8,7 @@ from itertools import combinations
 import jsonschema
 import pytest
 
-from sunflower import cli
+from sunflower import basesets, cli, splits, sunflowers
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
 from sunflower.extremal import build_extremal
@@ -353,7 +353,7 @@ def test_process_r_rejects_c_not_above_h_before_the_engine(
     def engine(*args):
         raise AssertionError("the engine ran on constants the audit rejects")
 
-    monkeypatch.setattr(cli.bs, "process_r", engine)
+    monkeypatch.setattr(basesets, "process_r", engine)
     fam_path = family_file(tmp_path, IMMEDIATE)
     cfg_path = constants_file(tmp_path, dict(CONSTANTS, h=2.0, c=1.5))
     code, out, err = run(capsys, ["process-r", fam_path,
@@ -577,7 +577,7 @@ def _violate(*args, **kwargs):
 
 
 def test_split_contract_violation_exits_one(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "find_good_split", _violate)
+    monkeypatch.setattr(splits, "find_good_split", _violate)
     path = family_file(tmp_path, FULL4)
     code, out, err = run(capsys, ["split", path])
     assert code == 1
@@ -595,8 +595,8 @@ def test_engine_contract_violation_writes_trace_and_exits_one(
     def violate(*args, **kwargs):
         raise ContractViolationError("no rank reached its bound", trace=[row])
 
-    monkeypatch.setattr(cli.bs, "process_r", violate)
-    monkeypatch.setattr(cli.bs, "base_sets", violate)
+    monkeypatch.setattr(basesets, "process_r", violate)
+    monkeypatch.setattr(basesets, "base_sets", violate)
     fam_path = family_file(tmp_path, IMMEDIATE)
     cfg_path = constants_file(tmp_path, CONSTANTS)
     trace = tmp_path / "trace.jsonl"
@@ -612,7 +612,7 @@ def test_engine_contract_violation_writes_trace_and_exits_one(
 
 
 def test_gamma_contract_violation_exits_one(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "extract_disjoint_via_gamma", _violate)
+    monkeypatch.setattr(sunflowers, "extract_disjoint_via_gamma", _violate)
     path = family_file(tmp_path, SetFamily.of(10, [[i] for i in range(10)]))
     code, out, err = run(capsys,
                          ["find-sunflower", path, "--k", "3", "--gamma", "3"])
