@@ -31,7 +31,6 @@ and its output families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
@@ -39,12 +38,12 @@ from typing import Iterable, Iterator
 
 from .errors import ContractViolationError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       mask_labels, subset_lookup)
-from .gamma import (_max_violator_masks, check_gamma, check_gamma_on_subsplit,
-                    exact_base)
+                       _Record, mask_labels, subset_lookup)
+from .gamma import (_carried_counts, _max_violator_masks, _tally_traces,
+                    check_gamma, check_gamma_on_subsplit, exact_base)
 
-@dataclass(frozen=True)
-class Constants:
+
+class Constants(_Record):
     """Numeric regime for the engine.
 
     mode "surrogate" takes h and c as given; mode "canonical" marks the
@@ -55,29 +54,25 @@ class Constants:
     driver fills it with the input family's size when unset.
     """
 
-    epsilon: float
-    h: float
-    c: float
-    k: int
-    m: int
-    fam_size: int | None = None
-    mode: str = "surrogate"
+    __slots__ = ("epsilon", "h", "c", "k", "m", "fam_size", "mode")
 
-    def __post_init__(self):
-        if not 0 < self.epsilon < 1:
+    def __init__(self, epsilon: float, h: float, c: float, k: int, m: int,
+                 fam_size: int | None = None, mode: str = "surrogate"):
+        if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not self.h > 1:
+        if not h > 1:
             raise ValueError("h must exceed 1")
-        if not self.c > 1:
+        if not c > 1:
             raise ValueError("c must exceed 1")
-        if self.k < 2:
+        if k < 2:
             raise ValueError("k must be at least 2")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if self.fam_size is not None and self.fam_size < 1:
+        if fam_size is not None and fam_size < 1:
             raise ValueError("famSize must be positive")
-        if self.mode not in ("surrogate", "canonical"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if mode not in ("surrogate", "canonical"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self._set(epsilon, h, c, k, m, fam_size, mode)
 
     @property
     def b(self) -> float:
@@ -201,8 +196,7 @@ class Threshold:
             - x * (cfg.h * math.log(cfg.c) + log_k + math.log(log_k)))
 
 
-@dataclass(frozen=True)
-class ElementaryPart:
+class ElementaryPart(_Record):
     """One extracted piece: base set B, origin component key, members T.
 
     ``B`` is the base set's mask and ``T`` a tuple of member masks in
@@ -211,10 +205,11 @@ class ElementaryPart:
     at r = m' and "i" for spreadness-cleaned buckets taken at r < m'.
     """
 
-    B: int
-    key: tuple[int, ...]
-    T: tuple[int, ...]
-    variant: str
+    __slots__ = ("B", "key", "T", "variant")
+
+    def __init__(self, B: int, key: tuple[int, ...], T: tuple[int, ...],
+                 variant: str):
+        self._set(B, key, T, variant)
 
     @property
     def r(self) -> int:
@@ -354,8 +349,7 @@ class ComponentCollection:
                 SetFamily(family.universe, skipped, m=family.m))
 
 
-@dataclass(frozen=True)
-class BaseSetsOutput:
+class BaseSetsOutput(_Record):
     """One engine call's result: rank, base sets, family, and its parts.
 
     ``family`` is the disjoint union of the parts' members and meets
@@ -364,34 +358,41 @@ class BaseSetsOutput:
     whose accumulation fell short.
     """
 
-    r: int
-    base_sets: SetFamily
-    family: SetFamily
-    parts: tuple[ElementaryPart, ...]
-    trace: tuple[dict, ...]
+    __slots__ = ("r", "base_sets", "family", "parts", "trace")
+
+    def __init__(self, r: int, base_sets: SetFamily, family: SetFamily,
+                 parts: tuple[ElementaryPart, ...], trace: tuple[dict, ...]):
+        self._set(r, base_sets, family, parts, trace)
 
 
-def _candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
-    """Masks of r-sets on the subsplit inside the bases' shadow, in
-    lexicographic label order; rank 0 gives the empty set alone."""
-    if r == 0:
-        return [0] if len(bases) else []
-    shadow = bases.subset_lookup()
-    cands = [b for b in sub.p_set_masks(r) if b in shadow]
+def _candidate_bases(sub: Subsplit, r: int, shadow, lookup,
+                     floor: int | float) -> list[int]:
+    """Masks of r-sets on the subsplit inside the bases' shadow (``shadow``,
+    their subset lookup) whose component bucket, the members of
+    ``lookup`` containing them, reaches ``floor``, in lexicographic label
+    order; rank 0 gives at most the empty set.  A live bucket, and its
+    cleaning, only shrink, so no other base can ever be taken."""
+    cands = [bm for bm in sub.p_set_masks(r)
+             if bm in shadow and len(lookup.get(bm, ())) >= floor]
     cands.sort(key=_canonical_key)
     return cands
 
 
-def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
-                     b: Fraction) -> list[int]:
+def _clean_to_spread(bucket: list[int], free: Subsplit, shadow, p: int,
+                     q: int) -> list[int]:
     """Greedy maximal subfamily of the bucket with no spreadness violator
-    on the free strips over the bases: repeatedly find a maximal violator
-    and drop every member containing it."""
-    t = list(bucket)
+    on the free strips over the bases (``shadow`` their subset lookup, b =
+    p/q): repeatedly find a maximal violator and drop every member
+    containing it.  One count map of the members' traces on the free
+    strips serves the whole cleaning; a dropped member's traces are taken
+    off it."""
+    counts = _carried_counts(bucket, free)
+    t = bucket
     while t:
-        v = _max_violator_masks(t, free, bases, b)
+        v = _max_violator_masks(counts, len(t), shadow, p, q)
         if v is None:
             break
+        _tally_traces(counts, [u for u in t if u & v == v], free, -1)
         t = [u for u in t if u & v != v]
     return t
 
@@ -405,13 +406,15 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
     bucket is the map's entry filtered by ``live``, in canonical order.
 
     A min-heap holds the label-order indices of the undecided candidate
-    bases, all of them at the start.  The smallest is popped and decided
-    on its live bucket, whole at r = m' and below m' cleaned to spreadness
-    on the strips off the base: it is taken if its size reaches ``floor``
-    (need[m'], eps_need at r = 0, else 1).  An extracted base is never
-    decided again; the other bases its members contain go back on the
-    heap unless already on it.  An empty live set ends the drain, as no
-    empty bucket qualifies.
+    bases, at the start all whose unfiltered bucket reaches ``floor``
+    (need[m'], eps_need at r = 0, else 1).  The smallest is popped and
+    decided on its live bucket, whole at r = m' and below m' cleaned to
+    spreadness on the strips off the base: it is taken if its size
+    reaches the floor.  An extracted base is never decided again; the
+    other bases its members contain go back on the heap unless already on
+    it.  An empty live set ends the drain, as no empty bucket qualifies.
+    The bases' shadow, b's numerator and denominator, and the free
+    subsplit per set of strips a base hits are computed once per drain.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
@@ -421,7 +424,10 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
     base).  And a restart only passed over earlier components again,
     whose live sets an extraction here leaves unchanged.
     """
-    cands = _candidate_bases(sub, r, bases)
+    shadow = bases.subset_lookup()
+    p, q = b.numerator, b.denominator
+    frees: dict[int, Subsplit] = {}   # union of the strips hit -> the rest
+    cands = _candidate_bases(sub, r, shadow, lookup, floor)
     index = {bm: i for i, bm in enumerate(cands)}
     heap = list(range(len(cands)))
     queued = set(heap)
@@ -433,7 +439,11 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
         if r == mprime:
             t, variant = bucket, "ii"
         else:
-            t = bucket and _clean_to_spread(bucket, sub.minus(bm), bases, b)
+            hit = sum(bits for bits in sub.strip_masks if bits & bm)
+            free = frees.get(hit)
+            if free is None:
+                free = frees[hit] = sub.minus(bm)
+            t = bucket and _clean_to_spread(bucket, free, shadow, p, q)
             variant = "i"
         if len(t) < floor:
             continue
@@ -464,6 +474,10 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     pair is extracted at most once per call.  Raises
     ContractViolationError with the full extraction trace when no rank
     reaches its bound.
+
+    The input is checked first: ranks, strip count and universe, every
+    base an on-split m'-set in some component's shadow, and every
+    member's projection onto its component's strips a base (ValueError).
     """
     split = collection.split
     _check_rank(mprime, cfg.m)
@@ -484,9 +498,7 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     if self_anchored:
         lookups = {key: bases.subset_lookup() for key in components}
     else:
-        lookups = {key: subset_lookup(comp)
-                   for key, comp in components.items()}
-    size = sum(len(comp) for comp in components.values())
+        lookups = _component_lookups(collection)
     full = split.full_subsplit()
     for u in bases.masks():
         if u.bit_count() != mprime or not full.carries_mask(u):
@@ -506,6 +518,27 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                     raise ValueError(
                         f"member projection {mask_labels(proj)} of "
                         f"component {key} is not an anchor base")
+    return _base_sets(mprime, bases, collection, cfg, p_label, lookups)
+
+
+def _component_lookups(collection: ComponentCollection) -> dict:
+    """The subset map of each component, by key."""
+    return {key: subset_lookup(comp)
+            for key, comp in collection.components.items()}
+
+
+def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
+               cfg: Constants, p_label: int,
+               lookups: dict | None = None) -> BaseSetsOutput:
+    """:func:`base_sets` on an input it trusts, checking only the
+    3^(-2m) * famSize floor: the driver's steps after the first, whose
+    bases and components the previous call's :func:`_finish` and
+    :meth:`ComponentCollection.regroup` built.  ``lookups`` maps each
+    component key to its subset map, built here when not given."""
+    if lookups is None:
+        lookups = _component_lookups(collection)
+    components = collection.components
+    size = sum(len(comp) for comp in components.values())
     if size * 3 ** (2 * cfg.m) < cfg.fam_size:
         raise ValueError(
             f"input family of size {size} is below the "
@@ -586,24 +619,28 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     return BaseSetsOutput(r, base_family, fdagger, tuple(parts), tuple(trace))
 
 
-@dataclass(frozen=True)
-class ProcessStep:
+class ProcessStep(_Record):
     """One driver iteration: the rank and bases fed in, and the output."""
 
-    p: int
-    r_in: int
-    output: BaseSetsOutput
+    __slots__ = ("p", "r_in", "output")
+
+    def __init__(self, p: int, r_in: int, output: BaseSetsOutput):
+        self._set(p, r_in, output)
 
 
-@dataclass(frozen=True)
-class ProcessRResult:
-    steps: tuple[ProcessStep, ...]
-    p_hat: int
-    r_hat: int
-    bases_hat: SetFamily
-    family_hat: SetFamily
-    parts_hat: tuple[ElementaryPart, ...]
-    trace: tuple[dict, ...]
+class ProcessRResult(_Record):
+    """The driver's steps, its terminal index and rank, and the terminal
+    output's bases, family and parts, with the whole trace."""
+
+    __slots__ = ("steps", "p_hat", "r_hat", "bases_hat", "family_hat",
+                 "parts_hat", "trace")
+
+    def __init__(self, steps: tuple[ProcessStep, ...], p_hat: int,
+                 r_hat: int, bases_hat: SetFamily, family_hat: SetFamily,
+                 parts_hat: tuple[ElementaryPart, ...],
+                 trace: tuple[dict, ...]):
+        self._set(steps, p_hat, r_hat, bases_hat, family_hat, parts_hat,
+                  trace)
 
 
 def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult:
@@ -635,7 +672,10 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     p = 1
     while True:
         try:
-            out = base_sets(r_p, bases, collection, cfg, p_label=p)
+            # step 1 checks every member as an on-split m-set base; later
+            # steps run on the previous step's own output
+            out = (base_sets if p == 1 else _base_sets)(
+                r_p, bases, collection, cfg, p)
         except (ContractViolationError, ValueError) as exc:
             exc.partial_steps = tuple(steps)
             raise

@@ -10,19 +10,19 @@ distinct values among k-1 labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceededError
-from .families import SetFamily, Universe
+from .families import SetFamily, Universe, _Record
 
 DEFAULT_EXTREMAL_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class ExtremalFamily:
-    k: int
-    m: int
-    family: SetFamily
+class ExtremalFamily(_Record):
+    """The product construction for sunflower size k and cardinality m."""
+
+    __slots__ = ("k", "m", "family")
+
+    def __init__(self, k: int, m: int, family: SetFamily):
+        self._set(k, m, family)
 
 
 def build_extremal(k: int, m: int,

@@ -17,7 +17,7 @@ Everything here is immutable and pure, hence safe to share across threads.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UniverseMismatchError
@@ -146,7 +146,34 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Universe(_Immutable):
+class _Record(_Immutable):
+    """An immutable value class that, like a frozen dataclass over its
+    fields, compares, hashes and prints as the tuple of its slots in
+    order; ``__init__`` fills them through :meth:`_set`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
+
+
+class Universe(_Record):
     """The ground set {0, .., n-1}."""
 
     __slots__ = ("n",)
@@ -154,18 +181,7 @@ class Universe(_Immutable):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("universe size must be positive")
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
-    def __repr__(self) -> str:
-        return f"Universe(n={self.n!r})"
+        self._set(n)
 
     @property
     def full_mask(self) -> int:
@@ -396,7 +412,7 @@ class SetFamily(_Immutable):
         return family_to_json_obj(self)
 
 
-class Split(_Immutable):
+class Split(_Record):
     """An ordered partition of the universe into equal-size strips, each
     an int mask."""
 
@@ -418,19 +434,9 @@ class Split(_Immutable):
             union |= s
         if union != full:
             raise ValueError("strips must cover the universe")
+        # set directly, not through _set: a split search builds hundreds
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "strips", strips)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.universe, self.strips) == (other.universe, other.strips)
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.strips))
-
-    def __repr__(self) -> str:
-        return f"Split(universe={self.universe!r}, strips={self.strips!r})"
 
     @classmethod
     def of(cls, n: int, strips: Iterable[Iterable[int]]) -> "Split":
@@ -501,8 +507,12 @@ class Subsplit(_Immutable):
     def carries_mask(self, s: int) -> bool:
         """True iff mask ``s`` is on this subsplit: within its union, at
         most one element per strip."""
-        return not s & ~self.union_mask and all(
-            (s & bits).bit_count() <= 1 for bits in self.strip_masks)
+        if s & ~self.union_mask:
+            return False
+        for bits in self.strip_masks:
+            if (s & bits).bit_count() > 1:
+                return False
+        return True
 
     def minus(self, b: int) -> "Subsplit":
         """The subsplit of the strips disjoint from mask ``b`` (order
@@ -524,10 +534,15 @@ class Subsplit(_Immutable):
             return
         if p > self.rank:
             return
-        strip_labels = [mask_labels(s) for s in self.strip_masks]
+        strip_bits = [[1 << x for x in mask_labels(s)]
+                      for s in self.strip_masks]
         for which in combinations(range(self.rank), p):
-            for choice in product(*(strip_labels[i] for i in which)):
-                yield labels_mask(choice)
+            # the last chosen strip varies fastest: label-tuple order within
+            # one strip selection
+            masks = [0]
+            for i in which:
+                masks = [u | bit for u in masks for bit in strip_bits[i]]
+            yield from masks
 
 
 def pad_universe(family: SetFamily, n: int) -> SetFamily:

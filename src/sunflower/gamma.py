@@ -14,11 +14,11 @@ lexicographically least label tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _Immutable, subset_buckets)
+                       _canonical_key, _check_shadow_budget, _Record)
 
 
 def exact_base(b) -> Fraction:
@@ -29,7 +29,7 @@ def exact_base(b) -> Fraction:
     return frac
 
 
-class GammaReport(_Immutable):
+class GammaReport(_Record):
     """Outcome of a spreadness check.
 
     ``ratio`` is the maximum of |F[S]| * b^|S| / |F| over the candidate
@@ -41,22 +41,7 @@ class GammaReport(_Immutable):
 
     def __init__(self, holds: bool, witness: GroundSet | None,
                  ratio: Fraction):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "ratio", ratio)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.holds, self.witness, self.ratio)
-                == (other.holds, other.witness, other.ratio))
-
-    def __hash__(self) -> int:
-        return hash((self.holds, self.witness, self.ratio))
-
-    def __repr__(self) -> str:
-        return (f"GammaReport(holds={self.holds!r}, "
-                f"witness={self.witness!r}, ratio={self.ratio!r})")
+        self._set(holds, witness, ratio)
 
     def to_json_obj(self) -> dict:
         return {
@@ -74,34 +59,59 @@ def _spread_report(family: SetFamily, base: Fraction,
 
     Decided in integers: with b = p/q, S beats the best B so far when
     |F[S]| * p^|S| * q^|B| > |F[B]| * p^|B| * q^|S|, so the pairs may
-    arrive in any order.  The ratio is built once, at the end.
+    arrive in any order.  p^s and q^s are computed once per size s.  The
+    ratio is built once, at the end.
     """
     p, q = base.numerator, base.denominator
+    powers: dict[int, tuple[int, int]] = {}
     best_mask = None
     best_num, best_den = 0, 1   # |F[B]| * p^|B| and q^|B|
     for mask, count in pairs:
         size = mask.bit_count()
-        num = count * p ** size
-        lhs, rhs = num * best_den, best_num * q ** size
+        pq = powers.get(size)
+        if pq is None:
+            pq = powers[size] = (p ** size, q ** size)
+        p_s, q_s = pq
+        num = count * p_s
+        lhs, rhs = num * best_den, best_num * q_s
         if lhs > rhs or (lhs == rhs and _canonical_key(mask)
                          < _canonical_key(best_mask)):
-            best_mask, best_num, best_den = mask, num, q ** size
+            best_mask, best_num, best_den = mask, num, q_s
     best = Fraction(best_num, best_den * len(family))
     if best >= 1:
         return GammaReport(False, family.universe.from_bits(best_mask), best)
     return GammaReport(True, None, best)
 
 
-def _carried_counts(masks: Iterable[int],
-                    sub: Subsplit) -> Iterator[tuple[int, int]]:
-    """(S, |F[S]|) for every nonempty S on ``sub`` (inside its union, at
-    most one element per strip) contained in some member: the subset map
-    of the members' traces on the subsplit's union, keys filtered."""
+def _tally_traces(counts: dict[int, int], masks: Iterable[int],
+                  sub: Subsplit, step: int = 1) -> None:
+    """Add ``step`` to ``counts[S]`` for every nonempty S on ``sub`` (inside
+    its union, at most one element per strip) contained in the trace of a
+    member on the subsplit's union.  A trace on the subsplit, as one of
+    at most one label always is, carries all its subsets, so only the
+    subsets of the other traces are checked one by one."""
     union = sub.union_mask
-    buckets = subset_buckets([u & union for u in masks])
-    for s, bucket in buckets.items():
-        if s and sub.carries_mask(s):
-            yield s, len(bucket)
+    for u in masks:
+        trace = u & union
+        whole = not trace & (trace - 1) or sub.carries_mask(trace)
+        s = trace
+        while s:
+            if whole or sub.carries_mask(s):
+                counts[s] = counts.get(s, 0) + step
+            s = (s - 1) & trace
+
+
+def _carried_counts(masks: Sequence[int], sub: Subsplit) -> dict[int, int]:
+    """|F[S]| for every nonempty S on ``sub`` contained in some member,
+    counted over the members' traces on the subsplit's union.  The
+    traces' sum(2**|trace|) is capped at DEFAULT_SHADOW_BUDGET
+    (BudgetExceededError beyond)."""
+    union = sub.union_mask
+    _check_shadow_budget(sum(1 << (u & union).bit_count() for u in masks),
+                         DEFAULT_SHADOW_BUDGET)
+    counts: dict[int, int] = {}
+    _tally_traces(counts, masks, sub)
+    return counts
 
 
 def check_gamma(family: SetFamily, b,
@@ -126,9 +136,9 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     Candidates are the nonempty sets on ``sub`` (one element per chosen
     strip, any rank up to the subsplit's) that are subsets of some member
     of ``over``.  With rank 0 or an empty ``over`` there are no candidates
-    and the check holds vacuously.  Counting builds the subset map of the
-    members' traces on the subsplit, capped at DEFAULT_SHADOW_BUDGET
-    entries (BudgetExceededError beyond).
+    and the check holds vacuously.  Counting builds the count map of the
+    members' traces on the subsplit (:func:`_carried_counts`), capped at
+    DEFAULT_SHADOW_BUDGET entries (BudgetExceededError beyond).
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -139,29 +149,33 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
         raise UniverseMismatchError("range family over a different universe")
     shadow = over.subset_lookup()
     return _spread_report(family, base, (
-        (s, count) for s, count in _carried_counts(family.masks(), sub)
+        (s, count) for s, count in _carried_counts(family.masks(), sub).items()
         if s in shadow))
 
 
-def _max_violator_masks(masks: Sequence[int], sub: Subsplit, over: SetFamily,
-                        b: Fraction) -> int | None:
-    """A maximal spreadness violator on ``sub``: a nonempty mask S carried
-    by some member of ``over`` with |F[S]| * b^|S| >= |F|, of maximum
-    cardinality (lexicographically least on ties), so no in-range
-    one-strip extension keeps the bound.  Returns None when no nonempty
-    set qualifies.  With b = p/q the bound reads |F[S]| * p^|S| >=
-    |F| * q^|S|, decided in integers.
+def _max_violator_masks(counts: dict[int, int], total: int, shadow, p: int,
+                        q: int) -> int | None:
+    """A maximal spreadness violator of a family of ``total`` members: a
+    nonempty key S of ``counts`` (S -> |F[S]|, as :func:`_carried_counts`
+    gives on a subsplit) in ``shadow`` (the range family's subset lookup)
+    with |F[S]| * b^|S| >= |F|, of maximum cardinality (lexicographically
+    least on ties), so no in-range one-strip extension keeps the bound.
+    Returns None when no key qualifies.  With b = p/q the bound reads
+    |F[S]| >= |F| * q^|S| / p^|S|, whose integer ceiling is computed once
+    per size.
     """
-    if len(masks) == 0:
+    if total == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    p, q = b.numerator, b.denominator
-    total = len(masks)
-    shadow = over.subset_lookup()
+    need: dict[int, int] = {}
     best_mask, best_size = None, 0
-    for s, count in _carried_counts(masks, sub):
+    for s, count in counts.items():
         size = s.bit_count()
-        if size < best_size or s not in shadow \
-                or count * p ** size < total * q ** size:
+        if size < best_size or s not in shadow:
+            continue
+        floor = need.get(size)
+        if floor is None:
+            floor = need[size] = -(-total * q ** size // p ** size)
+        if count < floor:
             continue
         if size > best_size or _canonical_key(s) < _canonical_key(best_mask):
             best_mask, best_size = s, size

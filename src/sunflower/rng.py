@@ -13,8 +13,14 @@ distribution is exact.
 
 from __future__ import annotations
 
-import hashlib
 from typing import MutableSequence, Sequence, TypeVar
+
+# The interpreter's built-in SHA-256: hashlib would load OpenSSL's _hashlib
+# for the same digests.
+try:
+    from _sha2 import sha256
+except ImportError:  # before Python 3.12
+    from _sha256 import sha256
 
 T = TypeVar("T")
 
@@ -35,7 +41,7 @@ class CounterRng:
 
     def _next_word(self) -> int:
         if not self._buffer:
-            digest = hashlib.sha256(
+            digest = sha256(
                 self.seed.to_bytes(8, "big")
                 + self._block.to_bytes(8, "big")).digest()
             self._block += 1

@@ -25,7 +25,6 @@ split they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -33,7 +32,8 @@ from typing import Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import SetFamily, Split, Universe, _strip_size, labels_mask
+from .families import (SetFamily, Split, Universe, _Record, _strip_size,
+                       labels_mask)
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -143,11 +143,13 @@ def retention_bound(family: SetFamily, m: int) -> Fraction:
     return Fraction(d ** m * len(family), comb(n, m))
 
 
-@dataclass(frozen=True)
-class SplitSearchResult:
-    split: Split
-    retained: SetFamily
-    bound: Fraction
+class SplitSearchResult(_Record):
+    """A split, the members it retains, and the averaging floor."""
+
+    __slots__ = ("split", "retained", "bound")
+
+    def __init__(self, split: Split, retained: SetFamily, bound: Fraction):
+        self._set(split, retained, bound)
 
 
 def find_good_split(family: SetFamily, mode: str = "exhaustive",

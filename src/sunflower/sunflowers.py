@@ -23,13 +23,13 @@ from itertools import combinations
 from .errors import (BudgetExceededError, ContractViolationError,
                      GammaPreconditionError)
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                       _canonical_key, _check_shadow_budget, _Immutable)
+                       _canonical_key, _check_shadow_budget, _Record)
 from .gamma import check_gamma, exact_base
 
 DEFAULT_SEARCH_NODE_BUDGET = 1 << 22
 
 
-class SunflowerCertificate(_Immutable):
+class SunflowerCertificate(_Record):
     """k petals claimed to intersect pairwise in exactly ``core``.
 
     The constructor checks only shape (at least two petals, one universe);
@@ -45,20 +45,7 @@ class SunflowerCertificate(_Immutable):
         for p in petals:
             if p.universe.n != core.universe.n:
                 raise ValueError("petals and core must share a universe")
-        object.__setattr__(self, "petals", petals)
-        object.__setattr__(self, "core", core)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.petals, self.core) == (other.petals, other.core)
-
-    def __hash__(self) -> int:
-        return hash((self.petals, self.core))
-
-    def __repr__(self) -> str:
-        return (f"SunflowerCertificate(petals={self.petals!r}, "
-                f"core={self.core!r})")
+        self._set(petals, core)
 
     @property
     def k(self) -> int:

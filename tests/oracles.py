@@ -10,7 +10,12 @@ property tests check against restrictions on their own, and it pins the
 kernel's first certificate (core, and petals in order).
 ``extractions_by_rescan`` is the engine's extraction scan with nothing
 carried between scans: it decides every (component, base) pair again
-from the first after each extraction, on buckets read off the live sets.
+from the first after each extraction, on buckets read off the live sets,
+over every candidate base in the bases' shadow (``candidate_bases``,
+with no pre-filter on bucket sizes), cleaning with a fresh violator
+search per removal (``clean_to_spread`` over ``max_violator_masks``,
+which gives the engine's violator kernel a new count map on every
+call).
 ``is_elementary_part`` is the reference checker of one extracted part
 against its variant's conditions, which the engine tests hold every part
 the engine returns to.  Both decide size floors with ``meets_threshold``
@@ -36,12 +41,13 @@ from math import comb
 from typing import Iterator
 
 from sunflower.basesets import (Constants, ComponentCollection, ElementaryPart,
-                                Threshold, _candidate_bases, _clean_to_spread)
+                                Threshold)
 from sunflower.errors import BudgetExceededError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 Split, Subsplit, Universe, _mask_repr,
                                 mask_labels)
-from sunflower.gamma import check_gamma_on_subsplit, exact_base
+from sunflower.gamma import (_carried_counts, _max_violator_masks,
+                            check_gamma_on_subsplit, exact_base)
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
@@ -179,6 +185,37 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
     return None
 
 
+def max_violator_masks(masks, sub: Subsplit, over: SetFamily,
+                       b) -> int | None:
+    """A maximal spreadness violator of ``masks`` on ``sub`` over the
+    shadow of ``over`` at base b, or None: the engine's violator kernel
+    on a count map built for this call alone."""
+    b = exact_base(b)
+    return _max_violator_masks(_carried_counts(masks, sub), len(masks),
+                               over.subset_lookup(), b.numerator,
+                               b.denominator)
+
+
+def clean_to_spread(bucket, free: Subsplit, bases: SetFamily, b) -> list[int]:
+    """The bucket with every member containing a maximal violator on the
+    free strips dropped, one violator at a time, until none is left."""
+    t = list(bucket)
+    while t:
+        v = max_violator_masks(t, free, bases, b)
+        if v is None:
+            break
+        t = [u for u in t if u & v != v]
+    return t
+
+
+def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
+    """Masks of every r-set on ``sub`` inside the bases' shadow, in label
+    order, whatever its bucket; rank 0 gives the empty set alone."""
+    shadow = bases.subset_lookup()
+    return sorted((bm for bm in sub.p_set_masks(r) if bm in shadow),
+                  key=mask_labels)
+
+
 def extractions_by_rescan(r: int, mprime: int,
                           work: dict[tuple[int, ...], set[int]],
                           collection: ComponentCollection, bases: SetFamily,
@@ -196,7 +233,7 @@ def extractions_by_rescan(r: int, mprime: int,
     def first_extraction():
         for key, comp in collection.components.items():
             sub = collection.subsplit(key)
-            for bm in _candidate_bases(sub, r, bases):
+            for bm in candidate_bases(sub, r, bases):
                 if (key, bm) in extracted:
                     continue
                 bucket = [u for u in comp if u & bm == bm and u in work[key]]
@@ -204,7 +241,7 @@ def extractions_by_rescan(r: int, mprime: int,
                     if meets_threshold(cfg, len(bucket), mprime):
                         return key, bm, bucket, "ii"
                 elif bucket:
-                    t = _clean_to_spread(bucket, sub.minus(bm), bases, b)
+                    t = clean_to_spread(bucket, sub.minus(bm), bases, b)
                     if t and (r > 0 or meets_eps_floor(cfg, len(t))):
                         return key, bm, t, "i"
         return None

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,10 +7,12 @@ import pytest
 
 from sunflower import basesets
 from sunflower.basesets import (
+    BaseSetsOutput,
     ComponentCollection,
     Constants,
     ElementaryPart,
     Threshold,
+    _base_sets,
     _extractions,
     audit_terminal_bases,
     base_sets,
@@ -20,8 +21,8 @@ from sunflower.basesets import (
     process_r,
 )
 from sunflower.errors import ContractViolationError
-from sunflower.families import (SetFamily, Split, labels_mask, mask_labels,
-                                subset_lookup)
+from sunflower.families import (SetFamily, Split, Subsplit, labels_mask,
+                                mask_labels, subset_lookup)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -173,7 +174,7 @@ def test_threshold_log_space_switch():
     # floors far below 1e-300, where the reference float comparison
     # switches to log space, still need a nonempty bucket: the least count
     # is 1
-    cfg = dataclasses.replace(IMMEDIATE_CFG, epsilon=1e-80)
+    cfg = Constants(1e-80, 1.2, 1.5, 2, 2, 4)   # IMMEDIATE_CFG at epsilon 1e-80
     thr = Threshold(cfg)
     for x in range(cfg.m + 1):
         assert thr.value(x) < 1e-300
@@ -484,49 +485,60 @@ def test_extractions_read_live_members_only():
     assert first == (0b10001, [0b10001], "ii")
     second = next(_extractions(2, 2, set(comp) - {0b10001}, *args))
     assert second == (0b100001, [0b100001], "ii")
-    # a yielded base is never yielded, nor its bucket read, again: the
-    # drain takes every member's own bucket once, in label order, and
-    # leaves nothing live
-    reads = []
+    # a yielded base is never decided again: at full rank every bucket is
+    # one member, so the live-set reads are the decisions, and the drain
+    # decides every member's own bucket once, in label order, and leaves
+    # nothing live
+    decided = []
 
-    class ReadLog(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
+    class LiveLog(set):
+        def __contains__(self, u):
+            decided.append(u)
+            return super().__contains__(u)
 
-    live = set(comp)
-    drained = list(_extractions(2, 2, live, ReadLog(args[0]), *args[1:]))
+    live = LiveLog(comp)
+    drained = list(_extractions(2, 2, live, *args))
     assert drained[:2] == [first, second]
-    assert [bm for bm, _, _ in drained] == reads == list(comp)
+    assert [bm for bm, _, _ in drained] == decided == list(comp)
     assert not live
 
 
 def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
     # a skipped (base, component) pair is decided again only after its live
-    # bucket shrinks, so within one engine call no cleaning repeats
+    # bucket shrinks, so within one engine call no cleaning repeats; and
+    # each cleaning builds one trace count map, however many violators it
+    # removes
     from test_acceptance import engine_corpus
     calls: list[list[tuple]] = []
+    maps = []
     real_clean = basesets._clean_to_spread
-    real_base_sets = basesets.base_sets
+    real_engine = basesets._base_sets
+    real_counts = basesets._carried_counts
 
-    def clean(bucket, free, bases, b):
+    def clean(bucket, free, shadow, p, q):
         calls[-1].append((free.indices, tuple(bucket)))
-        return real_clean(bucket, free, bases, b)
+        return real_clean(bucket, free, shadow, p, q)
 
-    def base_sets_call(*args, **kwargs):
+    def engine_call(*args, **kwargs):
         calls.append([])
-        return real_base_sets(*args, **kwargs)
+        return real_engine(*args, **kwargs)
+
+    def counts(masks, sub):
+        maps.append(sub.indices)
+        return real_counts(masks, sub)
 
     monkeypatch.setattr(basesets, "_clean_to_spread", clean)
-    monkeypatch.setattr(basesets, "base_sets", base_sets_call)
+    monkeypatch.setattr(basesets, "_base_sets", engine_call)
+    monkeypatch.setattr(basesets, "_carried_counts", counts)
     cleanings = 0
     for label, fam, split, cfg in engine_corpus():
-        del calls[:]
+        del calls[:], maps[:]
         process_r(fam, split, cfg)
         assert calls, label
         for seen in calls:
             assert len(set(seen)) == len(seen), label
             cleanings += len(seen)
+        assert maps == [free for seen in calls for free, _ in seen], label
     assert cleanings >= 50
 
 
@@ -589,8 +601,13 @@ def test_process_r_postcondition_raises(monkeypatch):
     # an engine output whose rank climbs breaks the driver's rank-descent
     # postcondition, which must raise, not assert
     engine = basesets.base_sets
-    monkeypatch.setattr(basesets, "base_sets", lambda *args, **kwargs:
-                        dataclasses.replace(engine(*args, **kwargs), r=3))
+
+    def climbing(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        return BaseSetsOutput(3, out.base_sets, out.family, out.parts,
+                              out.trace)
+
+    monkeypatch.setattr(basesets, "base_sets", climbing)
     with pytest.raises(ContractViolationError, match="strictly decrease") \
             as info:
         process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
@@ -616,29 +633,64 @@ def test_process_r_input_validation():
 
 def test_process_r_first_step_reuses_the_family(monkeypatch):
     # step 1's only component is the family itself: the engine reads the
-    # family's cached subset map and builds no component map, and no
+    # family's cached subset map and builds no component map; only step 1
+    # goes through the checked base_sets, so no base or member is tested
+    # as an on-split set (on the full subsplit) from step 2 on; and no
     # collection is re-validated at any step
     step = []
-    lookups_by_step = []
-    real_base_sets, real_lookup = basesets.base_sets, basesets.subset_lookup
+    checked, lookups_by_step, full_checks_by_step = [], [], []
+    real_checked, real_engine = basesets.base_sets, basesets._base_sets
+    real_lookup, real_carries = basesets.subset_lookup, Subsplit.carries_mask
 
     def base_sets_call(mprime, bases, collection, cfg, p_label=1):
         step[:] = [p_label]
-        return real_base_sets(mprime, bases, collection, cfg, p_label)
+        checked.append(p_label)
+        return real_checked(mprime, bases, collection, cfg, p_label)
+
+    def engine_call(mprime, bases, collection, cfg, p_label, lookups=None):
+        step[:] = [p_label]
+        return real_engine(mprime, bases, collection, cfg, p_label, lookups)
 
     def lookup(masks):
         lookups_by_step.append(step[0])
         return real_lookup(masks)
 
+    def carries(self, s):
+        if self.rank == self.split.m:
+            full_checks_by_step.append(step[0])
+        return real_carries(self, s)
+
     def no_init(self, split, components):
         raise AssertionError("process_r re-validated a collection")
 
     monkeypatch.setattr(basesets, "base_sets", base_sets_call)
+    monkeypatch.setattr(basesets, "_base_sets", engine_call)
     monkeypatch.setattr(basesets, "subset_lookup", lookup)
+    monkeypatch.setattr(Subsplit, "carries_mask", carries)
     monkeypatch.setattr(ComponentCollection, "__init__", no_init)
     res = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
     assert [s.p for s in res.steps] == [1, 2]
+    assert checked == [1]
     assert lookups_by_step == [2]
+    assert full_checks_by_step and set(full_checks_by_step) == {1}
+
+
+def test_public_base_sets_checks_what_process_r_trusts():
+    # the driver's second call runs unchecked on the first call's output;
+    # the public entry point still rejects an off-split base and a member
+    # whose projection is not a base, and agrees with the unchecked body
+    # on the valid input
+    first = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG).steps[0].output
+    coll = ComponentCollection.regroup(first.parts, first.r, SPLIT16)
+    bases = first.base_sets
+    assert base_sets(1, bases, coll, FLAGSHIP_CFG, 2) == \
+        _base_sets(1, bases, coll, FLAGSHIP_CFG, 2)
+    off_split = SetFamily(bases.universe, bases.masks() + (0b11,), m=2)
+    with pytest.raises(ValueError, match="not an on-split 1-set"):
+        base_sets(1, off_split, coll, FLAGSHIP_CFG, 2)
+    stray = SetFamily(bases.universe, bases.masks()[1:], m=1)
+    with pytest.raises(ValueError, match="is not an anchor base"):
+        base_sets(1, stray, coll, FLAGSHIP_CFG, 2)
 
 
 def test_process_r_steps_meet_interstep_floor():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -290,6 +290,20 @@ def test_p_sets_enumeration():
             assert bin(mask).count("1") == p
     assert list(sub.p_set_masks(0)) == [0]
     assert list(sub.p_set_masks(4)) == []
+
+
+def test_p_sets_order_is_strip_selections_then_label_tuples():
+    # strip selections in combinations order, and within one the product
+    # of the strips' labels, last strip fastest: pinned on an interleaved
+    # split, where this order is not label order
+    sp = Split.of(9, [[0, 4, 8], [1, 5, 6], [2, 3, 7]])
+    sub = sp.subsplit([0, 2])
+    strips = [sorted(mask_labels(s)) for s in sub.strip_masks]
+    for p in range(3):
+        want = [labels_mask(choice)
+                for which in combinations(range(2), p)
+                for choice in product(*(strips[i] for i in which))]
+        assert list(sub.p_set_masks(p)) == want
 
 
 def test_on_subsplit_filters_by_cardinality_and_carriage():

@@ -9,12 +9,13 @@ from sunflower.errors import BudgetExceededError
 from sunflower.families import SetFamily, Split, labels_mask, mask_labels
 from sunflower.gamma import (
     GammaReport,
-    _max_violator_masks,
     check_gamma,
     check_gamma_on_subsplit,
     exact_base,
 )
 from sunflower.rng import CounterRng
+
+from oracles import max_violator_masks
 
 
 def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
@@ -178,7 +179,7 @@ VIOLATOR_FAMILY = SetFamily.of(
 def max_violator(family: SetFamily, sub, b):
     """The engine's maximal-violator kernel on ``family`` over itself; the
     labels of the result, or None."""
-    got = _max_violator_masks(family.masks(), sub, family, exact_base(b))
+    got = max_violator_masks(family.masks(), sub, family, b)
     return None if got is None else mask_labels(got)
 
 
@@ -202,7 +203,7 @@ def test_maximal_violator_result_properties():
         def weight(s: int) -> Fraction:
             return sum(1 for u in masks if u & s == s) * b ** s.bit_count()
 
-        got = _max_violator_masks(masks, sub, fam, b)
+        got = max_violator_masks(masks, sub, fam, b)
         if got is None:
             continue
         floor = weight(0)

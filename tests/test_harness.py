@@ -35,6 +35,15 @@ def test_counter_rng_matches_hash_oracle():
     assert rng._next_word() == sha_words(1, 0)[0] == 8662715124235083362
 
 
+def test_counter_rng_stream_matches_hashlib_over_seeds():
+    # the built-in SHA-256 the generator uses gives hashlib's stream, over
+    # small, large and edge seeds, across several counter blocks
+    for seed in [*range(40), 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]:
+        rng = CounterRng(seed)
+        assert [rng._next_word() for _ in range(12)] == [
+            w for block in range(3) for w in sha_words(seed, block)]
+
+
 def test_counter_rng_streams_are_independent_and_reproducible():
     a = [CounterRng(42).randrange(10) for _ in range(1)]
     rng = CounterRng(42)

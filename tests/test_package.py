@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import sunflower
+from sunflower.basesets import Constants, ElementaryPart
+from sunflower.extremal import ExtremalFamily
 from sunflower.families import SetFamily, Split, Subsplit, Universe
 from sunflower.gamma import GammaReport
 from sunflower.sunflowers import SunflowerCertificate
@@ -149,11 +151,53 @@ def test_process_r_imports_no_search_modules(tmp_path):
                          "sunflower.sunflowers"}
 
 
+def test_command_paths_load_no_dataclasses(tmp_path):
+    # the engine, split, transversal and generator commands build their
+    # results from hand-written value classes
+    fam = tmp_path / "immediate.txt"
+    fam.write_text(SetFamily.of(4, [[0, 2], [0, 3], [1, 2], [1, 3]]).to_text())
+    cfg = tmp_path / "constants.json"
+    cfg.write_text(json.dumps({"epsilon": 0.5, "h": 1.2, "c": 1.5, "k": 2,
+                               "m": 2, "famSize": 4}))
+    triples = tmp_path / "triples.txt"
+    triples.write_text(SetFamily.of(9, [[0, 3, 6], [1, 4, 7], [2, 5, 8],
+                                        [0, 4, 8]]).to_text())
+    results, loaded = run_child([
+        ["process-r", str(fam), "--constants", str(cfg)],
+        ["basesets", str(fam), "--mprime", "2", "--constants", str(cfg)],
+        ["split", str(triples)],
+        ["transversal-check", str(triples), "--j", "2"],
+        ["gen-random", "--n", "9", "--m", "3", "--size", "5"],
+        ["gen-extremal", "--k", "3", "--m", "2"]])
+    assert results == [0] * 6
+    assert {"sunflower.basesets", "sunflower.splits", "sunflower.harness",
+            "sunflower.extremal"} <= loaded
+    bare = _child("import sys; print('dataclasses' in sys.modules)")
+    if bare.strip() == "False":
+        assert "dataclasses" not in loaded
+
+
+def test_random_split_loads_no_openssl(tmp_path):
+    # CounterRng hashes with the interpreter's built-in SHA-256, not
+    # hashlib's OpenSSL module
+    triples = tmp_path / "triples.txt"
+    triples.write_text(SetFamily.of(9, [[0, 3, 6], [1, 4, 7], [2, 5, 8],
+                                        [0, 4, 8]]).to_text())
+    results, loaded = run_child(
+        [["split", str(triples), "--mode", "random", "--seed", "3"]])
+    assert results == [0]
+    assert "sunflower.rng" in loaded
+    bare = _child("import sys; print('_hashlib' in sys.modules)")
+    if bare.strip() == "False":
+        assert "_hashlib" not in loaded
+
+
 def _value_cases():
     """(object, an equal object built separately, an unequal object, the
     repr, one attribute) per value class."""
     uni = Universe(4)
     split = Split.contiguous(4, 2)
+    family = SetFamily.of(4, [[0], [1]])
     a, b = uni.set_of([0, 1]), uni.set_of([0, 2])
     return [
         (uni, Universe(n=4), Universe(5), "Universe(n=4)", "n"),
@@ -174,6 +218,20 @@ def _value_cases():
                               core=uni.set_of([0])),
          SunflowerCertificate((b, a), uni.set_of([0])),
          "SunflowerCertificate(petals=({0,1}, {0,2}), core={0})", "core"),
+        # the former dataclasses print as they did
+        (Constants(0.5, 1.2, 1.5, 2, 2, 4),
+         Constants(epsilon=0.5, h=1.2, c=1.5, k=2, m=2, fam_size=4),
+         Constants(0.5, 1.2, 1.5, 2, 2),
+         "Constants(epsilon=0.5, h=1.2, c=1.5, k=2, m=2, fam_size=4, "
+         "mode='surrogate')", "fam_size"),
+        (ElementaryPart(1, (0,), (5,), "ii"),
+         ElementaryPart(B=1, key=(0,), T=(5,), variant="ii"),
+         ElementaryPart(1, (0,), (5,), "i"),
+         "ElementaryPart(B=1, key=(0,), T=(5,), variant='ii')", "T"),
+        (ExtremalFamily(3, 1, family), ExtremalFamily(k=3, m=1, family=family),
+         ExtremalFamily(4, 1, family),
+         "ExtremalFamily(k=3, m=1, family=SetFamily(n=4, m=1, size=2))",
+         "family"),
     ]
 
 

@@ -10,9 +10,13 @@ enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
 member scan, none of which goes through the incidence kernel of the
 split searches; the kernel itself is checked block by block against the
 member scan it replaced, and enumerate_splits against the enumerator it
-replaced, which pins the order the exhaustive tie-break depends on.  The engine's per-component drain is checked against
-the restart scan that decides every pair again after each extraction,
-which decides size floors with the float comparisons of the oracles;
+replaced, which pins the order the exhaustive tie-break depends on.
+The engine's per-component drain, and every engine call of the driver
+rank by rank, are checked against the restart scan that decides every
+pair again after each extraction, over every candidate base, with a
+fresh violator search per removal, and which decides size floors with
+the float comparisons of the oracles; the engine's cleaning is checked
+against that violator search alone;
 the engine's integer floor table is checked against those comparisons
 too, and the family constructor's canonical order against sorted label
 lists.
@@ -30,14 +34,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunflower import basesets as bs
-from sunflower.errors import TrialsExhaustedError
+from sunflower.errors import ContractViolationError, TrialsExhaustedError
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
                                 family_from_json_obj, family_from_text,
                                 labels_mask, mask_labels, subset_buckets,
                                 subset_lookup)
-from sunflower.gamma import (_max_violator_masks, check_gamma,
-                             check_gamma_on_subsplit, exact_base)
+from sunflower.gamma import check_gamma, check_gamma_on_subsplit, exact_base
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
@@ -45,11 +48,12 @@ from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
                               transversal_count_brute, transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import (enumerate_splits_reference, extractions_by_rescan,
+from oracles import (clean_to_spread, enumerate_splits_reference,
+                     extractions_by_rescan,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
-                     meet_once, meets_eps_floor, meets_threshold, p_sets,
-                     sunflower_free_check_oracle)
+                     max_violator_masks, meet_once, meets_eps_floor,
+                     meets_threshold, p_sets, sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -312,8 +316,22 @@ def brute_max_violator(family, sub, over, b):
 def test_maximal_violator_matches_brute_search(case, b):
     family, sub, over = case
     want = brute_max_violator(family, sub, over, b)
-    assert _max_violator_masks(family.masks(), sub, over, exact_base(b)) == \
+    assert max_violator_masks(family.masks(), sub, over, b) == \
         (None if want is None else want.bits)
+
+
+@SETTINGS
+@given(subsplit_cases(), bases())
+def test_clean_to_spread_matches_fresh_violator_searches(case, b):
+    # the engine's cleaning keeps one trace count map and takes each
+    # dropped member's traces off it; the oracle searches afresh after
+    # every removal
+    family, sub, over = case
+    b = exact_base(b)
+    assert bs._clean_to_spread(list(family.masks()), sub,
+                               over.subset_lookup(), b.numerator,
+                               b.denominator) == \
+        clean_to_spread(family.masks(), sub, over, b)
 
 
 @SETTINGS
@@ -653,3 +671,74 @@ def test_drain_matches_restart_scan(case):
                          bs.ComponentCollection.initial(family, split), cfg)
     collection, bases = anchored_collection(family, split, anchor_seed)
     drain_matches_rescan(split.m - 1, anchored_top, bases, collection, cfg)
+
+
+def engine_matches_rescan(family, split, cfg):
+    """Replay every engine call of process_r with the restart-scan oracle,
+    from the same input: the engine's trace rows are the oracle's
+    extractions rank by rank, down to the rank the call returns, whose
+    parts are the oracle's.  The oracle decides every candidate base in
+    the bases' shadow, with a fresh violator search per removal, so
+    neither the engine's candidate pre-filter nor its per-drain cleaning
+    state reaches it.  Returns the driver's result, or None when it
+    raised."""
+    try:
+        res = bs.process_r(family, split, cfg)
+        steps, failed = res.steps, None
+    except (ContractViolationError, ValueError) as exc:
+        res, steps, failed = None, exc.partial_steps, exc
+    calls = [(step.r_in, step.output) for step in steps]
+    if isinstance(failed, ContractViolationError):
+        calls.append((steps[-1].output.r if steps else cfg.m, None))
+    bases, collection = family, bs.ComponentCollection.initial(family, split)
+    for mprime, out in calls:
+        work = {key: set(comp) for key, comp in collection.components.items()}
+        size = sum(len(comp) for comp in work.values())
+        rows = []
+        for r in range(mprime, -1, -1):
+            found = extractions_by_rescan(r, mprime, work, collection, bases,
+                                          cfg)
+            rows += [(r, bm, key, len(t)) for key, bm, t, _ in found]
+            if sum(len(t) for *_, t, _ in found) * 3 ** (mprime - r + 1) \
+                    >= size:
+                break
+        trace = out.trace if out is not None else failed.trace
+        assert rows == [(row["r"], labels_mask(row["B"]), tuple(row["Xprime"]),
+                         row["sizeT"]) for row in trace]
+        if out is None:
+            break
+        assert out.r == r
+        assert [(p.key, p.B, p.T, p.variant) for p in out.parts] == \
+            [(key, bm, tuple(t), variant) for key, bm, t, variant in found]
+        bases = out.base_sets
+        collection = bs.ComponentCollection.regroup(out.parts, r, split)
+    return res
+
+
+@SETTINGS
+@example(SHRUNK_BUCKET_SPREADS)
+@example(REQUEUED_BASE_COMES_FIRST)
+@example(COMPONENTS_SHARE_A_BASE)
+@given(engine_cases())
+def test_engine_extractions_match_restart_scan(case):
+    family, split, cfg, *_ = case
+    engine_matches_rescan(family, split, cfg)
+
+
+def test_bench_constants_decide_no_full_rank_candidate():
+    # an engine-fixpoint input of the bench: 300 random one-per-strip
+    # members over the 3-split of 24 labels.  need[3] = 4 and every
+    # full-rank bucket is one member, so step 1 lists no rank-3 candidate
+    # and takes nothing there, as the oracle, deciding all 300, does not
+    rng = Random("engine-fixpoint/901/0")
+    masks = [1 << (r // 64) | 1 << (8 + r // 8 % 8) | 1 << (16 + r % 8)
+             for r in rng.sample(range(512), 300)]
+    split = Split.contiguous(24, 3)
+    family = SetFamily(split.universe, masks, m=3)
+    cfg = bs.Constants(0.995, 1.0005, 1.001, 2, 3, 300)
+    assert bs.Threshold(cfg).need == (10, 7, 5, 4)
+    lookup = family.subset_lookup()
+    assert bs._candidate_bases(split.full_subsplit(), 3, lookup, lookup,
+                               4) == []
+    res = engine_matches_rescan(family, split, cfg)
+    assert res.steps[0].output.trace[0]["r"] < 3
