@@ -136,6 +136,8 @@ def _cmd_gen_random(args) -> int:
 def _cmd_find_sunflower(args) -> int:
     from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
                              find_sunflower_exact, verify_certificate)
+    if args.core is not None and args.gamma is None:
+        raise ValueError("--core requires --gamma")
     t0 = time.perf_counter()
     family = _read_family(args.family)
     inputs = {"k": args.k, "mode": "gamma" if args.gamma else "exact",
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", metavar="B",
                    help="greedy disjoint extraction under b-spreadness")
     p.add_argument("--core", metavar="LABELS",
-                   help="comma-separated core to quotient by (gamma mode)")
+                   help="comma-separated core to quotient by; requires --gamma")
     p.set_defaults(func=_cmd_find_sunflower)
 
     p = sub.add_parser("check-gamma", help="exact spreadness verdict")

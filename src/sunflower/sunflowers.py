@@ -3,12 +3,13 @@
 A k-sunflower (Delta-system) is k distinct sets whose pairwise
 intersections all equal one common core.  Any two petals already fix
 the core (u & v = T), so detection starts from one pass over the member
-pairs: a link table keyed by each pair's intersection records which later
-members meet a member in exactly that key.  A depth-first search per core
-then narrows bitsets of linked candidates, which is complete, and its
-first certificate (core, then petals) follows the canonical member order.
-``shadow_budget`` caps the table's entries, ``node_budget`` the partial
-sunflowers visited.
+pairs: member i's row maps each trace masks[i] & masks[j], j > i, to the
+bitset of later members meeting it in exactly that trace.  Only a row
+that repeats a trace (any row when k = 2) ORs bits per trace and can
+start a search.  A depth-first search per core then narrows bitsets of
+linked candidates, which is complete, and its first certificate (core,
+then petals) follows the canonical member order.  ``shadow_budget`` caps
+the rows' entries, ``node_budget`` the partial sunflowers visited.
 
 The extraction route needs no search at all: when the family is b-spread
 for b >= k * m, greedily picking a member and discarding everything it
@@ -71,22 +72,27 @@ def find_sunflower_exact(family: SetFamily, k: int,
                          ) -> SunflowerCertificate | None:
     """Complete search for a k-sunflower; None proves there is none.
 
-    One pass over the member pairs i < j of ``family.masks()`` builds the
-    link table: under the key c = masks[i] & masks[j] it records, for i,
-    the bitset of later members j linked to i, i.e. meeting it in exactly
-    c.  k members form a sunflower with core c iff each is linked to every
-    later one under c, so the cores searched are the keys under which
-    some member has at least k - 1 links, in (cardinality, lexicographic)
-    order.  Within a core a depth-first search takes first petals in index
-    order and narrows the candidates to those linked to every pick,
-    pruning once fewer candidates remain than petals still needed.  The
-    first certificate found is the core first in that order, with the
-    lexicographically least index tuple of petals within it.
+    One pass over the member pairs i < j of ``family.masks()``, with
+    |F|(|F|-1)/2 ANDs, builds rows[i]: it maps each trace c = masks[i] &
+    masks[j] to the bitset of later members j linked to i, i.e. meeting
+    it in exactly c.  A comprehension keeps one bit per trace; only a row
+    where that drops a repeated trace is rebuilt by ORing bits per trace,
+    as is every row when k = 2 or when it outnumbers the 2**|masks[i]|
+    traces it can hold.  k members form a sunflower with core c iff each
+    is linked to every later one under c, and k - 1 >= 2 links under one
+    key repeat a trace, so only rebuilt rows feed ``starts``: under each
+    key, the members i with at least k - 1 links there, ascending.  Cores
+    are the keys of ``starts`` in (cardinality, lexicographic) order.
+    Within a core a depth-first search takes first petals from
+    ``starts[core]`` and narrows the candidates to those linked to every
+    pick, pruning once fewer candidates remain than petals still needed.
+    The first certificate found is the core first in that order, with
+    the lexicographically least index tuple of petals within it.
 
     ``node_budget`` caps the nodes, the partial sunflowers the search
     visits: a first petal with at least k - 1 links, and each pick that
     leaves enough candidates, count one each, so a direct hit costs k.
-    Member i's keys are submasks of masks[i], so the table holds at most
+    Member i's keys are submasks of masks[i], so the rows hold at most
     sum(2**|U|) entries; ``shadow_budget`` caps that sum, checked up front.
     """
     if k < 2:
@@ -96,23 +102,33 @@ def find_sunflower_exact(family: SetFamily, k: int,
     masks = family.masks()
     _check_shadow_budget(sum(1 << u.bit_count() for u in masks),
                          shadow_budget)
-    links: dict[int, dict[int, int]] = {}
-    cores = set()
+    bits = [1 << j for j in range(len(masks))]
+    rows: list[dict[int, int]] = []
+    starts: dict[int, list[int]] = {}
     for i, u in enumerate(masks):
-        row: dict[int, int] = {}
-        bit = 2 << i
-        for v in masks[i + 1:]:
+        later = masks[i + 1:]
+        tail = bits[i + 1:]
+        # u has 2**|u| submasks, so a longer row must repeat a trace
+        if k > 2 and len(later) <= 1 << u.bit_count():
+            row = {u & v: bit for v, bit in zip(later, tail)}
+            if len(row) == len(later):
+                rows.append(row)
+                continue
+        row = {}
+        for v, bit in zip(later, tail):
             c = u & v
             row[c] = row.get(c, 0) | bit
-            bit <<= 1
-        for c, later in row.items():
-            links.setdefault(c, {})[i] = later
-            if later.bit_count() >= k - 1:
-                cores.add(c)
+        for c, linked in row.items():
+            if linked.bit_count() >= k - 1:
+                starts.setdefault(c, []).append(i)
+        rows.append(row)
     nodes = 0
     chosen: list[int] = []
 
-    def extend(candidates: int, need: int, linked: dict[int, int]) -> bool:
+    # a recursive closure is a reference cycle: rows come in as an
+    # argument so that they die with the call, not at the next collection
+    def extend(candidates: int, need: int, core: int,
+               rows: list[dict[int, int]]) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -125,26 +141,24 @@ def find_sunflower_exact(family: SetFamily, k: int,
             low = candidates & -candidates
             candidates ^= low
             j = low.bit_length() - 1
-            narrowed = candidates & linked.get(j, 0)
+            narrowed = candidates & rows[j].get(core, 0)
             if narrowed.bit_count() >= need - 1:
                 chosen.append(j)
-                if extend(narrowed, need - 1, linked):
+                if extend(narrowed, need - 1, core, rows):
                     return True
                 chosen.pop()
         return False
 
-    for core in sorted(cores,
+    for core in sorted(starts,
                        key=lambda c: (c.bit_count(), _canonical_key(c))):
-        linked = links[core]
-        for i, later in linked.items():
-            if later.bit_count() >= k - 1:
-                chosen.append(i)
-                if extend(later, k - 1, linked):
-                    uni = family.universe
-                    return SunflowerCertificate(
-                        tuple(uni.from_bits(masks[j]) for j in chosen),
-                        uni.from_bits(core))
-                chosen.pop()
+        for i in starts[core]:
+            chosen.append(i)
+            if extend(rows[i][core], k - 1, core, rows):
+                uni = family.universe
+                return SunflowerCertificate(
+                    tuple(uni.from_bits(masks[j]) for j in chosen),
+                    uni.from_bits(core))
+            chosen.pop()
     return None
 
 

@@ -152,6 +152,17 @@ def test_find_sunflower_gamma_core_not_present(capsys, tmp_path):
     assert "outside universe" in err
 
 
+def test_find_sunflower_core_requires_gamma(capsys, tmp_path):
+    # the exact search has no core option: a --core it would ignore is an
+    # input error, not a certificate at some other core
+    path = family_file(tmp_path, SetFamily.of(
+        6, [[0, 1], [0, 2], [0, 3], [4, 5]]))
+    code, out, err = run(capsys,
+                         ["find-sunflower", path, "--k", "3", "--core", "4"])
+    assert (code, out) == (5, "")
+    assert err == "error: --core requires --gamma\n"
+
+
 def test_find_sunflower_gamma_stall_is_budget_exit(capsys, tmp_path):
     path = family_file(tmp_path, SetFamily.of(3, [[0, 1], [0, 2], [1, 2]]))
     code, report, _ = run_report(

@@ -378,6 +378,16 @@ PRODUCT_3_6 = build_extremal(3, 6).family.masks()
 @example(SetFamily(Universe(18),
                    PRODUCT_3_6 + (labels_mask([0, 1, 2, 3, 12, 13]),),
                    m=6), 3)
+# the added member sorts last, so 32 rows repeat a trace (above, first: 1)
+@example(SetFamily(Universe(18),
+                   PRODUCT_3_6 + (labels_mask([2, 4, 6, 8, 10, 12]),),
+                   m=6), 3)
+# one trace repeated three times; past four petals a row outgrows the
+# four submasks of its member and must repeat a trace
+@example(SetFamily.of(5, [[0, 1], [0, 2], [0, 3], [0, 4]]), 4)
+@example(SetFamily.of(7, [[0, x] for x in range(1, 7)]), 4)
+# k = 2 with no repeated trace
+@example(SetFamily.of(3, [[0, 1], [0, 2], [1, 2]]), 2)
 def test_find_sunflower_exact_matches_backtracking(family, k):
     assert find_sunflower_exact(family, k) == find_sunflower_backtrack(family, k)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -123,6 +125,28 @@ def test_find_sunflower_exact_node_count():
     # core is searched and absence costs no node
     product = build_extremal(3, 6).family
     assert find_sunflower_exact(product, 3, node_budget=1) is None
+
+
+def test_find_sunflower_exact_leaves_no_table_behind():
+    # the search recurses through a closure, a reference cycle that only a
+    # collection frees; the rows reach it as an argument, so with
+    # collections off two searches must not leave their rows behind
+    product = build_extremal(3, 6).family
+    uni = Universe(18)
+    plus = SetFamily(uni, product.masks()
+                     + (uni.set_of([0, 1, 2, 3, 12, 13]).bits,), m=6)
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            assert find_sunflower_exact(product, 3) is None
+            assert find_sunflower_exact(plus, 3) is not None
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert retained < 64 * 1024
 
 
 def test_search_agrees_with_oracle():
