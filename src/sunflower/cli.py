@@ -1,15 +1,17 @@
 """Command line interface.
 
 One binary, nine subcommands.  Generation subcommands print the family
-text format by default (``--json`` for the JSON form); analysis
-subcommands print a JSON report envelope {command, inputs, results,
-timings, seed}: one line per top-level key, in sorted order, each value
-compact with sorted keys.
+text format by default (``--json`` for the JSON form).  Analysis handlers
+return an exit code, inputs and results, which :func:`main` alone wraps
+in the JSON report envelope {command, inputs, results, timings, seed} and
+prints: one line per top-level key, in sorted order, each value compact
+with sorted keys.
 
 Exit codes: 0 success or found; 1 an engine or kernel contract violation,
 or a transversal-check identity mismatch; 3 proven absent; 4 budget or
-trials exhausted; 5 input error.  The environment variable SUNFLOWER_BUDGET
-overrides the default search budgets.
+trials exhausted; 5 input error.  An error prints one ``error:`` line and
+no report.  The environment variable SUNFLOWER_BUDGET overrides the
+default search budgets.
 
 Families lying on a split are interpreted against the contiguous split of
 their universe (strips are consecutive blocks); generate inputs with
@@ -30,10 +32,10 @@ from typing import TYPE_CHECKING
 # Each command imports the modules it runs in its handler, so a call loads
 # only those; errors and families serve every command.
 from .errors import (BudgetExceededError, ContractViolationError,
-                     GammaPreconditionError, TrialsExhaustedError)
-from .families import (SetFamily, Split, family_from_json_obj,
-                       family_from_text, family_to_text, mask_labels,
-                       pad_universe)
+                     TrialsExhaustedError)
+from .families import (DEFAULT_SHADOW_BUDGET, SetFamily, Split,
+                       family_from_json_obj, family_from_text,
+                       family_to_text, mask_labels, pad_universe)
 
 if TYPE_CHECKING:
     from .basesets import Constants, ElementaryPart
@@ -54,19 +56,6 @@ def _read_family(path: str) -> SetFamily:
     if text.lstrip().startswith("{"):
         return family_from_json_obj(json.loads(text))
     return family_from_text(text)
-
-
-def _read_constants(path: str) -> Constants:
-    from . import basesets as bs
-    with open(path) as fh:
-        return bs.constants_from_dict(json.load(fh))
-
-
-def _emit(command: str, inputs: dict, results: dict, seed: int | None,
-          t0: float) -> None:
-    _print_report({"command": command, "inputs": inputs, "results": results,
-                   "timings": {"totalSeconds": time.perf_counter() - t0},
-                   "seed": seed})
 
 
 def _print_report(report: dict) -> None:
@@ -133,26 +122,26 @@ def _cmd_gen_random(args) -> int:
     return EXIT_OK
 
 
-def _cmd_find_sunflower(args) -> int:
-    from .sunflowers import (SunflowerCertificate, extract_disjoint_via_gamma,
-                             find_sunflower_exact, verify_certificate)
+def _cmd_find_sunflower(args) -> tuple[int, dict, dict]:
+    from .sunflowers import (DEFAULT_SEARCH_NODE_BUDGET, SunflowerCertificate,
+                             extract_disjoint_via_gamma, find_sunflower_exact,
+                             verify_certificate)
     if args.core is not None and args.gamma is None:
         raise ValueError("--core requires --gamma")
-    t0 = time.perf_counter()
     family = _read_family(args.family)
     inputs = {"k": args.k, "mode": "gamma" if args.gamma else "exact",
               "familySize": len(family), "n": family.universe.n}
-    budget = _budget_default(1 << 22)
+    node_budget = _budget_default(DEFAULT_SEARCH_NODE_BUDGET)
+    shadow_budget = _budget_default(DEFAULT_SHADOW_BUDGET)
     if args.gamma is None:
-        cert = find_sunflower_exact(family, args.k, node_budget=budget,
-                                    shadow_budget=budget)
+        cert = find_sunflower_exact(family, args.k, node_budget=node_budget,
+                                    shadow_budget=shadow_budget)
         found = cert is not None
         results = {"found": found, "provenAbsent": not found,
                    "certificate": cert.to_json_obj() if cert else None}
         if found:
             results["verified"] = verify_certificate(cert)
-        _emit("find-sunflower", inputs, results, None, t0)
-        return EXIT_OK if found else EXIT_ABSENT
+        return EXIT_OK if found else EXIT_ABSENT, inputs, results
     b = _parse_base(args.gamma)
     core_labels = _parse_labels(args.core) if args.core else []
     inputs["b"] = str(b)
@@ -165,45 +154,39 @@ def _cmd_find_sunflower(args) -> int:
         c = core.bits
         quotient = [u & ~c for u in family.masks() if u & c == c]
         if not quotient:
-            _emit("find-sunflower", inputs,
-                  {"found": False, "provenAbsent": False,
-                   "note": "no member contains the requested core"}, None, t0)
-            return EXIT_ABSENT
+            return EXIT_ABSENT, inputs, {
+                "found": False, "provenAbsent": False,
+                "note": "no member contains the requested core"}
         work = SetFamily(family.universe, quotient,
                          m=max(0, family.m - core.cardinality))
-    cert = extract_disjoint_via_gamma(work, args.k, b, shadow_budget=budget)
+    cert = extract_disjoint_via_gamma(work, args.k, b,
+                                      shadow_budget=shadow_budget)
     if cert is None:
-        _emit("find-sunflower", inputs,
-              {"found": False, "provenAbsent": False,
-               "note": "greedy extraction stalled outside the guaranteed "
-                       "regime"}, None, t0)
-        return EXIT_BUDGET
+        return EXIT_BUDGET, inputs, {
+            "found": False, "provenAbsent": False,
+            "note": "greedy extraction stalled outside the guaranteed regime"}
     if core_labels:
         cert = SunflowerCertificate(
             tuple(family.universe.from_bits(p.bits | core.bits)
                   for p in cert.petals), core)
-    results = {"found": True, "provenAbsent": False,
-               "certificate": cert.to_json_obj(),
-               "verified": verify_certificate(cert)}
-    _emit("find-sunflower", inputs, results, None, t0)
-    return EXIT_OK
+    return EXIT_OK, inputs, {"found": True, "provenAbsent": False,
+                             "certificate": cert.to_json_obj(),
+                             "verified": verify_certificate(cert)}
 
 
-def _cmd_check_gamma(args) -> int:
+def _cmd_check_gamma(args) -> tuple[int, dict, dict]:
     from .gamma import check_gamma
-    t0 = time.perf_counter()
     family = _read_family(args.family)
     b = _parse_base(args.b)
-    report = check_gamma(family, b, budget=_budget_default(1 << 22))
-    _emit("check-gamma",
-          {"b": str(b), "familySize": len(family), "n": family.universe.n},
-          report.to_json_obj(), None, t0)
-    return EXIT_OK
+    report = check_gamma(family, b,
+                         budget=_budget_default(DEFAULT_SHADOW_BUDGET))
+    return (EXIT_OK,
+            {"b": str(b), "familySize": len(family), "n": family.universe.n},
+            report.to_json_obj())
 
 
-def _cmd_split(args) -> int:
-    from .splits import find_good_split
-    t0 = time.perf_counter()
+def _cmd_split(args) -> tuple[int, dict, dict]:
+    from .splits import DEFAULT_SPLIT_ENUM_BUDGET, find_good_split
     family = _read_family(args.family)
     if args.pad_to:
         family = pad_universe(family, args.pad_to)
@@ -212,11 +195,11 @@ def _cmd_split(args) -> int:
     try:
         result = find_good_split(family, mode=args.mode, trials=args.trials,
                                  seed=args.seed,
-                                 enum_budget=_budget_default(1 << 20))
+                                 enum_budget=_budget_default(
+                                     DEFAULT_SPLIT_ENUM_BUDGET))
     except TrialsExhaustedError as exc:
-        results = {"met": False, "bestRetained": len(exc.best.retained)}
-        _emit("split", inputs, results, args.seed, t0)
-        return EXIT_BUDGET
+        return EXIT_BUDGET, inputs, {"met": False,
+                                     "bestRetained": len(exc.best.retained)}
     results = {
         "met": True,
         "split": result.split.strip_labels(),
@@ -228,24 +211,22 @@ def _cmd_split(args) -> int:
     if args.emit_family:
         with open(args.emit_family, "w") as fh:
             fh.write(family_to_text(result.retained))
-    _emit("split", inputs, results, args.seed, t0)
-    return EXIT_OK
+    return EXIT_OK, inputs, results
 
 
-def _cmd_transversal_check(args) -> int:
-    from .splits import transversal_count_brute, transversal_formula
-    t0 = time.perf_counter()
+def _cmd_transversal_check(args) -> tuple[int, dict, dict]:
+    from .splits import (DEFAULT_TRANSVERSAL_BUDGET, transversal_count_brute,
+                         transversal_formula)
     family = _read_family(args.family)
-    brute = transversal_count_brute(family, args.j,
-                                    budget=_budget_default(1 << 22))
+    brute = transversal_count_brute(
+        family, args.j, budget=_budget_default(DEFAULT_TRANSVERSAL_BUDGET))
     formula = transversal_formula(family, args.j)
     equal = Fraction(brute) == formula
-    _emit("transversal-check",
-          {"j": args.j, "familySize": len(family), "n": family.universe.n},
-          {"brute": brute,
-           "formula": [formula.numerator, formula.denominator],
-           "equal": equal}, None, t0)
-    return EXIT_OK if equal else EXIT_VIOLATION
+    return (EXIT_OK if equal else EXIT_VIOLATION,
+            {"j": args.j, "familySize": len(family), "n": family.universe.n},
+            {"brute": brute,
+             "formula": [formula.numerator, formula.denominator],
+             "equal": equal})
 
 
 def _part_obj(part: ElementaryPart) -> dict:
@@ -253,20 +234,38 @@ def _part_obj(part: ElementaryPart) -> dict:
             "size": len(part.T), "variant": part.variant}
 
 
-def _write_trace(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _cmd_basesets(args) -> int:
+def _engine_inputs(args) -> tuple[SetFamily, Constants, Split]:
     from . import basesets as bs
-    t0 = time.perf_counter()
     family = _read_family(args.family)
-    cfg = _read_constants(args.constants)
+    with open(args.constants) as fh:
+        cfg = bs.constants_from_dict(json.load(fh))
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
-    split = Split.contiguous(family.universe.n, cfg.m)
+    return family, cfg, Split.contiguous(family.universe.n, cfg.m)
+
+
+def _traced(path: str | None, engine, *engine_args):
+    """Run ``engine(*engine_args)``; write its JSONL trace to ``path``, if
+    given, on a contract violation and on success, before main prints."""
+    try:
+        out = engine(*engine_args)
+    except ContractViolationError as exc:
+        _write_trace(path, exc.trace)
+        raise
+    _write_trace(path, out.trace)
+    return out
+
+
+def _write_trace(path: str | None, rows) -> None:
+    if path:
+        with open(path, "w") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def _cmd_basesets(args) -> tuple[int, dict, dict]:
+    from . import basesets as bs
+    family, cfg, split = _engine_inputs(args)
     if args.g_family:
         bases = _read_family(args.g_family)
         collection, skipped = bs.ComponentCollection.derive(
@@ -282,38 +281,21 @@ def _cmd_basesets(args) -> int:
         raise ValueError("--g-family is required when --mprime is below m")
     inputs = {"mprime": args.mprime, "constants": cfg.to_json_obj(),
               "familySize": len(family)}
-    try:
-        out = bs.base_sets(args.mprime, bases, collection, cfg)
-    except ContractViolationError as exc:
-        if args.trace:
-            _write_trace(args.trace, exc.trace)
-        raise
-    results = {"r": out.r, "baseSets": out.base_sets.to_json_obj(),
-               "family": out.family.to_json_obj(),
-               "parts": [_part_obj(p) for p in out.parts],
-               "extractions": len(out.trace)}
-    _emit("basesets", inputs, results, None, t0)
-    if args.trace:
-        _write_trace(args.trace, out.trace)
-    return EXIT_OK
+    out = _traced(args.trace, bs.base_sets, args.mprime, bases, collection,
+                  cfg)
+    return EXIT_OK, inputs, {"r": out.r,
+                             "baseSets": out.base_sets.to_json_obj(),
+                             "family": out.family.to_json_obj(),
+                             "parts": [_part_obj(p) for p in out.parts],
+                             "extractions": len(out.trace)}
 
 
-def _cmd_process_r(args) -> int:
+def _cmd_process_r(args) -> tuple[int, dict, dict]:
     from . import basesets as bs
-    t0 = time.perf_counter()
-    family = _read_family(args.family)
-    cfg = _read_constants(args.constants)
-    if cfg.fam_size is None:
-        cfg = cfg.with_fam_size(len(family))
-    split = Split.contiguous(family.universe.n, cfg.m)
+    family, cfg, split = _engine_inputs(args)
     bs._check_audit_regime(cfg)  # the audit would reject cfg after the run
     inputs = {"constants": cfg.to_json_obj(), "familySize": len(family)}
-    try:
-        result = bs.process_r(family, split, cfg)
-    except ContractViolationError as exc:
-        if args.trace:
-            _write_trace(args.trace, exc.trace)
-        raise
+    result = _traced(args.trace, bs.process_r, family, split, cfg)
     audit = bs.audit_terminal_bases(result, family, cfg)
     results = {
         "pHat": result.p_hat,
@@ -324,10 +306,7 @@ def _cmd_process_r(args) -> int:
                    "extracted": len(s.output.family)} for s in result.steps],
         "audit": audit,
     }
-    _emit("process-r", inputs, results, None, t0)
-    if args.trace:
-        _write_trace(args.trace, result.trace)
-    return EXIT_OK
+    return EXIT_OK, inputs, results
 
 
 def _parse_range(text: str) -> list[int]:
@@ -339,16 +318,13 @@ def _parse_range(text: str) -> list[int]:
     return list(range(int(lo), int(hi) + 1))
 
 
-def _cmd_verify_bound(args) -> int:
-    from .harness import verify_bound_experiment
-    t0 = time.perf_counter()
+def _cmd_verify_bound(args) -> tuple[int, dict, dict]:
+    from .harness import DEFAULT_SEARCH_NODE_BUDGET, verify_bound_experiment
     inputs = {"k": _parse_range(args.k_range),
               "m": _parse_range(args.m_range), "trials": args.trials}
-    results = verify_bound_experiment(
+    return EXIT_OK, inputs, verify_bound_experiment(
         inputs["k"], inputs["m"], args.trials, args.seed,
-        node_budget=_budget_default(1 << 22))
-    _emit("verify-bound", inputs, results, args.seed, t0)
-    return EXIT_OK
+        node_budget=_budget_default(DEFAULT_SEARCH_NODE_BUDGET))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,15 +421,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except GammaPreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        outcome = args.func(args)
+        if isinstance(outcome, int):
+            return outcome  # a generator, which printed its family
+        code, inputs, results = outcome
+        _print_report({"command": args.subcommand, "inputs": inputs,
+                       "results": results,
+                       "timings": {"totalSeconds": time.perf_counter() - t0},
+                       "seed": getattr(args, "seed", None)})
+        return code
     except (BudgetExceededError, TrialsExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # GammaPreconditionError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ContractViolationError as exc:

@@ -222,6 +222,20 @@ def test_split_emit_family_write_failure_prints_no_report(capsys, tmp_path):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv", [["process-r"], ["basesets", "--mprime", "2"]])
+def test_engine_trace_write_failure_prints_no_report(capsys, tmp_path, argv):
+    # the trace is written before the report, so a failed write prints none
+    fam_path = family_file(tmp_path, IMMEDIATE)
+    cfg_path = constants_file(tmp_path, CONSTANTS)
+    missing = tmp_path / "missing" / "t.jsonl"
+    code, out, err = run(capsys, [argv[0], fam_path, *argv[1:], "--constants",
+                                  cfg_path, "--trace", str(missing)])
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("argv", [["split"], ["transversal-check", "--j", "0"]])
 def test_cardinality_zero_family_is_not_a_divisibility_error(capsys, tmp_path,
                                                              argv):
@@ -515,6 +529,15 @@ def test_input_errors_exit_five(capsys, tmp_path):
     assert err.startswith("error: range '3:2'")
 
 
+def test_gamma_precondition_exits_five(capsys, tmp_path):
+    # element 0 lies in 3 of the 6 members, so FULL4 is not 2-spread
+    path = family_file(tmp_path, FULL4)
+    code, out, err = run(capsys,
+                         ["find-sunflower", path, "--k", "2", "--gamma", "2"])
+    assert (code, out) == (5, "")
+    assert err.splitlines() == ["error: family is not 2-spread: witness {0}"]
+
+
 # One defect each, and the one error line it gives.  The parsers check
 # each row as they read it and duplicates once every row is read, so of
 # several defects the first bad label is named, then a duplicate.
@@ -537,6 +560,8 @@ MALFORMED_FAMILIES = [
     ({"n": 4, "m": 2, "sets": [[0, 1], [1, 0]]}, "duplicate member {0,1}"),
     ({"n": 4, "m": -3, "sets": []},
      "cardinality bound must be nonnegative, got -3"),
+    ("{not json", "Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
 ]
 
 
@@ -698,7 +723,7 @@ def report_calls(tmp_path):
     return [["find-sunflower", fam, "--k", "3"],
             ["find-sunflower", fam, "--k", "2", "--gamma", "2", "--core", "0"],
             ["check-gamma", fam, "--b", "2"],
-            ["split", fam],
+            ["split", fam, "--seed", "3"],
             ["transversal-check", fam, "--j", "1"],
             ["basesets", imm, "--mprime", "2", "--constants", cfg],
             ["process-r", imm, "--constants", cfg],
@@ -719,6 +744,11 @@ def test_reports_print_one_line_per_top_level_key(capsys, tmp_path):
             assert line.startswith(prefix), (argv, line)
             value = line[len(prefix):].removesuffix(",")
             assert json.loads(value) == report[key], (argv, key)
+        # main derives the command and the seed from the parsed arguments
+        assert report["command"] == argv[0]
+        seed = (int(argv[argv.index("--seed") + 1]) if "--seed" in argv
+                else None)
+        assert report["seed"] == seed, argv
 
 
 def test_reports_parse_as_the_indented_printer_did(capsys, tmp_path,
