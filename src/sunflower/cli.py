@@ -47,6 +47,15 @@ EXIT_BUDGET = 4
 EXIT_INPUT = 5
 
 
+def _load_json(text: str, path: str):
+    """``json.loads(text)``; a text that is not JSON raises ValueError
+    naming ``path``, the file it came from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_family(path: str) -> SetFamily:
     if path == "-":
         text = sys.stdin.read()
@@ -54,7 +63,7 @@ def _read_family(path: str) -> SetFamily:
         with open(path) as fh:
             text = fh.read()
     if text.lstrip().startswith("{"):
-        return family_from_json_obj(json.loads(text))
+        return family_from_json_obj(_load_json(text, path))
     return family_from_text(text)
 
 
@@ -238,7 +247,7 @@ def _engine_inputs(args) -> tuple[SetFamily, Constants, Split]:
     from . import basesets as bs
     family = _read_family(args.family)
     with open(args.constants) as fh:
-        cfg = bs.constants_from_dict(json.load(fh))
+        cfg = bs.constants_from_dict(_load_json(fh.read(), args.constants))
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
     return family, cfg, Split.contiguous(family.universe.n, cfg.m)
@@ -435,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, TrialsExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    # GammaPreconditionError and json.JSONDecodeError are ValueErrors
+    # GammaPreconditionError is a ValueError
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

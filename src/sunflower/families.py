@@ -17,7 +17,9 @@ Everything here is immutable and pure, hence safe to share across threads.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from collections import Counter
+from itertools import chain, combinations, groupby
+from operator import and_, neg, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UniverseMismatchError
@@ -57,6 +59,44 @@ def subset_buckets(masks: Sequence[int],
                 bucket.append(u)
             s = (s - 1) & u
     return buckets
+
+
+def _subset_counts(masks: Sequence[int],
+                   budget: int = DEFAULT_SHADOW_BUDGET,
+                   ) -> dict[int, dict[int, int]]:
+    """Restriction counts by size: ``counts[s][S]`` is |F[S]| for every
+    nonempty S of s labels contained in some member.
+
+    The members of each size t are peeled of their lowest bit t - 1
+    times, giving t columns of single bits (the last is what remains).
+    The members' submasks are the ORs of the column subsets; each subset's
+    pattern is one ``map(or_, ...)`` of a smaller subset's pattern and one
+    column.  Each size is counted by one Counter over its patterns, so no
+    bucket list is built.  Raises BudgetExceededError when sum(2**|U|)
+    exceeds ``budget``, like :func:`subset_buckets`.
+    """
+    _check_shadow_budget(sum(1 << u.bit_count() for u in masks), budget)
+    by_size: dict[int, list[list[int]]] = {}
+    for t, group in groupby(sorted(masks, key=int.bit_count), int.bit_count):
+        if not t:
+            continue   # the empty member has no nonempty submask
+        rest = list(group)
+        columns = []
+        for _ in range(t - 1):
+            low = list(map(and_, rest, map(neg, rest)))
+            columns.append(low)
+            rest = list(map(xor, rest, low))
+        columns.append(rest)
+        # (size, pattern) of every column subset, the empty one first
+        patterns: list = [(0, None)]
+        for column in columns:
+            patterns += [(size + 1, column if pattern is None
+                          else list(map(or_, pattern, column)))
+                         for size, pattern in patterns]
+        for size, pattern in patterns[1:]:
+            by_size.setdefault(size, []).append(pattern)
+    return {size: Counter(chain.from_iterable(patterns))
+            for size, patterns in by_size.items()}
 
 
 class _ScannedSubsetMap:
@@ -572,26 +612,24 @@ def family_to_text(family: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_mask(labels: Iterable, bits: dict, n: int) -> int:
-    """Mask of one row of labels (text tokens or ints).  ``bits`` caches
-    each label's bit for one parse, filled on first sight through
-    ``int()`` and the range check."""
+def _row_mask(labels: Iterable[int], bits: dict, n: int) -> int:
+    """Mask of one JSON row of int labels.  ``bits`` caches each label's
+    bit for one parse, filled on first sight after the range check."""
     mask = 0
     for x in labels:
         bit = bits.get(x)
         if bit is None:
-            label = int(x)
-            if not 0 <= label < n:
-                raise ValueError(f"label {label} outside universe of size {n}")
-            bit = bits[x] = 1 << label
+            if not 0 <= x < n:
+                raise ValueError(f"label {x} outside universe of size {n}")
+            bit = bits[x] = 1 << x
         mask |= bit
     return mask
 
 
 def family_from_text(text: str) -> SetFamily:
-    """Parse the text format row by row, straight to masks.  A bad label
-    raises ValueError at its row, a duplicate member once every row is
-    read."""
+    """Parse the text format row by row, straight to masks, caching each
+    label's bit for the parse.  A bad label raises ValueError at its row,
+    a duplicate member once every row is read."""
     lines = iter(text.splitlines())
     for raw in lines:
         parts = raw.split("#", 1)[0].split()
@@ -603,12 +641,27 @@ def family_from_text(text: str) -> SetFamily:
         raise ValueError(f"bad header line: {raw!r}")
     n, m = int(parts[1]), int(parts[3])
     uni = Universe(n)
+    rows = (map(str.split, lines) if "#" not in text
+            else (raw.split("#", 1)[0].split() for raw in lines))
     bits: dict[str, int] = {}
+    get = bits.get
     masks = []
-    for raw in lines:
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            masks.append(0 if tokens == ["-"] else _row_mask(tokens, bits, n))
+    for tokens in rows:
+        if not tokens:
+            continue
+        mask = 0
+        for x in tokens:
+            bit = get(x)
+            if bit is None:
+                if tokens == ["-"]:   # the empty set
+                    break
+                label = int(x)
+                if not 0 <= label < n:
+                    raise ValueError(
+                        f"label {label} outside universe of size {n}")
+                bit = bits[x] = 1 << label
+            mask |= bit
+        masks.append(mask)
     return SetFamily(uni, masks, m=m)
 
 

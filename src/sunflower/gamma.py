@@ -9,6 +9,9 @@ All ratios are exact rationals: b is converted to a Fraction (floats embed
 exactly), so verdicts never depend on floating-point rounding.  A witness
 is a set achieving the maximum ratio; ties break toward the
 lexicographically least label tuple.
+
+Checks count |F[S]| for every candidate S, group the counts by |S| and
+decide from the largest count of each size, in integer comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _check_shadow_budget, _Record)
+                       _canonical_key, _check_shadow_budget, _Record,
+                       _subset_counts)
 
 
 def exact_base(b) -> Fraction:
@@ -52,35 +56,37 @@ class GammaReport(_Record):
 
 
 def _spread_report(family: SetFamily, base: Fraction,
-                   pairs: Iterable[tuple[int, int]]) -> GammaReport:
-    """The spreadness verdict from (S, |F[S]|) pairs with |F[S]| > 0: the
-    max of |F[S]| * b^|S| / |F|, witnessed by the maximizer with the least
+                   by_size: dict[int, dict[int, int]]) -> GammaReport:
+    """The spreadness verdict from restriction counts grouped by size
+    (``by_size[s][S]`` = |F[S]| > 0 for nonempty S of s labels): the max
+    of |F[S]| * b^|S| / |F|, witnessed by the maximizer with the least
     label tuple when it reaches 1.
 
-    Decided in integers: with b = p/q, S beats the best B so far when
-    |F[S]| * p^|S| * q^|B| > |F[B]| * p^|B| * q^|S|, so the pairs may
-    arrive in any order.  p^s and q^s are computed once per size s.  The
-    ratio is built once, at the end.
+    Only the largest count of each size can reach the max, so the sizes'
+    maxima are compared in integers: with b = p/q, size s beats the best
+    size B so far when c_s * p^s * q^|B| > c_B * p^|B| * q^s.  The witness
+    is looked for only when the check fails, among the sets holding the
+    largest count of every size tied at the max.
     """
     p, q = base.numerator, base.denominator
-    powers: dict[int, tuple[int, int]] = {}
-    best_mask = None
-    best_num, best_den = 0, 1   # |F[B]| * p^|B| and q^|B|
-    for mask, count in pairs:
-        size = mask.bit_count()
-        pq = powers.get(size)
-        if pq is None:
-            pq = powers[size] = (p ** size, q ** size)
-        p_s, q_s = pq
-        num = count * p_s
-        lhs, rhs = num * best_den, best_num * q_s
-        if lhs > rhs or (lhs == rhs and _canonical_key(mask)
-                         < _canonical_key(best_mask)):
-            best_mask, best_num, best_den = mask, num, q_s
+    best_num, best_den = 0, 1   # c_B * p^|B| and q^|B|
+    tied: list[tuple[dict[int, int], int]] = []
+    for size, counts in by_size.items():
+        top = max(counts.values())
+        num, den = top * p ** size, q ** size
+        lhs, rhs = num * best_den, best_num * den
+        if lhs > rhs:
+            best_num, best_den = num, den
+            tied = [(counts, top)]
+        elif lhs == rhs:
+            tied.append((counts, top))
     best = Fraction(best_num, best_den * len(family))
-    if best >= 1:
-        return GammaReport(False, family.universe.from_bits(best_mask), best)
-    return GammaReport(True, None, best)
+    if best < 1:
+        return GammaReport(True, None, best)
+    witness = min((s for counts, top in tied
+                   for s, count in counts.items() if count == top),
+                  key=_canonical_key)
+    return GammaReport(False, family.universe.from_bits(witness), best)
 
 
 def _tally_traces(counts: dict[int, int], masks: Iterable[int],
@@ -118,15 +124,13 @@ def check_gamma(family: SetFamily, b,
                 budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
     """Check b-spreadness against every nonempty set in the family's shadow.
 
-    Counts come from the family's subset map; ``budget`` caps its
-    sum(2**|U|) entries (BudgetExceededError beyond).
+    Counts come from :func:`families._subset_counts`, grouped by size;
+    ``budget`` caps the members' sum(2**|U|) (BudgetExceededError beyond).
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    buckets = family.subset_map(budget)
-    return _spread_report(family, base, ((s, len(bucket))
-                                         for s, bucket in buckets.items() if s))
+    return _spread_report(family, base, _subset_counts(family.masks(), budget))
 
 
 def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
@@ -138,7 +142,8 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     of ``over``.  With rank 0 or an empty ``over`` there are no candidates
     and the check holds vacuously.  Counting builds the count map of the
     members' traces on the subsplit (:func:`_carried_counts`), capped at
-    DEFAULT_SHADOW_BUDGET entries (BudgetExceededError beyond).
+    DEFAULT_SHADOW_BUDGET entries (BudgetExceededError beyond), and keeps
+    the candidates, grouped by size.
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -148,9 +153,11 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     if over.universe.n != family.universe.n:
         raise UniverseMismatchError("range family over a different universe")
     shadow = over.subset_lookup()
-    return _spread_report(family, base, (
-        (s, count) for s, count in _carried_counts(family.masks(), sub).items()
-        if s in shadow))
+    by_size: dict[int, dict[int, int]] = {}
+    for s, count in _carried_counts(family.masks(), sub).items():
+        if s in shadow:
+            by_size.setdefault(s.bit_count(), {})[s] = count
+    return _spread_report(family, base, by_size)
 
 
 def _max_violator_masks(counts: dict[int, int], total: int, shadow, p: int,

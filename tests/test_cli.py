@@ -569,10 +569,31 @@ MALFORMED_FAMILIES = [
 def test_malformed_families_exit_five(capsys, tmp_path, source, message):
     path = tmp_path / "bad.txt"
     path.write_text(source if isinstance(source, str) else json.dumps(source))
+    # a text that opens like JSON but does not parse names its file
+    if source == "{not json":
+        message = f"{path}: {message}"
     for argv in (["check-gamma", str(path), "--b", "2"],
                  ["find-sunflower", str(path), "--k", "2"]):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (5, "", f"error: {message}\n"), argv
+
+
+def test_invalid_json_names_its_file(capsys, tmp_path):
+    # with a family and a constants file, the error says which is broken
+    fam = family_file(tmp_path, IMMEDIATE)
+    cfg = constants_file(tmp_path, CONSTANTS)
+    bad_fam, bad_cfg = tmp_path / "fam.json", tmp_path / "cfg.json"
+    bad_fam.write_text("{not json")
+    bad_cfg.write_text("{not json")
+    decoder = ("Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)")
+    for argv, bad in ((["process-r", str(bad_fam), "--constants", cfg],
+                       bad_fam),
+                      (["process-r", fam, "--constants", str(bad_cfg)],
+                       bad_cfg),
+                      (["find-sunflower", str(bad_fam), "--k", "2"], bad_fam)):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (5, "", f"error: {bad}: {decoder}\n"), argv
 
 
 def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,

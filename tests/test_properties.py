@@ -2,7 +2,9 @@
 
 The subset-map references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, the p_sets oracle and the unpruned sunflower
-oracle, none of which goes through the subset-bucket kernel.  The
+oracle, none of which goes through the subset-bucket kernel; the
+size-grouped restriction counts of the spreadness checks are checked
+against that kernel's bucket sizes.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
 the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
@@ -34,12 +36,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunflower import basesets as bs
-from sunflower.errors import ContractViolationError, TrialsExhaustedError
+from sunflower.errors import (BudgetExceededError, ContractViolationError,
+                              TrialsExhaustedError)
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
-                                family_from_json_obj, family_from_text,
-                                labels_mask, mask_labels, subset_buckets,
-                                subset_lookup)
+                                _subset_counts, family_from_json_obj,
+                                family_from_text, labels_mask, mask_labels,
+                                subset_buckets, subset_lookup)
 from sunflower.gamma import check_gamma, check_gamma_on_subsplit, exact_base
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
@@ -227,6 +230,22 @@ def test_parsers_match_reference_parsers(case, data):
     assert family_from_json_obj(obj) == family_from_json_obj_reference(obj)
 
 
+@SETTINGS
+@given(family_rows().flatmap(lambda case: family_text(*case)))
+@example("universe 4 maxcard 2\n0 1\n2 3\n")
+@example("universe 4 maxcard 2 # header\n0 1 # 2\n2 #\n")
+@example("universe 4 maxcard 2\n-\n0 1\n")
+@example("universe 4 maxcard 2\n1 1\n0 1\n")
+def test_text_parser_matches_reference_without_comments(text):
+    # the parser splits rows without cutting comments when the text has
+    # no '#', so each text is also read with every comment cut
+    cut = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    for source in (text, cut):
+        want = family_from_text_reference(source)
+        got = family_from_text(source)
+        assert got == want and got.masks() == want.masks()
+
+
 # One defect each; the JSON form exists for the integer ones.
 MALFORMED = ("negative label", "label >= n", "non-integer token",
              "bad header", "duplicate member")
@@ -260,6 +279,8 @@ def malformed_family(draw):
 
 @SETTINGS
 @given(malformed_family())
+# '-' stands for the empty set only alone on its row
+@example(("non-integer token", "universe 4 maxcard 2\n0 1\n- 1\n", None))
 def test_parsers_reject_like_reference_parsers(case):
     kind, text, obj = case
     want = raised(family_from_text_reference, text)
@@ -281,8 +302,45 @@ def test_subset_buckets_matches_restrictions(family):
     assert family.subset_map() == want
 
 
+@st.composite
+def mixed_masks(draw):
+    """Distinct masks on n <= 10 labels of mixed sizes, at most 4 labels
+    each, with the empty mask half the time and, on n >= 8 labels, one
+    member of 8 or more labels half the time; in any order."""
+    n = draw(st.integers(1, 10))
+    masks = draw(st.sets(st.sets(st.integers(0, n - 1), max_size=4)
+                         .map(labels_mask), max_size=12))
+    if draw(st.booleans()):
+        masks.add(0)
+    if n >= 8 and draw(st.booleans()):
+        masks.add(labels_mask(draw(st.sets(st.integers(0, n - 1),
+                                           min_size=8))))
+    return draw(st.permutations(sorted(masks)))
+
+
+@SETTINGS
+@given(mixed_masks())
+@example([0, 0b1, 0b110, 0b1011, 0b11111111])
+def test_subset_counts_match_bucket_sizes(masks):
+    counts = _subset_counts(masks)
+    for size, by_mask in counts.items():
+        assert by_mask and all(s.bit_count() == size for s in by_mask)
+    assert {s: c for by_mask in counts.values() for s, c in by_mask.items()} \
+        == {s: len(bucket) for s, bucket in subset_buckets(masks).items() if s}
+    need = sum(1 << u.bit_count() for u in masks)
+    assert _subset_counts(masks, budget=need) == counts
+    if need:
+        with pytest.raises(BudgetExceededError):
+            _subset_counts(masks, budget=need - 1)
+
+
 @SETTINGS
 @given(families(min_size=1), bases())
+# a tie across sizes at the max: the pair {0,1} (count 1) and the
+# singleton {1} (count 2 = 1 * b) both reach 2, and {0,1} comes first
+@example(SetFamily.of(3, [[0, 1], [1, 2]]), Fraction(2))
+# {0} lies in all three members: witness {0}, ratio 3 * 2 / 3 = 2
+@example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
 def test_check_gamma_matches_brute_scan(family, b):
     candidates = [s for s in family.shadow() if s.bits]
     assert report_tuple(check_gamma(family, b)) == brute_max_ratio(
