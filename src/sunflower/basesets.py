@@ -5,7 +5,8 @@ collection of components each indexed by a rank-m' subsplit, together with
 a family of anchor m'-sets ("bases") covering every member's projection.
 It scans ranks r = m' down to 0, repeatedly carving out elementary parts:
 
-  * at r = m', whole buckets F''[B] whose size meets the threshold f(m');
+  * at r = m', whole buckets F''[B] whose size meets the threshold f(m'),
+    the groups of members sharing a projection onto the component;
   * at r < m', buckets cleaned to spreadness on the strips off B by
     repeated maximal-violator removal, with an epsilon-floor at r = 0;
 
@@ -352,26 +353,34 @@ class ComponentCollection:
 class BaseSetsOutput(_Record):
     """One engine call's result: rank, base sets, family, and its parts.
 
-    ``family`` is the disjoint union of the parts' members and meets
-    len(family) * 3^(mprime - r + 1) >= len(input family).  ``trace`` has
-    one row per extraction performed during the call, including rounds
-    whose accumulation fell short.
+    ``family`` is the disjoint union of the parts' members (built on
+    first use) and meets len(family) * 3^(mprime - r + 1) >= len(input
+    family).  ``trace`` has one row per extraction performed during the
+    call, including rounds whose accumulation fell short.
     """
 
-    __slots__ = ("r", "base_sets", "family", "parts", "trace")
+    __slots__ = ("r", "base_sets", "parts", "trace", "_family")
 
-    def __init__(self, r: int, base_sets: SetFamily, family: SetFamily,
+    def __init__(self, r: int, base_sets: SetFamily,
                  parts: tuple[ElementaryPart, ...], trace: tuple[dict, ...]):
-        self._set(r, base_sets, family, parts, trace)
+        self._set(r, base_sets, parts, trace, None)
+
+    @property
+    def family(self) -> SetFamily:
+        if self._family is None:   # m defaults to the members' size
+            object.__setattr__(self, "_family", SetFamily(
+                self.base_sets.universe,
+                [u for part in self.parts for u in part.T]))
+        return self._family
 
 
 def _candidate_bases(sub: Subsplit, r: int, shadow, lookup,
                      floor: int | float) -> list[int]:
     """Masks of r-sets on the subsplit inside the bases' shadow (``shadow``,
-    their subset lookup) whose component bucket, the members of
-    ``lookup`` containing them, reaches ``floor``, in lexicographic label
-    order; rank 0 gives at most the empty set.  A live bucket, and its
-    cleaning, only shrink, so no other base can ever be taken."""
+    their subset lookup) whose bucket, the members of ``lookup``
+    containing them, reaches ``floor``, in lexicographic label order;
+    rank 0 gives at most the empty set.  A live bucket lies inside it
+    and, with its cleaning, only shrinks, so no other base can be taken."""
     cands = [bm for bm in sub.p_set_masks(r)
              if bm in shadow and len(lookup.get(bm, ())) >= floor]
     cands.sort(key=_canonical_key)
@@ -397,30 +406,55 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, shadow, p: int,
     return t
 
 
-def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
+def _projection_groups(members: Iterable[int],
+                       union: int) -> dict[int, list[int]]:
+    """The members by their projection ``u & union``, in order."""
+    groups: dict[int, list[int]] = {}
+    for u in members:
+        groups.setdefault(u & union, []).append(u)
+    return groups
+
+
+def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
+                    floor: int | float) -> Iterator[tuple[int, list[int]]]:
+    """Yield (base mask, member masks) for each projection group of the
+    component onto its strips (``union``) that reaches ``floor``, in label
+    order, after removing its members from ``live``.  At r = m' a member
+    contains a base on the strips exactly when it projects onto it, and
+    every projection is a base, so these groups are the buckets; being
+    disjoint, no take shrinks another.
+    """
+    groups = _projection_groups(comp, union)
+    for bm in sorted((bm for bm, t in groups.items() if len(t) >= floor),
+                     key=_canonical_key):
+        live.difference_update(groups[bm])
+        yield bm, groups[bm]
+
+
+def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
                  bases: SetFamily, floor: int | float,
-                 b: Fraction) -> Iterator[tuple[int, list[int], str]]:
-    """Drain one component at rank r: yield (base mask, member masks,
-    variant) for each extraction, after removing its members from
-    ``live``.  ``lookup`` is the component's subset map, so a base's
-    bucket is the map's entry filtered by ``live``, in canonical order.
+                 b: Fraction) -> Iterator[tuple[int, list[int]]]:
+    """Drain one component at a rank r below m': yield (base mask, member
+    masks) for each extraction, after removing its members from ``live``.
+    A base's bucket is its entry in ``lookup``, a subset map over the
+    component's members and maybe more, filtered by ``live``.
 
     A min-heap holds the label-order indices of the undecided candidate
     bases, at the start all whose unfiltered bucket reaches ``floor``
-    (need[m'], eps_need at r = 0, else 1).  The smallest is popped and
-    decided on its live bucket, whole at r = m' and below m' cleaned to
-    spreadness on the strips off the base: it is taken if its size
-    reaches the floor.  An extracted base is never decided again; the
-    other bases its members contain go back on the heap unless already on
-    it.  An empty live set ends the drain, as no empty bucket qualifies.
-    The bases' shadow, b's numerator and denominator, and the free
-    subsplit per set of strips a base hits are computed once per drain.
+    (eps_need at r = 0, else 1).  The smallest is popped and decided on
+    its live bucket cleaned to spreadness on the strips off the base: it
+    is taken if its size reaches the floor.  An extracted base is never
+    decided again; the other bases its members contain go back on the
+    heap unless already on it.  An empty live set ends the drain, as no
+    empty bucket qualifies.  The bases' shadow, b's numerator and
+    denominator, and the free subsplit per set of strips a base hits are
+    computed once per drain.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
     verdict until an extraction takes a member of its bucket, because live
     sets only shrink and a verdict depends only on the bucket and on what
-    the call fixes (r, m', the floor, the bases, b and the strips off the
+    the call fixes (r, the floor, the bases, b and the strips off the
     base).  And a restart only passed over earlier components again,
     whose live sets an extraction here leaves unchanged.
     """
@@ -436,15 +470,11 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
         queued.discard(i)
         bm = cands[i]
         bucket = [u for u in lookup.get(bm, ()) if u in live]
-        if r == mprime:
-            t, variant = bucket, "ii"
-        else:
-            hit = sum(bits for bits in sub.strip_masks if bits & bm)
-            free = frees.get(hit)
-            if free is None:
-                free = frees[hit] = sub.minus(bm)
-            t = bucket and _clean_to_spread(bucket, free, shadow, p, q)
-            variant = "i"
+        hit = sum(bits for bits in sub.strip_masks if bits & bm)
+        free = frees.get(hit)
+        if free is None:
+            free = frees[hit] = sub.minus(bm)
+        t = bucket and _clean_to_spread(bucket, free, shadow, p, q)
         if len(t) < floor:
             continue
         live.difference_update(t)
@@ -457,7 +487,7 @@ def _extractions(r: int, mprime: int, live: set[int], lookup, sub: Subsplit,
                     queued.add(j)
                     heappush(heap, j)
                 s = (s - 1) & u
-        yield bm, t, variant
+        yield bm, t
 
 
 def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
@@ -467,11 +497,11 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
 
     The working family persists across ranks (extractions at a failed rank
     stay removed); the accumulated union and base list reset per rank.
-    At each rank the components are drained one at a time in key order
-    (see :func:`_extractions`): a queue of undecided candidate bases, in
-    label order, is decided one by one, and after an extraction only the
-    bases its members contain are decided again.  Each (base, component)
-    pair is extracted at most once per call.  Raises
+    At r = m' each component's projection groups reaching need[m'] are
+    taken (:func:`_full_rank_pass`); below, the components are drained
+    in key order (:func:`_extractions`) on buckets read off one subset
+    map over all members.  Each (base, component) pair is extracted at
+    most once per call.  Raises
     ContractViolationError with the full extraction trace when no rank
     reaches its bound.
 
@@ -496,16 +526,16 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     # the bases' cached subset map serves the component
     self_anchored = list(components.values()) == [bases.masks()]
     if self_anchored:
-        lookups = {key: bases.subset_lookup() for key in components}
+        lookup = bases.subset_lookup()
     else:
-        lookups = _component_lookups(collection)
+        lookup = subset_lookup([u for comp in components.values()
+                                for u in comp])
     full = split.full_subsplit()
     for u in bases.masks():
         if u.bit_count() != mprime or not full.carries_mask(u):
             raise ValueError(
                 f"base {_mask_repr(u)} is not an on-split {mprime}-set")
-        if not self_anchored and not any(u in lookup
-                                         for lookup in lookups.values()):
+        if not self_anchored and u not in lookup:
             raise ValueError(
                 f"base {_mask_repr(u)} is not in the family's shadow")
     if not self_anchored:
@@ -518,25 +548,16 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                     raise ValueError(
                         f"member projection {mask_labels(proj)} of "
                         f"component {key} is not an anchor base")
-    return _base_sets(mprime, bases, collection, cfg, p_label, lookups)
-
-
-def _component_lookups(collection: ComponentCollection) -> dict:
-    """The subset map of each component, by key."""
-    return {key: subset_lookup(comp)
-            for key, comp in collection.components.items()}
+    return _base_sets(mprime, bases, collection, cfg, p_label, lookup)
 
 
 def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
-               cfg: Constants, p_label: int,
-               lookups: dict | None = None) -> BaseSetsOutput:
+               cfg: Constants, p_label: int, lookup) -> BaseSetsOutput:
     """:func:`base_sets` on an input it trusts, checking only the
     3^(-2m) * famSize floor: the driver's steps after the first, whose
     bases and components the previous call's :func:`_finish` and
-    :meth:`ComponentCollection.regroup` built.  ``lookups`` maps each
-    component key to its subset map, built here when not given."""
-    if lookups is None:
-        lookups = _component_lookups(collection)
+    :meth:`ComponentCollection.regroup` built; ``lookup`` is a subset map
+    over (at least) their members."""
     components = collection.components
     size = sum(len(comp) for comp in components.values())
     if size * 3 ** (2 * cfg.m) < cfg.fam_size:
@@ -552,12 +573,16 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     for r in range(mprime, -1, -1):
         round_parts: list[ElementaryPart] = []
         cumulative = 0
-        floor = (thr.need[mprime] if r == mprime
-                 else thr.eps_need if r == 0 else 1)
+        variant = "ii" if r == mprime else "i"
         for key, live in work.items():
-            for bm, t_masks, variant in _extractions(
-                    r, mprime, live, lookups[key], collection.subsplit(key),
-                    bases, floor, b):
+            sub = collection.subsplit(key)
+            if r == mprime:
+                found = _full_rank_pass(components[key], sub.union_mask,
+                                        live, thr.need[mprime])
+            else:
+                found = _extractions(r, live, lookup, sub, bases,
+                                     thr.eps_need if r == 0 else 1, b)
+            for bm, t_masks in found:
                 part = ElementaryPart(bm, key, tuple(t_masks), variant)
                 round_parts.append(part)
                 cumulative += len(t_masks)
@@ -566,8 +591,8 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                               "sizeT": len(t_masks),
                               "cumulative": cumulative})
         if cumulative * 3 ** (mprime - r + 1) >= size:
-            return _finish(r, mprime, round_parts, trace, collection,
-                           lookups, bases, cfg, thr, b)
+            return _finish(r, mprime, round_parts, trace, collection, bases,
+                           cfg, thr, b)
     raise ContractViolationError(
         "no rank produced the guaranteed retained fraction; the constants "
         "are outside the supported regime or the engine has a bug",
@@ -576,11 +601,10 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
 
 def _finish(r: int, mprime: int, parts: list[ElementaryPart],
             trace: list[dict], collection: ComponentCollection,
-            lookups: dict, bases: SetFamily, cfg: Constants,
-            thr: Threshold, b: Fraction) -> BaseSetsOutput:
+            bases: SetFamily, cfg: Constants, thr: Threshold,
+            b: Fraction) -> BaseSetsOutput:
     """Assemble the output and check the engine's postconditions; a
-    failed one raises ContractViolationError carrying the trace.
-    ``lookups`` maps each component key to its subset map."""
+    failed one raises ContractViolationError carrying the trace."""
 
     def require(ok: bool, what: str) -> None:
         if not ok:
@@ -589,7 +613,6 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     uni = collection.split.universe
     all_masks = [u for part in parts for u in part.T]
     require(len(set(all_masks)) == len(all_masks), "parts must be disjoint")
-    fdagger = SetFamily(uni, all_masks, m=cfg.m)
     pair_keys = [(part.B, part.key) for part in parts]
     require(len(set(pair_keys)) == len(pair_keys), "pairs must be unique")
     base_family = SetFamily(uni, {part.B for part in parts}, m=r)
@@ -598,14 +621,12 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
     if r < mprime:
-        # all full-rank buckets were drained below need[m'] before rank
-        # fell; a bucket of the parts is the component's bucket filtered by
-        # them, so the largest one decides
+        # the full-rank pass took every group reaching need[m'], so the
+        # parts' members, all left after it, form only smaller ones
         for key, masks in by_key.items():
-            lookup, members = lookups[key], set(masks)
-            largest = max((len(members.intersection(lookup.get(u, ())))
-                           for u in bases.masks()), default=0)
-            require(largest < thr.need[mprime],
+            groups = _projection_groups(masks,
+                                        collection.subsplit(key).union_mask)
+            require(max(map(len, groups.values())) < thr.need[mprime],
                     "threshold property failed for the returned rank")
     if r == 0:
         for key, masks in by_key.items():
@@ -616,7 +637,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
                                              bases, b)
             require(report.holds,
                     "rank-0 component fails the spreadness condition")
-    return BaseSetsOutput(r, base_family, fdagger, tuple(parts), tuple(trace))
+    return BaseSetsOutput(r, base_family, tuple(parts), tuple(trace))
 
 
 class ProcessStep(_Record):
@@ -673,9 +694,11 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     while True:
         try:
             # step 1 checks every member as an on-split m-set base; later
-            # steps run on the previous step's own output
-            out = (base_sets if p == 1 else _base_sets)(
-                r_p, bases, collection, cfg, p)
+            # steps run on the previous step's own output, the family's
+            # members, whose cached subset map step 1 built
+            out = (base_sets(r_p, bases, collection, cfg, p) if p == 1 else
+                   _base_sets(r_p, bases, collection, cfg, p,
+                              family.subset_lookup()))
         except (ContractViolationError, ValueError) as exc:
             exc.partial_steps = tuple(steps)
             raise

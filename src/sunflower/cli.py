@@ -312,7 +312,8 @@ def _cmd_process_r(args) -> tuple[int, dict, dict]:
         "basesHat": result.bases_hat.to_json_obj(),
         "familyHat": result.family_hat.to_json_obj(),
         "steps": [{"p": s.p, "rIn": s.r_in, "rOut": s.output.r,
-                   "extracted": len(s.output.family)} for s in result.steps],
+                   "extracted": sum(len(part.T) for part in s.output.parts)}
+                  for s in result.steps],
         "audit": audit,
     }
     return EXIT_OK, inputs, results

@@ -99,6 +99,19 @@ def _subset_counts(masks: Sequence[int],
             for size, patterns in by_size.items()}
 
 
+def _family_counts(family: "SetFamily", budget: int,
+                   ) -> dict[int, dict[int, int]]:
+    """:func:`_subset_counts` of the family's members, read off its kept
+    :meth:`SetFamily.subset_map` when it has one (same budget check)."""
+    if family._subsets is None:
+        return _subset_counts(family._masks, budget)
+    by_size: dict[int, dict[int, int]] = {}
+    for s, bucket in family.subset_map(budget).items():
+        if s:
+            by_size.setdefault(s.bit_count(), {})[s] = len(bucket)
+    return by_size
+
+
 class _ScannedSubsetMap:
     """Lazy stand-in for a subset map too large to build: every query
     scans the members."""
@@ -189,16 +202,21 @@ class _Immutable:
 class _Record(_Immutable):
     """An immutable value class that, like a frozen dataclass over its
     fields, compares, hashes and prints as the tuple of its slots in
-    order; ``__init__`` fills them through :meth:`_set`."""
+    order; ``__init__`` fills them through :meth:`_set`.  A slot named
+    with a leading underscore caches a value derived from the others and
+    takes no part in equality, hash or repr."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -210,7 +228,7 @@ class _Record(_Immutable):
 
     def __repr__(self) -> str:
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
 
 
 class Universe(_Record):

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _check_shadow_budget, _Record,
-                       _subset_counts)
+                       _canonical_key, _check_shadow_budget, _family_counts,
+                       _Record)
 
 
 def exact_base(b) -> Fraction:
@@ -124,13 +124,15 @@ def check_gamma(family: SetFamily, b,
                 budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
     """Check b-spreadness against every nonempty set in the family's shadow.
 
-    Counts come from :func:`families._subset_counts`, grouped by size;
-    ``budget`` caps the members' sum(2**|U|) (BudgetExceededError beyond).
+    Counts come from :func:`families._family_counts`, grouped by size:
+    read off the family's subset map when it keeps one, counted by
+    :func:`families._subset_counts` otherwise; ``budget`` caps the
+    members' sum(2**|U|) (BudgetExceededError beyond) either way.
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    return _spread_report(family, base, _subset_counts(family.masks(), budget))
+    return _spread_report(family, base, _family_counts(family, budget))
 
 
 def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,

@@ -1,6 +1,8 @@
 """Brute-force and reference oracles shared by the tests.
 
 ``p_sets`` lists the p-sets on a subsplit as ground sets.
+``brute_max_ratio`` is the spreadness check by one restriction per
+candidate set, with no subset map or count kernel.
 ``sunflower_free_check_oracle`` is deliberately independent of the fast
 paths it checks: it goes through neither the subset-bucket kernel nor a
 pruned search.  ``find_sunflower_backtrack`` is the per-core bucket
@@ -36,6 +38,7 @@ order in which splits are yielded.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 from typing import Iterator
@@ -100,6 +103,20 @@ def p_sets(sub: Subsplit, p: int) -> Iterator[GroundSet]:
     uni = sub.split.universe
     for mask in sub.p_set_masks(p):
         yield GroundSet(uni, mask)
+
+
+def brute_max_ratio(family: SetFamily, candidates, b: Fraction):
+    """Strict max over candidates in canonical order: the first maximizer
+    is the least label tuple."""
+    best, witness = Fraction(0), None
+    for s in sorted(candidates, key=lambda s: s.labels()):
+        count = len(family.restrict(s))
+        if count == 0:
+            continue
+        ratio = Fraction(count) * b ** s.cardinality / len(family)
+        if ratio > best:
+            best, witness = ratio, s
+    return (best < 1, None if best < 1 else witness, best)
 
 
 def sunflower_free_check_oracle(family: SetFamily, k: int,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sunflower import basesets
+from sunflower import basesets, families
 from sunflower.basesets import (
     BaseSetsOutput,
     ComponentCollection,
@@ -14,6 +14,7 @@ from sunflower.basesets import (
     Threshold,
     _base_sets,
     _extractions,
+    _full_rank_pass,
     audit_terminal_bases,
     base_sets,
     constants_from_dict,
@@ -365,25 +366,33 @@ def test_base_sets_flagship_first_call():
     assert out.trace[-1]["cumulative"] == 64
 
 
+def test_base_sets_output_builds_its_family_on_first_use():
+    # the output family is the parts' union, built when first read and
+    # kept; building it changes neither equality nor repr (the trace rows
+    # are dicts, so an output was never hashable)
+    coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
+    out, again = (base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG) for _ in "ab")
+    assert out._family is None and out == again
+    text = repr(out)
+    assert out.family is out.family
+    assert out.family == FLAGSHIP and again._family is None
+    assert out == again and repr(out) == text
+    assert "_family" not in text
+
+
 def test_base_sets_postcondition_raises_with_trace(monkeypatch):
     # make the last full-rank bucket look full (it holds the whole
-    # component) and the others empty: the returned rank 1 then breaks
-    # the threshold postcondition, which must raise, not assert
+    # component) when the output is checked: the projection count of the
+    # parts' members then puts them all in one group, and the returned
+    # rank 1 breaks the threshold postcondition, which must raise, not
+    # assert
     last = FLAGSHIP.masks()[-1]
-
-    class OneFull(dict):
-        def __init__(self, comp):
-            self.comp = comp
-
-        def get(self, key, default=None):
-            return self.comp if key == last else ()
-
     real_finish = basesets._finish
 
-    def finish(r, mprime, parts, trace, collection, lookups, *rest):
-        full = {key: OneFull(comp)
-                for key, comp in collection.components.items()}
-        return real_finish(r, mprime, parts, trace, collection, full, *rest)
+    def finish(*args):
+        monkeypatch.setattr(basesets, "_projection_groups",
+                            lambda members, union: {last: list(members)})
+        return real_finish(*args)
 
     monkeypatch.setattr(basesets, "_finish", finish)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
@@ -460,47 +469,41 @@ def test_extractions_rank_zero_round():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
     live = set(comp)
-    found = list(_extractions(0, 2, live, subset_lookup(comp),
+    found = list(_extractions(0, live, subset_lookup(comp),
                               coll.subsplit((0, 1)), GRID16,
                               Threshold(cfg).eps_need, exact_base(cfg.b)))
     assert len(found) == 1
-    bm, t_masks, variant = found[0]
+    bm, t_masks = found[0]
     assert bm == 0
     assert tuple(t_masks) == GRID16.masks()
-    assert variant == "i"
     assert not live
-    part = ElementaryPart(bm, (0, 1), tuple(t_masks), variant)
+    part = ElementaryPart(bm, (0, 1), tuple(t_masks), "i")
     assert is_elementary_part(part, coll, GRID16, cfg)
 
 
 def test_extractions_read_live_members_only():
-    # at full rank f(2) < 1, so the first candidate base with a live member
-    # wins: removing {0,4} from the live set (not from the map) skips it
+    # at full rank f(2) < 1, so every member's own bucket is taken: the
+    # full-rank pass yields each member once, in label order, and leaves
+    # nothing live
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
-    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16,
-            Threshold(cfg).need[2], exact_base(cfg.b))
-    first = next(_extractions(2, 2, set(comp), *args))
-    assert first == (0b10001, [0b10001], "ii")
-    second = next(_extractions(2, 2, set(comp) - {0b10001}, *args))
-    assert second == (0b100001, [0b100001], "ii")
-    # a yielded base is never decided again: at full rank every bucket is
-    # one member, so the live-set reads are the decisions, and the drain
-    # decides every member's own bucket once, in label order, and leaves
-    # nothing live
-    decided = []
-
-    class LiveLog(set):
-        def __contains__(self, u):
-            decided.append(u)
-            return super().__contains__(u)
-
-    live = LiveLog(comp)
-    drained = list(_extractions(2, 2, live, *args))
-    assert drained[:2] == [first, second]
-    assert [bm for bm, _, _ in drained] == decided == list(comp)
+    union = coll.subsplit((0, 1)).union_mask
+    live = set(comp)
+    drained = list(_full_rank_pass(comp, union, live, Threshold(cfg).need[2]))
+    assert drained[:2] == [(0b10001, [0b10001]), (0b100001, [0b100001])]
+    assert [bm for bm, _ in drained] == list(comp)
+    assert all(t == [bm] for bm, t in drained)
     assert not live
+    # below m' the drain reads the live set, not the map: with the members
+    # containing {0} gone from it (not from the map), rank 1 skips {0} and
+    # takes the spread bucket of {1} first
+    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16, 1,
+            exact_base(cfg.b))
+    first = next(_extractions(1, set(comp), *args))
+    assert first == (0b1, [u for u in comp if u & 0b1])
+    second = next(_extractions(1, {u for u in comp if not u & 0b1}, *args))
+    assert second == (0b10, [u for u in comp if u & 0b10])
 
 
 def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
@@ -604,8 +607,7 @@ def test_process_r_postcondition_raises(monkeypatch):
 
     def climbing(*args, **kwargs):
         out = engine(*args, **kwargs)
-        return BaseSetsOutput(3, out.base_sets, out.family, out.parts,
-                              out.trace)
+        return BaseSetsOutput(3, out.base_sets, out.parts, out.trace)
 
     monkeypatch.setattr(basesets, "base_sets", climbing)
     with pytest.raises(ContractViolationError, match="strictly decrease") \
@@ -633,10 +635,11 @@ def test_process_r_input_validation():
 
 def test_process_r_first_step_reuses_the_family(monkeypatch):
     # step 1's only component is the family itself: the engine reads the
-    # family's cached subset map and builds no component map; only step 1
-    # goes through the checked base_sets, so no base or member is tested
-    # as an on-split set (on the full subsplit) from step 2 on; and no
-    # collection is re-validated at any step
+    # family's cached subset map, and so do the later steps, so no step
+    # builds a component map; only step 1 goes through the checked
+    # base_sets, so no base or member is tested as an on-split set (on the
+    # full subsplit) from step 2 on; and no collection is re-validated at
+    # any step
     step = []
     checked, lookups_by_step, full_checks_by_step = [], [], []
     real_checked, real_engine = basesets.base_sets, basesets._base_sets
@@ -647,9 +650,9 @@ def test_process_r_first_step_reuses_the_family(monkeypatch):
         checked.append(p_label)
         return real_checked(mprime, bases, collection, cfg, p_label)
 
-    def engine_call(mprime, bases, collection, cfg, p_label, lookups=None):
+    def engine_call(mprime, bases, collection, cfg, p_label, lookup):
         step[:] = [p_label]
-        return real_engine(mprime, bases, collection, cfg, p_label, lookups)
+        return real_engine(mprime, bases, collection, cfg, p_label, lookup)
 
     def lookup(masks):
         lookups_by_step.append(step[0])
@@ -671,8 +674,44 @@ def test_process_r_first_step_reuses_the_family(monkeypatch):
     res = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
     assert [s.p for s in res.steps] == [1, 2]
     assert checked == [1]
-    assert lookups_by_step == [2]
+    assert lookups_by_step == []
     assert full_checks_by_step and set(full_checks_by_step) == {1}
+
+
+def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
+    # one process_r run and its audit build the input family's subset map
+    # once and count no restriction afresh: every step reads that map, and
+    # the audit's spreadness check reads it too.  A later step that drains
+    # below m' also builds the shadow map of its own bases; without one,
+    # the family's map is the only map built
+    from test_acceptance import engine_corpus
+    built, counted = [], []
+    real_buckets = families.subset_buckets
+    real_counts = families._subset_counts
+
+    def buckets(masks, *args):
+        built.append(tuple(masks))
+        return real_buckets(masks, *args)
+
+    def counts(masks, *args):
+        counted.append(tuple(masks))
+        return real_counts(masks, *args)
+
+    monkeypatch.setattr(families, "subset_buckets", buckets)
+    monkeypatch.setattr(families, "_subset_counts", counts)
+    single_map_runs = later_step_runs = 0
+    for label, fam, split, cfg in engine_corpus():
+        fam = SetFamily(fam.universe, fam.masks(), m=fam.m)  # no map kept
+        del built[:]
+        result = process_r(fam, split, cfg)
+        audit_terminal_bases(result, fam, cfg)
+        assert built.count(fam.masks()) == 1, label
+        assert counted == [], label
+        if all(step.output.r == step.r_in for step in result.steps[1:]):
+            assert built == [fam.masks()], label
+            single_map_runs += 1
+        later_step_runs += len(result.steps) > 1
+    assert single_map_runs >= 10 and later_step_runs >= 3
 
 
 def test_public_base_sets_checks_what_process_r_trusts():
@@ -684,7 +723,7 @@ def test_public_base_sets_checks_what_process_r_trusts():
     coll = ComponentCollection.regroup(first.parts, first.r, SPLIT16)
     bases = first.base_sets
     assert base_sets(1, bases, coll, FLAGSHIP_CFG, 2) == \
-        _base_sets(1, bases, coll, FLAGSHIP_CFG, 2)
+        _base_sets(1, bases, coll, FLAGSHIP_CFG, 2, FLAGSHIP.subset_lookup())
     off_split = SetFamily(bases.universe, bases.masks() + (0b11,), m=2)
     with pytest.raises(ValueError, match="not an on-split 1-set"):
         base_sets(1, off_split, coll, FLAGSHIP_CFG, 2)

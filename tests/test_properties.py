@@ -51,8 +51,8 @@ from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
                               transversal_count_brute, transversal_formula)
 from sunflower.sunflowers import find_sunflower_exact, verify_certificate
 
-from oracles import (clean_to_spread, enumerate_splits_reference,
-                     extractions_by_rescan,
+from oracles import (brute_max_ratio, clean_to_spread,
+                     enumerate_splits_reference, extractions_by_rescan,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
                      max_violator_masks, meet_once, meets_eps_floor,
@@ -98,20 +98,6 @@ def subsplit_cases(draw):
     family = draw(families(n=n, min_size=1, split=on_split))
     over = family if draw(st.booleans()) else draw(families(n=n))
     return family, split.subsplit(indices), over
-
-
-def brute_max_ratio(family: SetFamily, candidates, b: Fraction):
-    """Strict max over candidates in canonical order: the first maximizer
-    is the least label tuple."""
-    best, witness = Fraction(0), None
-    for s in sorted(candidates, key=lambda s: s.labels()):
-        count = len(family.restrict(s))
-        if count == 0:
-            continue
-        ratio = Fraction(count) * b ** s.cardinality / len(family)
-        if ratio > best:
-            best, witness = ratio, s
-    return (best < 1, None if best < 1 else witness, best)
 
 
 def report_tuple(report):
@@ -345,6 +331,28 @@ def test_check_gamma_matches_brute_scan(family, b):
     candidates = [s for s in family.shadow() if s.bits]
     assert report_tuple(check_gamma(family, b)) == brute_max_ratio(
         family, candidates, b)
+
+
+@SETTINGS
+@given(families(min_size=1), bases())
+@example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
+def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
+    # check_gamma reads the counts off the family's subset map when the
+    # family keeps one and counts afresh when it does not: both give the
+    # brute verdict, witness and ratio, and over the budget both raise
+    # with the same need and budget
+    want = brute_max_ratio(family, [s for s in family.shadow() if s.bits], b)
+    fresh = SetFamily(family.universe, family.masks(), m=family.m)
+    kept = SetFamily(family.universe, family.masks(), m=family.m)
+    kept.subset_map()
+    need = sum(1 << u.bit_count() for u in family.masks())
+    for fam in (fresh, kept):
+        assert report_tuple(check_gamma(fam, b)) == want
+        assert report_tuple(check_gamma(fam, b, budget=need)) == want
+        with pytest.raises(BudgetExceededError) as info:
+            check_gamma(fam, b, budget=need - 1)
+        assert (info.value.needed, info.value.budget) == (need, need - 1)
+    assert fresh._subsets is None and kept._subsets is not None
 
 
 @SETTINGS
@@ -680,25 +688,33 @@ COMPONENTS_SHARE_A_BASE = pinned_case(
 
 
 def drain_matches_rescan(mprime, top, bases, collection, cfg):
-    """Run base_sets' per-rank drains by hand over ranks top down to 0,
-    with live sets carried across ranks, and check each rank's
-    extractions against the restart scan's.  Starting below m' skips the
-    ranks that would have drained the big buckets, which leaves more
-    buckets to shrink and be decided again."""
+    """Run base_sets' per-rank passes by hand over ranks top down to 0,
+    with live sets carried across ranks and every bucket read off one
+    subset map over all members, and check each rank's extractions
+    against the restart scan's: the full-rank pass at r = m', the drain
+    below it.  Starting below m' skips the ranks that would have drained
+    the big buckets, which leaves more buckets to shrink and be decided
+    again."""
     comps = collection.components
-    lookups = {key: subset_lookup(comp) for key, comp in comps.items()}
+    lookup = subset_lookup([u for comp in comps.values() for u in comp])
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
     thr, b = bs.Threshold(cfg), exact_base(cfg.b)
     for r in range(top, -1, -1):
-        # a whole bucket meets need[m'], a cleaned one is nonempty and, at
-        # rank 0, meets the epsilon floor
-        floor = thr.need[mprime] if r == mprime else thr.eps_need if r == 0 \
-            else 1
-        got = [(key, *found) for key, live in drained.items()
-               for found in bs._extractions(r, mprime, live, lookups[key],
-                                            collection.subsplit(key), bases,
-                                            floor, b)]
+        got = []
+        for key, live in drained.items():
+            sub = collection.subsplit(key)
+            if r == mprime:
+                # a whole bucket meets need[m']
+                found = bs._full_rank_pass(comps[key], sub.union_mask, live,
+                                           thr.need[mprime])
+            else:
+                # a cleaned one is nonempty and, at rank 0, meets the
+                # epsilon floor
+                found = bs._extractions(r, live, lookup, sub, bases,
+                                        thr.eps_need if r == 0 else 1, b)
+            got += [(key, bm, t, "ii" if r == mprime else "i")
+                    for bm, t in found]
         assert got == extractions_by_rescan(r, mprime, rescanned, collection,
                                             bases, cfg)
         assert drained == rescanned
@@ -796,8 +812,9 @@ def test_engine_extractions_match_restart_scan(case):
 def test_bench_constants_decide_no_full_rank_candidate():
     # an engine-fixpoint input of the bench: 300 random one-per-strip
     # members over the 3-split of 24 labels.  need[3] = 4 and every
-    # full-rank bucket is one member, so step 1 lists no rank-3 candidate
-    # and takes nothing there, as the oracle, deciding all 300, does not
+    # full-rank bucket (a projection group onto all three strips) is one
+    # member, so step 1's full-rank pass takes nothing, as the oracle,
+    # deciding all 300, does not
     rng = Random("engine-fixpoint/901/0")
     masks = [1 << (r // 64) | 1 << (8 + r // 8 % 8) | 1 << (16 + r % 8)
              for r in rng.sample(range(512), 300)]
@@ -805,8 +822,10 @@ def test_bench_constants_decide_no_full_rank_candidate():
     family = SetFamily(split.universe, masks, m=3)
     cfg = bs.Constants(0.995, 1.0005, 1.001, 2, 3, 300)
     assert bs.Threshold(cfg).need == (10, 7, 5, 4)
-    lookup = family.subset_lookup()
-    assert bs._candidate_bases(split.full_subsplit(), 3, lookup, lookup,
-                               4) == []
+    live = set(masks)
+    assert list(bs._full_rank_pass(family.masks(),
+                                   split.full_subsplit().union_mask, live,
+                                   4)) == []
+    assert live == set(masks)
     res = engine_matches_rescan(family, split, cfg)
     assert res.steps[0].output.trace[0]["r"] < 3
