@@ -29,7 +29,7 @@ _MODULE_EXPORTS = {
                  "family_to_json_obj", "family_to_text", "pad_universe",
                  "subset_buckets"),
     "gamma": ("GammaReport", "check_gamma", "check_gamma_on_subsplit"),
-    "harness": ("generate_random_family", "verify_bound_experiment"),
+    "harness": ("generate_random_family",),
     "rng": ("CounterRng",),
     "splits": ("SplitSearchResult", "count_splits", "enumerate_splits",
                "find_good_split", "retained_on", "retention_bound",

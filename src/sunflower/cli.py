@@ -1,6 +1,6 @@
 """Command line interface.
 
-One binary, nine subcommands.  Generation subcommands print the family
+One binary, eight subcommands.  Generation subcommands print the family
 text format by default (``--json`` for the JSON form).  Analysis handlers
 return an exit code, inputs and results, which :func:`main` alone wraps
 in the JSON report envelope {command, inputs, results, timings, seed} and
@@ -319,24 +319,6 @@ def _cmd_process_r(args) -> tuple[int, dict, dict]:
     return EXIT_OK, inputs, results
 
 
-def _parse_range(text: str) -> list[int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        return [int(lo)]
-    if int(hi) < int(lo):
-        raise ValueError(f"range {text!r} runs backwards")
-    return list(range(int(lo), int(hi) + 1))
-
-
-def _cmd_verify_bound(args) -> tuple[int, dict, dict]:
-    from .harness import DEFAULT_SEARCH_NODE_BUDGET, verify_bound_experiment
-    inputs = {"k": _parse_range(args.k_range),
-              "m": _parse_range(args.m_range), "trials": args.trials}
-    return EXIT_OK, inputs, verify_bound_experiment(
-        inputs["k"], inputs["m"], args.trials, args.seed,
-        node_budget=_budget_default(DEFAULT_SEARCH_NODE_BUDGET))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sunflower",
@@ -409,14 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", required=True, metavar="FILE")
     p.add_argument("--trace", metavar="PATH", help="JSONL extraction trace")
     p.set_defaults(func=_cmd_process_r)
-
-    p = sub.add_parser("verify-bound",
-                       help="empirical sunflower-appearance thresholds")
-    p.add_argument("--k-range", required=True, metavar="LO:HI")
-    p.add_argument("--m-range", required=True, metavar="LO:HI")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_bound)
 
     return parser
 

@@ -1,22 +1,18 @@
-"""Random test-input generation and the empirical bound experiment.
+"""Random test-input generation.
 
 Everything here is driven by the counter-based generator in
 :mod:`sunflower.rng`, so a (seed, parameters) pair reproduces the same
-family or experiment on any platform.  Uniformity over m-subsets comes
-from unranking: subsets correspond to integers below C(n, m) in
-lexicographic order, and distinct uniform ranks give distinct uniform
-subsets.
+family on any platform.  Uniformity over m-subsets comes from unranking:
+subsets correspond to integers below C(n, m) in lexicographic order, and
+distinct uniform ranks give distinct uniform subsets.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import BudgetExceededError
-from .extremal import build_extremal
-from .families import SetFamily, Split, Universe, mask_labels, pad_universe
+from .families import SetFamily, Split, Universe, mask_labels
 from .rng import CounterRng
-from .sunflowers import DEFAULT_SEARCH_NODE_BUDGET, find_sunflower_exact
 
 MATERIALIZE_LIMIT = 1 << 20
 
@@ -85,57 +81,3 @@ def generate_random_family(n: int, m: int, size: int, seed: int,
         masks = [_unrank_subset(n, m, r) for r in ranks]
     return SetFamily(Universe(n), masks, m=m)
 
-
-EXPERIMENT_LABEL = ("empirical: appearance thresholds relative to the "
-                    "(k-1)^m construction floor; the conjectured "
-                    "constant-factor bound is not tested")
-
-
-def verify_bound_experiment(k_values: list[int], m_values: list[int],
-                            trials: int, seed: int,
-                            node_budget: int = DEFAULT_SEARCH_NODE_BUDGET,
-                            ) -> dict:
-    """Probe how many random m-sets a (k-1)^m-size baseline absorbs before
-    a k-sunflower appears.
-
-    For each (k, m): confirm the product construction is k-sunflower-free,
-    embed it in a universe of k*m labels, then per trial add uniform
-    distinct m-sets one at a time until exact search finds a k-sunflower,
-    recording the family size at first appearance.  Rows whose searches
-    blow the node budget are marked, not fatal.  Returns the report's
-    results, ``{"label", "rows"}``.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = CounterRng(seed)
-    rows = []
-    for k in k_values:
-        for m in m_values:
-            baseline = build_extremal(k, m)
-            n = k * m
-            base_family = pad_universe(baseline.family, n)
-            row = {"k": k, "m": m, "baselineSize": len(base_family),
-                   "baselineFree": None, "thresholds": [],
-                   "budgetExceeded": False}
-            try:
-                row["baselineFree"] = find_sunflower_exact(
-                    base_family, k, node_budget=node_budget) is None
-                space = comb(n, m)
-                for _ in range(trials):
-                    masks = set(base_family.masks())
-                    while True:
-                        if len(masks) == space:
-                            raise BudgetExceededError(
-                                "family space exhausted without a sunflower")
-                        new = _unrank_subset(n, m, rng.randrange(space))
-                        if new not in masks:
-                            masks.add(new)
-                            grown = SetFamily(Universe(n), masks, m=m)
-                            if find_sunflower_exact(
-                                    grown, k, node_budget=node_budget):
-                                row["thresholds"].append(len(masks))
-                                break
-            except BudgetExceededError:
-                row["budgetExceeded"] = True
-            rows.append(row)
-    return {"label": EXPERIMENT_LABEL, "rows": rows}

@@ -123,42 +123,45 @@ def find_sunflower_exact(family: SetFamily, k: int,
                 starts.setdefault(c, []).append(i)
         rows.append(row)
     nodes = 0
-    chosen: list[int] = []
-
-    # a recursive closure is a reference cycle: rows come in as an
-    # argument so that they die with the call, not at the next collection
-    def extend(candidates: int, need: int, core: int,
-               rows: list[dict[int, int]]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"sunflower search exceeded {node_budget} nodes",
-                needed=nodes, budget=node_budget)
-        if need == 0:
-            return True
-        while candidates.bit_count() >= need:
-            low = candidates & -candidates
-            candidates ^= low
-            j = low.bit_length() - 1
-            narrowed = candidates & rows[j].get(core, 0)
-            if narrowed.bit_count() >= need - 1:
-                chosen.append(j)
-                if extend(narrowed, need - 1, core, rows):
-                    return True
-                chosen.pop()
-        return False
-
     for core in sorted(starts,
                        key=lambda c: (c.bit_count(), _canonical_key(c))):
         for i in starts[core]:
-            chosen.append(i)
-            if extend(rows[i][core], k - 1, core, rows):
-                uni = family.universe
-                return SunflowerCertificate(
-                    tuple(uni.from_bits(masks[j]) for j in chosen),
-                    uni.from_bits(core))
-            chosen.pop()
+            # an explicit depth-first search: stack[d] holds the untried
+            # candidates after chosen[d], each linked to all of chosen[:d+1]
+            chosen = [i]
+            stack = [rows[i][core]]
+            while stack:
+                # a node: chosen is a partial sunflower under core
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"sunflower search exceeded {node_budget} nodes",
+                        needed=nodes, budget=node_budget)
+                need = k - len(chosen)
+                if need == 0:
+                    uni = family.universe
+                    return SunflowerCertificate(
+                        tuple(uni.from_bits(masks[j]) for j in chosen),
+                        uni.from_bits(core))
+                # the next pick, backtracking out of exhausted levels
+                while stack:
+                    candidates = stack[-1]
+                    while candidates.bit_count() >= need:
+                        low = candidates & -candidates
+                        candidates ^= low
+                        j = low.bit_length() - 1
+                        narrowed = candidates & rows[j].get(core, 0)
+                        if narrowed.bit_count() >= need - 1:
+                            break
+                    else:
+                        stack.pop()
+                        chosen.pop()
+                        need += 1
+                        continue
+                    stack[-1] = candidates
+                    chosen.append(j)
+                    stack.append(narrowed)
+                    break
     return None
 
 

@@ -13,7 +13,7 @@ from sunflower.cli import main
 from sunflower.errors import ContractViolationError
 from sunflower.extremal import build_extremal
 from sunflower.families import GroundSet, SetFamily, Split, family_from_text
-from sunflower.harness import EXPERIMENT_LABEL, generate_random_family
+from sunflower.harness import generate_random_family
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
     FAMILY_SCHEMA,
@@ -387,40 +387,6 @@ def test_process_r_rejects_c_not_above_h_before_the_engine(
     assert err == "error: the audit requires c > h > 1\n"
 
 
-def test_verify_bound_reports_empirical_rows(capsys):
-    code, report, _ = run_report(
-        capsys, ["verify-bound", "--k-range", "2", "--m-range", "1",
-                 "--trials", "2", "--seed", "5"])
-    assert code == 0
-    assert report["seed"] == 5
-    assert report["results"]["rows"] == [
-        {"k": 2, "m": 1, "baselineSize": 1, "baselineFree": True,
-         "thresholds": [2, 2], "budgetExceeded": False}
-    ]
-    assert "empirical" in report["results"]["label"]
-
-
-def test_verify_bound_report_envelope(capsys):
-    # the envelope every other report has, printed by the same printer
-    code, report, _ = run_report(
-        capsys, ["verify-bound", "--k-range", "2", "--m-range", "1",
-                 "--trials", "1", "--seed", "3"])
-    assert code == 0
-    assert report["command"] == "verify-bound"
-    assert report["seed"] == 3
-    assert report["inputs"] == {"k": [2], "m": [1], "trials": 1}
-    assert report["timings"]["totalSeconds"] >= 0
-    assert report["results"]["label"] == EXPERIMENT_LABEL
-
-
-def test_verify_bound_parses_ranges(capsys):
-    code, report, _ = run_report(
-        capsys, ["verify-bound", "--k-range", "2:3", "--m-range", "1",
-                 "--trials", "1", "--seed", "0"])
-    assert code == 0
-    assert [row["k"] for row in report["results"]["rows"]] == [2, 3]
-
-
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
     # the extremal 5-sunflower-free family of 64 3-sets: its link table
     # (512 entries) fits the budget, but proving absence takes 720 nodes
@@ -517,16 +483,12 @@ def test_input_errors_exit_five(capsys, tmp_path):
     assert (code, out) == (5, "")
     assert err.startswith("error: ")
 
-    # a random split search of no trials, and a reversed range
+    # a random split search of no trials
     for trials in ("0", "-5"):
         code, out, err = run(capsys, ["split", fam_path, "--mode", "random",
                                       "--trials", trials])
         assert (code, out) == (5, ""), trials
         assert err == "error: trials must be at least 1\n"
-    code, out, err = run(capsys, ["verify-bound", "--k-range", "3:2",
-                                  "--m-range", "2:2"])
-    assert (code, out) == (5, "")
-    assert err.startswith("error: range '3:2'")
 
 
 def test_gamma_precondition_exits_five(capsys, tmp_path):
@@ -747,9 +709,7 @@ def report_calls(tmp_path):
             ["split", fam, "--seed", "3"],
             ["transversal-check", fam, "--j", "1"],
             ["basesets", imm, "--mprime", "2", "--constants", cfg],
-            ["process-r", imm, "--constants", cfg],
-            ["verify-bound", "--k-range", "2", "--m-range", "1",
-             "--trials", "1", "--seed", "0"]]
+            ["process-r", imm, "--constants", cfg]]
 
 
 def test_reports_print_one_line_per_top_level_key(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from sunflower.errors import BudgetExceededError
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Split, labels_mask
+from sunflower.families import SetFamily, Split, labels_mask, pad_universe
 from sunflower.splits import retained_on
 from sunflower.sunflowers import find_sunflower_exact
 
@@ -46,17 +46,20 @@ def test_extremal_is_sunflower_free():
 
 
 def test_extremal_is_maximal_for_small_cases():
-    # adding any further m-set on the same universe creates a k-sunflower
+    # adding any further m-set creates a k-sunflower, on the construction's
+    # own (k-1)*m labels and also when padded to k*m labels: an added set
+    # misses some strip, so k-1 members sharing one of its labels in each
+    # strip it meets and pairwise different in the rest close a sunflower
     for k, m in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (2, 3)]:
         ef = build_extremal(k, m)
-        n = ef.family.universe.n
-        for extra in combinations(range(n), m):
-            candidate = labels_mask(extra)
-            if candidate in ef.family.masks():
-                continue
-            grown = SetFamily(ef.family.universe,
-                              ef.family.masks() + (candidate,), m=m)
-            assert find_sunflower_exact(grown, k) is not None
+        for family in (ef.family, pad_universe(ef.family, k * m)):
+            for extra in combinations(range(family.universe.n), m):
+                candidate = labels_mask(extra)
+                if candidate in family.masks():
+                    continue
+                grown = SetFamily(family.universe,
+                                  family.masks() + (candidate,), m=m)
+                assert find_sunflower_exact(grown, k) is not None
 
 
 def test_build_extremal_validation_and_budget():

@@ -1,4 +1,4 @@
-"""Tests for deterministic generation and the bound experiment."""
+"""Tests for deterministic generation."""
 
 from __future__ import annotations
 
@@ -8,12 +8,9 @@ import pytest
 
 from sunflower.families import SetFamily, Split, mask_labels
 from sunflower.harness import (
-    EXPERIMENT_LABEL,
-    BudgetExceededError,
     _unrank_on_split,
     _unrank_subset,
     generate_random_family,
-    verify_bound_experiment,
 )
 from sunflower.rng import CounterRng
 
@@ -160,50 +157,6 @@ def test_generate_random_family_validation():
         generate_random_family(8, 2, 2, seed=0, on_split=split)
     with pytest.raises(ValueError):
         generate_random_family(4, 2, 5, seed=0, on_split=Split.contiguous(4, 2))
-
-
-def test_verify_bound_experiment_frozen_row():
-    results = verify_bound_experiment([2], [1], trials=2, seed=5)
-    assert set(results) == {"label", "rows"}
-    assert results["label"] == EXPERIMENT_LABEL
-    assert results["rows"] == [
-        {
-            "k": 2,
-            "m": 1,
-            "baselineSize": 1,
-            "baselineFree": True,
-            "thresholds": [2, 2],
-            "budgetExceeded": False,
-        }
-    ]
-
-
-def test_verify_bound_experiment_label_is_explicitly_empirical():
-    assert "empirical" in EXPERIMENT_LABEL
-    assert "not tested" in EXPERIMENT_LABEL
-    assert "(k-1)^m" in EXPERIMENT_LABEL
-
-
-def test_verify_bound_experiment_thresholds_exceed_baseline():
-    rows = verify_bound_experiment([2, 3], [1, 2], trials=2, seed=11)["rows"]
-    assert [(row["k"], row["m"]) for row in rows] == [
-        (2, 1), (2, 2), (3, 1), (3, 2),
-    ]
-    for row in rows:
-        assert row["baselineSize"] == (row["k"] - 1) ** row["m"]
-        assert row["baselineFree"] is True
-        if not row["budgetExceeded"]:
-            for t in row["thresholds"]:
-                assert t > row["baselineSize"]
-
-
-def test_verify_bound_experiment_budget_and_validation():
-    results = verify_bound_experiment([3], [2], trials=1, seed=0,
-                                      node_budget=1)
-    row = results["rows"][0]
-    assert row["budgetExceeded"] is True
-    with pytest.raises(ValueError):
-        verify_bound_experiment([2], [1], trials=0, seed=0)
 
 
 def test_report_families_are_valid_set_families():

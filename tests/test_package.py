@@ -37,7 +37,7 @@ EXPORTED = {
                  "family_to_json_obj", "family_to_text", "pad_universe",
                  "subset_buckets"],
     "gamma": ["GammaReport", "check_gamma", "check_gamma_on_subsplit"],
-    "harness": ["generate_random_family", "verify_bound_experiment"],
+    "harness": ["generate_random_family"],
     "rng": ["CounterRng"],
     "splits": ["SplitSearchResult", "count_splits", "enumerate_splits",
                "find_good_split", "retained_on", "retention_bound",
@@ -85,7 +85,7 @@ def test_every_public_name_resolves_to_its_defining_object():
         assert getattr(sunflower, module) is mod
     assert sorted(sunflower.__all__) == sorted(
         name for names in EXPORTED.values() for name in names)
-    assert len(sunflower.__all__) == 48
+    assert len(sunflower.__all__) == 47
 
 
 def test_star_import_binds_the_public_names():
@@ -149,6 +149,15 @@ def test_process_r_imports_no_search_modules(tmp_path):
     assert "sunflower.basesets" in loaded
     assert not loaded & {"sunflower.splits", "sunflower.harness",
                          "sunflower.sunflowers"}
+
+
+def test_gen_random_imports_no_search_modules():
+    results, loaded = run_child(
+        [["gen-random", "--n", "9", "--m", "3", "--size", "5", "--seed", "1"]])
+    assert results == [0]
+    assert {"sunflower.harness", "sunflower.rng"} <= loaded
+    assert not loaded & {"sunflower.sunflowers", "sunflower.gamma",
+                         "sunflower.extremal"}
 
 
 def test_command_paths_load_no_dataclasses(tmp_path):

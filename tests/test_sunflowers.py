@@ -127,10 +127,22 @@ def test_find_sunflower_exact_node_count():
     assert find_sunflower_exact(product, 3, node_budget=1) is None
 
 
+def test_find_sunflower_exact_deep_search():
+    # one petal per level: 1000 singletons hold one 1000-sunflower, found
+    # as a direct hit of k nodes, deeper than the interpreter's call stack
+    fam = SetFamily.of(1000, [[i] for i in range(1000)])
+    cert = find_sunflower_exact(fam, 1000, node_budget=1000)
+    assert verify_certificate(cert)
+    assert cert.core.labels() == ()
+    assert [p.labels() for p in cert.petals] == [(i,) for i in range(1000)]
+    with pytest.raises(BudgetExceededError) as info:
+        find_sunflower_exact(fam, 1000, node_budget=999)
+    assert (info.value.needed, info.value.budget) == (1000, 999)
+
+
 def test_find_sunflower_exact_leaves_no_table_behind():
-    # the search recurses through a closure, a reference cycle that only a
-    # collection frees; the rows reach it as an argument, so with
-    # collections off two searches must not leave their rows behind
+    # with collections off, two searches must not leave their rows behind
+    # in a reference cycle
     product = build_extremal(3, 6).family
     uni = Universe(18)
     plus = SetFamily(uni, product.masks()
