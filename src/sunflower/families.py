@@ -492,9 +492,16 @@ class Split(_Record):
             union |= s
         if union != full:
             raise ValueError("strips must cover the universe")
-        # set directly, not through _set: a split search builds hundreds
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "strips", strips)
+        self._set(universe, strips)
+
+    @classmethod
+    def _unchecked(cls, universe: Universe, strips: tuple[int, ...]) -> "Split":
+        """A split over strips the caller built as an equal partition of
+        the universe: nothing is validated."""
+        split = cls.__new__(cls)
+        object.__setattr__(split, "universe", universe)
+        object.__setattr__(split, "strips", strips)
+        return split
 
     @classmethod
     def of(cls, n: int, strips: Iterable[Iterable[int]]) -> "Split":

@@ -62,27 +62,49 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
     strip, so strips come out ordered by minimum element and every
     unordered partition appears exactly once.  The last strip is whatever
     labels remain, so it is taken as is.
+
+    The splits are drawn iteratively, from one stack of lazy block
+    iterators, one per open strip, so there is no limit on the number of
+    strips.  Each split is built valid by construction and is not
+    re-validated.
     """
     d = _strip_size(universe.n, m)
+    free = universe.full_mask
+    if m == 1:
+        yield Split._unchecked(universe, (free,))
+        return
+    new = Split._unchecked
+    last = m - 2                # the open strip just before the rest
+    stack = [_blocks(free, d)]  # one lazy block iterator per open strip
+    strips: list[int] = []      # the block drawn at each level below the top
+    while stack:
+        if len(strips) == last:
+            head = tuple(strips)
+            for block in stack.pop():
+                yield new(universe, (*head, block, free ^ block))
+        else:
+            block = next(stack[-1], 0)  # a block holds its anchor: never 0
+            if block:
+                strips.append(block)
+                free ^= block
+                stack.append(_blocks(free, d))
+                continue
+            stack.pop()
+        if strips:
+            free ^= strips.pop()
 
-    def rec(remaining: int, strips: list[int]) -> Iterator[Split]:
-        if remaining.bit_count() == d:
-            yield Split(universe, (*strips, remaining))
-            return
-        anchor = remaining & -remaining
-        rest_labels = []
-        x = remaining ^ anchor
-        while x:
-            low = x & -x
-            rest_labels.append(low)
-            x ^= low
-        for extra in combinations(rest_labels, d - 1):
-            block = anchor + sum(extra)
-            strips.append(block)
-            yield from rec(remaining ^ block, strips)
-            strips.pop()
 
-    yield from rec(universe.full_mask, [])
+def _blocks(free: int, d: int) -> Iterator[int]:
+    """The d-label blocks of ``free`` that hold its smallest label, drawn
+    lazily in ``combinations`` order of the other labels."""
+    anchor = free & -free
+    rest_labels = []
+    x = free ^ anchor
+    while x:
+        low = x & -x
+        rest_labels.append(low)
+        x ^= low
+    return (anchor + sum(extra) for extra in combinations(rest_labels, d - 1))
 
 
 class _Incidence(dict):

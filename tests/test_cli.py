@@ -211,6 +211,15 @@ def test_split_exhaustive(capsys, tmp_path):
     assert [list(s.labels()) for s in emitted] == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
 
+def test_split_of_one_label_strips_has_no_depth_limit(capsys, tmp_path):
+    # one member on 1,200 labels: its one split has 1,200 strips
+    path = family_file(tmp_path, SetFamily.of(1200, [range(1200)]))
+    code, report, _ = run_report(capsys, ["split", path])
+    assert code == 0
+    assert len(report["results"]["split"]) == 1200
+    assert report["results"]["retainedSize"] == 1
+
+
 def test_split_emit_family_write_failure_prints_no_report(capsys, tmp_path):
     path = family_file(tmp_path, FULL4)
     missing = tmp_path / "missing" / "x"

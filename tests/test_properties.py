@@ -545,12 +545,32 @@ def test_incidence_matches_member_scan(family, data):
     assert meet.everyone.bit_count() == len(family)
 
 
-@pytest.mark.parametrize("n, m", SPLIT_SHAPES + [(3, 3), (4, 1)])
+@pytest.mark.parametrize(
+    "n, m", SPLIT_SHAPES + [(3, 3), (4, 1), (5, 5), (6, 6), (12, 4)])
 def test_enumerate_splits_keeps_the_reference_order(n, m):
     uni = Universe(n)
     splits = list(enumerate_splits(uni, m))
     assert splits == list(enumerate_splits_reference(uni, m))
     assert len(splits) == count_splits(n, m)
+    # the enumerator skips validation; the checking constructor accepts
+    # every split it builds
+    for sp in splits:
+        assert Split(sp.universe, sp.strips) == sp
+
+
+def test_enumerate_splits_keeps_one_stack_per_call():
+    uni = Universe(9)
+    reference = list(enumerate_splits_reference(uni, 3))
+    ahead = enumerate_splits(uni, 3)
+    got_ahead = [next(ahead) for _ in range(7)]
+    behind = enumerate_splits(uni, 3)
+    got_behind = []
+    for x, y in zip(ahead, behind):
+        got_ahead.append(x)
+        got_behind.append(y)
+    got_behind.extend(behind)
+    assert got_ahead == reference
+    assert got_behind == reference
 
 
 @SETTINGS

@@ -83,6 +83,21 @@ def test_enumerate_splits_is_exhaustive_and_canonical():
         assert splits[0] == Split.contiguous(n, m)
 
 
+def test_enumerate_splits_draws_each_strip_lazily(monkeypatch):
+    drawn = []
+
+    def counted(labels, r):
+        for extra in combinations(labels, r):
+            drawn.append(extra)
+            yield extra
+
+    monkeypatch.setattr(splits, "combinations", counted)
+    first = next(enumerate_splits(Universe(24), 3))
+    assert first == Split.contiguous(24, 3)
+    # one block per open strip, not the C(23, 7) = 245,157 first strips
+    assert len(drawn) == 2
+
+
 def test_retained_on_matches_oracle():
     fam = random_family(6, 2, 10, seed=4)
     for sp in enumerate_splits(fam.universe, 2):
