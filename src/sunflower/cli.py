@@ -161,7 +161,7 @@ def _cmd_find_sunflower(args) -> tuple[int, dict, dict]:
         # disjoint petals there, then put the core back
         core = family.universe.set_of(core_labels)
         c = core.bits
-        quotient = [u & ~c for u in family.masks() if u & c == c]
+        quotient = [u & ~c for u in family._mask_set if u & c == c]
         if not quotient:
             return EXIT_ABSENT, inputs, {
                 "found": False, "provenAbsent": False,

@@ -2,17 +2,18 @@
 
 A set over the universe {0, .., n-1} is a fixed-width bit vector, an int
 mask.  A family is built from masks (``SetFamily(universe, masks, m)``, or
-``SetFamily.of`` from label lists) and stores one tuple of them,
-deduplicated and canonically ordered (lexicographically by sorted label
-tuple, empty set first) so that equality, hashing and serialization are
-bitwise stable; its ``GroundSet`` members are built only when asked for.
-Canonical sorts use ``_canonical_key``, a string per mask that orders
-like the label tuple.  The text and JSON parsers turn each row straight
-into a mask, caching every label's bit for the parse.
+``SetFamily.of`` from label lists) and stores them as one frozenset; its
+canonical order (lexicographically by sorted label tuple, empty set
+first), which keeps serialization bitwise stable, and its ``GroundSet``
+members are built on the first read that needs them.  Canonical sorts
+use ``_canonical_key``, a string per mask that orders like the label
+tuple.  The text and JSON parsers turn each row straight into a mask,
+caching every label's bit for the parse.
 Splits partition the universe into equal-size ordered strips, stored as
 int masks too; subsplits select strips in order.
 
-Everything here is immutable and pure, hence safe to share across threads.
+Everything here is immutable and pure, hence safe to share across threads
+(filling a lazy cache is idempotent).
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def subset_buckets(masks: Sequence[int],
     same need and budget :meth:`SetFamily.shadow` reports.
     """
     _check_shadow_budget(sum(1 << u.bit_count() for u in masks), budget)
+    return _subset_buckets(masks)
+
+
+def _subset_buckets(masks: Sequence[int]) -> dict[int, list[int]]:
+    """:func:`subset_buckets` with no budget check."""
     buckets = {0: list(masks)} if masks else {}
     get = buckets.get
     for u in masks:
@@ -104,7 +110,7 @@ def _family_counts(family: "SetFamily", budget: int,
     """:func:`_subset_counts` of the family's members, read off its kept
     :meth:`SetFamily.subset_map` when it has one (same budget check)."""
     if family._subsets is None:
-        return _subset_counts(family._masks, budget)
+        return _subset_counts(family._mask_set, budget)
     by_size: dict[int, dict[int, int]] = {}
     for s, bucket in family.subset_map(budget).items():
         if s:
@@ -304,11 +310,12 @@ class GroundSet(_Immutable):
 class SetFamily(_Immutable):
     """An immutable family of distinct sets with a cardinality bound.
 
-    The family stores its members as one tuple of int masks in canonical
-    label order (:meth:`masks`); the ``GroundSet`` view (``members``,
-    iteration) is built on first use and kept.  ``m`` is the declared
-    maximum member cardinality; it defaults to the largest actual member
-    size and is preserved by serialization.
+    The family stores its members as one frozenset of int masks; the tuple
+    in canonical label order (:meth:`masks`), the ``GroundSet`` view
+    (``members``, iteration) and the subset map are built on first use and
+    kept, idempotently, so thread-safe.  ``m`` is the declared maximum
+    member cardinality; it defaults to the largest actual member size and
+    is preserved by serialization.
     """
 
     __slots__ = ("universe", "m", "_masks", "_mask_set", "_members",
@@ -329,8 +336,7 @@ class SetFamily(_Immutable):
                 if u in seen:
                     raise ValueError(f"duplicate member {_mask_repr(u)}")
                 seen.add(u)
-        ordered = tuple(sorted(mask_set, key=_canonical_key))
-        actual = max(map(int.bit_count, ordered), default=0)
+        actual = max(map(int.bit_count, mask_set), default=0)
         if m is None:
             m = actual
         elif m < 0:
@@ -339,7 +345,7 @@ class SetFamily(_Immutable):
             raise ValueError(f"member of cardinality {actual} exceeds bound {m}")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_masks", ordered)
+        object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_mask_set", mask_set)
         object.__setattr__(self, "_members", None)
         object.__setattr__(self, "_subsets", None)
@@ -352,6 +358,10 @@ class SetFamily(_Immutable):
                    m=m)
 
     def masks(self) -> tuple[int, ...]:
+        """The masks in canonical label order, sorted on the first call."""
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple(
+                sorted(self._mask_set, key=_canonical_key)))
         return self._masks
 
     @property
@@ -361,11 +371,11 @@ class SetFamily(_Immutable):
         if self._members is None:
             uni = self.universe
             object.__setattr__(self, "_members",
-                               tuple(GroundSet(uni, u) for u in self._masks))
+                               tuple(GroundSet(uni, u) for u in self.masks()))
         return self._members
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self._mask_set)
 
     def __iter__(self) -> Iterator[GroundSet]:
         return iter(self.members)
@@ -388,7 +398,7 @@ class SetFamily(_Immutable):
             raise UniverseMismatchError("restriction set from a different universe")
         b = s.bits
         return SetFamily(self.universe,
-                         [u for u in self._masks if u & b == b], m=self.m)
+                         [u for u in self._mask_set if u & b == b], m=self.m)
 
     def shadow(self, budget: int = DEFAULT_SHADOW_BUDGET) -> "SetFamily":
         """All subsets of members, the empty set and members included.
@@ -397,14 +407,14 @@ class SetFamily(_Immutable):
         BudgetExceededError beyond ``budget`` (use :meth:`shadow_contains`
         for membership-only queries on larger families).
         """
-        need = sum(1 << u.bit_count() for u in self._masks)
+        need = sum(1 << u.bit_count() for u in self._mask_set)
         if need > budget:
             raise BudgetExceededError(
                 f"shadow would generate {need} subsets (budget {budget}); "
                 "use shadow_contains for lazy membership", needed=need,
                 budget=budget)
         out: set[int] = set()
-        for u in self._masks:
+        for u in self._mask_set:
             labels = mask_labels(u)
             for r in range(len(labels) + 1):
                 for c in combinations(labels, r):
@@ -420,9 +430,11 @@ class SetFamily(_Immutable):
         whether or not the map is already built.
         """
         if self._subsets is None:
-            buckets = subset_buckets(self._masks, budget)
-            need = sum(1 << u.bit_count() for u in self._masks)
-            object.__setattr__(self, "_subsets", (need, buckets))
+            masks = self.masks()
+            need = sum(1 << u.bit_count() for u in masks)
+            _check_shadow_budget(need, budget)
+            object.__setattr__(self, "_subsets",
+                               (need, _subset_buckets(masks)))
         need, buckets = self._subsets
         _check_shadow_budget(need, budget)
         return buckets
@@ -433,14 +445,14 @@ class SetFamily(_Immutable):
         try:
             return self.subset_map()
         except BudgetExceededError:
-            return _ScannedSubsetMap(self._masks)
+            return _ScannedSubsetMap(self.masks())
 
     def shadow_contains(self, t: GroundSet) -> bool:
         """True iff ``t`` is a subset of some member (lazy, no materialization)."""
         if t.universe.n != self.universe.n:
             raise UniverseMismatchError("query set from a different universe")
         b = t.bits
-        return any(u & b == b for u in self._masks)
+        return any(u & b == b for u in self._mask_set)
 
     def on_subsplit(self, sub: "Subsplit", p: int) -> "SetFamily":
         """Members of cardinality ``p`` lying on the subsplit.
@@ -452,16 +464,15 @@ class SetFamily(_Immutable):
             raise UniverseMismatchError("subsplit over a different universe")
         if p < 0:
             raise ValueError("cardinality must be nonnegative")
-        picked = [u for u in self._masks
+        picked = [u for u in self._mask_set
                   if u.bit_count() == p and sub.carries_mask(u)]
         return SetFamily(self.universe, picked, m=self.m)
 
     def difference(self, other: "SetFamily") -> "SetFamily":
         if other.universe.n != self.universe.n:
             raise UniverseMismatchError("families over different universes")
-        drop = other._mask_set
-        return SetFamily(self.universe,
-                         [u for u in self._masks if u not in drop], m=self.m)
+        return SetFamily(self.universe, self._mask_set - other._mask_set,
+                         m=self.m)
 
     def to_text(self) -> str:
         return family_to_text(self)
@@ -615,7 +626,7 @@ def pad_universe(family: SetFamily, n: int) -> SetFamily:
     if n < family.universe.n:
         raise ValueError("cannot shrink the universe")
     uni = Universe(n)
-    return SetFamily(uni, family.masks(), m=family.m)
+    return SetFamily(uni, family._mask_set, m=family.m)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
         raise UniverseMismatchError("range family over a different universe")
     shadow = over.subset_lookup()
     by_size: dict[int, dict[int, int]] = {}
-    for s, count in _carried_counts(family.masks(), sub).items():
+    for s, count in _carried_counts(family._mask_set, sub).items():
         if s in shadow:
             by_size.setdefault(s.bit_count(), {})[s] = count
     return _spread_report(family, base, by_size)

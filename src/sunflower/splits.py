@@ -12,8 +12,9 @@ members meet each of them once, has a closed product form that the brute
 count validates.
 
 One incidence kernel serves every search and the brute count: for a block
-it gives the bitset over member indices (in ``family.masks()`` order) of
-the members meeting the block in exactly one element.  It is built from
+it gives the bitset over member indices (in the order it is handed the
+members, any order for a count) of the members meeting the block in
+exactly one element.  It is built from
 one pass over the members, which gives each label its column, the bitset
 of the members containing it; a block's bitset then folds the block's
 columns (members seen once, members seen twice or more) with no member
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
@@ -43,7 +44,7 @@ DEFAULT_TRANSVERSAL_BUDGET = 1 << 22
 def _uniform_cardinality(family: SetFamily) -> int:
     if len(family) == 0:
         raise ValueError("family must be nonempty")
-    cards = {u.bit_count() for u in family.masks()}
+    cards = {u.bit_count() for u in family._mask_set}
     if len(cards) != 1:
         raise ValueError(f"family must have uniform cardinality, got {sorted(cards)}")
     return cards.pop()
@@ -96,8 +97,11 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
 
 def _blocks(free: int, d: int) -> Iterator[int]:
     """The d-label blocks of ``free`` that hold its smallest label, drawn
-    lazily in ``combinations`` order of the other labels."""
+    lazily in ``combinations`` order of the other labels; the anchor
+    alone when d = 1, with no other label listed."""
     anchor = free & -free
+    if d == 1:
+        return iter((anchor,))
     rest_labels = []
     x = free ^ anchor
     while x:
@@ -120,7 +124,7 @@ class _Incidence(dict):
     the family size; a label no member uses has an empty column.
     """
 
-    def __init__(self, masks: tuple[int, ...]):
+    def __init__(self, masks: Collection[int]):
         super().__init__()
         cols: dict[int, int] = {}
         for i, u in enumerate(masks):
@@ -282,7 +286,7 @@ def transversal_count_brute(family: SetFamily, j: int,
             needed=tuples, budget=budget)
     if j == 0:
         return len(family)
-    meet = _Incidence(family.masks())
+    meet = _Incidence(family._mask_set)
     table = [(b, meet[b]) for b in map(labels_mask, combinations(range(n), d))]
     last = j - 1
 

@@ -14,11 +14,13 @@ the rows' entries, ``node_budget`` the partial sunflowers visited.
 The extraction route needs no search at all: when the family is b-spread
 for b >= k * m, greedily picking a member and discarding everything it
 meets must survive k rounds, because the spreadness condition caps how
-many members any one element can kill.
+many members any one element can kill.  The greedy is one pass over the
+labels in ascending order, and it never sorts the family.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from .errors import (BudgetExceededError, ContractViolationError,
@@ -177,6 +179,14 @@ def extract_disjoint_via_gamma(family: SetFamily, k: int, b,
     |F| / k members, so k rounds always complete — a stall there is a
     contract violation, not a None.  Outside that regime greedy may
     legitimately stall, returning None.
+
+    The greedy sorts nothing.  Each pick's lowest label exceeds the last
+    one's: the last pick discarded every member holding its lowest label,
+    and none with a lower one remained.  So the members are bucketed by
+    lowest label (``u & -u``, 0 for the empty member, which comes first)
+    and the labels walked upward, each taking the canonical minimum of
+    its bucket's members disjoint from the picks so far; only those
+    members get a ``_canonical_key``.
     """
     if k < 2:
         raise ValueError("sunflower size must be at least 2")
@@ -186,21 +196,27 @@ def extract_disjoint_via_gamma(family: SetFamily, k: int, b,
         raise GammaPreconditionError(
             f"family is not {b}-spread: witness {report.witness!r}",
             report=report)
+    buckets: dict[int, list[int]] = defaultdict(list)
+    for u in family._mask_set:
+        buckets[u & -u].append(u)
+    petals: list[int] = []
+    used = 0
+    for low in sorted(buckets):
+        if low & used:
+            continue   # every member of this bucket meets a pick
+        free = [u for u in buckets[low] if not u & used]
+        if free:
+            pick = min(free, key=_canonical_key)
+            petals.append(pick)
+            if len(petals) == k:
+                uni = family.universe
+                return SunflowerCertificate(
+                    tuple(uni.from_bits(u) for u in petals), uni.empty)
+            used |= pick
     # The damage cap needs singleton candidates, hence m >= 1; spreadness
     # then also forces |F| > b >= k, so k rounds cannot run dry.
-    guaranteed = family.m >= 1 and base >= k * family.m
-    remaining = family.masks()
-    petals: list[int] = []
-    for _ in range(k):
-        if not remaining:
-            if guaranteed:
-                raise ContractViolationError(
-                    "greedy disjoint extraction stalled although the "
-                    "spreadness regime guarantees completion")
-            return None
-        pick = remaining[0]
-        petals.append(pick)
-        remaining = [u for u in remaining if not u & pick and u != pick]
-    uni = family.universe
-    return SunflowerCertificate(tuple(uni.from_bits(u) for u in petals),
-                                uni.empty)
+    if family.m >= 1 and base >= k * family.m:
+        raise ContractViolationError(
+            "greedy disjoint extraction stalled although the "
+            "spreadness regime guarantees completion")
+    return None

@@ -10,6 +10,9 @@ backtracking that the pair-link kernel of ``find_sunflower_exact``
 replaced, kept as is; it reads the subset-bucket kernel, which the
 property tests check against restrictions on their own, and it pins the
 kernel's first certificate (core, and petals in order).
+``disjoint_greedy_reference`` is the greedy of
+``extract_disjoint_via_gamma`` as the scan over the sorted family that
+the label-ordered pass replaced, with no spreadness check.
 ``extractions_by_rescan`` is the engine's extraction scan with nothing
 carried between scans: it decides every (component, base) pair again
 from the first after each extraction, on buckets read off the live sets,
@@ -45,7 +48,7 @@ from typing import Iterator
 
 from sunflower.basesets import (Constants, ComponentCollection, ElementaryPart,
                                 Threshold)
-from sunflower.errors import BudgetExceededError
+from sunflower.errors import BudgetExceededError, ContractViolationError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 Split, Subsplit, Universe, _mask_repr,
                                 mask_labels)
@@ -200,6 +203,29 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
             petals = tuple(uni.from_bits(b | core) for b in chosen)
             return SunflowerCertificate(petals, uni.from_bits(core))
     return None
+
+
+def disjoint_greedy_reference(family: SetFamily, k: int,
+                              b) -> list[int] | None:
+    """The petals of ``extract_disjoint_via_gamma(family, k, b)`` on a
+    family taken as spread: the first remaining member in sorted label
+    order, then the members disjoint from it, k times.  A stall returns
+    None, or raises ContractViolationError where b >= k * m >= k promises
+    completion."""
+    if k < 2:
+        raise ValueError("sunflower size must be at least 2")
+    guaranteed = family.m >= 1 and exact_base(b) >= k * family.m
+    remaining = sorted(family.masks(), key=mask_labels)
+    petals = []
+    for _ in range(k):
+        if not remaining:
+            if guaranteed:
+                raise ContractViolationError("greedy stalled")
+            return None
+        pick = remaining[0]
+        petals.append(pick)
+        remaining = [u for u in remaining if not u & pick and u != pick]
+    return petals
 
 
 def max_violator_masks(masks, sub: Subsplit, over: SetFamily,

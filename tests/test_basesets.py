@@ -686,18 +686,19 @@ def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
     # the family's map is the only map built
     from test_acceptance import engine_corpus
     built, counted = [], []
-    real_buckets = families.subset_buckets
+    real_buckets = families._subset_buckets
     real_counts = families._subset_counts
 
-    def buckets(masks, *args):
+    def buckets(masks):
         built.append(tuple(masks))
-        return real_buckets(masks, *args)
+        return real_buckets(masks)
 
     def counts(masks, *args):
         counted.append(tuple(masks))
         return real_counts(masks, *args)
 
-    monkeypatch.setattr(families, "subset_buckets", buckets)
+    # every subset map, public or kept with a family, is built here
+    monkeypatch.setattr(families, "_subset_buckets", buckets)
     monkeypatch.setattr(families, "_subset_counts", counts)
     single_map_runs = later_step_runs = 0
     for label, fam, split, cfg in engine_corpus():

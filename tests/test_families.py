@@ -190,6 +190,16 @@ def test_subset_buckets_budget_and_order():
     assert subset_buckets(()) == {}
 
 
+def test_subset_map_budget_before_and_after_the_build():
+    fam = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]])
+    for built in (False, True):
+        with pytest.raises(BudgetExceededError) as info:
+            fam.subset_map(budget=13)
+        assert (info.value.needed, info.value.budget) == (14, 13)
+        assert (fam._subsets is not None) == built
+        assert fam.subset_map(budget=14) is fam.subset_map()
+
+
 def test_subset_lookup_scans_above_the_default_budget():
     # 2^23 subsets exceed the default budget: queries scan the members
     fam = SetFamily.of(24, [list(range(23)), [0, 23]])

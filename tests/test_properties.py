@@ -21,7 +21,9 @@ the float comparisons of the oracles; the engine's cleaning is checked
 against that violator search alone;
 the engine's integer floor table is checked against those comparisons
 too, and the family constructor's canonical order against sorted label
-lists.
+lists.  The label-ordered greedy of the gamma extraction is checked
+against the scan over the sorted family it replaced, and the spreadness
+check against the brute scan on the members given in shuffled orders.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunflower import basesets as bs
+from sunflower import sunflowers
 from sunflower.errors import (BudgetExceededError, ContractViolationError,
                               TrialsExhaustedError)
 from sunflower.extremal import build_extremal
@@ -43,16 +47,19 @@ from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
                                 _subset_counts, family_from_json_obj,
                                 family_from_text, labels_mask, mask_labels,
                                 subset_buckets, subset_lookup)
-from sunflower.gamma import check_gamma, check_gamma_on_subsplit, exact_base
+from sunflower.gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
+                             exact_base)
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
                               find_good_split, retained_on, retention_bound,
                               transversal_count_brute, transversal_formula)
-from sunflower.sunflowers import find_sunflower_exact, verify_certificate
+from sunflower.sunflowers import (extract_disjoint_via_gamma,
+                                  find_sunflower_exact, verify_certificate)
 
 from oracles import (brute_max_ratio, clean_to_spread,
-                     enumerate_splits_reference, extractions_by_rescan,
+                     disjoint_greedy_reference, enumerate_splits_reference,
+                     extractions_by_rescan,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
                      max_violator_masks, meet_once, meets_eps_floor,
@@ -121,13 +128,19 @@ def label_lists(draw):
 def test_family_constructor_is_canonical(case, data):
     n, lists = case
     family = SetFamily.of(n, lists)
+    shuffled = data.draw(st.permutations([labels_mask(s) for s in lists]))
+    again = SetFamily(Universe(n), shuffled)
+    # length, equality and hashing need no order: neither family sorts
+    assert again == family and hash(again) == hash(family)
+    assert len(again) == len(lists)
+    assert family._masks is None and again._masks is None
     masks = family.masks()
     assert [tuple(s) for s in sorted(lists)] == \
         [tuple(x for x in range(n) if u >> x & 1) for u in masks]
     assert [s.bits for s in family] == list(masks)
-    shuffled = data.draw(st.permutations(masks))
-    again = SetFamily(Universe(n), shuffled)
-    assert again.masks() == masks and again == family
+    assert again.masks() == masks and hash(again) == hash(family)
+    assert again.to_text() == family.to_text()
+    assert again.to_json_obj() == family.to_json_obj()
     if masks:
         twice = data.draw(st.sampled_from(masks))
         with pytest.raises(ValueError, match="duplicate member"):
@@ -356,6 +369,18 @@ def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
 
 
 @SETTINGS
+@given(families(min_size=1), bases(), st.data())
+def test_check_gamma_ignores_input_order(family, b, data):
+    # verdict, witness and ratio do not depend on the order the members
+    # are given in, and match the brute scan
+    want = brute_max_ratio(family, [s for s in family.shadow() if s.bits], b)
+    for _ in range(2):
+        shuffled = data.draw(st.permutations(family.masks()))
+        fam = SetFamily(family.universe, shuffled, m=family.m)
+        assert report_tuple(check_gamma(fam, b)) == want
+
+
+@SETTINGS
 @given(subsplit_cases(), bases())
 def test_check_gamma_on_subsplit_matches_brute_scan(case, b):
     family, sub, over = case
@@ -456,6 +481,42 @@ PRODUCT_3_6 = build_extremal(3, 6).family.masks()
 @example(SetFamily.of(3, [[0, 1], [0, 2], [1, 2]]), 2)
 def test_find_sunflower_exact_matches_backtracking(family, k):
     assert find_sunflower_exact(family, k) == find_sunflower_backtrack(family, k)
+
+
+def greedy_outcome(extract, family, k, b):
+    """The petals' masks, None, or the exception type raised."""
+    try:
+        got = extract(family, k, b)
+    except (ValueError, ContractViolationError) as exc:
+        return type(exc)
+    if got is None or isinstance(got, list):
+        return got
+    return [p.bits for p in got.petals]
+
+
+@SETTINGS
+@given(st.one_of(label_lists().map(lambda case: SetFamily.of(*case)),
+                 cored_families()),
+       st.integers(1, 5), st.one_of(st.none(), bases()))
+# b = k * m promises two petals, but both members hold label 0
+@example(SetFamily.of(3, [[0, 1], [0, 2]]), 2, None)
+@example(SetFamily.of(3, [[0, 1], [0, 2]]), 2, Fraction(3, 2))
+@example(SetFamily.of(4, [[], [0], [0, 1], [1, 2], [3]]), 3, None)
+def test_gamma_greedy_matches_the_sorted_scan(family, k, b):
+    # with the spreadness check taken as passed, the label-ordered greedy
+    # gives the sorted scan's petals, stall (None) or contract violation
+    # on any family; b None stands for k * m, the guaranteed regime
+    if b is None:
+        b = Fraction(k * max(family.m, 1))
+    want = greedy_outcome(disjoint_greedy_reference, family, k, b)
+    holds = GammaReport(True, None, Fraction(0))
+    with mock.patch.object(sunflowers, "check_gamma",
+                           lambda *args, **kwargs: holds):
+        assert greedy_outcome(extract_disjoint_via_gamma, family, k,
+                              b) == want
+    if k > 1 and len(family) and check_gamma(family, b).holds:
+        assert greedy_outcome(extract_disjoint_via_gamma, family, k,
+                              b) == want
 
 
 # -- splits ------------------------------------------------------------------

@@ -98,6 +98,21 @@ def test_enumerate_splits_draws_each_strip_lazily(monkeypatch):
     assert len(drawn) == 2
 
 
+def test_enumerate_splits_lists_no_label_for_one_label_strips(monkeypatch):
+    handed = []
+
+    def counted(labels, r):
+        handed.append(len(labels))
+        return combinations(labels, r)
+
+    monkeypatch.setattr(splits, "combinations", counted)
+    (only,) = enumerate_splits(Universe(300), 300)
+    assert only.strips == tuple(1 << x for x in range(300))
+    # a one-label strip is its anchor: no free label is listed, where
+    # listing them at every strip would hand over 299 + 298 + ... labels
+    assert sum(handed) == 0
+
+
 def test_retained_on_matches_oracle():
     fam = random_family(6, 2, 10, seed=4)
     for sp in enumerate_splits(fam.universe, 2):

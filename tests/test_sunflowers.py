@@ -7,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
+from sunflower import families, gamma, sunflowers
 from sunflower.errors import BudgetExceededError, GammaPreconditionError
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Universe
+from sunflower.families import SetFamily, Universe, _canonical_key
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (
     SunflowerCertificate,
@@ -234,6 +235,29 @@ def test_extract_disjoint_guaranteed_regime_never_stalls():
         a, b = cert.petals
         assert a.bits & b.bits == 0
     assert count >= 10  # the sample kept the regime populated
+
+
+def test_spread_checks_sort_no_member(monkeypatch):
+    # counts need no member order, so check_gamma on a fresh family
+    # computes no canonical key and leaves the canonical tuple unbuilt;
+    # the greedy keys only members of the buckets it picks from
+    keyed = []
+
+    def key(mask):
+        keyed.append(mask)
+        return _canonical_key(mask)
+
+    for module in (families, gamma, sunflowers):
+        monkeypatch.setattr(module, "_canonical_key", key)
+    fam = random_family(30, 3, 400, seed=5)
+    assert gamma.check_gamma(fam, 6).holds
+    assert fam._masks is None and keyed == []
+    cert = extract_disjoint_via_gamma(fam, 2, 6)
+    assert fam._masks is None
+    assert [p.labels() for p in cert.petals] == [(0, 1, 2), (3, 4, 12)]
+    # labels 1 and 2 meet the first pick: their buckets are not read
+    assert keyed and {u & -u for u in keyed} == {1 << 0, 1 << 3}
+    assert len(keyed) < len(fam) // 4
 
 
 def test_extract_disjoint_validation():
