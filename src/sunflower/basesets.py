@@ -26,7 +26,8 @@ Inside the engine, strips and base sets are int masks, and components and
 part members are tuples of int masks in canonical label order, the order
 :meth:`SetFamily.masks` stores; ``SetFamily(split.universe, part.T)``
 converts one.  SetFamily appears only at the engine's edges: its inputs
-and its output families.
+and its output families.  The driver sorts its input by string key once;
+later member lists sort on each member's position in that order.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolationError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       _Record, mask_labels, subset_lookup)
+                       _ordered_family, _Record, _setattr, mask_labels,
+                       subset_lookup)
 from .gamma import (_carried_counts, _max_violator_masks, _tally_traces,
                     check_gamma, check_gamma_on_subsplit, exact_base)
 
@@ -228,10 +230,12 @@ def _check_rank(rank: int, m: int) -> None:
 
 def _canonical_components(split: Split,
                           components: dict[tuple[int, ...], Iterable[int]],
+                          order: Callable[[int], object] = _canonical_key,
                           ) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
     """The common rank of ``components`` and the components in key order,
-    each a tuple of member masks in canonical order; raises ValueError on
-    mixed or out-of-range ranks, bad keys and empty components."""
+    each a tuple of member masks in canonical order (sort key ``order``);
+    raises ValueError on mixed or out-of-range ranks, bad keys and empty
+    components."""
     ranks = {len(k) for k in components}
     if not components or len(ranks) != 1:
         raise ValueError("components must share one positive rank")
@@ -242,7 +246,7 @@ def _canonical_components(split: Split,
         if len(set(key)) != len(key) or list(key) != sorted(key) \
                 or not all(0 <= i < split.m for i in key):
             raise ValueError(f"bad component key {key}")
-        masks = tuple(sorted(components[key], key=_canonical_key))
+        masks = tuple(sorted(components[key], key=order))
         if not masks:
             raise ValueError(f"component {key} is empty")
         canonical[key] = masks
@@ -300,6 +304,13 @@ class ComponentCollection:
         their base sets occupy.  Only ranks and keys are checked: the
         parts' members were checked when they entered the engine, and
         its postconditions keep parts disjoint."""
+        return cls._regroup(parts, rank, split, _canonical_key)
+
+    @classmethod
+    def _regroup(cls, parts: Iterable[ElementaryPart], rank: int,
+                 split: Split, order: Callable[[int], object],
+                 ) -> "ComponentCollection":
+        """:meth:`regroup` with sort key ``order``."""
         grouped: dict[tuple[int, ...], list[int]] = {}
         for part in parts:
             if part.r != rank:
@@ -307,7 +318,8 @@ class ComponentCollection:
                     f"part base {_mask_repr(part.B)} has rank {part.r}, "
                     f"expected {rank}")
             grouped.setdefault(part.base_strips(split), []).extend(part.T)
-        return cls._unchecked(split, *_canonical_components(split, grouped))
+        return cls._unchecked(split,
+                              *_canonical_components(split, grouped, order))
 
     @classmethod
     def _unchecked(cls, split: Split, rank: int,
@@ -368,7 +380,7 @@ class BaseSetsOutput(_Record):
     @property
     def family(self) -> SetFamily:
         if self._family is None:   # m defaults to the members' size
-            object.__setattr__(self, "_family", SetFamily(
+            _setattr(self, "_family", SetFamily(
                 self.base_sets.universe,
                 [u for part in self.parts for u in part.T]))
         return self._family
@@ -441,14 +453,15 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
 
     A min-heap holds the label-order indices of the undecided candidate
     bases, at the start all whose unfiltered bucket reaches ``floor``
-    (eps_need at r = 0, else 1).  The smallest is popped and decided on
-    its live bucket cleaned to spreadness on the strips off the base: it
-    is taken if its size reaches the floor.  An extracted base is never
-    decided again; the other bases its members contain go back on the
-    heap unless already on it.  An empty live set ends the drain, as no
-    empty bucket qualifies.  The bases' shadow, b's numerator and
-    denominator, and the free subsplit per set of strips a base hits are
-    computed once per drain.
+    (eps_need at r = 0, else 1).  The smallest is popped: dropped if its
+    bucket holds no live member, as it stays empty, else decided on its
+    live bucket cleaned to spreadness on the strips off the base, taken
+    if its size reaches the floor and else passed over.  A take re-queues
+    the passed bases its members contain, the only ones whose buckets it
+    shrinks.  An empty live set ends the drain, as no empty bucket
+    qualifies.  The bases' shadow, b's numerator and denominator,
+    and the free subsplit per set of strips a base hits are computed once
+    per drain.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
@@ -462,31 +475,29 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     p, q = b.numerator, b.denominator
     frees: dict[int, Subsplit] = {}   # union of the strips hit -> the rest
     cands = _candidate_bases(sub, r, shadow, lookup, floor)
-    index = {bm: i for i, bm in enumerate(cands)}
     heap = list(range(len(cands)))
-    queued = set(heap)
+    passed: dict[int, int] = {}   # base mask -> index
     while heap and live:
         i = heappop(heap)
-        queued.discard(i)
         bm = cands[i]
-        bucket = [u for u in lookup.get(bm, ()) if u in live]
+        bucket = lookup.get(bm)
+        if live.isdisjoint(bucket):
+            continue
+        bucket = [u for u in bucket if u in live]
         hit = sum(bits for bits in sub.strip_masks if bits & bm)
         free = frees.get(hit)
         if free is None:
             free = frees[hit] = sub.minus(bm)
-        t = bucket and _clean_to_spread(bucket, free, shadow, p, q)
+        t = _clean_to_spread(bucket, free, shadow, p, q)
         if len(t) < floor:
+            passed[bm] = i
             continue
         live.difference_update(t)
-        del index[bm]
-        for u in t:
-            s = u
-            while s:
-                j = index.get(s)
-                if j is not None and j not in queued:
-                    queued.add(j)
-                    heappush(heap, j)
-                s = (s - 1) & u
+        for c in list(passed):
+            for u in t:
+                if u & c == c:
+                    heappush(heap, passed.pop(c))
+                    break
         yield bm, t
 
 
@@ -684,11 +695,14 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     steps: list[ProcessStep] = []
     trace: list[dict] = []
     bases = family
+    masks = family.masks()
+    # later member lists are sublists of masks: they sort on position
+    position = {u: i for i, u in enumerate(masks)}.__getitem__
     # ComponentCollection.initial without its member checks and sort: the
     # masks are distinct, in the universe and canonical, and the first
     # base_sets call checks each as an on-split m-set base
     collection = ComponentCollection._unchecked(
-        split, split.m, {tuple(range(split.m)): family.masks()})
+        split, split.m, {tuple(range(split.m)): masks})
     r_p = cfg.m
     p = 1
     while True:
@@ -707,8 +721,11 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
         r_next = out.r
         if r_next == r_p or r_next == 0:
             p_hat = p if r_next == r_p else p + 1
+            family_hat = _ordered_family(split.universe, tuple(sorted(
+                (u for part in out.parts for u in part.T), key=position)))
+            _setattr(out, "_family", family_hat)
             return ProcessRResult(tuple(steps), p_hat, r_next,
-                                  out.base_sets, out.family, out.parts,
+                                  out.base_sets, family_hat, out.parts,
                                   tuple(trace))
         if not 0 < r_next < r_p:
             raise ContractViolationError("rank must strictly decrease",
@@ -718,7 +735,8 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
                 "driver exceeded the rank-descent iteration bound",
                 trace=trace)
         bases = out.base_sets
-        collection = ComponentCollection.regroup(out.parts, r_next, split)
+        collection = ComponentCollection._regroup(out.parts, r_next, split,
+                                                  position)
         r_p = r_next
         p += 1
 

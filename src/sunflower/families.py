@@ -28,6 +28,9 @@ from .errors import BudgetExceededError, UniverseMismatchError
 # Default cap on generated subsets when materializing a shadow.
 DEFAULT_SHADOW_BUDGET = 1 << 22
 
+# How the immutable classes below fill their slots, looked up once.
+_setattr = object.__setattr__
+
 
 def _check_shadow_budget(need: int, budget: int) -> None:
     if need > budget:
@@ -77,32 +80,43 @@ def _subset_counts(masks: Sequence[int],
     times, giving t columns of single bits (the last is what remains).
     The members' submasks are the ORs of the column subsets; each subset's
     pattern is one ``map(or_, ...)`` of a smaller subset's pattern and one
-    column.  Each size is counted by one Counter over its patterns, so no
-    bucket list is built.  Raises BudgetExceededError when sum(2**|U|)
-    exceeds ``budget``, like :func:`subset_buckets`.
+    column, kept as a list only while a larger pattern is built from it.
+    Each size is counted by one Counter over its patterns, so no bucket
+    list is built.  A set of the largest member size T inside a member is
+    that member, so size T is counted as 1 per such member, with no
+    pattern.  Raises BudgetExceededError when sum(2**|U|) exceeds
+    ``budget``, like :func:`subset_buckets`.
     """
-    _check_shadow_budget(sum(1 << u.bit_count() for u in masks), budget)
-    by_size: dict[int, list[list[int]]] = {}
-    for t, group in groupby(sorted(masks, key=int.bit_count), int.bit_count):
+    groups = [(t, list(group)) for t, group in
+              groupby(sorted(masks, key=int.bit_count), int.bit_count)]
+    _check_shadow_budget(sum(len(group) << t for t, group in groups), budget)
+    top = groups[-1][0] if groups else 0
+    by_size: dict[int, list] = {}
+    for t, rest in groups:
         if not t:
             continue   # the empty member has no nonempty submask
-        rest = list(group)
+        last = t if t < top else t - 1   # the largest size counted here
         columns = []
         for _ in range(t - 1):
             low = list(map(and_, rest, map(neg, rest)))
             columns.append(low)
             rest = list(map(xor, rest, low))
         columns.append(rest)
-        # (size, pattern) of every column subset, the empty one first
+        # (size, pattern) of every column subset up to size last, the
+        # empty one first
         patterns: list = [(0, None)]
         for column in columns:
             patterns += [(size + 1, column if pattern is None
-                          else list(map(or_, pattern, column)))
-                         for size, pattern in patterns]
+                          else list(map(or_, pattern, column))
+                          if size + 1 < last else map(or_, pattern, column))
+                         for size, pattern in patterns if size < last]
         for size, pattern in patterns[1:]:
             by_size.setdefault(size, []).append(pattern)
-    return {size: Counter(chain.from_iterable(patterns))
-            for size, patterns in by_size.items()}
+    counts = {size: Counter(chain.from_iterable(patterns))
+              for size, patterns in by_size.items()}
+    if top:
+        counts[top] = dict.fromkeys(groups[-1][1], 1)
+    return counts
 
 
 def _family_counts(family: "SetFamily", budget: int,
@@ -219,7 +233,7 @@ class _Record(_Immutable):
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -282,9 +296,9 @@ class GroundSet(_Immutable):
     def __init__(self, universe: Universe, bits: int):
         if not 0 <= bits <= universe.full_mask:
             raise ValueError("bits outside universe width")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "cardinality", bits.bit_count())
+        _setattr(self, "universe", universe)
+        _setattr(self, "bits", bits)
+        _setattr(self, "cardinality", bits.bit_count())
 
     def labels(self) -> tuple[int, ...]:
         return mask_labels(self.bits)
@@ -343,12 +357,12 @@ class SetFamily(_Immutable):
             raise ValueError(f"cardinality bound must be nonnegative, got {m}")
         elif m < actual:
             raise ValueError(f"member of cardinality {actual} exceeds bound {m}")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_mask_set", mask_set)
-        object.__setattr__(self, "_members", None)
-        object.__setattr__(self, "_subsets", None)
+        _setattr(self, "universe", universe)
+        _setattr(self, "m", m)
+        _setattr(self, "_masks", None)
+        _setattr(self, "_mask_set", mask_set)
+        _setattr(self, "_members", None)
+        _setattr(self, "_subsets", None)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]],
@@ -360,7 +374,7 @@ class SetFamily(_Immutable):
     def masks(self) -> tuple[int, ...]:
         """The masks in canonical label order, sorted on the first call."""
         if self._masks is None:
-            object.__setattr__(self, "_masks", tuple(
+            _setattr(self, "_masks", tuple(
                 sorted(self._mask_set, key=_canonical_key)))
         return self._masks
 
@@ -370,8 +384,8 @@ class SetFamily(_Immutable):
         first use and kept with the family."""
         if self._members is None:
             uni = self.universe
-            object.__setattr__(self, "_members",
-                               tuple(GroundSet(uni, u) for u in self.masks()))
+            _setattr(self, "_members",
+                     tuple(GroundSet(uni, u) for u in self.masks()))
         return self._members
 
     def __len__(self) -> int:
@@ -433,8 +447,7 @@ class SetFamily(_Immutable):
             masks = self.masks()
             need = sum(1 << u.bit_count() for u in masks)
             _check_shadow_budget(need, budget)
-            object.__setattr__(self, "_subsets",
-                               (need, _subset_buckets(masks)))
+            _setattr(self, "_subsets", (need, _subset_buckets(masks)))
         need, buckets = self._subsets
         _check_shadow_budget(need, budget)
         return buckets
@@ -481,6 +494,14 @@ class SetFamily(_Immutable):
         return family_to_json_obj(self)
 
 
+def _ordered_family(universe: Universe, masks: tuple[int, ...]) -> SetFamily:
+    """The family of ``masks``, which the caller gives in canonical order:
+    :meth:`SetFamily.masks` returns that tuple and never sorts."""
+    family = SetFamily(universe, masks)
+    _setattr(family, "_masks", masks)
+    return family
+
+
 class Split(_Record):
     """An ordered partition of the universe into equal-size strips, each
     an int mask."""
@@ -510,8 +531,8 @@ class Split(_Record):
         """A split over strips the caller built as an equal partition of
         the universe: nothing is validated."""
         split = cls.__new__(cls)
-        object.__setattr__(split, "universe", universe)
-        object.__setattr__(split, "strips", strips)
+        _setattr(split, "universe", universe)
+        _setattr(split, "strips", strips)
         return split
 
     @classmethod
@@ -560,10 +581,10 @@ class Subsplit(_Immutable):
                 raise ValueError("strip indices must be strictly increasing")
             prev = i
         masks = tuple(split.strips[i] for i in indices)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "strip_masks", masks)
-        object.__setattr__(self, "union_mask", sum(masks))  # disjoint strips
+        _setattr(self, "split", split)
+        _setattr(self, "indices", indices)
+        _setattr(self, "strip_masks", masks)
+        _setattr(self, "union_mask", sum(masks))  # disjoint strips
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

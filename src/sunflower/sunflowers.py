@@ -80,10 +80,12 @@ def find_sunflower_exact(family: SetFamily, k: int,
     it in exactly c.  A comprehension keeps one bit per trace; only a row
     where that drops a repeated trace is rebuilt by ORing bits per trace,
     as is every row when k = 2 or when it outnumbers the 2**|masks[i]|
-    traces it can hold.  k members form a sunflower with core c iff each
-    is linked to every later one under c, and k - 1 >= 2 links under one
-    key repeat a trace, so only rebuilt rows feed ``starts``: under each
-    key, the members i with at least k - 1 links there, ascending.  Cores
+    traces it can hold.  A row whose comprehension finds one trace, which
+    then links every later member, takes their bitset with no OR.  k
+    members form a sunflower with core c iff each is linked to every
+    later one under c, and k - 1 >= 2 links under one key repeat a trace,
+    so only rows with a repeat feed ``starts``: under each key, the
+    members i with at least k - 1 links there, ascending.  Cores
     are the keys of ``starts`` in (cardinality, lexicographic) order.
     Within a core a depth-first search takes first petals from
     ``starts[core]`` and narrows the candidates to those linked to every
@@ -105,21 +107,26 @@ def find_sunflower_exact(family: SetFamily, k: int,
     _check_shadow_budget(sum(1 << u.bit_count() for u in masks),
                          shadow_budget)
     bits = [1 << j for j in range(len(masks))]
+    ones = (1 << len(masks)) - 1
     rows: list[dict[int, int]] = []
     starts: dict[int, list[int]] = {}
     for i, u in enumerate(masks):
         later = masks[i + 1:]
         tail = bits[i + 1:]
+        row = {}
         # u has 2**|u| submasks, so a longer row must repeat a trace
         if k > 2 and len(later) <= 1 << u.bit_count():
             row = {u & v: bit for v, bit in zip(later, tail)}
             if len(row) == len(later):
                 rows.append(row)
                 continue
-        row = {}
-        for v, bit in zip(later, tail):
-            c = u & v
-            row[c] = row.get(c, 0) | bit
+        if len(row) == 1:   # one trace, repeated: it links every later member
+            row = dict.fromkeys(row, ones >> i + 1 << i + 1)
+        else:
+            row = {}
+            for v, bit in zip(later, tail):
+                c = u & v
+                row[c] = row.get(c, 0) | bit
         for c, linked in row.items():
             if linked.bit_count() >= k - 1:
                 starts.setdefault(c, []).append(i)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from sunflower.basesets import (
     process_r,
 )
 from sunflower.errors import ContractViolationError
-from sunflower.families import (SetFamily, Split, Subsplit, labels_mask,
-                                mask_labels, subset_lookup)
+from sunflower.families import (SetFamily, Split, Subsplit, Universe,
+                                _canonical_key, labels_mask, mask_labels,
+                                subset_lookup)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -713,6 +715,58 @@ def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
             single_map_runs += 1
         later_step_runs += len(result.steps) > 1
     assert single_map_runs >= 10 and later_step_runs >= 3
+
+
+def bench_shaped(seed: int) -> SetFamily:
+    """300 random one-per-strip 3-sets on the contiguous 3-split of 24
+    labels, the shape of the engine-fixpoint bench inputs."""
+    rng = random.Random(seed)
+    return SetFamily(Universe(24), [
+        1 << r // 64 | 1 << 8 + r // 8 % 8 | 1 << 16 + r % 8
+        for r in rng.sample(range(512), 300)], m=3)
+
+
+SPLIT24 = Split.contiguous(24, 3)
+BENCH_CFG = Constants(0.995, 1.0005, 1.001, 2, 3)
+
+
+def test_process_r_keys_no_member_after_the_input_sort(monkeypatch):
+    # the input's one canonical sort gives every member its position, and
+    # later member lists (the regrouped components, familyHat) sort on it,
+    # so past family.masks() no member mask gets a string key; the
+    # engine's bases, which are not members, still do
+    keyed = []
+    real_key = families._canonical_key
+
+    def key(mask):
+        keyed.append(mask)
+        return real_key(mask)
+
+    for seed in range(3):
+        fam = bench_shaped(seed)
+        members = set(fam.masks())
+        del keyed[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "_canonical_key", key)
+            patch.setattr(basesets, "_canonical_key", key)
+            result = process_r(fam, SPLIT24, BENCH_CFG)
+            result.family_hat.to_json_obj()
+        assert len(result.steps) > 1, seed   # the run regroups
+        assert keyed and not members.intersection(keyed), seed
+
+
+def test_process_r_family_hat_is_canonical():
+    # familyHat is built in canonical order, and is the terminal step's
+    # output family
+    from test_acceptance import engine_corpus
+    runs = [(fam, split, cfg) for _, fam, split, cfg in engine_corpus()]
+    runs += [(bench_shaped(seed), SPLIT24, BENCH_CFG) for seed in range(3)]
+    for fam, split, cfg in runs:
+        result = process_r(fam, split, cfg)
+        members = [u for part in result.parts_hat for u in part.T]
+        assert result.family_hat.masks() == tuple(
+            sorted(members, key=_canonical_key))
+        assert result.steps[-1].output.family is result.family_hat
 
 
 def test_public_base_sets_checks_what_process_r_trusts():

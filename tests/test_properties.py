@@ -320,6 +320,10 @@ def mixed_masks(draw):
 @SETTINGS
 @given(mixed_masks())
 @example([0, 0b1, 0b110, 0b1011, 0b11111111])
+# several members of the largest size, counted without patterns, beside
+# smaller ones and the empty member
+@example([0b1110, 0, 0b1, 0b10110, 0b111000, 0b11, 0b1101])
+@example([0])
 def test_subset_counts_match_bucket_sizes(masks):
     counts = _subset_counts(masks)
     for size, by_mask in counts.items():
@@ -329,8 +333,9 @@ def test_subset_counts_match_bucket_sizes(masks):
     need = sum(1 << u.bit_count() for u in masks)
     assert _subset_counts(masks, budget=need) == counts
     if need:
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             _subset_counts(masks, budget=need - 1)
+        assert (info.value.needed, info.value.budget) == (need, need - 1)
 
 
 @SETTINGS

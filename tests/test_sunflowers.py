@@ -19,7 +19,7 @@ from sunflower.sunflowers import (
     verify_certificate,
 )
 
-from oracles import sunflower_free_check_oracle
+from oracles import find_sunflower_backtrack, sunflower_free_check_oracle
 
 
 def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
@@ -139,6 +139,19 @@ def test_find_sunflower_exact_deep_search():
     with pytest.raises(BudgetExceededError) as info:
         find_sunflower_exact(fam, 1000, node_budget=999)
     assert (info.value.needed, info.value.budget) == (1000, 999)
+
+
+def test_find_sunflower_exact_repeated_trace_rows():
+    # 60 petals on a 10-label core: every row is one trace, repeated,
+    # which links every later member; the certificate is the oracle's
+    core = list(range(10))
+    fam = SetFamily.of(70, [core + [10 + i] for i in range(60)])
+    for k in (2, 3, 60):
+        cert = find_sunflower_exact(fam, k)
+        assert cert == find_sunflower_backtrack(fam, k)
+        assert verify_certificate(cert)
+    assert cert.core.labels() == tuple(core)
+    assert find_sunflower_exact(fam, 61) is None
 
 
 def test_find_sunflower_exact_leaves_no_table_behind():
