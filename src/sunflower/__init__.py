@@ -26,8 +26,7 @@ _MODULE_EXPORTS = {
     "extremal": ("ExtremalFamily", "build_extremal"),
     "families": ("GroundSet", "SetFamily", "Split", "Subsplit", "Universe",
                  "family_from_json_obj", "family_from_text",
-                 "family_to_json_obj", "family_to_text", "pad_universe",
-                 "subset_buckets"),
+                 "family_to_json_obj", "family_to_text", "pad_universe"),
     "gamma": ("GammaReport", "check_gamma", "check_gamma_on_subsplit"),
     "harness": ("generate_random_family",),
     "rng": ("CounterRng",),

@@ -38,10 +38,10 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, UniverseMismatchError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       _ordered_family, _Record, _setattr, mask_labels,
-                       subset_lookup)
+                       _ordered_family, _Record, _setattr, _subset_lookup,
+                       mask_labels)
 from .gamma import (_carried_counts, _max_violator_masks, _tally_traces,
                     check_gamma, check_gamma_on_subsplit, exact_base)
 
@@ -294,7 +294,7 @@ class ComponentCollection:
     def initial(cls, family: SetFamily, split: Split) -> "ComponentCollection":
         """The trivial collection: one full-rank component holding everything."""
         if family.universe.n != split.universe.n:
-            raise ValueError("family over a different universe")
+            raise UniverseMismatchError("family over a different universe")
         return cls(split, {tuple(range(split.m)): family.masks()})
 
     @classmethod
@@ -341,7 +341,8 @@ class ComponentCollection:
         accepts (skipped members are not an error at this level).
         """
         if not family.universe.n == anchors.universe.n == split.universe.n:
-            raise ValueError("family or anchors over a different universe")
+            raise UniverseMismatchError(
+                "family or anchors over a different universe")
         _check_rank(rank, split.m)
         anchor_masks = set(anchors.masks())
         # strips are disjoint: a projection is the trace on their union
@@ -511,7 +512,8 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     At r = m' each component's projection groups reaching need[m'] are
     taken (:func:`_full_rank_pass`); below, the components are drained
     in key order (:func:`_extractions`) on buckets read off one subset
-    map over all members.  Each (base, component) pair is extracted at
+    lookup over all members: the bases' kept one when the family anchors
+    itself, else one :func:`families._subset_lookup` builds.  Each (base, component) pair is extracted at
     most once per call.  Raises
     ContractViolationError with the full extraction trace when no rank
     reaches its bound.
@@ -528,19 +530,19 @@ def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     if split.m != cfg.m:
         raise ValueError("split strip count must equal the configured m")
     if bases.universe.n != split.universe.n:
-        raise ValueError("bases over a different universe")
+        raise UniverseMismatchError("bases over a different universe")
     cfg._need_fam_size()
     components = collection.components
     # the family anchoring itself (the first step of process_r, or
     # basesets at m' = m): the one component holds exactly the bases, so
     # every base is a member and every member its own projection, and
-    # the bases' cached subset map serves the component
+    # the bases' kept subset lookup serves the component
     self_anchored = list(components.values()) == [bases.masks()]
     if self_anchored:
         lookup = bases.subset_lookup()
     else:
-        lookup = subset_lookup([u for comp in components.values()
-                                for u in comp])
+        lookup = _subset_lookup([u for comp in components.values()
+                                 for u in comp])
     full = split.full_subsplit()
     for u in bases.masks():
         if u.bit_count() != mprime or not full.carries_mask(u):
@@ -567,8 +569,9 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
     """:func:`base_sets` on an input it trusts, checking only the
     3^(-2m) * famSize floor: the driver's steps after the first, whose
     bases and components the previous call's :func:`_finish` and
-    :meth:`ComponentCollection.regroup` built; ``lookup`` is a subset map
-    over (at least) their members."""
+    :meth:`ComponentCollection.regroup` built; ``lookup`` is a subset
+    lookup (:func:`families._subset_lookup`, or a family's kept
+    :meth:`SetFamily.subset_lookup`) over at least their members."""
     components = collection.components
     size = sum(len(comp) for comp in components.values())
     if size * 3 ** (2 * cfg.m) < cfg.fam_size:
@@ -684,7 +687,7 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     propagate with the completed steps attached as ``partial_steps``.
     """
     if split.universe.n != family.universe.n:
-        raise ValueError("split over a different universe")
+        raise UniverseMismatchError("split over a different universe")
     if cfg.m != split.m:
         raise ValueError("split strip count must equal the configured m")
     if len(family) == 0:
@@ -709,7 +712,7 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
         try:
             # step 1 checks every member as an on-split m-set base; later
             # steps run on the previous step's own output, the family's
-            # members, whose cached subset map step 1 built
+            # members, whose kept subset lookup step 1 built
             out = (base_sets(r_p, bases, collection, cfg, p) if p == 1 else
                    _base_sets(r_p, bases, collection, cfg, p,
                               family.subset_lookup()))

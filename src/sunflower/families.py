@@ -9,6 +9,10 @@ members are built on the first read that needs them.  Canonical sorts
 use ``_canonical_key``, a string per mask that orders like the label
 tuple.  The text and JSON parsers turn each row straight into a mask,
 caching every label's bit for the parse.
+Restriction counts |F[S]| are read off one subset map per family, built
+by ``_subset_lookup`` on the first :meth:`SetFamily.subset_lookup` and
+kept (above DEFAULT_SHADOW_BUDGET a stand-in scans the members), or are
+counted by size with no buckets (``_subset_counts``).
 Splits partition the universe into equal-size ordered strips, stored as
 int masks too; subsplits select strips in order.
 
@@ -39,37 +43,6 @@ def _check_shadow_budget(need: int, budget: int) -> None:
             needed=need, budget=budget)
 
 
-def subset_buckets(masks: Sequence[int],
-                   budget: int = DEFAULT_SHADOW_BUDGET) -> dict[int, list[int]]:
-    """Map every subset S of some member to the members containing S.
-
-    One pass over ``masks`` in the given order enumerates each member's
-    submasks (``s = (s - 1) & u``), so every bucket lists its members in
-    input order and ``len(buckets[S])`` is the restriction count |F[S]|.
-    The empty mask maps to all members; no members give an empty map.
-    Raises BudgetExceededError when sum(2**|U|) exceeds ``budget``, the
-    same need and budget :meth:`SetFamily.shadow` reports.
-    """
-    _check_shadow_budget(sum(1 << u.bit_count() for u in masks), budget)
-    return _subset_buckets(masks)
-
-
-def _subset_buckets(masks: Sequence[int]) -> dict[int, list[int]]:
-    """:func:`subset_buckets` with no budget check."""
-    buckets = {0: list(masks)} if masks else {}
-    get = buckets.get
-    for u in masks:
-        s = u
-        while s:
-            bucket = get(s)
-            if bucket is None:
-                buckets[s] = [u]
-            else:
-                bucket.append(u)
-            s = (s - 1) & u
-    return buckets
-
-
 def _subset_counts(masks: Sequence[int],
                    budget: int = DEFAULT_SHADOW_BUDGET,
                    ) -> dict[int, dict[int, int]]:
@@ -85,7 +58,7 @@ def _subset_counts(masks: Sequence[int],
     list is built.  A set of the largest member size T inside a member is
     that member, so size T is counted as 1 per such member, with no
     pattern.  Raises BudgetExceededError when sum(2**|U|) exceeds
-    ``budget``, like :func:`subset_buckets`.
+    ``budget``.
     """
     groups = [(t, list(group)) for t, group in
               groupby(sorted(masks, key=int.bit_count), int.bit_count)]
@@ -122,11 +95,15 @@ def _subset_counts(masks: Sequence[int],
 def _family_counts(family: "SetFamily", budget: int,
                    ) -> dict[int, dict[int, int]]:
     """:func:`_subset_counts` of the family's members, read off its kept
-    :meth:`SetFamily.subset_map` when it has one (same budget check)."""
-    if family._subsets is None:
+    :meth:`SetFamily.subset_lookup` when that is a dict (same budget
+    check: the buckets hold each member once per submask, sum(2**|U|)
+    entries)."""
+    lookup = family._subsets
+    if not isinstance(lookup, dict):
         return _subset_counts(family._mask_set, budget)
+    _check_shadow_budget(sum(map(len, lookup.values())), budget)
     by_size: dict[int, dict[int, int]] = {}
-    for s, bucket in family.subset_map(budget).items():
+    for s, bucket in lookup.items():
         if s:
             by_size.setdefault(s.bit_count(), {})[s] = len(bucket)
     return by_size
@@ -149,15 +126,32 @@ class _ScannedSubsetMap:
         return bucket if bucket else default
 
 
-def subset_lookup(masks: Sequence[int]):
-    """Read-only subset map for ``s in lookup`` (shadow membership) and
-    ``lookup.get(s)`` (members containing s, in input order) on masks:
-    :func:`subset_buckets` when it fits DEFAULT_SHADOW_BUDGET, otherwise a
-    lazy stand-in that scans the members per query."""
-    try:
-        return subset_buckets(masks)
-    except BudgetExceededError:
+def _subset_lookup(masks: Sequence[int]):
+    """Read-only subset map of ``masks``: ``s in lookup`` is shadow
+    membership and ``lookup.get(s)`` lists the members containing s in
+    input order, so its length is the restriction count |F[S]|.
+
+    When sum(2**|U|) fits DEFAULT_SHADOW_BUDGET this is a dict of every
+    subset S of some member to its bucket, built in one pass over
+    ``masks`` that enumerates each member's submasks (``s = (s - 1) & u``);
+    the empty mask maps to all members and no members give an empty dict.
+    Above the budget it is a :class:`_ScannedSubsetMap`, whose queries
+    scan the members.
+    """
+    if sum(1 << u.bit_count() for u in masks) > DEFAULT_SHADOW_BUDGET:
         return _ScannedSubsetMap(tuple(masks))
+    buckets = {0: list(masks)} if masks else {}
+    get = buckets.get
+    for u in masks:
+        s = u
+        while s:
+            bucket = get(s)
+            if bucket is None:
+                buckets[s] = [u]
+            else:
+                bucket.append(u)
+            s = (s - 1) & u
+    return buckets
 
 
 def mask_labels(mask: int) -> tuple[int, ...]:
@@ -326,10 +320,10 @@ class SetFamily(_Immutable):
 
     The family stores its members as one frozenset of int masks; the tuple
     in canonical label order (:meth:`masks`), the ``GroundSet`` view
-    (``members``, iteration) and the subset map are built on first use and
-    kept, idempotently, so thread-safe.  ``m`` is the declared maximum
-    member cardinality; it defaults to the largest actual member size and
-    is preserved by serialization.
+    (``members``, iteration) and the subset lookup (:meth:`subset_lookup`)
+    are built on first use and kept, idempotently, so thread-safe.  ``m``
+    is the declared maximum member cardinality; it defaults to the largest
+    actual member size and is preserved by serialization.
     """
 
     __slots__ = ("universe", "m", "_masks", "_mask_set", "_members",
@@ -421,12 +415,8 @@ class SetFamily(_Immutable):
         BudgetExceededError beyond ``budget`` (use :meth:`shadow_contains`
         for membership-only queries on larger families).
         """
-        need = sum(1 << u.bit_count() for u in self._mask_set)
-        if need > budget:
-            raise BudgetExceededError(
-                f"shadow would generate {need} subsets (budget {budget}); "
-                "use shadow_contains for lazy membership", needed=need,
-                budget=budget)
+        _check_shadow_budget(sum(1 << u.bit_count() for u in self._mask_set),
+                             budget)
         out: set[int] = set()
         for u in self._mask_set:
             labels = mask_labels(u)
@@ -435,30 +425,13 @@ class SetFamily(_Immutable):
                     out.add(labels_mask(c))
         return SetFamily(self.universe, out, m=self.m)
 
-    def subset_map(self, budget: int = DEFAULT_SHADOW_BUDGET,
-                   ) -> dict[int, list[int]]:
-        """:func:`subset_buckets` of the members, built on first use and
-        kept with the (immutable) family; callers must not mutate it.
-
-        Raises BudgetExceededError when sum(2**|U|) exceeds ``budget``,
-        whether or not the map is already built.
-        """
-        if self._subsets is None:
-            masks = self.masks()
-            need = sum(1 << u.bit_count() for u in masks)
-            _check_shadow_budget(need, budget)
-            _setattr(self, "_subsets", (need, _subset_buckets(masks)))
-        need, buckets = self._subsets
-        _check_shadow_budget(need, budget)
-        return buckets
-
     def subset_lookup(self):
-        """:func:`subset_lookup` of the members, from the cached
-        :meth:`subset_map` when it fits DEFAULT_SHADOW_BUDGET."""
-        try:
-            return self.subset_map()
-        except BudgetExceededError:
-            return _ScannedSubsetMap(self.masks())
+        """:func:`_subset_lookup` of the members in :meth:`masks` order,
+        built on the first call and kept with the (immutable) family in
+        whichever form it has; callers must not mutate it."""
+        if self._subsets is None:
+            _setattr(self, "_subsets", _subset_lookup(self.masks()))
+        return self._subsets
 
     def shadow_contains(self, t: GroundSet) -> bool:
         """True iff ``t`` is a subset of some member (lazy, no materialization)."""

@@ -125,9 +125,10 @@ def check_gamma(family: SetFamily, b,
     """Check b-spreadness against every nonempty set in the family's shadow.
 
     Counts come from :func:`families._family_counts`, grouped by size:
-    read off the family's subset map when it keeps one, counted by
-    :func:`families._subset_counts` otherwise; ``budget`` caps the
-    members' sum(2**|U|) (BudgetExceededError beyond) either way.
+    read off the family's kept :meth:`SetFamily.subset_lookup` when that
+    is a dict, counted by :func:`families._subset_counts` otherwise;
+    ``budget`` caps the members' sum(2**|U|) (BudgetExceededError beyond)
+    either way.
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -151,7 +152,7 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
     if sub.split.universe.n != family.universe.n:
-        raise ValueError("subsplit over a different universe")
+        raise UniverseMismatchError("subsplit over a different universe")
     if over.universe.n != family.universe.n:
         raise UniverseMismatchError("range family over a different universe")
     shadow = over.subset_lookup()

@@ -24,7 +24,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from .errors import (BudgetExceededError, ContractViolationError,
-                     GammaPreconditionError)
+                     GammaPreconditionError, UniverseMismatchError)
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                        _canonical_key, _check_shadow_budget, _Record)
 from .gamma import check_gamma, exact_base
@@ -47,7 +47,8 @@ class SunflowerCertificate(_Record):
             raise ValueError("a sunflower needs at least 2 petals")
         for p in petals:
             if p.universe.n != core.universe.n:
-                raise ValueError("petals and core must share a universe")
+                raise UniverseMismatchError(
+                    "petals and core must share a universe")
         self._set(petals, core)
 
     @property

@@ -4,10 +4,10 @@
 ``brute_max_ratio`` is the spreadness check by one restriction per
 candidate set, with no subset map or count kernel.
 ``sunflower_free_check_oracle`` is deliberately independent of the fast
-paths it checks: it goes through neither the subset-bucket kernel nor a
+paths it checks: it goes through neither the subset lookup builder nor a
 pruned search.  ``find_sunflower_backtrack`` is the per-core bucket
 backtracking that the pair-link kernel of ``find_sunflower_exact``
-replaced, kept as is; it reads the subset-bucket kernel, which the
+replaced, kept as is; it reads the family's kept subset lookup, which the
 property tests check against restrictions on their own, and it pins the
 kernel's first certificate (core, and petals in order).
 ``disjoint_greedy_reference`` is the greedy of
@@ -50,8 +50,8 @@ from sunflower.basesets import (Constants, ComponentCollection, ElementaryPart,
                                 Threshold)
 from sunflower.errors import BudgetExceededError, ContractViolationError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
-                                Split, Subsplit, Universe, _mask_repr,
-                                mask_labels)
+                                Split, Subsplit, Universe,
+                                _check_shadow_budget, _mask_repr, mask_labels)
 from sunflower.gamma import (_carried_counts, _max_violator_masks,
                             check_gamma_on_subsplit, exact_base)
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
@@ -158,7 +158,8 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
     """Complete search for a k-sunflower; None proves there is none.
 
     Candidate cores are the family's shadow in (cardinality, lexicographic)
-    order, each with its bucket of members from the family's subset map
+    order, each with its bucket of members from the family's subset
+    lookup, a map for a family within DEFAULT_SHADOW_BUDGET
     (``shadow_budget`` caps its sum(2**|U|) entries); within a core's
     bucket, petals are chosen by backtracking over the canonical member
     order, so the first certificate found is deterministic.
@@ -168,7 +169,9 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
         raise ValueError("sunflower size must be at least 2")
     if len(family) < k:
         return None
-    buckets = family.subset_map(shadow_budget)
+    _check_shadow_budget(sum(1 << u.bit_count() for u in family.masks()),
+                         shadow_budget)
+    buckets = family.subset_lookup()
     cores = sorted((c for c, members in buckets.items() if len(members) >= k),
                    key=lambda c: (c.bit_count(), mask_labels(c)))
     nodes = 0

@@ -24,8 +24,8 @@ from sunflower.basesets import (
 )
 from sunflower.errors import ContractViolationError
 from sunflower.families import (SetFamily, Split, Subsplit, Universe,
-                                _canonical_key, labels_mask, mask_labels,
-                                subset_lookup)
+                                _canonical_key, _subset_lookup, labels_mask,
+                                mask_labels)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -471,7 +471,7 @@ def test_extractions_rank_zero_round():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
     live = set(comp)
-    found = list(_extractions(0, live, subset_lookup(comp),
+    found = list(_extractions(0, live, _subset_lookup(comp),
                               coll.subsplit((0, 1)), GRID16,
                               Threshold(cfg).eps_need, exact_base(cfg.b)))
     assert len(found) == 1
@@ -500,7 +500,7 @@ def test_extractions_read_live_members_only():
     # below m' the drain reads the live set, not the map: with the members
     # containing {0} gone from it (not from the map), rank 1 skips {0} and
     # takes the spread bucket of {1} first
-    args = (subset_lookup(comp), coll.subsplit((0, 1)), GRID16, 1,
+    args = (_subset_lookup(comp), coll.subsplit((0, 1)), GRID16, 1,
             exact_base(cfg.b))
     first = next(_extractions(1, set(comp), *args))
     assert first == (0b1, [u for u in comp if u & 0b1])
@@ -637,15 +637,15 @@ def test_process_r_input_validation():
 
 def test_process_r_first_step_reuses_the_family(monkeypatch):
     # step 1's only component is the family itself: the engine reads the
-    # family's cached subset map, and so do the later steps, so no step
-    # builds a component map; only step 1 goes through the checked
+    # family's kept subset lookup, and so do the later steps, so no step
+    # builds a component lookup; only step 1 goes through the checked
     # base_sets, so no base or member is tested as an on-split set (on the
     # full subsplit) from step 2 on; and no collection is re-validated at
     # any step
     step = []
     checked, lookups_by_step, full_checks_by_step = [], [], []
     real_checked, real_engine = basesets.base_sets, basesets._base_sets
-    real_lookup, real_carries = basesets.subset_lookup, Subsplit.carries_mask
+    real_lookup, real_carries = basesets._subset_lookup, Subsplit.carries_mask
 
     def base_sets_call(mprime, bases, collection, cfg, p_label=1):
         step[:] = [p_label]
@@ -670,7 +670,7 @@ def test_process_r_first_step_reuses_the_family(monkeypatch):
 
     monkeypatch.setattr(basesets, "base_sets", base_sets_call)
     monkeypatch.setattr(basesets, "_base_sets", engine_call)
-    monkeypatch.setattr(basesets, "subset_lookup", lookup)
+    monkeypatch.setattr(basesets, "_subset_lookup", lookup)
     monkeypatch.setattr(Subsplit, "carries_mask", carries)
     monkeypatch.setattr(ComponentCollection, "__init__", no_init)
     res = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
@@ -688,19 +688,21 @@ def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
     # the family's map is the only map built
     from test_acceptance import engine_corpus
     built, counted = [], []
-    real_buckets = families._subset_buckets
+    real_lookup = families._subset_lookup
     real_counts = families._subset_counts
 
-    def buckets(masks):
+    def lookup(masks):
         built.append(tuple(masks))
-        return real_buckets(masks)
+        return real_lookup(masks)
 
     def counts(masks, *args):
         counted.append(tuple(masks))
         return real_counts(masks, *args)
 
-    # every subset map, public or kept with a family, is built here
-    monkeypatch.setattr(families, "_subset_buckets", buckets)
+    # every subset lookup, kept with a family or built for the engine's
+    # components, is built here
+    monkeypatch.setattr(families, "_subset_lookup", lookup)
+    monkeypatch.setattr(basesets, "_subset_lookup", lookup)
     monkeypatch.setattr(families, "_subset_counts", counts)
     single_map_runs = later_step_runs = 0
     for label, fam, split, cfg in engine_corpus():

@@ -11,6 +11,7 @@ from sunflower.families import (
     SetFamily,
     Split,
     Universe,
+    _subset_lookup,
     family_from_json_obj,
     family_from_text,
     family_to_json_obj,
@@ -18,8 +19,8 @@ from sunflower.families import (
     labels_mask,
     mask_labels,
     pad_universe,
-    subset_buckets,
 )
+from sunflower.gamma import check_gamma
 from sunflower.rng import CounterRng
 
 
@@ -178,40 +179,44 @@ def test_shadow_budget_enforced():
     assert fam.shadow_contains(fam.universe.set_of([4, 17]))
 
 
-def test_subset_buckets_budget_and_order():
+def test_subset_lookup_order():
     masks = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]]).masks()
-    with pytest.raises(BudgetExceededError) as info:
-        subset_buckets(masks, budget=13)
-    assert (info.value.needed, info.value.budget) == (14, 13)
-    buckets = subset_buckets(masks, budget=14)
+    buckets = _subset_lookup(masks)
     assert sum(len(bucket) for bucket in buckets.values()) == 14
     assert buckets[0] == list(masks)
     assert buckets[0b10] == [0b11, 0b1110]
-    assert subset_buckets(()) == {}
+    assert _subset_lookup(()) == {}
 
 
-def test_subset_map_budget_before_and_after_the_build():
+def test_check_gamma_budget_before_and_after_the_lookup_is_built():
+    # 14 = 4 + 8 + 2 subsets: over budget 13 whether check_gamma counts
+    # afresh or reads the kept lookup
     fam = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]])
     for built in (False, True):
         with pytest.raises(BudgetExceededError) as info:
-            fam.subset_map(budget=13)
+            check_gamma(fam, 2, budget=13)
         assert (info.value.needed, info.value.budget) == (14, 13)
         assert (fam._subsets is not None) == built
-        assert fam.subset_map(budget=14) is fam.subset_map()
+        assert check_gamma(fam, 2, budget=14) == check_gamma(fam, 2)
+        fam.subset_lookup()
 
 
 def test_subset_lookup_scans_above_the_default_budget():
-    # 2^23 subsets exceed the default budget: queries scan the members
+    # 2^23 subsets exceed the default budget: queries scan the members,
+    # and the family keeps the scanning lookup as it keeps a map
     fam = SetFamily.of(24, [list(range(23)), [0, 23]])
     lookup = fam.subset_lookup()
     assert not isinstance(lookup, dict)
+    assert fam.subset_lookup() is lookup
     uni = fam.universe
     for labels in ([], [4, 17], [0, 23], [22, 23], list(range(24))):
         s = uni.set_of(labels)
         assert (s.bits in lookup) == fam.shadow_contains(s)
         assert lookup.get(s.bits, []) == list(fam.restrict(s).masks())
     small = random_family(9, 3, 15, seed=3)
-    assert small.subset_lookup() is small.subset_map()
+    lookup = small.subset_lookup()
+    assert lookup == _subset_lookup(small.masks())
+    assert small.subset_lookup() is lookup
 
 
 def test_split_contiguous_and_explicit():

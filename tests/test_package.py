@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 import sunflower
-from sunflower.basesets import Constants, ElementaryPart
+from sunflower.basesets import (ComponentCollection, Constants,
+                                ElementaryPart, base_sets, process_r)
+from sunflower.errors import UniverseMismatchError
 from sunflower.extremal import ExtremalFamily
 from sunflower.families import SetFamily, Split, Subsplit, Universe
-from sunflower.gamma import GammaReport
+from sunflower.gamma import GammaReport, check_gamma_on_subsplit
 from sunflower.sunflowers import SunflowerCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,8 +36,7 @@ EXPORTED = {
     "extremal": ["ExtremalFamily", "build_extremal"],
     "families": ["GroundSet", "SetFamily", "Split", "Subsplit", "Universe",
                  "family_from_json_obj", "family_from_text",
-                 "family_to_json_obj", "family_to_text", "pad_universe",
-                 "subset_buckets"],
+                 "family_to_json_obj", "family_to_text", "pad_universe"],
     "gamma": ["GammaReport", "check_gamma", "check_gamma_on_subsplit"],
     "harness": ["generate_random_family"],
     "rng": ["CounterRng"],
@@ -85,7 +86,7 @@ def test_every_public_name_resolves_to_its_defining_object():
         assert getattr(sunflower, module) is mod
     assert sorted(sunflower.__all__) == sorted(
         name for names in EXPORTED.values() for name in names)
-    assert len(sunflower.__all__) == 47
+    assert len(sunflower.__all__) == 46
 
 
 def test_star_import_binds_the_public_names():
@@ -273,3 +274,44 @@ def test_subsplit_equality_reads_split_and_indices_only():
     assert {sub: 1}[split.subsplit((0, 2))] == 1
     assert "union_mask" not in repr(sub) and "strip_masks" not in repr(sub)
     assert split.subsplit([0, 1]) != sub
+
+
+# A family on the 2-split of 4 labels, its engine constants, and a family,
+# a set and a split over 6 labels.
+ON_SPLIT4 = SetFamily.of(4, [[0, 2], [0, 3], [1, 2], [1, 3]])
+SPLIT4 = Split.contiguous(4, 2)
+CFG4 = Constants(0.5, 1.2, 1.5, 2, 2, 4)
+OTHER6 = SetFamily.of(6, [[0, 3]])
+SET6 = Universe(6).set_of([0])
+SPLIT6 = Split.contiguous(6, 2)
+
+UNIVERSE_MISMATCHES = {
+    "restrict": lambda: ON_SPLIT4.restrict(SET6),
+    "shadow_contains": lambda: ON_SPLIT4.shadow_contains(SET6),
+    "on_subsplit": lambda: ON_SPLIT4.on_subsplit(SPLIT6.full_subsplit(), 2),
+    "difference": lambda: ON_SPLIT4.difference(OTHER6),
+    "check_gamma_on_subsplit-subsplit": lambda: check_gamma_on_subsplit(
+        ON_SPLIT4, SPLIT6.full_subsplit(), ON_SPLIT4, 2),
+    "check_gamma_on_subsplit-over": lambda: check_gamma_on_subsplit(
+        ON_SPLIT4, SPLIT4.full_subsplit(), OTHER6, 2),
+    "ComponentCollection.initial": lambda: ComponentCollection.initial(
+        ON_SPLIT4, SPLIT6),
+    "ComponentCollection.derive-split": lambda: ComponentCollection.derive(
+        ON_SPLIT4, SPLIT6, 1, ON_SPLIT4),
+    "ComponentCollection.derive-anchors": lambda: ComponentCollection.derive(
+        ON_SPLIT4, SPLIT4, 1, OTHER6),
+    "base_sets": lambda: base_sets(
+        2, OTHER6, ComponentCollection.initial(ON_SPLIT4, SPLIT4), CFG4),
+    "process_r": lambda: process_r(ON_SPLIT4, SPLIT6, CFG4),
+    "SunflowerCertificate": lambda: SunflowerCertificate(
+        (Universe(4).set_of([0]), Universe(4).set_of([1])), SET6),
+}
+
+
+@pytest.mark.parametrize("call", UNIVERSE_MISMATCHES.values(),
+                         ids=UNIVERSE_MISMATCHES.keys())
+def test_universe_mismatches_raise_one_type(call):
+    # every check that two objects share a universe raises
+    # UniverseMismatchError, a ValueError (CLI exit code 5), naming it
+    with pytest.raises(UniverseMismatchError, match="universe"):
+        call()

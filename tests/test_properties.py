@@ -2,7 +2,7 @@
 
 The subset-map references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, the p_sets oracle and the unpruned sunflower
-oracle, none of which goes through the subset-bucket kernel; the
+oracle, none of which goes through the subset lookup builder; the
 size-grouped restriction counts of the spreadness checks are checked
 against that kernel's bucket sizes.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
@@ -44,9 +44,9 @@ from sunflower.errors import (BudgetExceededError, ContractViolationError,
                               TrialsExhaustedError)
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
-                                _subset_counts, family_from_json_obj,
-                                family_from_text, labels_mask, mask_labels,
-                                subset_buckets, subset_lookup)
+                                _subset_counts, _subset_lookup,
+                                family_from_json_obj, family_from_text,
+                                labels_mask, mask_labels)
 from sunflower.gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
                              exact_base)
 from sunflower.harness import generate_random_family
@@ -297,8 +297,8 @@ def test_subset_buckets_matches_restrictions(family):
     masks = family.masks()
     want = {s.bits: [u for u in masks if u & s.bits == s.bits]
             for s in family.shadow()}
-    assert subset_buckets(masks) == want
-    assert family.subset_map() == want
+    assert _subset_lookup(masks) == want
+    assert family.subset_lookup() == want
 
 
 @st.composite
@@ -329,7 +329,7 @@ def test_subset_counts_match_bucket_sizes(masks):
     for size, by_mask in counts.items():
         assert by_mask and all(s.bit_count() == size for s in by_mask)
     assert {s: c for by_mask in counts.values() for s, c in by_mask.items()} \
-        == {s: len(bucket) for s, bucket in subset_buckets(masks).items() if s}
+        == {s: len(bucket) for s, bucket in _subset_lookup(masks).items() if s}
     need = sum(1 << u.bit_count() for u in masks)
     assert _subset_counts(masks, budget=need) == counts
     if need:
@@ -355,14 +355,14 @@ def test_check_gamma_matches_brute_scan(family, b):
 @given(families(min_size=1), bases())
 @example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
 def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
-    # check_gamma reads the counts off the family's subset map when the
+    # check_gamma reads the counts off the family's subset lookup when the
     # family keeps one and counts afresh when it does not: both give the
     # brute verdict, witness and ratio, and over the budget both raise
     # with the same need and budget
     want = brute_max_ratio(family, [s for s in family.shadow() if s.bits], b)
     fresh = SetFamily(family.universe, family.masks(), m=family.m)
     kept = SetFamily(family.universe, family.masks(), m=family.m)
-    kept.subset_map()
+    kept.subset_lookup()
     need = sum(1 << u.bit_count() for u in family.masks())
     for fam in (fresh, kept):
         assert report_tuple(check_gamma(fam, b)) == want
@@ -782,7 +782,7 @@ def drain_matches_rescan(mprime, top, bases, collection, cfg):
     the big buckets, which leaves more buckets to shrink and be decided
     again."""
     comps = collection.components
-    lookup = subset_lookup([u for comp in comps.values() for u in comp])
+    lookup = _subset_lookup([u for comp in comps.values() for u in comp])
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
     thr, b = bs.Threshold(cfg), exact_base(cfg.b)
