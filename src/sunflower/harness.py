@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .errors import UniverseMismatchError
 from .families import SetFamily, Split, Universe, mask_labels
 from .rng import CounterRng
 
@@ -66,8 +67,12 @@ def generate_random_family(n: int, m: int, size: int, seed: int,
     if m < 0 or n < 1 or size < 0:
         raise ValueError("need n >= 1, m >= 0 and size >= 0")
     if on_split is not None:
-        if on_split.universe.n != n or on_split.m != m:
-            raise ValueError("split must have the stated universe and strip count")
+        if on_split.universe.n != n:
+            raise UniverseMismatchError(
+                f"split over universe {on_split.universe.n}, not {n}")
+        if on_split.m != m:
+            raise ValueError(
+                f"split has strip count {on_split.m}, not the stated {m}")
         space = on_split.strip_size ** m
     else:
         if m > n:

@@ -5,11 +5,13 @@ intersections all equal one common core.  Any two petals already fix
 the core (u & v = T), so detection starts from one pass over the member
 pairs: member i's row maps each trace masks[i] & masks[j], j > i, to the
 bitset of later members meeting it in exactly that trace.  Only a row
-that repeats a trace (any row when k = 2) ORs bits per trace and can
-start a search.  A depth-first search per core then narrows bitsets of
-linked candidates, which is complete, and its first certificate (core,
-then petals) follows the canonical member order.  ``shadow_budget`` caps
-the rows' entries, ``node_budget`` the partial sunflowers visited.
+that repeats a trace (any row when k = 2) can start a search, and only
+such a row pays for more than one bit per trace: for its repeats when
+they are fewer than half its links, else for its length.  A
+depth-first search per core then narrows bitsets of linked candidates,
+which is complete, and its first certificate (core, then petals)
+follows the canonical member order.  ``shadow_budget`` caps the rows'
+entries, ``node_budget`` the partial sunflowers visited.
 
 The extraction route needs no search at all: when the family is b-spread
 for b >= k * m, greedily picking a member and discarding everything it
@@ -78,11 +80,15 @@ def find_sunflower_exact(family: SetFamily, k: int,
     One pass over the member pairs i < j of ``family.masks()``, with
     |F|(|F|-1)/2 ANDs, builds rows[i]: it maps each trace c = masks[i] &
     masks[j] to the bitset of later members j linked to i, i.e. meeting
-    it in exactly c.  A comprehension keeps one bit per trace; only a row
-    where that drops a repeated trace is rebuilt by ORing bits per trace,
-    as is every row when k = 2 or when it outnumbers the 2**|masks[i]|
-    traces it can hold.  A row whose comprehension finds one trace, which
-    then links every later member, takes their bitset with no OR.  k
+    it in exactly c.  A comprehension keeps one bit per trace, the last;
+    a row where that drops links takes one of three paths.  Fewer than
+    half dropped: the later bits missing from its values are the dropped
+    members, each ORed into its trace, and only those traces are tested
+    for ``starts``.  One trace kept: it links every later member, whose
+    bitset the row takes with no OR.  Otherwise the row is rebuilt by
+    ORing bits per trace, as is every row when k = 2 or when it
+    outnumbers the 2**|masks[i]| traces it can hold.  A dropped link costs
+    about two steps of that OR loop, so the split falls at half.  k
     members form a sunflower with core c iff each is linked to every
     later one under c, and k - 1 >= 2 links under one key repeat a trace,
     so only rows with a repeat feed ``starts``: under each key, the
@@ -121,14 +127,25 @@ def find_sunflower_exact(family: SetFamily, k: int,
             if len(row) == len(later):
                 rows.append(row)
                 continue
-        if len(row) == 1:   # one trace, repeated: it links every later member
-            row = dict.fromkeys(row, ones >> i + 1 << i + 1)
+        if 2 * len(row) > len(later):
+            # fewer than half the links dropped: the later bits missing
+            # from the row's values (distinct bits, so sum is OR) are the
+            # dropped members, and only their traces can gain links
+            dropped = (ones >> i + 1 << i + 1) ^ sum(row.values())
+            grown = {}
+            while dropped:
+                low = dropped & -dropped
+                dropped ^= low
+                c = u & masks[low.bit_length() - 1]
+                row[c] = grown[c] = row[c] | low
+        elif len(row) == 1:   # one repeated trace links every later member
+            row = grown = dict.fromkeys(row, ones >> i + 1 << i + 1)
         else:
-            row = {}
+            row = grown = {}
             for v, bit in zip(later, tail):
                 c = u & v
                 row[c] = row.get(c, 0) | bit
-        for c, linked in row.items():
+        for c, linked in grown.items():
             if linked.bit_count() >= k - 1:
                 starts.setdefault(c, []).append(i)
         rows.append(row)

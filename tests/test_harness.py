@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from sunflower.errors import UniverseMismatchError
 from sunflower.families import SetFamily, Split, mask_labels
 from sunflower.harness import (
     _unrank_on_split,
@@ -157,6 +158,16 @@ def test_generate_random_family_validation():
         generate_random_family(8, 2, 2, seed=0, on_split=split)
     with pytest.raises(ValueError):
         generate_random_family(4, 2, 5, seed=0, on_split=Split.contiguous(4, 2))
+
+
+def test_generate_random_family_names_a_strip_count_mismatch():
+    # a split with the stated universe but another strip count is a plain
+    # ValueError naming the strip count, not a universe mismatch
+    split = Split.contiguous(6, 2)
+    with pytest.raises(ValueError, match="strip count 2, not the stated 3"
+                       ) as info:
+        generate_random_family(6, 3, 2, seed=0, on_split=split)
+    assert not isinstance(info.value, UniverseMismatchError)
 
 
 def test_report_families_are_valid_set_families():

@@ -20,6 +20,7 @@ from sunflower.errors import UniverseMismatchError
 from sunflower.extremal import ExtremalFamily
 from sunflower.families import SetFamily, Split, Subsplit, Universe
 from sunflower.gamma import GammaReport, check_gamma_on_subsplit
+from sunflower.harness import generate_random_family
 from sunflower.sunflowers import SunflowerCertificate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -303,6 +304,8 @@ UNIVERSE_MISMATCHES = {
     "base_sets": lambda: base_sets(
         2, OTHER6, ComponentCollection.initial(ON_SPLIT4, SPLIT4), CFG4),
     "process_r": lambda: process_r(ON_SPLIT4, SPLIT6, CFG4),
+    "generate_random_family": lambda: generate_random_family(
+        4, 2, 2, seed=0, on_split=SPLIT6),
     "SunflowerCertificate": lambda: SunflowerCertificate(
         (Universe(4).set_of([0]), Universe(4).set_of([1])), SET6),
 }

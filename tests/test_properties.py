@@ -466,6 +466,11 @@ def cored_families(draw):
 
 
 PRODUCT_3_6 = build_extremal(3, 6).family.masks()
+# the (3,3) product on labels 0-5 plus {2, 3, 4}: each row that repeats a
+# trace drops fewer than half of its links
+PRODUCT_3_3_PLUS = SetFamily(
+    Universe(6),
+    build_extremal(3, 3).family.masks() + (labels_mask([2, 3, 4]),), m=3)
 
 
 @SETTINGS
@@ -484,6 +489,15 @@ PRODUCT_3_6 = build_extremal(3, 6).family.masks()
 @example(SetFamily.of(7, [[0, x] for x in range(1, 7)]), 4)
 # k = 2 with no repeated trace
 @example(SetFamily.of(3, [[0, 1], [0, 2], [1, 2]]), 2)
+# one example per row path: fewer than half the links dropped; two stars
+# on cores sharing labels 2 and 3, whose rows drop most links or keep one
+# trace; a star, one trace; rows longer than 2**|u|; and k = 2
+@example(PRODUCT_3_3_PLUS, 3)
+@example(SetFamily.of(14, [[0, 1, 2, 3, x] for x in range(6, 10)]
+                      + [[2, 3, 4, 5, x] for x in range(10, 14)]), 3)
+@example(SetFamily.of(6, [[0, x] for x in range(1, 6)]), 3)
+@example(SetFamily.of(6, combinations(range(6), 3)), 3)
+@example(PRODUCT_3_3_PLUS, 2)
 def test_find_sunflower_exact_matches_backtracking(family, k):
     assert find_sunflower_exact(family, k) == find_sunflower_backtrack(family, k)
 

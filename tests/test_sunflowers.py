@@ -10,7 +10,8 @@ import pytest
 from sunflower import families, gamma, sunflowers
 from sunflower.errors import BudgetExceededError, GammaPreconditionError
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Universe, _canonical_key
+from sunflower.families import (SetFamily, Universe, _canonical_key,
+                                labels_mask)
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (
     SunflowerCertificate,
@@ -152,6 +153,38 @@ def test_find_sunflower_exact_repeated_trace_rows():
         assert verify_certificate(cert)
     assert cert.core.labels() == tuple(core)
     assert find_sunflower_exact(fam, 61) is None
+
+
+# One family per row path of the pair pass, with its k and the nodes N its
+# search visits up to the first certificate: the (3,3) product plus
+# {2, 3, 4}, whose repeat rows drop fewer than half of their links; two
+# stars on cores sharing labels 2 and 3, whose rows drop most links or
+# keep one trace; a star, whose first row keeps one trace; the 3-sets of
+# 6 labels, whose first rows outnumber the 8 submasks of their member;
+# and k = 2, where every row takes the OR loop.
+PRODUCT_3_3_PLUS = SetFamily(
+    Universe(6),
+    build_extremal(3, 3).family.masks() + (labels_mask([2, 3, 4]),), m=3)
+ROW_PATH_NODES = {
+    "few-dropped": (PRODUCT_3_3_PLUS, 3, 5),
+    "most-dropped": (SetFamily.of(14, [[0, 1, 2, 3, x] for x in range(6, 10)]
+                                  + [[2, 3, 4, 5, x] for x in range(10, 14)]),
+                     3, 7),
+    "one-trace": (SetFamily.of(6, [[0, x] for x in range(1, 6)]), 3, 3),
+    "long-rows": (all_m_subsets(6, 3), 3, 27),
+    "k2": (PRODUCT_3_3_PLUS, 2, 2),
+}
+
+
+@pytest.mark.parametrize("fam, k, nodes", ROW_PATH_NODES.values(),
+                         ids=ROW_PATH_NODES.keys())
+def test_find_sunflower_exact_node_count_per_row_path(fam, k, nodes):
+    # the row paths change how rows are built, not what the search visits
+    cert = find_sunflower_exact(fam, k, node_budget=nodes)
+    assert cert == find_sunflower_backtrack(fam, k)
+    with pytest.raises(BudgetExceededError) as info:
+        find_sunflower_exact(fam, k, node_budget=nodes - 1)
+    assert (info.value.needed, info.value.budget) == (nodes, nodes - 1)
 
 
 def test_find_sunflower_exact_leaves_no_table_behind():
