@@ -1,9 +1,11 @@
 """Base-set extraction engine and its recursive driver.
 
-The engine consumes a family of m-sets lying on an m-split, organized as a
-collection of components each indexed by a rank-m' subsplit, together with
-a family of anchor m'-sets ("bases") covering every member's projection.
-It scans ranks r = m' down to 0, repeatedly carving out elementary parts:
+The engine's one input is a :class:`ComponentCollection`: a family of
+m-sets lying on an m-split, organized as components each indexed by a
+rank-m' subsplit, with a family of anchor m'-sets ("bases") covering
+every member's projection and the subset lookup its buckets are read
+from.  It scans ranks r = m' down to 0, repeatedly carving out
+elementary parts:
 
   * at r = m', whole buckets F''[B] whose size meets the threshold f(m'),
     the groups of members sharing a projection onto the component;
@@ -13,8 +15,9 @@ It scans ranks r = m' down to 0, repeatedly carving out elementary parts:
 and returns at the first rank whose extracted union reaches a 3^(r-m'-1)
 fraction of the input.  The working family shrinks monotonically across
 ranks; per-rank accumulations reset.  The driver iterates the engine,
-feeding each output's parts (regrouped by the strips of their base sets)
-and base sets back in, until the rank repeats or hits zero.
+feeding each output back in as the collection regrouped by it (parts
+merged by the strips of their base sets, anchored on those base sets),
+until the rank repeats or hits zero.
 
 Every size floor, the threshold f(x) = k^-5 * eps^2m * (c^h * k * ln k)^-x
 * famSize for x = 0..m and the rank-0 floor eps^m * famSize, is turned
@@ -27,7 +30,7 @@ part members are tuples of int masks in canonical label order, the order
 :meth:`SetFamily.masks` stores; ``SetFamily(split.universe, part.T)``
 converts one.  SetFamily appears only at the engine's edges: its inputs
 and its output families.  The driver sorts its input by string key once;
-later member lists sort on each member's position in that order.
+later member lists are that order filtered by membership.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ContractViolationError, UniverseMismatchError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       _ordered_family, _Record, _setattr, _subset_lookup,
-                       mask_labels)
+                       _ordered_family, _Record, _setattr, mask_labels)
 from .gamma import (_carried_counts, _max_violator_masks, _tally_traces,
                     check_gamma, check_gamma_on_subsplit, exact_base)
 
@@ -230,12 +232,10 @@ def _check_rank(rank: int, m: int) -> None:
 
 def _canonical_components(split: Split,
                           components: dict[tuple[int, ...], Iterable[int]],
-                          order: Callable[[int], object] = _canonical_key,
                           ) -> tuple[int, dict[tuple[int, ...], tuple[int, ...]]]:
     """The common rank of ``components`` and the components in key order,
-    each a tuple of member masks in canonical order (sort key ``order``);
-    raises ValueError on mixed or out-of-range ranks, bad keys and empty
-    components."""
+    each a tuple of member masks in canonical order; raises ValueError on
+    mixed or out-of-range ranks, bad keys and empty components."""
     ranks = {len(k) for k in components}
     if not components or len(ranks) != 1:
         raise ValueError("components must share one positive rank")
@@ -246,96 +246,125 @@ def _canonical_components(split: Split,
         if len(set(key)) != len(key) or list(key) != sorted(key) \
                 or not all(0 <= i < split.m for i in key):
             raise ValueError(f"bad component key {key}")
-        masks = tuple(sorted(components[key], key=order))
+        masks = tuple(sorted(components[key], key=_canonical_key))
         if not masks:
             raise ValueError(f"component {key} is empty")
         canonical[key] = masks
     return rank, canonical
 
 
+def _check_on_split(sub: Subsplit, rank: int, masks: Iterable[int]) -> None:
+    """Raise ValueError naming the first mask that is not an on-split
+    ``rank``-set: ``rank`` labels on ``sub``, at most one per strip."""
+    for u in masks:
+        if u.bit_count() != rank or not sub.carries_mask(u):
+            raise ValueError(f"{_mask_repr(u)} is not an on-split {rank}-set")
+
+
 class ComponentCollection:
-    """A family partitioned into components indexed by rank-r subsplits.
+    """The engine's whole input: a family partitioned into components
+    indexed by rank-r subsplits, with its anchor bases.
 
     Each component is a tuple of member masks in canonical label order.
-    Members are full one-per-strip m-sets; the key records which strips
-    anchor the component.  Components are pairwise disjoint and nonempty.
-    Anchor containment (every member's projection onto its key strips
-    belongs to the declared base family) is checked by the engine, which
-    knows the bases.
+    Members are distinct on-split m-sets; the key records which strips
+    anchor the component.  ``bases`` is a family of on-split r-sets in
+    the members' shadow that holds every member's projection onto its
+    key strips.  The constructors that take outside input (``__init__``,
+    :meth:`initial` and :meth:`derive`) check all of this; :meth:`regroup`
+    builds the next collection from an engine output, which the engine's
+    postconditions have checked.  ``_family`` holds every member and
+    keeps the subset lookup the engine reads its buckets from: the
+    members themselves, or, after :meth:`regroup`, the family they were
+    drawn from, so a whole :func:`process_r` run builds one lookup.
     """
 
-    __slots__ = ("split", "rank", "components")
+    __slots__ = ("split", "rank", "components", "bases", "_family")
 
     def __init__(self, split: Split,
-                 components: dict[tuple[int, ...], Iterable[int]]):
+                 components: dict[tuple[int, ...], Iterable[int]],
+                 bases: SetFamily):
         rank, canonical = _canonical_components(split, components)
-        full = split.full_subsplit()
+        if bases.universe.n != split.universe.n:
+            raise UniverseMismatchError("bases over a different universe")
         n = split.universe.n
-        seen: set[int] = set()
-        for masks in canonical.values():
-            for u in masks:
-                if u >> n:  # also every negative mask
-                    raise ValueError(f"member mask {u} has bits outside "
-                                     f"the universe of size {n}")
-                if u.bit_count() != split.m or not full.carries_mask(u):
-                    raise ValueError(f"member {mask_labels(u)} is not a "
-                                     f"one-per-strip {split.m}-set")
-                if u in seen:
-                    raise ValueError(f"member {mask_labels(u)} appears twice")
-                seen.add(u)
-        self.split = split
-        self.rank = rank
-        self.components = canonical
+        members = [u for masks in canonical.values() for u in masks]
+        for u in members:
+            if u >> n:  # also every negative mask
+                raise ValueError(f"member mask {u} has bits outside "
+                                 f"the universe of size {n}")
+        full = split.full_subsplit()
+        _check_on_split(full, split.m, members)
+        _check_on_split(full, rank, bases.masks())
+        # the family rejects a member listed twice
+        family = SetFamily(split.universe, members, m=split.m)
+        shadow = family.subset_lookup()
+        for u in bases.masks():
+            if u not in shadow:
+                raise ValueError(
+                    f"base {_mask_repr(u)} is not in the family's shadow")
+        base_masks = set(bases.masks())
+        for key, comp in canonical.items():
+            union = split.subsplit(key).union_mask
+            for u in comp:
+                if u & union not in base_masks:
+                    raise ValueError(
+                        f"member projection {mask_labels(u & union)} of "
+                        f"component {key} is not an anchor base")
+        self.split, self.rank, self.components = split, rank, canonical
+        self.bases, self._family = bases, family
 
     def subsplit(self, key: tuple[int, ...]) -> Subsplit:
         return self.split.subsplit(key)
 
     @classmethod
-    def initial(cls, family: SetFamily, split: Split) -> "ComponentCollection":
-        """The trivial collection: one full-rank component holding everything."""
-        if family.universe.n != split.universe.n:
-            raise UniverseMismatchError("family over a different universe")
-        return cls(split, {tuple(range(split.m)): family.masks()})
-
-    @classmethod
-    def regroup(cls, parts: Iterable[ElementaryPart], rank: int,
-                split: Split) -> "ComponentCollection":
-        """Collection for the next engine call: parts merged by the strips
-        their base sets occupy.  Only ranks and keys are checked: the
-        parts' members were checked when they entered the engine, and
-        its postconditions keep parts disjoint."""
-        return cls._regroup(parts, rank, split, _canonical_key)
-
-    @classmethod
-    def _regroup(cls, parts: Iterable[ElementaryPart], rank: int,
-                 split: Split, order: Callable[[int], object],
-                 ) -> "ComponentCollection":
-        """:meth:`regroup` with sort key ``order``."""
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        for part in parts:
-            if part.r != rank:
-                raise ValueError(
-                    f"part base {_mask_repr(part.B)} has rank {part.r}, "
-                    f"expected {rank}")
-            grouped.setdefault(part.base_strips(split), []).extend(part.T)
-        return cls._unchecked(split,
-                              *_canonical_components(split, grouped, order))
-
-    @classmethod
     def _unchecked(cls, split: Split, rank: int,
                    components: dict[tuple[int, ...], tuple[int, ...]],
+                   bases: SetFamily, family: SetFamily,
                    ) -> "ComponentCollection":
-        """A collection over components already keyed, ordered and checked
-        by the caller: nothing is validated or sorted."""
+        """A collection over inputs the caller has checked, with its
+        components keyed and ordered: nothing is validated or sorted."""
         coll = cls.__new__(cls)
         coll.split, coll.rank, coll.components = split, rank, components
+        coll.bases, coll._family = bases, family
         return coll
+
+    @classmethod
+    def initial(cls, family: SetFamily, split: Split) -> "ComponentCollection":
+        """The trivial collection: one full-rank component holding the
+        whole family, which anchors itself.  Each member is checked once,
+        as an on-split m-set; it is then its own projection and in the
+        shadow, and the family's masks are distinct, in the universe and
+        canonical already."""
+        if family.universe.n != split.universe.n:
+            raise UniverseMismatchError("family over a different universe")
+        key, masks = tuple(range(split.m)), family.masks()
+        if not masks:
+            raise ValueError(f"component {key} is empty")
+        _check_on_split(split.full_subsplit(), split.m, masks)
+        return cls._unchecked(split, split.m, {key: masks}, family, family)
+
+    def regroup(self, output: "BaseSetsOutput") -> "ComponentCollection":
+        """The collection for the next engine call: the parts of
+        ``output``, which :func:`base_sets` returned on this collection,
+        merged by the strips their base sets occupy and anchored on its
+        base sets, over the same family.  Nothing is checked, as the
+        engine's postconditions have been, and nothing is sorted: each
+        component is the family's canonical order filtered by membership."""
+        split, masks = self.split, self._family.masks()
+        grouped: dict[tuple[int, ...], set[int]] = {}
+        for part in output.parts:
+            grouped.setdefault(part.base_strips(split), set()).update(part.T)
+        components = {key: tuple(filter(grouped[key].__contains__, masks))
+                      for key in sorted(grouped)}
+        return self._unchecked(split, output.r, components,
+                               output.base_sets, self._family)
 
     @classmethod
     def derive(cls, family: SetFamily, split: Split, rank: int,
                anchors: SetFamily) -> tuple["ComponentCollection", SetFamily]:
         """Assign each member to the lexicographically first rank-sized
-        strip selection whose projection of the member is an anchor.
+        strip selection whose projection of the member is an anchor; the
+        anchors are the collection's bases.
 
         Returns the collection and the subfamily of members no selection
         accepts (skipped members are not an error at this level).
@@ -359,7 +388,7 @@ class ComponentCollection:
                 skipped.append(u)
         if not grouped:
             raise ValueError("no member projects into the anchor family")
-        return (cls(split, grouped),
+        return (cls(split, grouped, anchors),
                 SetFamily(family.universe, skipped, m=family.m))
 
 
@@ -502,83 +531,38 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
         yield bm, t
 
 
-def base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
-              cfg: Constants, p_label: int = 1) -> BaseSetsOutput:
-    """Run the extraction scan over ranks m' down to 0 and return at the
-    first rank whose extracted union reaches 3^(r - m' - 1) of the input.
+def base_sets(collection: ComponentCollection, cfg: Constants,
+              p_label: int = 1) -> BaseSetsOutput:
+    """Run the extraction scan over ranks m' (the collection's rank) down
+    to 0 and return at the first rank whose extracted union reaches
+    3^(r - m' - 1) of the input.
 
     The working family persists across ranks (extractions at a failed rank
     stay removed); the accumulated union and base list reset per rank.
     At r = m' each component's projection groups reaching need[m'] are
     taken (:func:`_full_rank_pass`); below, the components are drained
-    in key order (:func:`_extractions`) on buckets read off one subset
-    lookup over all members: the bases' kept one when the family anchors
-    itself, else one :func:`families._subset_lookup` builds.  Each (base, component) pair is extracted at
-    most once per call.  Raises
-    ContractViolationError with the full extraction trace when no rank
-    reaches its bound.
+    in key order (:func:`_extractions`) on buckets read off the subset
+    lookup that the collection's family keeps, built on its first read.
+    Each (base, component) pair is extracted at most once per call.
+    Raises ContractViolationError with the full extraction trace when no
+    rank reaches its bound.
 
-    The input is checked first: ranks, strip count and universe, every
-    base an on-split m'-set in some component's shadow, and every
-    member's projection onto its component's strips a base (ValueError).
+    The collection's constructors have checked its members and bases;
+    this checks the strip count against cfg.m, that famSize is set and
+    the 3^(-2m) * famSize floor (ValueError).
     """
     split = collection.split
-    _check_rank(mprime, cfg.m)
-    if mprime != collection.rank:
-        raise ValueError(f"rank {mprime} does not match the collection's "
-                         f"rank {collection.rank}")
     if split.m != cfg.m:
         raise ValueError("split strip count must equal the configured m")
-    if bases.universe.n != split.universe.n:
-        raise UniverseMismatchError("bases over a different universe")
     cfg._need_fam_size()
-    components = collection.components
-    # the family anchoring itself (the first step of process_r, or
-    # basesets at m' = m): the one component holds exactly the bases, so
-    # every base is a member and every member its own projection, and
-    # the bases' kept subset lookup serves the component
-    self_anchored = list(components.values()) == [bases.masks()]
-    if self_anchored:
-        lookup = bases.subset_lookup()
-    else:
-        lookup = _subset_lookup([u for comp in components.values()
-                                 for u in comp])
-    full = split.full_subsplit()
-    for u in bases.masks():
-        if u.bit_count() != mprime or not full.carries_mask(u):
-            raise ValueError(
-                f"base {_mask_repr(u)} is not an on-split {mprime}-set")
-        if not self_anchored and u not in lookup:
-            raise ValueError(
-                f"base {_mask_repr(u)} is not in the family's shadow")
-    if not self_anchored:
-        base_mask_set = set(bases.masks())
-        for key, comp in components.items():
-            union = collection.subsplit(key).union_mask
-            for u in comp:
-                proj = u & union
-                if proj not in base_mask_set:
-                    raise ValueError(
-                        f"member projection {mask_labels(proj)} of "
-                        f"component {key} is not an anchor base")
-    return _base_sets(mprime, bases, collection, cfg, p_label, lookup)
-
-
-def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
-               cfg: Constants, p_label: int, lookup) -> BaseSetsOutput:
-    """:func:`base_sets` on an input it trusts, checking only the
-    3^(-2m) * famSize floor: the driver's steps after the first, whose
-    bases and components the previous call's :func:`_finish` and
-    :meth:`ComponentCollection.regroup` built; ``lookup`` is a subset
-    lookup (:func:`families._subset_lookup`, or a family's kept
-    :meth:`SetFamily.subset_lookup`) over at least their members."""
-    components = collection.components
+    mprime, components = collection.rank, collection.components
     size = sum(len(comp) for comp in components.values())
     if size * 3 ** (2 * cfg.m) < cfg.fam_size:
         raise ValueError(
             f"input family of size {size} is below the "
             f"3^(-2m) * famSize floor")
 
+    lookup = collection._family.subset_lookup()
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
     work = {key: set(comp) for key, comp in components.items()}
@@ -594,7 +578,7 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                 found = _full_rank_pass(components[key], sub.union_mask,
                                         live, thr.need[mprime])
             else:
-                found = _extractions(r, live, lookup, sub, bases,
+                found = _extractions(r, live, lookup, sub, collection.bases,
                                      thr.eps_need if r == 0 else 1, b)
             for bm, t_masks in found:
                 part = ElementaryPart(bm, key, tuple(t_masks), variant)
@@ -605,17 +589,15 @@ def _base_sets(mprime: int, bases: SetFamily, collection: ComponentCollection,
                               "sizeT": len(t_masks),
                               "cumulative": cumulative})
         if cumulative * 3 ** (mprime - r + 1) >= size:
-            return _finish(r, mprime, round_parts, trace, collection, bases,
-                           cfg, thr, b)
+            return _finish(r, round_parts, trace, collection, cfg, thr, b)
     raise ContractViolationError(
         "no rank produced the guaranteed retained fraction; the constants "
         "are outside the supported regime or the engine has a bug",
         trace=trace)
 
 
-def _finish(r: int, mprime: int, parts: list[ElementaryPart],
-            trace: list[dict], collection: ComponentCollection,
-            bases: SetFamily, cfg: Constants, thr: Threshold,
+def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
+            collection: ComponentCollection, cfg: Constants, thr: Threshold,
             b: Fraction) -> BaseSetsOutput:
     """Assemble the output and check the engine's postconditions; a
     failed one raises ContractViolationError carrying the trace."""
@@ -634,6 +616,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
     by_key: dict[tuple[int, ...], list[int]] = {}
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
+    mprime = collection.rank
     if r < mprime:
         # the full-rank pass took every group reaching need[m'], so the
         # parts' members, all left after it, form only smaller ones
@@ -648,7 +631,7 @@ def _finish(r: int, mprime: int, parts: list[ElementaryPart],
                     "rank-0 component below the epsilon floor")
             comp = SetFamily(uni, masks, m=cfg.m)
             report = check_gamma_on_subsplit(comp, collection.subsplit(key),
-                                             bases, b)
+                                             collection.bases, b)
             require(report.holds,
                     "rank-0 component fails the spreadness condition")
     return BaseSetsOutput(r, base_family, tuple(parts), tuple(trace))
@@ -681,9 +664,11 @@ class ProcessRResult(_Record):
 def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult:
     """Iterate the engine from rank m with the family anchoring itself.
 
-    Stops when the output rank repeats the input rank (terminal index p)
-    or hits zero (terminal index p+1); non-terminal steps strictly
-    decrease the rank, so at most m+1 calls run.  Errors from the engine
+    Step 1 runs on :meth:`ComponentCollection.initial`, each later step on
+    the previous step's collection regrouped by its output.  Stops when
+    the output rank repeats the input rank (terminal index p) or hits
+    zero (terminal index p+1); non-terminal steps strictly decrease the
+    rank, so at most m+1 calls run.  Errors from the first collection on
     propagate with the completed steps attached as ``partial_steps``.
     """
     if split.universe.n != family.universe.n:
@@ -697,51 +682,33 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
 
     steps: list[ProcessStep] = []
     trace: list[dict] = []
-    bases = family
-    masks = family.masks()
-    # later member lists are sublists of masks: they sort on position
-    position = {u: i for i, u in enumerate(masks)}.__getitem__
-    # ComponentCollection.initial without its member checks and sort: the
-    # masks are distinct, in the universe and canonical, and the first
-    # base_sets call checks each as an on-split m-set base
-    collection = ComponentCollection._unchecked(
-        split, split.m, {tuple(range(split.m)): masks})
-    r_p = cfg.m
-    p = 1
-    while True:
-        try:
-            # step 1 checks every member as an on-split m-set base; later
-            # steps run on the previous step's own output, the family's
-            # members, whose kept subset lookup step 1 built
-            out = (base_sets(r_p, bases, collection, cfg, p) if p == 1 else
-                   _base_sets(r_p, bases, collection, cfg, p,
-                              family.subset_lookup()))
-        except (ContractViolationError, ValueError) as exc:
-            exc.partial_steps = tuple(steps)
-            raise
-        steps.append(ProcessStep(p, r_p, out))
-        trace.extend(out.trace)
-        r_next = out.r
-        if r_next == r_p or r_next == 0:
-            p_hat = p if r_next == r_p else p + 1
-            family_hat = _ordered_family(split.universe, tuple(sorted(
-                (u for part in out.parts for u in part.T), key=position)))
-            _setattr(out, "_family", family_hat)
-            return ProcessRResult(tuple(steps), p_hat, r_next,
-                                  out.base_sets, family_hat, out.parts,
-                                  tuple(trace))
-        if not 0 < r_next < r_p:
-            raise ContractViolationError("rank must strictly decrease",
-                                         trace=trace)
-        if p > cfg.m + 2:
-            raise ContractViolationError(
-                "driver exceeded the rank-descent iteration bound",
-                trace=trace)
-        bases = out.base_sets
-        collection = ComponentCollection._regroup(out.parts, r_next, split,
-                                                  position)
-        r_p = r_next
-        p += 1
+    try:
+        collection = ComponentCollection.initial(family, split)
+        while True:
+            p = len(steps) + 1
+            out = base_sets(collection, cfg, p)
+            steps.append(ProcessStep(p, collection.rank, out))
+            trace.extend(out.trace)
+            if out.r == collection.rank or out.r == 0:
+                break
+            if not 0 < out.r < collection.rank:
+                raise ContractViolationError("rank must strictly decrease",
+                                             trace=trace)
+            if p > cfg.m + 2:
+                raise ContractViolationError(
+                    "driver exceeded the rank-descent iteration bound",
+                    trace=trace)
+            collection = collection.regroup(out)
+    except (ContractViolationError, ValueError) as exc:
+        exc.partial_steps = tuple(steps)
+        raise
+    p_hat = p if out.r == collection.rank else p + 1
+    taken = set().union(*(part.T for part in out.parts))
+    family_hat = _ordered_family(split.universe, tuple(
+        filter(taken.__contains__, family.masks())))
+    _setattr(out, "_family", family_hat)
+    return ProcessRResult(tuple(steps), p_hat, out.r, out.base_sets,
+                          family_hat, out.parts, tuple(trace))
 
 
 def _check_audit_regime(cfg: Constants) -> None:

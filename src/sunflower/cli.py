@@ -276,22 +276,19 @@ def _cmd_basesets(args) -> tuple[int, dict, dict]:
     from . import basesets as bs
     family, cfg, split = _engine_inputs(args)
     if args.g_family:
-        bases = _read_family(args.g_family)
         collection, skipped = bs.ComponentCollection.derive(
-            family, split, args.mprime, bases)
+            family, split, args.mprime, _read_family(args.g_family))
         if len(skipped):
             print(f"warning: {len(skipped)} members match no anchor "
                   "and were dropped", file=sys.stderr)
     elif args.mprime == cfg.m:
-        bases = family
         collection = bs.ComponentCollection.initial(family, split)
     else:
         bs._check_rank(args.mprime, cfg.m)
         raise ValueError("--g-family is required when --mprime is below m")
     inputs = {"mprime": args.mprime, "constants": cfg.to_json_obj(),
               "familySize": len(family)}
-    out = _traced(args.trace, bs.base_sets, args.mprime, bases, collection,
-                  cfg)
+    out = _traced(args.trace, bs.base_sets, collection, cfg)
     return EXIT_OK, inputs, {"r": out.r,
                              "baseSets": out.base_sets.to_json_obj(),
                              "family": out.family.to_json_obj(),

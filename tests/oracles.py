@@ -262,17 +262,18 @@ def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
                   key=mask_labels)
 
 
-def extractions_by_rescan(r: int, mprime: int,
-                          work: dict[tuple[int, ...], set[int]],
-                          collection: ComponentCollection, bases: SetFamily,
+def extractions_by_rescan(r: int, work: dict[tuple[int, ...], set[int]],
+                          collection: ComponentCollection,
                           cfg: Constants) -> list[tuple]:
-    """The extractions of one engine rank r, as (key, base mask, member
-    masks, variant) in the order taken, by a restart scan: each scan
-    decides every (component, base) pair not yet extracted, components by
-    key and candidate bases by label, and takes the first that qualifies.
-    A bucket is the component's live members containing the base, read
-    off ``work`` (live members per key), which is updated in place."""
+    """The extractions of one engine rank r on the collection, as (key,
+    base mask, member masks, variant) in the order taken, by a restart
+    scan: each scan decides every (component, base) pair not yet
+    extracted, components by key and candidate bases by label, and takes
+    the first that qualifies.  A bucket is the component's live members
+    containing the base, read off ``work`` (live members per key), which
+    is updated in place."""
     b = exact_base(cfg.b)
+    mprime, bases = collection.rank, collection.bases
     extracted: set[tuple[tuple[int, ...], int]] = set()
     found = []
 
@@ -301,8 +302,9 @@ def extractions_by_rescan(r: int, mprime: int,
 
 
 def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
-                       bases: SetFamily, cfg: Constants) -> bool:
-    """Exact check that a candidate part satisfies its variant's conditions.
+                       cfg: Constants) -> bool:
+    """Exact check that a candidate part satisfies its variant's conditions
+    over the collection's bases.
 
     Variant "i" (rank below the collection's): base in the bases' shadow,
     members all containing the base, spreadness with base b = c*k on the
@@ -324,7 +326,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
     if not part.T:
         return False
     r = part.r
-    mprime = collection.rank
+    mprime, bases = collection.rank, collection.bases
     if b_bits not in bases.subset_lookup():
         return False
     if part.variant == "i":

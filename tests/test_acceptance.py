@@ -273,7 +273,7 @@ def test_engine_output_contract():
     for label, fam, split, cfg in engine_corpus():
         collection = bs.ComponentCollection.initial(fam, split)
         try:
-            out = bs.base_sets(cfg.m, fam, collection, cfg)
+            out = bs.base_sets(collection, cfg)
         except bs.ContractViolationError as exc:
             problems.append(f"{label}: engine gave up ({exc})")
             continue

@@ -13,7 +13,6 @@ from sunflower.basesets import (
     Constants,
     ElementaryPart,
     Threshold,
-    _base_sets,
     _extractions,
     _full_rank_pass,
     audit_terminal_bases,
@@ -22,7 +21,7 @@ from sunflower.basesets import (
     canonical_constants,
     process_r,
 )
-from sunflower.errors import ContractViolationError
+from sunflower.errors import ContractViolationError, UniverseMismatchError
 from sunflower.families import (SetFamily, Split, Subsplit, Universe,
                                 _canonical_key, _subset_lookup, labels_mask,
                                 mask_labels)
@@ -191,48 +190,52 @@ def test_component_collection_initial():
     assert list(coll.components) == [(0, 1)]
     assert coll.components[(0, 1)] == GRID16.masks()
     assert coll.subsplit((0, 1)).rank == 2
+    assert coll.bases is GRID16   # the family anchors itself
     # members listed in any order are kept in canonical label order
-    reversed_coll = ComponentCollection(SPLIT8, {(0, 1): GRID16.masks()[::-1]})
+    reversed_coll = ComponentCollection(SPLIT8, {(0, 1): GRID16.masks()[::-1]},
+                                        GRID16)
     assert reversed_coll.components[(0, 1)] == GRID16.masks()
 
 
 def test_component_collection_validation():
     first, second = GRID16.masks()[:2]
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {})
+        ComponentCollection(SPLIT8, {}, GRID16)
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {(1, 0): GRID16.masks()})  # unsorted key
+        # unsorted key
+        ComponentCollection(SPLIT8, {(1, 0): GRID16.masks()}, GRID16)
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {(0, 1): ()})
+        ComponentCollection(SPLIT8, {(0, 1): ()}, GRID16)
     with pytest.raises(ValueError):
         # {0, 1} is not one-per-strip
-        ComponentCollection(SPLIT8, {(0, 1): (0b11,)})
+        ComponentCollection(SPLIT8, {(0, 1): (0b11,)}, GRID16)
     with pytest.raises(ValueError):
         # {0} misses strip 1
-        ComponentCollection(SPLIT8, {(0, 1): (0b1,)})
-    with pytest.raises(ValueError, match="not a one-per-strip 2-set"):
+        ComponentCollection(SPLIT8, {(0, 1): (0b1,)}, GRID16)
+    with pytest.raises(ValueError, match="not an on-split 2-set"):
         # initial keeps every check
         ComponentCollection.initial(SetFamily.of(8, [[0, 4], [0, 1]]), SPLIT8)
     with pytest.raises(ValueError):
         # the same member in two components
-        ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)})
+        ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)}, GRID16)
     with pytest.raises(ValueError):
         # the same member twice in one component
-        ComponentCollection(SPLIT8, {(0, 1): (first, first)})
+        ComponentCollection(SPLIT8, {(0, 1): (first, first)}, GRID16)
     with pytest.raises(ValueError):
         # mixed ranks
-        ComponentCollection(SPLIT8, {(0,): (first,), (0, 1): (second,)})
+        ComponentCollection(SPLIT8, {(0,): (first,), (0, 1): (second,)},
+                            GRID16)
 
 
 def test_component_collection_rejects_labels_outside_universe():
     # {0, 4, 8}: label 8 lies outside the 8-label universe, even though
     # {0, 4} alone is a one-per-strip member
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (1 | 1 << 4 | 1 << 8,)})
+        ComponentCollection(SPLIT8, {(0, 1): (1 | 1 << 4 | 1 << 8,)}, GRID16)
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (1 << 2 | 1 << 9,)})
+        ComponentCollection(SPLIT8, {(0, 1): (1 << 2 | 1 << 9,)}, GRID16)
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (-1,)})
+        ComponentCollection(SPLIT8, {(0, 1): (-1,)}, GRID16)
     with pytest.raises(ValueError):
         ComponentCollection.initial(SetFamily.of(16, [[0, 8]]), SPLIT8)
 
@@ -261,40 +264,43 @@ def test_component_collection_derive_rejects_rank_out_of_range():
 
 
 def test_component_collection_regroup():
-    parts = [
+    parts = (
         ElementaryPart(labels_mask([1]), (0, 1), masks8([1, 4]), "i"),
         ElementaryPart(labels_mask([0]), (0, 1), masks8([0, 4], [0, 5]), "i"),
         ElementaryPart(labels_mask([4]), (0, 1), masks8([2, 4]), "i"),
-    ]
-    coll = ComponentCollection.regroup(parts, 1, SPLIT8)
-    assert set(coll.components) == {(0,), (1,)}
-    # merged across parts, then put back in canonical label order
-    assert [mask_labels(u) for u in coll.components[(0,)]] == [
+    )
+    bases = SetFamily.of(8, [[0], [1], [4]], m=1)
+    coll = ComponentCollection.initial(GRID16, SPLIT8)
+    regrouped = coll.regroup(BaseSetsOutput(1, bases, parts, ()))
+    assert regrouped.rank == 1 and regrouped.bases is bases
+    assert set(regrouped.components) == {(0,), (1,)}
+    # merged across parts, in the family's canonical label order
+    assert [mask_labels(u) for u in regrouped.components[(0,)]] == [
         (0, 4), (0, 5), (1, 4)]
-    assert [mask_labels(u) for u in coll.components[(1,)]] == [(2, 4)]
-    with pytest.raises(ValueError):
-        ComponentCollection.regroup(parts, 2, SPLIT8)
+    assert [mask_labels(u) for u in regrouped.components[(1,)]] == [(2, 4)]
+    # the regrouped collection reads the same family's subset lookup
+    assert regrouped._family is coll._family is GRID16
 
 
 def test_is_elementary_part_variant_i():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     whole = ElementaryPart(0, (0, 1), GRID16.masks(), "i")
-    assert is_elementary_part(whole, coll, GRID16, GRID16_CFG) is True
+    assert is_elementary_part(whole, coll, GRID16_CFG) is True
     # a bucket concentrated on one element is not spread off its base
     lump = ElementaryPart(0, (0, 1),
                           masks8([0, 4], [0, 5], [0, 6], [0, 7]), "i")
-    assert is_elementary_part(lump, coll, GRID16, GRID16_CFG) is False
+    assert is_elementary_part(lump, coll, GRID16_CFG) is False
     # spread but below the rank-0 epsilon floor for a larger famSize
     strict = Constants(0.9, 1.1, 1.2, 2, 2, 64)
-    assert is_elementary_part(whole, coll, GRID16, strict) is False
+    assert is_elementary_part(whole, coll, strict) is False
     # members must all contain the base
     offbase = ElementaryPart(labels_mask([0]), (0, 1),
                              masks8([0, 4], [1, 5]), "i")
-    assert is_elementary_part(offbase, coll, GRID16, GRID16_CFG) is False
+    assert is_elementary_part(offbase, coll, GRID16_CFG) is False
     # rank must sit below the collection's
     full_rank = ElementaryPart(labels_mask([0, 4]), (0, 1),
                                masks8([0, 4]), "i")
-    assert is_elementary_part(full_rank, coll, GRID16, GRID16_CFG) is False
+    assert is_elementary_part(full_rank, coll, GRID16_CFG) is False
 
 
 def test_is_elementary_part_variant_ii():
@@ -302,19 +308,19 @@ def test_is_elementary_part_variant_ii():
     # at full rank the bucket floor is trivially satisfied when m' = m
     part = ElementaryPart(labels_mask([0, 4]), (0, 1),
                           masks8([0, 4]), "ii")
-    assert is_elementary_part(part, coll, GRID16, GRID16_CFG) is True
+    assert is_elementary_part(part, coll, GRID16_CFG) is True
     short = ElementaryPart(labels_mask([0]), (0, 1),
                            masks8([0, 4]), "ii")
-    assert is_elementary_part(short, coll, GRID16, GRID16_CFG) is False
+    assert is_elementary_part(short, coll, GRID16_CFG) is False
     # below full ambient rank the f(m') floor bites
     sub_coll, _ = ComponentCollection.derive(
         PLANTED, SPLIT8, 1, SetFamily.of(8, [[0]]))
     big = ElementaryPart(labels_mask([0]), (0,), PLANTED.masks(), "ii")
-    assert is_elementary_part(big, sub_coll, PLANTED, PLANTED_CFG) is True
+    assert is_elementary_part(big, sub_coll, PLANTED_CFG) is True
     small = ElementaryPart(labels_mask([0]), (0,),
                            masks8([0, 4], [0, 5]), "ii")
     # bucket of 2 misses f(1) = 2.9457...
-    assert is_elementary_part(small, sub_coll, PLANTED, PLANTED_CFG) is False
+    assert is_elementary_part(small, sub_coll, PLANTED_CFG) is False
 
 
 def test_is_elementary_part_structural_errors():
@@ -322,33 +328,33 @@ def test_is_elementary_part_structural_errors():
     with pytest.raises(ValueError):
         is_elementary_part(
             ElementaryPart(0, (0,), GRID16.masks(), "i"),
-            coll, GRID16, GRID16_CFG)  # unknown key
+            coll, GRID16_CFG)  # unknown key
     with pytest.raises(ValueError):
         is_elementary_part(
             ElementaryPart(labels_mask([0, 1]), (0, 1),
                            masks8([0, 4]), "ii"),
-            coll, GRID16, GRID16_CFG)  # base off the subsplit
+            coll, GRID16_CFG)  # base off the subsplit
     # part members outside the keyed component
     alien = ElementaryPart(0, (0, 1),
                            masks8([2, 5], [3, 4], [0, 6], [1, 7], [2, 7]),
                            "i")
     tiny_coll = ComponentCollection(SPLIT8, {
-        (0, 1): masks8([2, 5], [3, 4])})
+        (0, 1): masks8([2, 5], [3, 4])}, SetFamily.of(8, [[2, 5], [3, 4]]))
     with pytest.raises(ValueError):
-        is_elementary_part(alien, tiny_coll, GRID16, GRID16_CFG)
+        is_elementary_part(alien, tiny_coll, GRID16_CFG)
     with pytest.raises(ValueError):
         is_elementary_part(
             ElementaryPart(labels_mask([0, 4]), (0, 1),
                            masks8([0, 4]), "iii"),
-            coll, GRID16, GRID16_CFG)
+            coll, GRID16_CFG)
     # empty member list is a condition failure, not a structural one
     empty = ElementaryPart(0, (0, 1), (), "i")
-    assert is_elementary_part(empty, coll, GRID16, GRID16_CFG) is False
+    assert is_elementary_part(empty, coll, GRID16_CFG) is False
 
 
 def test_base_sets_flagship_first_call():
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
-    out = base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG)
+    out = base_sets(coll, FLAGSHIP_CFG)
     # singleton buckets miss f(2) = 1.0179..., so the rank falls once and
     # the eight strip-0 anchors drain the whole product
     assert out.r == 1
@@ -373,7 +379,7 @@ def test_base_sets_output_builds_its_family_on_first_use():
     # kept; building it changes neither equality nor repr (the trace rows
     # are dicts, so an output was never hashable)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
-    out, again = (base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG) for _ in "ab")
+    out, again = (base_sets(coll, FLAGSHIP_CFG) for _ in "ab")
     assert out._family is None and out == again
     text = repr(out)
     assert out.family is out.family
@@ -399,13 +405,13 @@ def test_base_sets_postcondition_raises_with_trace(monkeypatch):
     monkeypatch.setattr(basesets, "_finish", finish)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
     with pytest.raises(ContractViolationError, match="threshold") as info:
-        base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG)
+        base_sets(coll, FLAGSHIP_CFG)
     assert len(info.value.trace) == 8
 
 
 def test_base_sets_immediate_threshold():
     coll = ComponentCollection.initial(IMMEDIATE, Split.contiguous(4, 2))
-    out = base_sets(2, IMMEDIATE, coll, IMMEDIATE_CFG)
+    out = base_sets(coll, IMMEDIATE_CFG)
     assert out.r == 2
     assert [(mask_labels(p.B), p.key, len(p.T), p.variant)
             for p in out.parts] == [
@@ -420,9 +426,9 @@ def test_base_sets_immediate_threshold():
 
 def test_base_sets_outputs_are_elementary():
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
-    out = base_sets(2, FLAGSHIP, coll, FLAGSHIP_CFG)
+    out = base_sets(coll, FLAGSHIP_CFG)
     for part in out.parts:
-        assert is_elementary_part(part, coll, FLAGSHIP, FLAGSHIP_CFG)
+        assert is_elementary_part(part, coll, FLAGSHIP_CFG)
 
 
 def test_base_sets_size_bound():
@@ -432,36 +438,33 @@ def test_base_sets_size_bound():
         (PRODUCT15, Split.contiguous(15, 3), PRODUCT15_CFG),
     ]:
         coll = ComponentCollection.initial(fam, split)
-        out = base_sets(cfg.m, fam, coll, cfg)
+        out = base_sets(coll, cfg)
         assert len(out.family) * 3 ** (cfg.m - out.r + 1) >= len(fam)
 
 
 def test_base_sets_input_validation():
-    coll = ComponentCollection.initial(IMMEDIATE, Split.contiguous(4, 2))
-    cfg = IMMEDIATE_CFG
-    with pytest.raises(ValueError):
-        base_sets(0, IMMEDIATE, coll, cfg)
-    with pytest.raises(ValueError):
-        base_sets(1, IMMEDIATE, coll, cfg)  # collection rank is 2
-    with pytest.raises(ValueError):
-        base_sets(2, IMMEDIATE, coll, Constants(0.5, 1.2, 1.5, 2, 2))  # famSize unset
-    with pytest.raises(ValueError):
-        base_sets(2, SetFamily.of(6, [[0, 3]]), coll, cfg)  # wrong universe
-    with pytest.raises(ValueError):
-        # base not an on-split 2-set
-        base_sets(2, SetFamily.of(4, [[0, 1]]), coll, cfg)
-    with pytest.raises(ValueError):
-        # base outside the collection family's shadow
+    # the collection's constructor checks the bases the engine reads ...
+    split = Split.contiguous(4, 2)
+    members = {(0, 1): IMMEDIATE.masks()}
+    with pytest.raises(UniverseMismatchError):
+        ComponentCollection(split, members, SetFamily.of(6, [[0, 3]]))
+    with pytest.raises(ValueError, match="not an on-split 2-set"):
+        ComponentCollection(split, members, SetFamily.of(4, [[0, 1]]))
+    with pytest.raises(ValueError, match="not in the family's shadow"):
         partial = IMMEDIATE.difference(SetFamily.of(4, [[1, 3]]))
-        coll_partial = ComponentCollection.initial(partial,
-                                                   Split.contiguous(4, 2))
-        base_sets(2, IMMEDIATE, coll_partial, cfg)
-    with pytest.raises(ValueError):
-        # member projection not an anchor
-        base_sets(2, SetFamily.of(4, [[0, 2]], m=2), coll, cfg)
-    with pytest.raises(ValueError):
-        # input family below the 3^(-2m) floor of famSize
-        base_sets(2, IMMEDIATE, coll, cfg.with_fam_size(4 * 81 + 1))
+        ComponentCollection(split, {(0, 1): partial.masks()}, IMMEDIATE)
+    with pytest.raises(ValueError, match="is not an anchor base"):
+        ComponentCollection(split, members, SetFamily.of(4, [[0, 2]], m=2))
+    # ... and the engine what the collection cannot know: the constants'
+    # strip count, famSize and the 3^(-2m) floor of famSize
+    coll = ComponentCollection.initial(IMMEDIATE, split)
+    cfg = IMMEDIATE_CFG
+    with pytest.raises(ValueError, match="strip count"):
+        base_sets(coll, Constants(0.5, 1.2, 1.5, 2, 3, 4))
+    with pytest.raises(ValueError, match="famSize is unset"):
+        base_sets(coll, Constants(0.5, 1.2, 1.5, 2, 2))
+    with pytest.raises(ValueError, match="floor"):
+        base_sets(coll, cfg.with_fam_size(4 * 81 + 1))
 
 
 def test_extractions_rank_zero_round():
@@ -480,7 +483,7 @@ def test_extractions_rank_zero_round():
     assert tuple(t_masks) == GRID16.masks()
     assert not live
     part = ElementaryPart(bm, (0, 1), tuple(t_masks), "i")
-    assert is_elementary_part(part, coll, GRID16, cfg)
+    assert is_elementary_part(part, coll, cfg)
 
 
 def test_extractions_read_live_members_only():
@@ -517,7 +520,7 @@ def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
     calls: list[list[tuple]] = []
     maps = []
     real_clean = basesets._clean_to_spread
-    real_engine = basesets._base_sets
+    real_engine = basesets.base_sets
     real_counts = basesets._carried_counts
 
     def clean(bucket, free, shadow, p, q):
@@ -533,7 +536,7 @@ def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
         return real_counts(masks, sub)
 
     monkeypatch.setattr(basesets, "_clean_to_spread", clean)
-    monkeypatch.setattr(basesets, "_base_sets", engine_call)
+    monkeypatch.setattr(basesets, "base_sets", engine_call)
     monkeypatch.setattr(basesets, "_carried_counts", counts)
     cleanings = 0
     for label, fam, split, cfg in engine_corpus():
@@ -638,46 +641,33 @@ def test_process_r_input_validation():
 def test_process_r_first_step_reuses_the_family(monkeypatch):
     # step 1's only component is the family itself: the engine reads the
     # family's kept subset lookup, and so do the later steps, so no step
-    # builds a component lookup; only step 1 goes through the checked
-    # base_sets, so no base or member is tested as an on-split set (on the
-    # full subsplit) from step 2 on; and no collection is re-validated at
+    # builds a component lookup; ComponentCollection.initial tests each
+    # member as an on-split m-set (on the full subsplit) exactly once, and
+    # nothing else is tested there; and no collection is re-validated at
     # any step
-    step = []
-    checked, lookups_by_step, full_checks_by_step = [], [], []
-    real_checked, real_engine = basesets.base_sets, basesets._base_sets
-    real_lookup, real_carries = basesets._subset_lookup, Subsplit.carries_mask
-
-    def base_sets_call(mprime, bases, collection, cfg, p_label=1):
-        step[:] = [p_label]
-        checked.append(p_label)
-        return real_checked(mprime, bases, collection, cfg, p_label)
-
-    def engine_call(mprime, bases, collection, cfg, p_label, lookup):
-        step[:] = [p_label]
-        return real_engine(mprime, bases, collection, cfg, p_label, lookup)
+    fam = SetFamily(FLAGSHIP.universe, FLAGSHIP.masks(), m=FLAGSHIP.m)
+    built, full_checks = [], []
+    real_lookup, real_carries = families._subset_lookup, Subsplit.carries_mask
 
     def lookup(masks):
-        lookups_by_step.append(step[0])
+        built.append(tuple(masks))
         return real_lookup(masks)
 
     def carries(self, s):
         if self.rank == self.split.m:
-            full_checks_by_step.append(step[0])
+            full_checks.append(s)
         return real_carries(self, s)
 
-    def no_init(self, split, components):
+    def no_init(self, *args):
         raise AssertionError("process_r re-validated a collection")
 
-    monkeypatch.setattr(basesets, "base_sets", base_sets_call)
-    monkeypatch.setattr(basesets, "_base_sets", engine_call)
-    monkeypatch.setattr(basesets, "_subset_lookup", lookup)
+    monkeypatch.setattr(families, "_subset_lookup", lookup)
     monkeypatch.setattr(Subsplit, "carries_mask", carries)
     monkeypatch.setattr(ComponentCollection, "__init__", no_init)
-    res = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG)
+    res = process_r(fam, SPLIT16, FLAGSHIP_CFG)
     assert [s.p for s in res.steps] == [1, 2]
-    assert checked == [1]
-    assert lookups_by_step == []
-    assert full_checks_by_step and set(full_checks_by_step) == {1}
+    assert built == [fam.masks()]
+    assert sorted(full_checks) == sorted(fam.masks())
 
 
 def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
@@ -702,7 +692,6 @@ def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
     # every subset lookup, kept with a family or built for the engine's
     # components, is built here
     monkeypatch.setattr(families, "_subset_lookup", lookup)
-    monkeypatch.setattr(basesets, "_subset_lookup", lookup)
     monkeypatch.setattr(families, "_subset_counts", counts)
     single_map_runs = later_step_runs = 0
     for label, fam, split, cfg in engine_corpus():
@@ -733,10 +722,10 @@ BENCH_CFG = Constants(0.995, 1.0005, 1.001, 2, 3)
 
 
 def test_process_r_keys_no_member_after_the_input_sort(monkeypatch):
-    # the input's one canonical sort gives every member its position, and
-    # later member lists (the regrouped components, familyHat) sort on it,
-    # so past family.masks() no member mask gets a string key; the
-    # engine's bases, which are not members, still do
+    # the input's one canonical sort orders every later member list (the
+    # regrouped components, familyHat), which filter it by membership, so
+    # past family.masks() no member mask gets a string key; the engine's
+    # bases, which are not members, still do
     keyed = []
     real_key = families._canonical_key
 
@@ -771,22 +760,52 @@ def test_process_r_family_hat_is_canonical():
         assert result.steps[-1].output.family is result.family_hat
 
 
-def test_public_base_sets_checks_what_process_r_trusts():
-    # the driver's second call runs unchecked on the first call's output;
-    # the public entry point still rejects an off-split base and a member
-    # whose projection is not a base, and agrees with the unchecked body
-    # on the valid input
+def test_every_engine_step_runs_through_a_traced_name(monkeypatch):
+    # the bench tracer wraps basesets.base_sets and
+    # ComponentCollection.regroup: every step of a run goes through the
+    # first and every step after the first through the second, so each
+    # layer's time is booked to its own name
+    calls = {}
+    real_engine, real_regroup = basesets.base_sets, ComponentCollection.regroup
+
+    def engine(*args, **kwargs):
+        calls["base_sets"] += 1
+        return real_engine(*args, **kwargs)
+
+    def regroup(self, output):
+        calls["regroup"] += 1
+        return real_regroup(self, output)
+
+    monkeypatch.setattr(basesets, "base_sets", engine)
+    monkeypatch.setattr(ComponentCollection, "regroup", regroup)
+    for seed in range(3):
+        calls.update(base_sets=0, regroup=0)
+        result = process_r(bench_shaped(seed), SPLIT24, BENCH_CFG)
+        steps = len(result.steps)
+        assert steps > 1, seed   # the run regroups
+        assert calls == {"base_sets": steps, "regroup": steps - 1}, seed
+
+
+def test_constructor_checks_what_regroup_trusts():
+    # the driver's second call runs on the first call's output regrouped,
+    # unchecked; the constructor builds the same collection from the same
+    # components and bases with every check, the engine returns the same
+    # output on both, and the constructor rejects an off-split base and a
+    # member whose projection is not a base
     first = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG).steps[0].output
-    coll = ComponentCollection.regroup(first.parts, first.r, SPLIT16)
+    regrouped = ComponentCollection.initial(FLAGSHIP, SPLIT16).regroup(first)
     bases = first.base_sets
-    assert base_sets(1, bases, coll, FLAGSHIP_CFG, 2) == \
-        _base_sets(1, bases, coll, FLAGSHIP_CFG, 2, FLAGSHIP.subset_lookup())
+    coll = ComponentCollection(SPLIT16, regrouped.components, bases)
+    assert (coll.rank, coll.components) == (regrouped.rank,
+                                            regrouped.components)
+    assert base_sets(coll, FLAGSHIP_CFG, 2) == \
+        base_sets(regrouped, FLAGSHIP_CFG, 2)
     off_split = SetFamily(bases.universe, bases.masks() + (0b11,), m=2)
     with pytest.raises(ValueError, match="not an on-split 1-set"):
-        base_sets(1, off_split, coll, FLAGSHIP_CFG, 2)
+        ComponentCollection(SPLIT16, regrouped.components, off_split)
     stray = SetFamily(bases.universe, bases.masks()[1:], m=1)
     with pytest.raises(ValueError, match="is not an anchor base"):
-        base_sets(1, stray, coll, FLAGSHIP_CFG, 2)
+        ComponentCollection(SPLIT16, regrouped.components, stray)
 
 
 def test_process_r_steps_meet_interstep_floor():

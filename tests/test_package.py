@@ -15,7 +15,7 @@ import pytest
 
 import sunflower
 from sunflower.basesets import (ComponentCollection, Constants,
-                                ElementaryPart, base_sets, process_r)
+                                ElementaryPart, process_r)
 from sunflower.errors import UniverseMismatchError
 from sunflower.extremal import ExtremalFamily
 from sunflower.families import SetFamily, Split, Subsplit, Universe
@@ -301,8 +301,8 @@ UNIVERSE_MISMATCHES = {
         ON_SPLIT4, SPLIT6, 1, ON_SPLIT4),
     "ComponentCollection.derive-anchors": lambda: ComponentCollection.derive(
         ON_SPLIT4, SPLIT4, 1, OTHER6),
-    "base_sets": lambda: base_sets(
-        2, OTHER6, ComponentCollection.initial(ON_SPLIT4, SPLIT4), CFG4),
+    "ComponentCollection-bases": lambda: ComponentCollection(
+        SPLIT4, {(0, 1): ON_SPLIT4.masks()}, OTHER6),
     "process_r": lambda: process_r(ON_SPLIT4, SPLIT6, CFG4),
     "generate_random_family": lambda: generate_random_family(
         4, 2, 2, seed=0, on_split=SPLIT6),

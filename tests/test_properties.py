@@ -787,7 +787,7 @@ COMPONENTS_SHARE_A_BASE = pinned_case(
            276, 100, 164, 292], 72, 3, 1, 58768)
 
 
-def drain_matches_rescan(mprime, top, bases, collection, cfg):
+def drain_matches_rescan(top, collection, cfg):
     """Run base_sets' per-rank passes by hand over ranks top down to 0,
     with live sets carried across ranks and every bucket read off one
     subset map over all members, and check each rank's extractions
@@ -795,7 +795,8 @@ def drain_matches_rescan(mprime, top, bases, collection, cfg):
     below it.  Starting below m' skips the ranks that would have drained
     the big buckets, which leaves more buckets to shrink and be decided
     again."""
-    comps = collection.components
+    mprime, bases, comps = collection.rank, collection.bases, \
+        collection.components
     lookup = _subset_lookup([u for comp in comps.values() for u in comp])
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
@@ -815,15 +816,14 @@ def drain_matches_rescan(mprime, top, bases, collection, cfg):
                                         thr.eps_need if r == 0 else 1, b)
             got += [(key, bm, t, "ii" if r == mprime else "i")
                     for bm, t in found]
-        assert got == extractions_by_rescan(r, mprime, rescanned, collection,
-                                            bases, cfg)
+        assert got == extractions_by_rescan(r, rescanned, collection, cfg)
         assert drained == rescanned
 
 
 def anchored_collection(family, split, seed):
     """A rank m-1 collection, usually of several components: members
     assigned by ComponentCollection.derive to a seeded random half of
-    their projections, and the anchors actually used as bases."""
+    their projections, anchored on the projections actually used."""
     rank = split.m - 1
     strips = split.strips
 
@@ -836,12 +836,13 @@ def anchored_collection(family, split, seed):
                                         for key in keys})
                if pick.random() < 0.5}
     anchors.add(project(family.masks()[0], keys[-1]))
-    collection, _ = bs.ComponentCollection.derive(
+    derived, _ = bs.ComponentCollection.derive(
         family, split, rank,
         SetFamily(split.universe, anchors, m=rank))
-    used = {project(u, key) for key, comp in collection.components.items()
+    used = {project(u, key) for key, comp in derived.components.items()
             for u in comp}
-    return collection, SetFamily(split.universe, used, m=rank)
+    return bs.ComponentCollection(split, derived.components,
+                                  SetFamily(split.universe, used, m=rank))
 
 
 @SETTINGS
@@ -851,10 +852,10 @@ def anchored_collection(family, split, seed):
 @given(engine_cases())
 def test_drain_matches_restart_scan(case):
     family, split, cfg, top, anchored_top, anchor_seed = case
-    drain_matches_rescan(cfg.m, top, family,
-                         bs.ComponentCollection.initial(family, split), cfg)
-    collection, bases = anchored_collection(family, split, anchor_seed)
-    drain_matches_rescan(split.m - 1, anchored_top, bases, collection, cfg)
+    drain_matches_rescan(top, bs.ComponentCollection.initial(family, split),
+                         cfg)
+    drain_matches_rescan(anchored_top,
+                         anchored_collection(family, split, anchor_seed), cfg)
 
 
 def engine_matches_rescan(family, split, cfg):
@@ -874,14 +875,13 @@ def engine_matches_rescan(family, split, cfg):
     calls = [(step.r_in, step.output) for step in steps]
     if isinstance(failed, ContractViolationError):
         calls.append((steps[-1].output.r if steps else cfg.m, None))
-    bases, collection = family, bs.ComponentCollection.initial(family, split)
+    collection = bs.ComponentCollection.initial(family, split)
     for mprime, out in calls:
         work = {key: set(comp) for key, comp in collection.components.items()}
         size = sum(len(comp) for comp in work.values())
         rows = []
         for r in range(mprime, -1, -1):
-            found = extractions_by_rescan(r, mprime, work, collection, bases,
-                                          cfg)
+            found = extractions_by_rescan(r, work, collection, cfg)
             rows += [(r, bm, key, len(t)) for key, bm, t, _ in found]
             if sum(len(t) for *_, t, _ in found) * 3 ** (mprime - r + 1) \
                     >= size:
@@ -894,8 +894,7 @@ def engine_matches_rescan(family, split, cfg):
         assert out.r == r
         assert [(p.key, p.B, p.T, p.variant) for p in out.parts] == \
             [(key, bm, tuple(t), variant) for key, bm, t, variant in found]
-        bases = out.base_sets
-        collection = bs.ComponentCollection.regroup(out.parts, r, split)
+        collection = collection.regroup(out)
     return res
 
 
