@@ -23,15 +23,14 @@ _MODULE_EXPORTS = {
     "errors": ("BudgetExceededError", "ContractViolationError",
                "GammaPreconditionError", "TrialsExhaustedError",
                "UniverseMismatchError"),
-    "extremal": ("ExtremalFamily", "build_extremal"),
+    "extremal": ("build_extremal",),
     "families": ("GroundSet", "SetFamily", "Split", "Subsplit", "Universe",
-                 "family_from_json_obj", "family_from_text",
-                 "family_to_json_obj", "family_to_text", "pad_universe"),
+                 "family_from_json_obj", "family_from_text", "pad_universe"),
     "gamma": ("GammaReport", "check_gamma", "check_gamma_on_subsplit"),
     "harness": ("generate_random_family",),
     "rng": ("CounterRng",),
     "splits": ("SplitSearchResult", "count_splits", "enumerate_splits",
-               "find_good_split", "retained_on", "retention_bound",
+               "find_good_split", "retention_bound",
                "transversal_count_brute", "transversal_formula"),
     "sunflowers": ("SunflowerCertificate", "extract_disjoint_via_gamma",
                    "find_sunflower_exact", "verify_certificate"),

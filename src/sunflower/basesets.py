@@ -105,12 +105,15 @@ def canonical_constants(epsilon: float, k: int, m: int,
     try:
         h = math.exp(1.0 / epsilon)
         c = math.exp(h)
+        # math.exp raises on a finite argument that overflows; 1.0 / epsilon
+        # itself is inf, which math.exp returns, for a subnormal epsilon
+        if math.isinf(c):
+            raise OverflowError
     except OverflowError:
-        h = c = math.inf
-    if math.isinf(c):
         raise ValueError(
             f"canonical constants overflow at epsilon={epsilon}; "
-            "the schedule is feasible only for epsilon above ~0.153")
+            "the schedule is feasible only for epsilon above ~0.153"
+        ) from None
     return Constants(epsilon, h, c, k, m, fam_size, mode="canonical")
 
 
@@ -220,10 +223,6 @@ class ElementaryPart(_Record):
     def r(self) -> int:
         return self.B.bit_count()
 
-    def base_strips(self, split: Split) -> tuple[int, ...]:
-        """Indices of the strips the base set meets."""
-        return tuple(i for i, s in enumerate(split.strips) if s & self.B)
-
 
 def _check_rank(rank: int, m: int) -> None:
     if not 1 <= rank <= m:
@@ -313,9 +312,6 @@ class ComponentCollection:
         self.split, self.rank, self.components = split, rank, canonical
         self.bases, self._family = bases, family
 
-    def subsplit(self, key: tuple[int, ...]) -> Subsplit:
-        return self.split.subsplit(key)
-
     @classmethod
     def _unchecked(cls, split: Split, rank: int,
                    components: dict[tuple[int, ...], tuple[int, ...]],
@@ -351,9 +347,12 @@ class ComponentCollection:
         engine's postconditions have been, and nothing is sorted: each
         component is the family's canonical order filtered by membership."""
         split, masks = self.split, self._family.masks()
+        strips = split.strips
         grouped: dict[tuple[int, ...], set[int]] = {}
         for part in output.parts:
-            grouped.setdefault(part.base_strips(split), set()).update(part.T)
+            # a base lies on its component's key strips
+            key = tuple(i for i in part.key if strips[i] & part.B)
+            grouped.setdefault(key, set()).update(part.T)
         components = {key: tuple(filter(grouped[key].__contains__, masks))
                       for key in sorted(grouped)}
         return self._unchecked(split, output.r, components,
@@ -573,7 +572,7 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
         cumulative = 0
         variant = "ii" if r == mprime else "i"
         for key, live in work.items():
-            sub = collection.subsplit(key)
+            sub = collection.split.subsplit(key)
             if r == mprime:
                 found = _full_rank_pass(components[key], sub.union_mask,
                                         live, thr.need[mprime])
@@ -621,8 +620,8 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
         # the full-rank pass took every group reaching need[m'], so the
         # parts' members, all left after it, form only smaller ones
         for key, masks in by_key.items():
-            groups = _projection_groups(masks,
-                                        collection.subsplit(key).union_mask)
+            groups = _projection_groups(
+                masks, collection.split.subsplit(key).union_mask)
             require(max(map(len, groups.values())) < thr.need[mprime],
                     "threshold property failed for the returned rank")
     if r == 0:
@@ -630,8 +629,8 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
             require(len(masks) >= thr.eps_need,
                     "rank-0 component below the epsilon floor")
             comp = SetFamily(uni, masks, m=cfg.m)
-            report = check_gamma_on_subsplit(comp, collection.subsplit(key),
-                                             collection.bases, b)
+            report = check_gamma_on_subsplit(
+                comp, collection.split.subsplit(key), collection.bases, b)
             require(report.holds,
                     "rank-0 component fails the spreadness condition")
     return BaseSetsOutput(r, base_family, tuple(parts), tuple(trace))

@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING
 # only those; errors and families serve every command.
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import (DEFAULT_SHADOW_BUDGET, SetFamily, Split,
-                       family_from_json_obj, family_from_text,
-                       family_to_text, mask_labels, pad_universe)
+from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Split,
+                       family_from_json_obj, family_from_text, labels_mask,
+                       mask_labels, pad_universe)
 
 if TYPE_CHECKING:
     from .basesets import Constants, ElementaryPart
@@ -117,8 +117,7 @@ def _parse_base(text: str) -> Fraction:
 
 def _cmd_gen_extremal(args) -> int:
     from .extremal import build_extremal
-    ef = build_extremal(args.k, args.m)
-    _emit_family(ef.family, args.json)
+    _emit_family(build_extremal(args.k, args.m), args.json)
     return EXIT_OK
 
 
@@ -159,7 +158,8 @@ def _cmd_find_sunflower(args) -> tuple[int, dict, dict]:
     if core_labels:
         # quotient by the core: keep supersets, strip the core, extract
         # disjoint petals there, then put the core back
-        core = family.universe.set_of(core_labels)
+        uni = family.universe
+        core = GroundSet(uni, labels_mask(uni._check_labels(core_labels)))
         c = core.bits
         quotient = [u & ~c for u in family._mask_set if u & c == c]
         if not quotient:
@@ -176,7 +176,7 @@ def _cmd_find_sunflower(args) -> tuple[int, dict, dict]:
             "note": "greedy extraction stalled outside the guaranteed regime"}
     if core_labels:
         cert = SunflowerCertificate(
-            tuple(family.universe.from_bits(p.bits | core.bits)
+            tuple(GroundSet(uni, p.bits | core.bits)
                   for p in cert.petals), core)
     return EXIT_OK, inputs, {"found": True, "provenAbsent": False,
                              "certificate": cert.to_json_obj(),
@@ -219,7 +219,7 @@ def _cmd_split(args) -> tuple[int, dict, dict]:
     # written before the report, so a failed write prints no report
     if args.emit_family:
         with open(args.emit_family, "w") as fh:
-            fh.write(family_to_text(result.retained))
+            fh.write(result.retained.to_text())
     return EXIT_OK, inputs, results
 
 
@@ -248,6 +248,9 @@ def _engine_inputs(args) -> tuple[SetFamily, Constants, Split]:
     family = _read_family(args.family)
     with open(args.constants) as fh:
         cfg = bs.constants_from_dict(_load_json(fh.read(), args.constants))
+    # checked before famSize is filled with its size, which must be positive
+    if not len(family):
+        raise ValueError("family must be nonempty")
     if cfg.fam_size is None:
         cfg = cfg.with_fam_size(len(family))
     return family, cfg, Split.contiguous(family.universe.n, cfg.m)

@@ -11,22 +11,13 @@ distinct values among k-1 labels.
 from __future__ import annotations
 
 from .errors import BudgetExceededError
-from .families import SetFamily, Universe, _Record
+from .families import SetFamily, Universe
 
 DEFAULT_EXTREMAL_BUDGET = 1 << 20
 
 
-class ExtremalFamily(_Record):
-    """The product construction for sunflower size k and cardinality m."""
-
-    __slots__ = ("k", "m", "family")
-
-    def __init__(self, k: int, m: int, family: SetFamily):
-        self._set(k, m, family)
-
-
 def build_extremal(k: int, m: int,
-                   budget: int = DEFAULT_EXTREMAL_BUDGET) -> ExtremalFamily:
+                   budget: int = DEFAULT_EXTREMAL_BUDGET) -> SetFamily:
     """Build the product construction; |family| = (k-1)^m on (k-1)*m labels."""
     if k < 2:
         raise ValueError("sunflower size must be at least 2")
@@ -41,5 +32,4 @@ def build_extremal(k: int, m: int,
     for g in range(m):
         fresh = range(g * (k - 1), (g + 1) * (k - 1))
         masks = [u | 1 << x for u in masks for x in fresh]
-    family = SetFamily(Universe((k - 1) * m), masks, m=m)
-    return ExtremalFamily(k, m, family)
+    return SetFamily(Universe((k - 1) * m), masks, m=m)

@@ -259,16 +259,6 @@ class Universe(_Record):
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def set_of(self, labels: Iterable[int]) -> "GroundSet":
-        return GroundSet(self, labels_mask(self._check_labels(labels)))
-
-    def from_bits(self, bits: int) -> "GroundSet":
-        return GroundSet(self, bits)
-
-    @property
-    def empty(self) -> "GroundSet":
-        return GroundSet(self, 0)
-
     def _check_labels(self, labels: Iterable[int]) -> list[int]:
         out = list(labels)
         for x in out:
@@ -461,10 +451,15 @@ class SetFamily(_Immutable):
                          m=self.m)
 
     def to_text(self) -> str:
-        return family_to_text(self)
+        """The family in the text format (see Serialization below)."""
+        lines = [f"universe {self.universe.n} maxcard {self.m}"]
+        for u in self.masks():
+            lines.append(" ".join(str(x) for x in mask_labels(u)) if u else "-")
+        return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        return family_to_json_obj(self)
+        return {"n": self.universe.n, "m": self.m,
+                "sets": [list(mask_labels(u)) for u in self.masks()]}
 
 
 def _ordered_family(universe: Universe, masks: tuple[int, ...]) -> SetFamily:
@@ -624,7 +619,8 @@ def pad_universe(family: SetFamily, n: int) -> SetFamily:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Text format:
+# Serialization: SetFamily.to_text and to_json_obj write, the parsers below
+# read.  Text format:
 #
 #   universe 6 maxcard 2
 #   # optional comments
@@ -634,13 +630,6 @@ def pad_universe(family: SetFamily, n: int) -> SetFamily:
 #
 # Output is canonical: labels ascending within a set, sets in lexicographic
 # order, so parse(serialize(F)) == F bit for bit.
-
-def family_to_text(family: SetFamily) -> str:
-    lines = [f"universe {family.universe.n} maxcard {family.m}"]
-    for u in family.masks():
-        lines.append(" ".join(str(x) for x in mask_labels(u)) if u else "-")
-    return "\n".join(lines) + "\n"
-
 
 def _row_mask(labels: Iterable[int], bits: dict, n: int) -> int:
     """Mask of one JSON row of int labels.  ``bits`` caches each label's
@@ -693,11 +682,6 @@ def family_from_text(text: str) -> SetFamily:
             mask |= bit
         masks.append(mask)
     return SetFamily(uni, masks, m=m)
-
-
-def family_to_json_obj(family: SetFamily) -> dict:
-    return {"n": family.universe.n, "m": family.m,
-            "sets": [list(mask_labels(u)) for u in family.masks()]}
 
 
 def family_from_json_obj(obj: dict) -> SetFamily:

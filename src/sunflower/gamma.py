@@ -86,7 +86,7 @@ def _spread_report(family: SetFamily, base: Fraction,
     witness = min((s for counts, top in tied
                    for s, count in counts.items() if count == top),
                   key=_canonical_key)
-    return GammaReport(False, family.universe.from_bits(witness), best)
+    return GammaReport(False, GroundSet(family.universe, witness), best)
 
 
 def _tally_traces(counts: dict[int, int], masks: Iterable[int],

@@ -157,11 +157,6 @@ class _Incidence(dict):
         return kept.bit_count()
 
 
-def retained_on(family: SetFamily, split: Split) -> SetFamily:
-    """The subfamily of members lying on the split (one element per strip)."""
-    return family.on_subsplit(split.full_subsplit(), split.m)
-
-
 def retention_bound(family: SetFamily, m: int) -> Fraction:
     """The averaging floor d^m * |F| / C(n, m) for splits into m strips."""
     n = family.universe.n
@@ -192,7 +187,8 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     Splits are scored by the incidence kernel: on an m-uniform family, a
     member meeting each of the m strips exactly once is exactly a member
     lying on the split.  Only the returned split (or the best one carried by
-    TrialsExhaustedError) is materialized through :func:`retained_on`.
+    TrialsExhaustedError) is materialized, as the members lying on its full
+    subsplit (:meth:`SetFamily.on_subsplit`).
     """
     m = _uniform_cardinality(family)
     n = family.universe.n
@@ -201,7 +197,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     meet = _Incidence(family.masks())
 
     def materialize(split: Split, count: int) -> SplitSearchResult:
-        kept = retained_on(family, split)
+        kept = family.on_subsplit(split.full_subsplit(), split.m)
         if len(kept) != count:
             raise ContractViolationError(
                 f"split retains {len(kept)} members, the kernel counted {count}")

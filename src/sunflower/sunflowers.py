@@ -168,8 +168,8 @@ def find_sunflower_exact(family: SetFamily, k: int,
                 if need == 0:
                     uni = family.universe
                     return SunflowerCertificate(
-                        tuple(uni.from_bits(masks[j]) for j in chosen),
-                        uni.from_bits(core))
+                        tuple(GroundSet(uni, masks[j]) for j in chosen),
+                        GroundSet(uni, core))
                 # the next pick, backtracking out of exhausted levels
                 while stack:
                     candidates = stack[-1]
@@ -236,7 +236,8 @@ def extract_disjoint_via_gamma(family: SetFamily, k: int, b,
             if len(petals) == k:
                 uni = family.universe
                 return SunflowerCertificate(
-                    tuple(uni.from_bits(u) for u in petals), uni.empty)
+                    tuple(GroundSet(uni, u) for u in petals),
+                    GroundSet(uni, 0))
             used |= pick
     # The damage cap needs singleton candidates, hence m >= 1; spreadness
     # then also forces |F| > b >= k, so k rounds cannot run dry.

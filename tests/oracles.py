@@ -203,8 +203,8 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
 
         if rec(0, 0):
             uni = family.universe
-            petals = tuple(uni.from_bits(b | core) for b in chosen)
-            return SunflowerCertificate(petals, uni.from_bits(core))
+            petals = tuple(GroundSet(uni, b | core) for b in chosen)
+            return SunflowerCertificate(petals, GroundSet(uni, core))
     return None
 
 
@@ -279,7 +279,7 @@ def extractions_by_rescan(r: int, work: dict[tuple[int, ...], set[int]],
 
     def first_extraction():
         for key, comp in collection.components.items():
-            sub = collection.subsplit(key)
+            sub = collection.split.subsplit(key)
             for bm in candidate_bases(sub, r, bases):
                 if (key, bm) in extracted:
                     continue
@@ -316,7 +316,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
     """
     if part.key not in collection.components:
         raise ValueError(f"unknown component key {part.key}")
-    sub = collection.subsplit(part.key)
+    sub = collection.split.subsplit(part.key)
     b_bits = part.B
     if b_bits and not sub.carries_mask(b_bits):
         raise ValueError(f"base {_mask_repr(b_bits)} does not lie on "

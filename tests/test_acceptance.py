@@ -20,7 +20,8 @@ import pytest
 
 from sunflower import basesets as bs
 from sunflower.extremal import build_extremal
-from sunflower.families import SetFamily, Split, mask_labels
+from sunflower.families import (GroundSet, SetFamily, Split, labels_mask,
+                                mask_labels)
 from sunflower.gamma import check_gamma
 from sunflower.harness import generate_random_family
 from sunflower.splits import find_good_split, transversal_count_brute, \
@@ -50,10 +51,10 @@ def test_extremal_baseline():
              if (k - 1) ** m <= 256]
     assert len(pairs) == 16
     for k, m in pairs:
-        ef = build_extremal(k, m)
-        if len(ef.family) != (k - 1) ** m:
-            problems.append(f"k={k} m={m}: size {len(ef.family)} != {(k-1)**m}")
-        cert = find_sunflower_exact(ef.family, k)
+        family = build_extremal(k, m)
+        if len(family) != (k - 1) ** m:
+            problems.append(f"k={k} m={m}: size {len(family)} != {(k-1)**m}")
+        cert = find_sunflower_exact(family, k)
         if cert is not None:
             problems.append(f"k={k} m={m}: construction contains a {k}-sunflower")
     _verdict("extremal-baseline", problems, time.perf_counter() - t0, limit=10.0)
@@ -345,7 +346,7 @@ def test_engine_iteration_audit():
         if not audit["all_sandwich_ok"]:
             problems.append(f"{label}: sandwich flag is down")
         for row in audit["parts"]:
-            core = fam.universe.set_of(row["C"])
+            core = GroundSet(fam.universe, labels_mask(row["C"]))
             restriction = len(fam.restrict(core))
             if restriction != row["restriction"]:
                 problems.append(f"{label}: audit restriction {row['restriction']} "

@@ -133,6 +133,9 @@ def test_canonical_constants_schedule():
     assert "0.153" in str(info.value)
     with pytest.raises(ValueError):
         canonical_constants(0.05, 2, 1)
+    # 1 / epsilon is inf here: math.exp returns inf instead of raising
+    with pytest.raises(ValueError, match="0.153"):
+        canonical_constants(5e-324, 2, 1)
 
 
 def test_threshold_frozen_values():
@@ -189,7 +192,7 @@ def test_component_collection_initial():
     assert coll.rank == 2
     assert list(coll.components) == [(0, 1)]
     assert coll.components[(0, 1)] == GRID16.masks()
-    assert coll.subsplit((0, 1)).rank == 2
+    assert coll.split.subsplit((0, 1)).rank == 2
     assert coll.bases is GRID16   # the family anchors itself
     # members listed in any order are kept in canonical label order
     reversed_coll = ComponentCollection(SPLIT8, {(0, 1): GRID16.masks()[::-1]},
@@ -475,7 +478,7 @@ def test_extractions_rank_zero_round():
     comp = coll.components[(0, 1)]
     live = set(comp)
     found = list(_extractions(0, live, _subset_lookup(comp),
-                              coll.subsplit((0, 1)), GRID16,
+                              coll.split.subsplit((0, 1)), GRID16,
                               Threshold(cfg).eps_need, exact_base(cfg.b)))
     assert len(found) == 1
     bm, t_masks = found[0]
@@ -493,7 +496,7 @@ def test_extractions_read_live_members_only():
     cfg = GRID16_CFG
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
-    union = coll.subsplit((0, 1)).union_mask
+    union = coll.split.subsplit((0, 1)).union_mask
     live = set(comp)
     drained = list(_full_rank_pass(comp, union, live, Threshold(cfg).need[2]))
     assert drained[:2] == [(0b10001, [0b10001]), (0b100001, [0b100001])]
@@ -503,7 +506,7 @@ def test_extractions_read_live_members_only():
     # below m' the drain reads the live set, not the map: with the members
     # containing {0} gone from it (not from the map), rank 1 skips {0} and
     # takes the spread bucket of {1} first
-    args = (_subset_lookup(comp), coll.subsplit((0, 1)), GRID16, 1,
+    args = (_subset_lookup(comp), coll.split.subsplit((0, 1)), GRID16, 1,
             exact_base(cfg.b))
     first = next(_extractions(1, set(comp), *args))
     assert first == (0b1, [u for u in comp if u & 0b1])

@@ -149,7 +149,12 @@ def test_find_sunflower_gamma_core_not_present(capsys, tmp_path):
         capsys,
         ["find-sunflower", path, "--k", "2", "--gamma", "2", "--core", "9"])
     assert code == 5
-    assert "outside universe" in err
+    assert err == "error: label 9 outside universe of size 4\n"
+    code, out, err = run(
+        capsys,
+        ["find-sunflower", path, "--k", "2", "--gamma", "2", "--core=-1"])
+    assert (code, out) == (5, "")
+    assert err == "error: label -1 outside universe of size 4\n"
 
 
 def test_find_sunflower_core_requires_gamma(capsys, tmp_path):
@@ -382,6 +387,20 @@ def test_process_r_fills_family_size(capsys, tmp_path):
     assert len(trace_path.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize("fam_size", [None, 4], ids=["unset", "set"])
+@pytest.mark.parametrize("argv", [["process-r"], ["basesets", "--mprime", "2"]],
+                         ids=["process-r", "basesets"])
+def test_engine_commands_reject_an_empty_family(capsys, tmp_path, argv,
+                                                fam_size):
+    # the empty family is named, not the famSize it would have filled
+    fam_path = family_file(tmp_path, SetFamily.of(4, []))
+    cfg_path = constants_file(tmp_path, dict(CONSTANTS, famSize=fam_size))
+    code, out, err = run(capsys, [argv[0], fam_path, *argv[1:],
+                                  "--constants", cfg_path])
+    assert (code, out) == (5, "")
+    assert err == "error: family must be nonempty\n"
+
+
 def test_process_r_rejects_c_not_above_h_before_the_engine(
         capsys, tmp_path, monkeypatch):
     def engine(*args):
@@ -399,7 +418,7 @@ def test_process_r_rejects_c_not_above_h_before_the_engine(
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
     # the extremal 5-sunflower-free family of 64 3-sets: its link table
     # (512 entries) fits the budget, but proving absence takes 720 nodes
-    path = family_file(tmp_path, build_extremal(5, 3).family)
+    path = family_file(tmp_path, build_extremal(5, 3))
     monkeypatch.setenv("SUNFLOWER_BUDGET", "512")
     code, out, err = run(capsys, ["find-sunflower", path, "--k", "5"])
     assert code == 4

@@ -7,16 +7,15 @@ import pytest
 from sunflower.errors import BudgetExceededError
 from sunflower.extremal import build_extremal
 from sunflower.families import SetFamily, Split, labels_mask, pad_universe
-from sunflower.splits import retained_on
 from sunflower.sunflowers import find_sunflower_exact
 
 
 def test_build_extremal_small_values():
-    ef = build_extremal(3, 2)
-    assert ef.family.universe.n == 4
-    assert [s.labels() for s in ef.family] == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    assert build_extremal(2, 3).family.masks() == (0b111,)
-    assert [s.labels() for s in build_extremal(4, 1).family] == [(0,), (1,), (2,)]
+    family = build_extremal(3, 2)
+    assert family.universe.n == 4
+    assert [s.labels() for s in family] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert build_extremal(2, 3).masks() == (0b111,)
+    assert [s.labels() for s in build_extremal(4, 1)] == [(0,), (1,), (2,)]
 
 
 def test_build_extremal_sizes():
@@ -24,25 +23,24 @@ def test_build_extremal_sizes():
         for m in range(1, 5):
             if (k - 1) ** m > 256:
                 continue
-            ef = build_extremal(k, m)
-            assert len(ef.family) == (k - 1) ** m
-            assert ef.family.universe.n == (k - 1) * m
-            for member in ef.family:
+            family = build_extremal(k, m)
+            assert len(family) == (k - 1) ** m
+            assert family.universe.n == (k - 1) * m
+            for member in family:
                 assert member.cardinality == m
 
 
 def test_extremal_lies_on_its_natural_split():
     for k, m in [(3, 2), (4, 2), (3, 3), (5, 2)]:
         # generations as strips: m contiguous strips of size k-1
-        ef = build_extremal(k, m)
+        family = build_extremal(k, m)
         split = Split.contiguous((k - 1) * m, m)
-        assert retained_on(ef.family, split) == ef.family
+        assert family.on_subsplit(split.full_subsplit(), split.m) == family
 
 
 def test_extremal_is_sunflower_free():
     for k, m in [(2, 1), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)]:
-        ef = build_extremal(k, m)
-        assert find_sunflower_exact(ef.family, ef.k) is None
+        assert find_sunflower_exact(build_extremal(k, m), k) is None
 
 
 def test_extremal_is_maximal_for_small_cases():
@@ -51,8 +49,8 @@ def test_extremal_is_maximal_for_small_cases():
     # misses some strip, so k-1 members sharing one of its labels in each
     # strip it meets and pairwise different in the rest close a sunflower
     for k, m in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (2, 3)]:
-        ef = build_extremal(k, m)
-        for family in (ef.family, pad_universe(ef.family, k * m)):
+        product = build_extremal(k, m)
+        for family in (product, pad_universe(product, k * m)):
             for extra in combinations(range(family.universe.n), m):
                 candidate = labels_mask(extra)
                 if candidate in family.masks():

@@ -14,8 +14,6 @@ from sunflower.families import (
     _subset_lookup,
     family_from_json_obj,
     family_from_text,
-    family_to_json_obj,
-    family_to_text,
     labels_mask,
     mask_labels,
     pad_universe,
@@ -49,38 +47,39 @@ def test_mask_labels_rejects_negative_masks():
 def test_universe_basics():
     uni = Universe(5)
     assert uni.full_mask == 0b11111
-    assert uni.set_of([0, 4]).bits == 0b10001
-    assert uni.from_bits(0b10001).labels() == (0, 4)
-    assert uni.empty.bits == 0
+    assert GroundSet(uni, labels_mask([0, 4])).bits == 0b10001
+    assert GroundSet(uni, 0b10001).labels() == (0, 4)
+    assert GroundSet(uni, 0).bits == 0
     with pytest.raises(ValueError):
         Universe(0)
     with pytest.raises(ValueError):
-        uni.set_of([5])
+        GroundSet(uni, labels_mask([5]))
     with pytest.raises(ValueError):
-        uni.set_of([-1])
+        GroundSet(uni, labels_mask([-1]))
 
 
 def test_ground_set_operations():
     uni = Universe(6)
-    a = uni.set_of([0, 2, 4])
-    b = uni.set_of([2, 3])
+    a = GroundSet(uni, labels_mask([0, 2, 4]))
+    b = GroundSet(uni, labels_mask([2, 3]))
     assert a.cardinality == 3
     assert a.bits >> 2 & 1 and not a.bits >> 1 & 1
     assert mask_labels(a.bits | b.bits) == (0, 2, 3, 4)
     assert mask_labels(a.bits & b.bits) == (2,)
     assert mask_labels(a.bits & ~b.bits) == (0, 4)
-    assert uni.set_of([2]).bits & ~a.bits == 0
+    assert GroundSet(uni, labels_mask([2])).bits & ~a.bits == 0
     assert b.bits & ~a.bits
-    assert a.bits & uni.set_of([1, 5]).bits == 0
+    assert a.bits & GroundSet(uni, labels_mask([1, 5])).bits == 0
     assert a.bits & b.bits
-    assert a == uni.from_bits(0b10101) and hash(a) == hash(uni.from_bits(21))
-    assert a != Universe(7).from_bits(a.bits)
+    assert a == GroundSet(uni, 0b10101) and hash(a) == hash(GroundSet(uni, 21))
+    assert a != GroundSet(Universe(7), a.bits)
     assert repr(a) == "{0,2,4}"
 
 
 def test_ground_set_ordering_is_by_label_tuple():
     uni = Universe(4)
-    sets = [uni.set_of(c) for r in range(3) for c in combinations(range(4), r)]
+    sets = [GroundSet(uni, labels_mask(c))
+            for r in range(3) for c in combinations(range(4), r)]
     ordered = sorted(sets)
     assert [s.labels() for s in ordered] == sorted(s.labels() for s in sets)
 
@@ -122,9 +121,8 @@ def test_family_declared_maxcard_defaults_to_actual():
 
 def test_family_membership_and_difference():
     fam = SetFamily.of(4, [[0, 1], [2, 3], [0, 3]])
-    uni = fam.universe
-    assert uni.set_of([0, 1]).bits in fam.masks()
-    assert uni.set_of([1, 2]).bits not in fam.masks()
+    assert labels_mask([0, 1]) in fam.masks()
+    assert labels_mask([1, 2]) not in fam.masks()
     rest = fam.difference(SetFamily.of(4, [[0, 3]]))
     assert [s.labels() for s in rest] == [(0, 1), (2, 3)]
 
@@ -133,7 +131,7 @@ def test_restrict_matches_definition():
     fam = random_family(8, 3, 20, seed=11)
     uni = fam.universe
     for probe in [[0], [0, 1], [3, 5], []]:
-        s = uni.set_of(probe)
+        s = GroundSet(uni, labels_mask(probe))
         got = fam.restrict(s)
         want = [u for u in fam if u.bits & s.bits == s.bits]
         assert list(got) == sorted(want)
@@ -157,7 +155,7 @@ def test_shadow_small_family_exact():
         for r in range(len(member) + 1):
             want.update(combinations(member, r))
     assert {s.labels() for s in shd} == want
-    assert fam.universe.empty in shd
+    assert GroundSet(fam.universe, 0) in shd
 
 
 def test_shadow_agrees_with_lazy_membership():
@@ -165,7 +163,7 @@ def test_shadow_agrees_with_lazy_membership():
     shd = fam.shadow()
     uni = fam.universe
     for mask in range(1 << 9):
-        t = uni.from_bits(mask)
+        t = GroundSet(uni, mask)
         assert (t in shd) == fam.shadow_contains(t)
 
 
@@ -176,7 +174,7 @@ def test_shadow_budget_enforced():
     assert info.value.needed == 1 << 20
     assert info.value.budget == 100
     # lazy membership still works above the budget
-    assert fam.shadow_contains(fam.universe.set_of([4, 17]))
+    assert fam.shadow_contains(GroundSet(fam.universe, labels_mask([4, 17])))
 
 
 def test_subset_lookup_order():
@@ -210,7 +208,7 @@ def test_subset_lookup_scans_above_the_default_budget():
     assert fam.subset_lookup() is lookup
     uni = fam.universe
     for labels in ([], [4, 17], [0, 23], [22, 23], list(range(24))):
-        s = uni.set_of(labels)
+        s = GroundSet(uni, labels_mask(labels))
         assert (s.bits in lookup) == fam.shadow_contains(s)
         assert lookup.get(s.bits, []) == list(fam.restrict(s).masks())
     small = random_family(9, 3, 15, seed=3)
@@ -285,10 +283,10 @@ def test_carries_brute_oracle():
 def test_subsplit_minus_drops_touched_strips():
     sp = Split.contiguous(9, 3)
     sub = sp.full_subsplit()
-    reduced = sub.minus(sp.universe.set_of([4]).bits)
+    reduced = sub.minus(labels_mask([4]))
     assert reduced.indices == (0, 2)
     # removing a set outside every strip keeps the rank
-    same = sp.subsplit([0, 1]).minus(sp.universe.set_of([7]).bits)
+    same = sp.subsplit([0, 1]).minus(labels_mask([7]))
     assert same.indices == (0, 1)
 
 
@@ -342,7 +340,7 @@ def test_pad_universe_keeps_members():
 
 def test_text_roundtrip():
     fam = SetFamily.of(6, [[0, 5], [], [2, 3]], m=3)
-    text = family_to_text(fam)
+    text = fam.to_text()
     lines = text.strip().splitlines()
     assert lines[0] == "universe 6 maxcard 3"
     assert "-" in lines  # empty member marker
@@ -374,7 +372,7 @@ def test_text_rejects_garbage():
 
 def test_json_roundtrip():
     fam = SetFamily.of(6, [[0, 5], [], [2, 3]], m=3)
-    obj = family_to_json_obj(fam)
+    obj = fam.to_json_obj()
     assert obj == {"n": 6, "m": 3, "sets": [[], [0, 5], [2, 3]]}
     assert family_from_json_obj(json.loads(json.dumps(obj))) == fam
 
@@ -395,14 +393,14 @@ def test_json_rejects_wrong_types():
 def test_serialization_roundtrip_random_families():
     for seed in range(8):
         fam = random_family(9, 3, 12, seed=seed)
-        assert family_from_text(family_to_text(fam)) == fam
-        assert family_from_json_obj(family_to_json_obj(fam)) == fam
+        assert family_from_text(fam.to_text()) == fam
+        assert family_from_json_obj(fam.to_json_obj()) == fam
 
 
 def test_family_immutable():
     fam = SetFamily.of(4, [[0, 1]])
     with pytest.raises(AttributeError):
         fam.m = 5
-    s = fam.universe.set_of([0])
+    s = GroundSet(fam.universe, labels_mask([0]))
     with pytest.raises(AttributeError):
         s.bits = 3

@@ -17,8 +17,8 @@ import sunflower
 from sunflower.basesets import (ComponentCollection, Constants,
                                 ElementaryPart, process_r)
 from sunflower.errors import UniverseMismatchError
-from sunflower.extremal import ExtremalFamily
-from sunflower.families import SetFamily, Split, Subsplit, Universe
+from sunflower.families import (GroundSet, SetFamily, Split, Subsplit,
+                                Universe, labels_mask)
 from sunflower.gamma import GammaReport, check_gamma_on_subsplit
 from sunflower.harness import generate_random_family
 from sunflower.sunflowers import SunflowerCertificate
@@ -34,15 +34,14 @@ EXPORTED = {
     "errors": ["BudgetExceededError", "ContractViolationError",
                "GammaPreconditionError", "TrialsExhaustedError",
                "UniverseMismatchError"],
-    "extremal": ["ExtremalFamily", "build_extremal"],
+    "extremal": ["build_extremal"],
     "families": ["GroundSet", "SetFamily", "Split", "Subsplit", "Universe",
-                 "family_from_json_obj", "family_from_text",
-                 "family_to_json_obj", "family_to_text", "pad_universe"],
+                 "family_from_json_obj", "family_from_text", "pad_universe"],
     "gamma": ["GammaReport", "check_gamma", "check_gamma_on_subsplit"],
     "harness": ["generate_random_family"],
     "rng": ["CounterRng"],
     "splits": ["SplitSearchResult", "count_splits", "enumerate_splits",
-               "find_good_split", "retained_on", "retention_bound",
+               "find_good_split", "retention_bound",
                "transversal_count_brute", "transversal_formula"],
     "sunflowers": ["SunflowerCertificate", "extract_disjoint_via_gamma",
                    "find_sunflower_exact", "verify_certificate"],
@@ -87,7 +86,36 @@ def test_every_public_name_resolves_to_its_defining_object():
         assert getattr(sunflower, module) is mod
     assert sorted(sunflower.__all__) == sorted(
         name for names in EXPORTED.values() for name in names)
-    assert len(sunflower.__all__) == 46
+    assert len(sunflower.__all__) == 42
+
+
+# Second spellings of one operation, removed from the package: the
+# extremal builder returns its SetFamily, the family writes itself
+# (to_text, to_json_obj), and a split's retained members are
+# family.on_subsplit(split.full_subsplit(), split.m).
+REMOVED_NAMES = ["ExtremalFamily", "family_to_text", "family_to_json_obj",
+                 "retained_on"]
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_names_raise_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(sunflower, name)
+    assert name not in sunflower.__all__
+
+
+# Pass-through methods removed in favour of the code they called:
+# GroundSet(universe, mask), split.subsplit(key), and the part's key strips
+# that its base meets.
+REMOVED_METHODS = [(Universe, "set_of"), (Universe, "from_bits"),
+                   (Universe, "empty"), (ComponentCollection, "subsplit"),
+                   (ElementaryPart, "base_strips")]
+
+
+@pytest.mark.parametrize("cls, name", REMOVED_METHODS,
+                         ids=[f"{c.__name__}.{n}" for c, n in REMOVED_METHODS])
+def test_removed_methods_are_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 def test_star_import_binds_the_public_names():
@@ -208,8 +236,8 @@ def _value_cases():
     repr, one attribute) per value class."""
     uni = Universe(4)
     split = Split.contiguous(4, 2)
-    family = SetFamily.of(4, [[0], [1]])
-    a, b = uni.set_of([0, 1]), uni.set_of([0, 2])
+    a, b = (GroundSet(uni, labels_mask(s)) for s in ([0, 1], [0, 2]))
+    core = GroundSet(uni, labels_mask([0]))
     return [
         (uni, Universe(n=4), Universe(5), "Universe(n=4)", "n"),
         (split, Split(Universe(4), (3, 12)), Split.contiguous(4, 4),
@@ -219,15 +247,16 @@ def _value_cases():
          "Subsplit(split=Split(universe=Universe(n=4), strips=(3, 12)), "
          "indices=(1,))", "union_mask"),
         (GammaReport(False, a, Fraction(3, 2)),
-         GammaReport(holds=False, witness=uni.set_of([0, 1]),
+         GammaReport(holds=False,
+                     witness=GroundSet(uni, labels_mask([0, 1])),
                      ratio=Fraction(6, 4)),
          GammaReport(False, b, Fraction(3, 2)),
          "GammaReport(holds=False, witness={0,1}, ratio=Fraction(3, 2))",
          "holds"),
-        (SunflowerCertificate((a, b), uni.set_of([0])),
-         SunflowerCertificate(petals=(uni.set_of([0, 1]), b),
-                              core=uni.set_of([0])),
-         SunflowerCertificate((b, a), uni.set_of([0])),
+        (SunflowerCertificate((a, b), core),
+         SunflowerCertificate(petals=(GroundSet(uni, labels_mask([0, 1])), b),
+                              core=GroundSet(uni, labels_mask([0]))),
+         SunflowerCertificate((b, a), core),
          "SunflowerCertificate(petals=({0,1}, {0,2}), core={0})", "core"),
         # the former dataclasses print as they did
         (Constants(0.5, 1.2, 1.5, 2, 2, 4),
@@ -239,10 +268,6 @@ def _value_cases():
          ElementaryPart(B=1, key=(0,), T=(5,), variant="ii"),
          ElementaryPart(1, (0,), (5,), "i"),
          "ElementaryPart(B=1, key=(0,), T=(5,), variant='ii')", "T"),
-        (ExtremalFamily(3, 1, family), ExtremalFamily(k=3, m=1, family=family),
-         ExtremalFamily(4, 1, family),
-         "ExtremalFamily(k=3, m=1, family=SetFamily(n=4, m=1, size=2))",
-         "family"),
     ]
 
 
@@ -283,7 +308,7 @@ ON_SPLIT4 = SetFamily.of(4, [[0, 2], [0, 3], [1, 2], [1, 3]])
 SPLIT4 = Split.contiguous(4, 2)
 CFG4 = Constants(0.5, 1.2, 1.5, 2, 2, 4)
 OTHER6 = SetFamily.of(6, [[0, 3]])
-SET6 = Universe(6).set_of([0])
+SET6 = GroundSet(Universe(6), labels_mask([0]))
 SPLIT6 = Split.contiguous(6, 2)
 
 UNIVERSE_MISMATCHES = {
@@ -307,7 +332,8 @@ UNIVERSE_MISMATCHES = {
     "generate_random_family": lambda: generate_random_family(
         4, 2, 2, seed=0, on_split=SPLIT6),
     "SunflowerCertificate": lambda: SunflowerCertificate(
-        (Universe(4).set_of([0]), Universe(4).set_of([1])), SET6),
+        (GroundSet(Universe(4), labels_mask([0])),
+         GroundSet(Universe(4), labels_mask([1]))), SET6),
 }
 
 

@@ -8,7 +8,7 @@ against that kernel's bucket sizes.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
 the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
-enumerate_splits, retained_on (SetFamily.on_subsplit) and a per-tuple
+enumerate_splits, SetFamily.on_subsplit and a per-tuple
 member scan, none of which goes through the incidence kernel of the
 split searches; the kernel itself is checked block by block against the
 member scan it replaced, and enumerate_splits against the enumerator it
@@ -52,7 +52,7 @@ from sunflower.gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
-                              find_good_split, retained_on, retention_bound,
+                              find_good_split, retention_bound,
                               transversal_count_brute, transversal_formula)
 from sunflower.sunflowers import (extract_disjoint_via_gamma,
                                   find_sunflower_exact, verify_certificate)
@@ -465,12 +465,12 @@ def cored_families(draw):
     return SetFamily(Universe(n), masks, m=m)
 
 
-PRODUCT_3_6 = build_extremal(3, 6).family.masks()
+PRODUCT_3_6 = build_extremal(3, 6).masks()
 # the (3,3) product on labels 0-5 plus {2, 3, 4}: each row that repeats a
 # trace drops fewer than half of its links
 PRODUCT_3_3_PLUS = SetFamily(
     Universe(6),
-    build_extremal(3, 3).family.masks() + (labels_mask([2, 3, 4]),), m=3)
+    build_extremal(3, 3).masks() + (labels_mask([2, 3, 4]),), m=3)
 
 
 @SETTINGS
@@ -557,7 +557,7 @@ def reference_exhaustive(family):
     """The first split in enumeration order retaining the most members."""
     best = None
     for split in enumerate_splits(family.universe, family.m):
-        kept = retained_on(family, split)
+        kept = family.on_subsplit(split.full_subsplit(), split.m)
         if best is None or len(kept) > len(best[1]):
             best = (split, kept)
     return best
@@ -576,7 +576,7 @@ def reference_random(family, trials, seed):
         rng.shuffle(perm)
         split = Split.of(n, sorted(sorted(perm[i * d:(i + 1) * d])
                                    for i in range(m)))
-        kept = retained_on(family, split)
+        kept = family.on_subsplit(split.full_subsplit(), split.m)
         if len(kept) >= bound:
             return ("met", split, kept)
         if best is None or len(kept) > len(best[1]):
@@ -804,7 +804,7 @@ def drain_matches_rescan(top, collection, cfg):
     for r in range(top, -1, -1):
         got = []
         for key, live in drained.items():
-            sub = collection.subsplit(key)
+            sub = collection.split.subsplit(key)
             if r == mprime:
                 # a whole bucket meets need[m']
                 found = bs._full_rank_pass(comps[key], sub.union_mask, live,

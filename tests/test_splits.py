@@ -14,7 +14,6 @@ from sunflower.splits import (
     count_splits,
     enumerate_splits,
     find_good_split,
-    retained_on,
     retention_bound,
     transversal_count_brute,
     transversal_formula,
@@ -113,10 +112,11 @@ def test_enumerate_splits_lists_no_label_for_one_label_strips(monkeypatch):
     assert sum(handed) == 0
 
 
-def test_retained_on_matches_oracle():
+def test_on_full_subsplit_matches_oracle():
+    # the members a split retains: those on its full subsplit
     fam = random_family(6, 2, 10, seed=4)
     for sp in enumerate_splits(fam.universe, 2):
-        got = retained_on(fam, sp)
+        got = fam.on_subsplit(sp.full_subsplit(), sp.m)
         strips = [set(s) for s in sp.strip_labels()]
         want = [u for u in fam
                 if all(len(set(u.labels()) & st) == 1 for st in strips)]
@@ -134,7 +134,7 @@ def test_averaging_identity():
     # the bound is exactly the average of retained counts over all splits
     for seed in range(6):
         fam = random_family(6, 2, 8, seed=seed)
-        counts = [len(retained_on(fam, sp))
+        counts = [len(fam.on_subsplit(sp.full_subsplit(), 2))
                   for sp in enumerate_splits(fam.universe, 2)]
         assert Fraction(sum(counts), len(counts)) == retention_bound(fam, 2)
 
@@ -152,7 +152,7 @@ def test_find_good_split_exhaustive_maximizes():
     for seed in range(6):
         fam = random_family(6, 2, 9, seed=10 + seed)
         result = find_good_split(fam)
-        best = max(len(retained_on(fam, sp))
+        best = max(len(fam.on_subsplit(sp.full_subsplit(), 2))
                    for sp in enumerate_splits(fam.universe, 2))
         assert len(result.retained) == best
         assert best >= result.bound
@@ -167,7 +167,7 @@ def test_find_good_split_exhaustive_budget():
 def test_find_good_split_postcondition_raises(monkeypatch):
     # a best split below the averaging floor is a contract violation that
     # must be raised, not asserted (asserts vanish under python -O)
-    monkeypatch.setattr(splits, "retained_on", lambda family, split:
+    monkeypatch.setattr(SetFamily, "on_subsplit", lambda family, sub, p:
                         SetFamily(family.universe, [], m=family.m))
     with pytest.raises(ContractViolationError):
         find_good_split(all_m_subsets(4, 2))
@@ -177,13 +177,14 @@ def test_find_good_split_cross_checks_the_kernel_count(monkeypatch):
     # a materialized split whose size differs from the kernel's count is a
     # contract violation even when it clears the floor
     fam = SetFamily.of(4, [[0, 1]])
-    monkeypatch.setattr(splits, "retained_on", lambda family, split: family)
+    monkeypatch.setattr(SetFamily, "on_subsplit",
+                        lambda family, sub, p: family)
     with pytest.raises(ContractViolationError, match="kernel counted"):
         find_good_split(all_m_subsets(4, 2))  # 6 materialized, 4 counted
     with pytest.raises(ContractViolationError, match="kernel counted"):
         # the best split of an exhausted search is checked too (0 counted)
         find_good_split(fam, mode="random", trials=1, seed=0)
-    monkeypatch.setattr(splits, "retained_on", lambda family, split:
+    monkeypatch.setattr(SetFamily, "on_subsplit", lambda family, sub, p:
                         SetFamily(family.universe, [], m=family.m))
     with pytest.raises(ContractViolationError, match="kernel counted"):
         find_good_split(fam, mode="random", trials=1, seed=1)  # 1 counted

@@ -10,8 +10,8 @@ import pytest
 from sunflower import families, gamma, sunflowers
 from sunflower.errors import BudgetExceededError, GammaPreconditionError
 from sunflower.extremal import build_extremal
-from sunflower.families import (SetFamily, Universe, _canonical_key,
-                                labels_mask)
+from sunflower.families import (GroundSet, SetFamily, Universe,
+                                _canonical_key, labels_mask)
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (
     SunflowerCertificate,
@@ -36,8 +36,9 @@ def all_m_subsets(n: int, m: int) -> SetFamily:
 
 def cert_of(n: int, petals, core) -> SunflowerCertificate:
     uni = Universe(n)
-    return SunflowerCertificate(tuple(uni.set_of(p) for p in petals),
-                                uni.set_of(core))
+    return SunflowerCertificate(
+        tuple(GroundSet(uni, labels_mask(p)) for p in petals),
+        GroundSet(uni, labels_mask(core)))
 
 
 def test_certificate_shape_validation():
@@ -45,8 +46,9 @@ def test_certificate_shape_validation():
         cert_of(4, [[0, 1]], [])
     with pytest.raises(ValueError):
         SunflowerCertificate(
-            (Universe(4).set_of([0]), Universe(5).set_of([1])),
-            Universe(4).empty)
+            (GroundSet(Universe(4), labels_mask([0])),
+             GroundSet(Universe(5), labels_mask([1]))),
+            GroundSet(Universe(4), 0))
     cert = cert_of(4, [[0, 1], [0, 2], [0, 3]], [0])
     assert cert.k == 3
     assert cert.to_json_obj() == {"core": [0],
@@ -125,7 +127,7 @@ def test_find_sunflower_exact_node_count():
     assert (info.value.needed, info.value.budget) == (3, 2)
     # no member of the (3,6) product has two links under one key, so no
     # core is searched and absence costs no node
-    product = build_extremal(3, 6).family
+    product = build_extremal(3, 6)
     assert find_sunflower_exact(product, 3, node_budget=1) is None
 
 
@@ -164,7 +166,7 @@ def test_find_sunflower_exact_repeated_trace_rows():
 # and k = 2, where every row takes the OR loop.
 PRODUCT_3_3_PLUS = SetFamily(
     Universe(6),
-    build_extremal(3, 3).family.masks() + (labels_mask([2, 3, 4]),), m=3)
+    build_extremal(3, 3).masks() + (labels_mask([2, 3, 4]),), m=3)
 ROW_PATH_NODES = {
     "few-dropped": (PRODUCT_3_3_PLUS, 3, 5),
     "most-dropped": (SetFamily.of(14, [[0, 1, 2, 3, x] for x in range(6, 10)]
@@ -190,10 +192,10 @@ def test_find_sunflower_exact_node_count_per_row_path(fam, k, nodes):
 def test_find_sunflower_exact_leaves_no_table_behind():
     # with collections off, two searches must not leave their rows behind
     # in a reference cycle
-    product = build_extremal(3, 6).family
+    product = build_extremal(3, 6)
     uni = Universe(18)
     plus = SetFamily(uni, product.masks()
-                     + (uni.set_of([0, 1, 2, 3, 12, 13]).bits,), m=6)
+                     + (labels_mask([0, 1, 2, 3, 12, 13]),), m=6)
     gc.disable()
     try:
         tracemalloc.start()
