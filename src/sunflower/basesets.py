@@ -44,8 +44,8 @@ from typing import Iterable, Iterator
 from .errors import ContractViolationError, UniverseMismatchError
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
                        _ordered_family, _Record, _setattr, mask_labels)
-from .gamma import (_carried_counts, _max_violator_masks, _tally_traces,
-                    check_gamma, check_gamma_on_subsplit, exact_base)
+from .gamma import (_carried_counts, _max_violator_masks, _spread_holds,
+                    _tally_traces, check_gamma_on_subsplit, exact_base)
 
 
 class Constants(_Record):
@@ -65,10 +65,10 @@ class Constants(_Record):
                  fam_size: int | None = None, mode: str = "surrogate"):
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not h > 1:
-            raise ValueError("h must exceed 1")
-        if not c > 1:
-            raise ValueError("c must exceed 1")
+        if not 1 < h < math.inf:
+            raise ValueError("h must be finite and exceed 1")
+        if not 1 < c < math.inf:
+            raise ValueError("c must be finite and exceed 1")
         if k < 2:
             raise ValueError("k must be at least 2")
         if m < 1:
@@ -463,8 +463,17 @@ def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
     order, after removing its members from ``live``.  At r = m' a member
     contains a base on the strips exactly when it projects onto it, and
     every projection is a base, so these groups are the buckets; being
-    disjoint, no take shrinks another.
+    disjoint, no take shrinks another.  When the key is every strip, as
+    one member inside ``union`` shows (each member meets every strip),
+    each member is its own projection and its group: every member is
+    taken alone iff floor <= 1, with no grouping.
     """
+    if comp[0] & union == comp[0]:
+        if floor <= 1:
+            for u in comp:
+                live.discard(u)
+                yield u, [u]
+        return
     groups = _projection_groups(comp, union)
     for bm in sorted((bm for bm, t in groups.items() if len(t) >= floor),
                      key=_canonical_key):
@@ -616,7 +625,11 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
     mprime = collection.rank
-    if r < mprime:
+    if r < mprime == cfg.m:
+        # at m' = m every group is one member, and none was taken
+        require(thr.need[mprime] > 1,
+                "threshold property failed for the returned rank")
+    elif r < mprime:
         # the full-rank pass took every group reaching need[m'], so the
         # parts' members, all left after it, form only smaller ones
         for key, masks in by_key.items():
@@ -725,7 +738,10 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     Chain lines that depend on hypotheses about the original family (a
     spreadness level of c^c * k * ln k, or m > c^c * ln k) are evaluated
     numerically and marked "hypothesis unmet" when the hypothesis fails
-    or cannot be evaluated, never treated as failures.
+    or cannot be evaluated, never treated as failures.  The spreadness
+    level is decided exactly (:func:`gamma._spread_holds`): |F[S]| is at
+    most the largest degree D below the largest member size M and 1 at
+    M, so D * b^(M-1) < |F| and b^M < |F| prove it with no count.
     """
     _check_audit_regime(cfg)
     if cfg.fam_size is None:
@@ -778,7 +794,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     except OverflowError:
         pass
     if big_b is not None and math.isfinite(big_b) and big_b > 1:
-        spread_hypothesis = check_gamma(family, Fraction(big_b)).holds
+        spread_hypothesis = _spread_holds(family, Fraction(big_b))
     else:
         spread_hypothesis = None
 

@@ -29,7 +29,7 @@ def exact_base(b) -> Fraction:
     """Convert a spreadness base to an exact Fraction; requires b > 1."""
     frac = Fraction(b)
     if frac <= 1:
-        raise ValueError(f"spreadness base must exceed 1, got {b!r}")
+        raise ValueError(f"spreadness base must exceed 1, got {b}")
     return frac
 
 
@@ -111,10 +111,13 @@ def _carried_counts(masks: Sequence[int], sub: Subsplit) -> dict[int, int]:
     """|F[S]| for every nonempty S on ``sub`` contained in some member,
     counted over the members' traces on the subsplit's union.  The
     traces' sum(2**|trace|) is capped at DEFAULT_SHADOW_BUDGET
-    (BudgetExceededError beyond)."""
+    (BudgetExceededError beyond), and summed only when len(masks) *
+    2**|union| is over the cap: no trace outgrows the union, so that
+    product bounds the sum."""
     union = sub.union_mask
-    _check_shadow_budget(sum(1 << (u & union).bit_count() for u in masks),
-                         DEFAULT_SHADOW_BUDGET)
+    if len(masks) << union.bit_count() > DEFAULT_SHADOW_BUDGET:
+        _check_shadow_budget(sum(1 << (u & union).bit_count() for u in masks),
+                             DEFAULT_SHADOW_BUDGET)
     counts: dict[int, int] = {}
     _tally_traces(counts, masks, sub)
     return counts
@@ -134,6 +137,28 @@ def check_gamma(family: SetFamily, b,
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
     return _spread_report(family, base, _family_counts(family, budget))
+
+
+def _spread_holds(family: SetFamily, base) -> bool:
+    """``check_gamma(family, base).holds``, settled first by a degree
+    bound read off the family's subset lookup.  With b = p/q, D the
+    largest |F[{x}]| and M the largest member size, every nonempty S
+    has |F[S]| <= D (F[S] lies in F[{x}] for x in S), and a size-M set
+    in the shadow is a member with no other superset, so |F[S]| = 1:
+    D * p^(M-1) < |F| * q^(M-1) and p^M < |F| * q^M make every ratio
+    |F[S]| * b^|S| / |F| below 1.  Only when this fails, or no member
+    is nonempty, does the full count run."""
+    base = exact_base(base)
+    top = max(map(int.bit_count, family._mask_set), default=0)
+    if top:
+        lookup, size = family.subset_lookup(), len(family)
+        p, q = base.numerator, base.denominator
+        degree = max(len(lookup.get(1 << x, ()))
+                     for x in range(family.universe.n))
+        if (degree * p ** (top - 1) < size * q ** (top - 1)
+                and p ** top < size * q ** top):
+            return True
+    return check_gamma(family, base).holds
 
 
 def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,

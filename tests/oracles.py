@@ -32,6 +32,15 @@ or in log-space below ``LOG_SPACE_SWITCH``, with an independent log f
 are the parsers that read every row into a label list first and build
 the family with ``SetFamily.of``, the route the mask-direct parsers
 replaced.
+``degree_bound_decides`` is the degree bound that settles the engine
+audit's spreadness check before any count, recomputed with one
+restriction per label; the check it settles is ``check_gamma``.
+``full_rank_pass_by_grouping`` is the engine's full-rank pass as it
+grouped every component by projection, before a component keyed by
+every strip took its members alone without grouping.
+``carried_counts_reference`` is the trace count map with its budget
+summed exactly before any count, before the count map summed it only
+past a cheap bound, and with every carried subset counted one by one.
 ``meet_once`` is the member scan the split searches' column-bitset
 incidence kernel replaced, and ``enumerate_splits_reference`` the split
 enumerator that recursed until no label remained, kept as is to pin the
@@ -120,6 +129,19 @@ def brute_max_ratio(family: SetFamily, candidates, b: Fraction):
         if ratio > best:
             best, witness = ratio, s
     return (best < 1, None if best < 1 else witness, best)
+
+
+def degree_bound_decides(family: SetFamily, b) -> bool:
+    """Whether D * b^(M-1) < |F| and b^M < |F|, with D the largest
+    restriction to one label and M the largest member size (M >= 1)."""
+    b = exact_base(b)
+    top = max((u.bit_count() for u in family.masks()), default=0)
+    if not top:
+        return False
+    degree = max(len(family.restrict(GroundSet(family.universe, 1 << x)))
+                 for x in range(family.universe.n))
+    return (degree * b ** (top - 1) < len(family)
+            and b ** top < len(family))
 
 
 def sunflower_free_check_oracle(family: SetFamily, k: int,
@@ -252,6 +274,40 @@ def clean_to_spread(bucket, free: Subsplit, bases: SetFamily, b) -> list[int]:
             break
         t = [u for u in t if u & v != v]
     return t
+
+
+def full_rank_pass_by_grouping(comp, union: int, live: set[int],
+                               floor) -> list[tuple[int, list[int]]]:
+    """(base mask, members) for each group of members with one projection
+    onto ``union`` that reaches ``floor``, in label order, with the
+    members taken off ``live``."""
+    groups: dict[int, list[int]] = {}
+    for u in comp:
+        groups.setdefault(u & union, []).append(u)
+    found = [(bm, groups[bm]) for bm in sorted(groups, key=mask_labels)
+             if len(groups[bm]) >= floor]
+    for _, t in found:
+        live.difference_update(t)
+    return found
+
+
+def carried_counts_reference(masks, sub: Subsplit,
+                             budget: int) -> dict[int, int]:
+    """|F[S]| for every nonempty S on ``sub`` inside some member's trace
+    on the subsplit's union, after checking the traces' exact
+    sum(2**|trace|) against ``budget`` (BudgetExceededError beyond)."""
+    union = sub.union_mask
+    _check_shadow_budget(sum(2 ** len(mask_labels(u & union)) for u in masks),
+                         budget)
+    counts: dict[int, int] = {}
+    for u in masks:
+        labels = mask_labels(u & union)
+        for size in range(1, len(labels) + 1):
+            for c in combinations(labels, size):
+                s = sum(1 << x for x in c)
+                if sub.carries_mask(s):
+                    counts[s] = counts.get(s, 0) + 1
+    return counts
 
 
 def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:

@@ -74,6 +74,18 @@ def test_constants_validation():
         Constants(0.5, 1.2, 1.5, 2, 2, mode="bespoke")
 
 
+@pytest.mark.parametrize("field, h, c", [("h", math.inf, math.inf),
+                                          ("h", math.inf, 1.5),
+                                          ("c", 1.2, math.inf),
+                                          ("h", math.nan, 1.5),
+                                          ("c", 1.2, math.nan)])
+def test_constants_require_finite_h_and_c(field, h, c):
+    # an infinite h or c would reach the engine's exact base c * k, which
+    # no Fraction can hold
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Constants(0.5, h, c, 2, 2, 4)
+
+
 def test_constants_accessors():
     cfg = Constants(0.5, 1.2, 1.5, 2, 2)
     assert cfg.b == 3.0
@@ -392,24 +404,46 @@ def test_base_sets_output_builds_its_family_on_first_use():
 
 
 def test_base_sets_postcondition_raises_with_trace(monkeypatch):
-    # make the last full-rank bucket look full (it holds the whole
-    # component) when the output is checked: the projection count of the
-    # parts' members then puts them all in one group, and the returned
-    # rank 1 breaks the threshold postcondition, which must raise, not
-    # assert
-    last = FLAGSHIP.masks()[-1]
+    # at m' = m every projection group is one member, so the threshold
+    # postcondition of a returned rank below m is need[m] > 1: checked
+    # with a table whose need[m] is 1, it must raise, not assert
     real_finish = basesets._finish
 
-    def finish(*args):
-        monkeypatch.setattr(basesets, "_projection_groups",
-                            lambda members, union: {last: list(members)})
-        return real_finish(*args)
+    def finish(r, parts, trace, collection, cfg, thr, b):
+        broken = Threshold(cfg)
+        broken.need = (*thr.need[:-1], 1)
+        return real_finish(r, parts, trace, collection, cfg, broken, b)
 
     monkeypatch.setattr(basesets, "_finish", finish)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
     with pytest.raises(ContractViolationError, match="threshold") as info:
         base_sets(coll, FLAGSHIP_CFG)
     assert len(info.value.trace) == 8
+
+
+def test_base_sets_postcondition_raises_below_full_rank(monkeypatch):
+    # a derived rank-2 collection of the whole 3x3x3 product returns rank
+    # 1; make its projection groups look like one group holding every
+    # part member when the output is checked, which reaches need[2] and
+    # breaks the threshold postcondition, which must raise, not assert
+    split = Split.contiguous(9, 3)
+    product = SetFamily.of(9, [[x, y, z] for x in range(3)
+                               for y in range(3, 6) for z in range(6, 9)])
+    pairs = SetFamily.of(9, [[x, y] for x in range(3) for y in range(3, 6)])
+    coll, skipped = ComponentCollection.derive(product, split, 2, pairs)
+    cfg = Constants(0.995, 1.0005, 1.001, 2, 3, 216)
+    assert not skipped and coll.rank == 2 and base_sets(coll, cfg).r == 1
+    real_finish = basesets._finish
+
+    def finish(*args):
+        monkeypatch.setattr(basesets, "_projection_groups",
+                            lambda members, union: {0: list(members)})
+        return real_finish(*args)
+
+    monkeypatch.setattr(basesets, "_finish", finish)
+    with pytest.raises(ContractViolationError, match="threshold") as info:
+        base_sets(coll, cfg)
+    assert len(info.value.trace) == 3
 
 
 def test_base_sets_immediate_threshold():

@@ -415,6 +415,49 @@ def test_process_r_rejects_c_not_above_h_before_the_engine(
     assert err == "error: the audit requires c > h > 1\n"
 
 
+def wide_family(hub: bool) -> SetFamily:
+    """600 on-split 13-sets over the contiguous 13-split of 780 labels,
+    whose sum(2**|U|) = 600 * 2**13 is over DEFAULT_SHADOW_BUDGET: member
+    i takes label (i + j * (i // 60)) % 60 of strip j, so every label
+    lies in 10 members; with ``hub`` every member takes label 0 of strip
+    0 instead, which lies in all 600."""
+    return SetFamily.of(780, [
+        [0] * hub + [60 * j + (i + (j - hub) * (i // 60)) % 60
+                     for j in range(hub, 13)]
+        for i in range(600)])
+
+
+@pytest.mark.parametrize("hub", [False, True], ids=["spread", "hub"])
+def test_process_r_audits_a_family_over_the_shadow_budget(capsys, tmp_path,
+                                                          hub):
+    # need[13] is 1, so step 1 takes every member alone at rank 13.  The
+    # audit's level b = 1.3876... : with degree 10 the degree bound proves
+    # b-spreadness (10 * b^12 < 600 and b^13 < 600), so no restriction is
+    # counted and the audit is reported, where counting them exceeded the
+    # shadow budget (exit 4).  With the hub the bound fails and the count
+    # still runs out of budget
+    family = wide_family(hub)
+    assert [len(family.restrict(GroundSet(family.universe, 1 << x)))
+            for x in (0, 1, 60)] == ([600, 0, 10] if hub else [10, 10, 10])
+    fam_path = family_file(tmp_path, family)
+    cfg_path = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
+                                         "c": 1.001, "k": 2, "m": 13})
+    code, out, err = run(capsys, ["process-r", fam_path,
+                                  "--constants", cfg_path])
+    if hub:
+        assert (code, out) == (4, "")
+        assert err == ("error: shadow would generate 4915200 subsets "
+                       "(budget 4194304)\n")
+        return
+    report = json.loads(out)
+    results = report["results"]
+    assert code == 0 and results["rHat"] == 13
+    assert results["steps"] == [{"p": 1, "rIn": 13, "rOut": 13,
+                                 "extracted": 600}]
+    assert results["audit"]["spread_hypothesis_holds"] is True
+    assert results["audit"]["all_sandwich_ok"] is True
+
+
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
     # the extremal 5-sunflower-free family of 64 3-sets: its link table
     # (512 entries) fits the budget, but proving absence takes 720 nodes
@@ -461,6 +504,22 @@ def test_zero_denominator_base_exits_five(capsys, tmp_path, command, option,
     code, out, err = run(capsys, [command, path, *option, flag, base])
     assert (code, out) == (5, "")
     assert err == f"error: base {base!r} has a zero denominator\n"
+
+
+@pytest.mark.parametrize("command, option, base, shown", [
+    ("check-gamma", [], "1", "1"),
+    ("check-gamma", [], "0.75", "3/4"),
+    ("find-sunflower", ["--k", "2"], "1", "1"),
+    ("find-sunflower", ["--k", "2"], "3/4", "3/4"),
+])
+def test_base_at_most_one_exits_five_naming_its_value(capsys, tmp_path,
+                                                       command, option, base,
+                                                       shown):
+    path = family_file(tmp_path, FULL4)
+    flag = "--b" if command == "check-gamma" else "--gamma"
+    code, out, err = run(capsys, [command, path, *option, flag, base])
+    assert (code, out) == (5, "")
+    assert err == f"error: spreadness base must exceed 1, got {shown}\n"
 
 
 def test_input_errors_exit_five(capsys, tmp_path):

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 POSTCONDITION_TESTS = [
     "tests/test_basesets.py::test_base_sets_postcondition_raises_with_trace",
+    "tests/test_basesets.py::test_base_sets_postcondition_raises_below_full_rank",
     "tests/test_basesets.py::test_process_r_postcondition_raises",
     "tests/test_splits.py::test_find_good_split_postcondition_raises",
     "tests/test_splits.py::test_find_good_split_cross_checks_the_kernel_count",

@@ -35,11 +35,11 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sunflower import basesets as bs
-from sunflower import sunflowers
+from sunflower import gamma, sunflowers
 from sunflower.errors import (BudgetExceededError, ContractViolationError,
                               TrialsExhaustedError)
 from sunflower.extremal import build_extremal
@@ -47,8 +47,8 @@ from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
                                 _subset_counts, _subset_lookup,
                                 family_from_json_obj, family_from_text,
                                 labels_mask, mask_labels)
-from sunflower.gamma import (GammaReport, check_gamma, check_gamma_on_subsplit,
-                             exact_base)
+from sunflower.gamma import (GammaReport, _carried_counts, _spread_holds,
+                             check_gamma, check_gamma_on_subsplit, exact_base)
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
@@ -57,9 +57,10 @@ from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
 from sunflower.sunflowers import (extract_disjoint_via_gamma,
                                   find_sunflower_exact, verify_certificate)
 
-from oracles import (brute_max_ratio, clean_to_spread,
+from oracles import (brute_max_ratio, carried_counts_reference,
+                     clean_to_spread, degree_bound_decides,
                      disjoint_greedy_reference, enumerate_splits_reference,
-                     extractions_by_rescan,
+                     extractions_by_rescan, full_rank_pass_by_grouping,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
                      max_violator_masks, meet_once, meets_eps_floor,
@@ -428,6 +429,77 @@ def test_clean_to_spread_matches_fresh_violator_searches(case, b):
                                over.subset_lookup(), b.numerator,
                                b.denominator) == \
         clean_to_spread(family.masks(), sub, over, b)
+
+
+@SETTINGS
+@given(st.one_of(families(min_size=1),
+                 label_lists().filter(lambda case: case[1]).map(
+                     lambda case: SetFamily.of(*case))), bases())
+# decided: every label in one member, 2 < 4 members
+@example(SetFamily.of(4, [[0], [1], [2], [3]]), Fraction(2))
+# a tie, b^M = |F|, is not decided, and fails
+@example(SetFamily.of(4, [[0], [1], [2], [3]]), Fraction(4))
+# not decided: {0} lies in all three members, 3 * 2 >= 3
+@example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
+# decided with mixed sizes and the empty member: 1 * 3/2 < 4, 9/4 < 4
+@example(SetFamily.of(4, [[], [0], [1, 2], [3]]), Fraction(3, 2))
+# the empty member alone: no nonempty set, counted and vacuously spread
+@example(SetFamily.of(2, [[]]), Fraction(2))
+def test_spread_holds_matches_check_gamma(family, b):
+    # the engine audit's spreadness verdict is check_gamma's, and the full
+    # count runs exactly when the degree bound does not decide
+    decides = degree_bound_decides(family, b)
+    event(f"degree bound decides: {decides}")
+    with mock.patch.object(gamma, "check_gamma", wraps=check_gamma) as full:
+        assert _spread_holds(family, b) == check_gamma(family, b).holds
+    assert full.call_count == (not decides)
+
+
+@SETTINGS
+@given(families(min_size=1), st.floats(1.001, 3.0), st.integers(2, 4))
+def test_audit_spread_verdict_matches_check_gamma(family, c, k):
+    # an audit of no parts still decides the family's spreadness at its
+    # level c^c * k * ln k
+    cfg = bs.Constants(0.5, 1.0005, c, k, max(family.m, 1), len(family))
+    empty = SetFamily(family.universe, ())
+    result = bs.ProcessRResult((), 1, 0, empty, empty, (), ())
+    audit = bs.audit_terminal_bases(result, family, cfg)
+    level = Fraction(audit["spread_hypothesis_level"])
+    event(f"degree bound decides: {degree_bound_decides(family, level)}")
+    assert audit["spread_hypothesis_holds"] == check_gamma(family, level).holds
+
+
+def budget_outcome(count):
+    """``count()``, or the (needed, budget) of the BudgetExceededError it
+    raises."""
+    try:
+        return count()
+    except BudgetExceededError as exc:
+        return exc.needed, exc.budget
+
+
+HALVES8 = Split.of(8, [range(4), range(4, 8)])
+
+
+@SETTINGS
+@given(subsplit_cases(), st.integers(1, 64))
+# the cheap bound 2 << 8 is over 8, the exact sum 2 + 2 is not
+@example((SetFamily.of(8, [[0], [4]]), HALVES8.subsplit([0, 1]),
+          SetFamily.of(8, [])), 8)
+# the exact sum 4 + 4 is over 7
+@example((SetFamily.of(8, [[0, 4], [1, 5]]), HALVES8.subsplit([0, 1]),
+          SetFamily.of(8, [])), 7)
+def test_carried_counts_budget_matches_exact_sum(case, budget):
+    # the count map raises with the exact sum(2**|trace|) when that is over
+    # the budget, and counts otherwise, whether or not its cheap bound
+    # len(masks) * 2**|union| is over
+    family, sub, _ = case
+    masks = family.masks()
+    event(f"cheap bound over: {len(masks) << sub.union_mask.bit_count() > budget}")
+    with mock.patch.object(gamma, "DEFAULT_SHADOW_BUDGET", budget):
+        got = budget_outcome(lambda: _carried_counts(masks, sub))
+    assert got == budget_outcome(
+        lambda: carried_counts_reference(masks, sub, budget))
 
 
 @SETTINGS
@@ -856,6 +928,22 @@ def test_drain_matches_restart_scan(case):
                          cfg)
     drain_matches_rescan(anchored_top,
                          anchored_collection(family, split, anchor_seed), cfg)
+
+
+@SETTINGS
+@given(engine_cases(), st.sampled_from([1, 2, 3, math.inf]))
+def test_full_rank_pass_matches_grouping(case, floor):
+    # a component keyed by every strip takes its members alone, ungrouped;
+    # one keyed by fewer strips groups them; both as the grouped pass
+    family, split, cfg, _, _, anchor_seed = case
+    for coll in (bs.ComponentCollection.initial(family, split),
+                 anchored_collection(family, split, anchor_seed)):
+        for key, comp in coll.components.items():
+            union = split.subsplit(key).union_mask
+            live, grouped_live = set(comp), set(comp)
+            assert list(bs._full_rank_pass(comp, union, live, floor)) == \
+                full_rank_pass_by_grouping(comp, union, grouped_live, floor)
+            assert live == grouped_live
 
 
 def engine_matches_rescan(family, split, cfg):
