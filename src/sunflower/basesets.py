@@ -457,22 +457,18 @@ def _projection_groups(members: Iterable[int],
 
 
 def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
-                    floor: int | float) -> Iterator[tuple[int, list[int]]]:
+                    floor: int | float,
+                    full: bool) -> Iterator[tuple[int, list[int]]]:
     """Yield (base mask, member masks) for each projection group of the
     component onto its strips (``union``) that reaches ``floor``, in label
     order, after removing its members from ``live``.  At r = m' a member
     contains a base on the strips exactly when it projects onto it, and
     every projection is a base, so these groups are the buckets; being
-    disjoint, no take shrinks another.  When the key is every strip, as
-    one member inside ``union`` shows (each member meets every strip),
-    each member is its own projection and its group: every member is
-    taken alone iff floor <= 1, with no grouping.
+    disjoint, no take shrinks another.  When ``full`` (m' = m, the key is
+    every strip) each member is its own projection, so every group is one
+    member and none reaches a floor above 1: nothing is grouped.
     """
-    if comp[0] & union == comp[0]:
-        if floor <= 1:
-            for u in comp:
-                live.discard(u)
-                yield u, [u]
+    if full and floor > 1:
         return
     groups = _projection_groups(comp, union)
     for bm in sorted((bm for bm, t in groups.items() if len(t) >= floor),
@@ -571,6 +567,7 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
             f"3^(-2m) * famSize floor")
 
     lookup = collection._family.subset_lookup()
+    full = mprime == cfg.m
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
     work = {key: set(comp) for key, comp in components.items()}
@@ -584,7 +581,7 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
             sub = collection.split.subsplit(key)
             if r == mprime:
                 found = _full_rank_pass(components[key], sub.union_mask,
-                                        live, thr.need[mprime])
+                                        live, thr.need[mprime], full)
             else:
                 found = _extractions(r, live, lookup, sub, collection.bases,
                                      thr.eps_need if r == 0 else 1, b)
@@ -597,7 +594,8 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
                               "sizeT": len(t_masks),
                               "cumulative": cumulative})
         if cumulative * 3 ** (mprime - r + 1) >= size:
-            return _finish(r, round_parts, trace, collection, cfg, thr, b)
+            return _finish(r, round_parts, trace, collection, cfg, thr, b,
+                           full)
     raise ContractViolationError(
         "no rank produced the guaranteed retained fraction; the constants "
         "are outside the supported regime or the engine has a bug",
@@ -606,9 +604,11 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
 
 def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
             collection: ComponentCollection, cfg: Constants, thr: Threshold,
-            b: Fraction) -> BaseSetsOutput:
+            b: Fraction, full: bool) -> BaseSetsOutput:
     """Assemble the output and check the engine's postconditions; a
-    failed one raises ContractViolationError carrying the trace."""
+    failed one raises ContractViolationError carrying the trace.
+    ``full`` is base_sets' m' = m, where every projection group is one
+    member."""
 
     def require(ok: bool, what: str) -> None:
         if not ok:
@@ -625,8 +625,8 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
     for part in parts:
         by_key.setdefault(part.key, []).extend(part.T)
     mprime = collection.rank
-    if r < mprime == cfg.m:
-        # at m' = m every group is one member, and none was taken
+    if r < mprime and full:
+        # every group is one member, and none was taken
         require(thr.need[mprime] > 1,
                 "threshold property failed for the returned rank")
     elif r < mprime:

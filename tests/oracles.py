@@ -37,7 +37,7 @@ audit's spreadness check before any count, recomputed with one
 restriction per label; the check it settles is ``check_gamma``.
 ``full_rank_pass_by_grouping`` is the engine's full-rank pass as it
 grouped every component by projection, before a component keyed by
-every strip took its members alone without grouping.
+every strip skipped grouping at a floor above 1.
 ``carried_counts_reference`` is the trace count map with its budget
 summed exactly before any count, before the count map summed it only
 past a cheap bound, and with every carried subset counted one by one.

@@ -409,10 +409,10 @@ def test_base_sets_postcondition_raises_with_trace(monkeypatch):
     # with a table whose need[m] is 1, it must raise, not assert
     real_finish = basesets._finish
 
-    def finish(r, parts, trace, collection, cfg, thr, b):
+    def finish(r, parts, trace, collection, cfg, thr, b, full):
         broken = Threshold(cfg)
         broken.need = (*thr.need[:-1], 1)
-        return real_finish(r, parts, trace, collection, cfg, broken, b)
+        return real_finish(r, parts, trace, collection, cfg, broken, b, full)
 
     monkeypatch.setattr(basesets, "_finish", finish)
     coll = ComponentCollection.initial(FLAGSHIP, SPLIT16)
@@ -532,7 +532,8 @@ def test_extractions_read_live_members_only():
     comp = coll.components[(0, 1)]
     union = coll.split.subsplit((0, 1)).union_mask
     live = set(comp)
-    drained = list(_full_rank_pass(comp, union, live, Threshold(cfg).need[2]))
+    drained = list(_full_rank_pass(comp, union, live, Threshold(cfg).need[2],
+                                   True))
     assert drained[:2] == [(0b10001, [0b10001]), (0b100001, [0b100001])]
     assert [bm for bm, _ in drained] == list(comp)
     assert all(t == [bm] for bm, t in drained)

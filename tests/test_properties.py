@@ -880,7 +880,8 @@ def drain_matches_rescan(top, collection, cfg):
             if r == mprime:
                 # a whole bucket meets need[m']
                 found = bs._full_rank_pass(comps[key], sub.union_mask, live,
-                                           thr.need[mprime])
+                                           thr.need[mprime],
+                                           mprime == cfg.m)
             else:
                 # a cleaned one is nonempty and, at rank 0, meets the
                 # epsilon floor
@@ -933,15 +934,18 @@ def test_drain_matches_restart_scan(case):
 @SETTINGS
 @given(engine_cases(), st.sampled_from([1, 2, 3, math.inf]))
 def test_full_rank_pass_matches_grouping(case, floor):
-    # a component keyed by every strip takes its members alone, ungrouped;
-    # one keyed by fewer strips groups them; both as the grouped pass
+    # a component keyed by every strip skips grouping at a floor above 1;
+    # one keyed by fewer strips, or at floor 1, groups: all as the grouped
+    # pass
     family, split, cfg, _, _, anchor_seed = case
     for coll in (bs.ComponentCollection.initial(family, split),
                  anchored_collection(family, split, anchor_seed)):
+        full = coll.rank == split.m
         for key, comp in coll.components.items():
             union = split.subsplit(key).union_mask
             live, grouped_live = set(comp), set(comp)
-            assert list(bs._full_rank_pass(comp, union, live, floor)) == \
+            assert list(bs._full_rank_pass(comp, union, live, floor,
+                                           full)) == \
                 full_rank_pass_by_grouping(comp, union, grouped_live, floor)
             assert live == grouped_live
 
@@ -1012,7 +1016,7 @@ def test_bench_constants_decide_no_full_rank_candidate():
     live = set(masks)
     assert list(bs._full_rank_pass(family.masks(),
                                    split.full_subsplit().union_mask, live,
-                                   4)) == []
+                                   4, True)) == []
     assert live == set(masks)
     res = engine_matches_rescan(family, split, cfg)
     assert res.steps[0].output.trace[0]["r"] < 3
