@@ -41,7 +41,8 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ContractViolationError, UniverseMismatchError
+from .errors import (BudgetExceededError, ContractViolationError,
+                     UniverseMismatchError)
 from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
                        _ordered_family, _Record, _setattr, mask_labels)
 from .gamma import (_carried_counts, _max_violator_masks, _spread_holds,
@@ -681,7 +682,9 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
     the output rank repeats the input rank (terminal index p) or hits
     zero (terminal index p+1); non-terminal steps strictly decrease the
     rank, so at most m+1 calls run.  Errors from the first collection on
-    propagate with the completed steps attached as ``partial_steps``.
+    propagate with the completed steps attached as ``partial_steps``; a
+    ContractViolationError's ``trace`` then holds the completed steps'
+    rows before the failing call's.
     """
     if split.universe.n != family.universe.n:
         raise UniverseMismatchError("split over a different universe")
@@ -704,15 +707,15 @@ def process_r(family: SetFamily, split: Split, cfg: Constants) -> ProcessRResult
             if out.r == collection.rank or out.r == 0:
                 break
             if not 0 < out.r < collection.rank:
-                raise ContractViolationError("rank must strictly decrease",
-                                             trace=trace)
+                raise ContractViolationError("rank must strictly decrease")
             if p > cfg.m + 2:
                 raise ContractViolationError(
-                    "driver exceeded the rank-descent iteration bound",
-                    trace=trace)
+                    "driver exceeded the rank-descent iteration bound")
             collection = collection.regroup(out)
     except (ContractViolationError, ValueError) as exc:
         exc.partial_steps = tuple(steps)
+        if isinstance(exc, ContractViolationError):
+            exc.trace = trace + list(exc.trace)
         raise
     p_hat = p if out.r == collection.rank else p + 1
     taken = set().union(*(part.T for part in out.parts))
@@ -741,7 +744,10 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     or cannot be evaluated, never treated as failures.  The spreadness
     level is decided exactly (:func:`gamma._spread_holds`): |F[S]| is at
     most the largest degree D below the largest member size M and 1 at
-    M, so D * b^(M-1) < |F| and b^M < |F| prove it with no count.
+    M, so D * b^(M-1) < |F| and b^M < |F| prove it with no count, and
+    D * b >= |F| or b^M >= |F| refutes it.  Where neither decides and
+    the count is over the shadow budget, ``spread_hypothesis_holds`` is
+    None.
     """
     _check_audit_regime(cfg)
     if cfg.fam_size is None:
@@ -794,7 +800,10 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     except OverflowError:
         pass
     if big_b is not None and math.isfinite(big_b) and big_b > 1:
-        spread_hypothesis = _spread_holds(family, Fraction(big_b))
+        try:
+            spread_hypothesis = _spread_holds(family, Fraction(big_b))
+        except BudgetExceededError:
+            spread_hypothesis = None
     else:
         spread_hypothesis = None
 

@@ -244,6 +244,9 @@ def _part_obj(part: ElementaryPart) -> dict:
 
 
 def _engine_inputs(args) -> tuple[SetFamily, Constants, Split]:
+    """The family, its constants (famSize filled with its size when
+    unset) and the contiguous split of its universe into m strips, the
+    only split the engine commands use."""
     from . import basesets as bs
     family = _read_family(args.family)
     with open(args.constants) as fh:

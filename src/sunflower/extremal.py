@@ -18,7 +18,12 @@ DEFAULT_EXTREMAL_BUDGET = 1 << 20
 
 def build_extremal(k: int, m: int,
                    budget: int = DEFAULT_EXTREMAL_BUDGET) -> SetFamily:
-    """Build the product construction; |family| = (k-1)^m on (k-1)*m labels."""
+    """Build the product construction; |family| = (k-1)^m on (k-1)*m labels.
+
+    No m-set can be added without closing a k-sunflower: a new one misses
+    some generation, so k-1 members sharing one of its labels in each
+    generation it meets and differing pairwise elsewhere form one with
+    it (on these labels, or padded to k*m of them)."""
     if k < 2:
         raise ValueError("sunflower size must be at least 2")
     if m < 1:

@@ -13,6 +13,8 @@ Restriction counts |F[S]| are read off one subset map per family, built
 by ``_subset_lookup`` on the first :meth:`SetFamily.subset_lookup` and
 kept (above DEFAULT_SHADOW_BUDGET a stand-in scans the members), or are
 counted by size with no buckets (``_subset_counts``).
+``SetFamily.shadow`` and ``SetFamily.restrict`` stay as the plain
+references the tests check both kernels against.
 Splits partition the universe into equal-size ordered strips, stored as
 int masks too; subsplits select strips in order.
 
@@ -90,23 +92,6 @@ def _subset_counts(masks: Sequence[int],
     if top:
         counts[top] = dict.fromkeys(groups[-1][1], 1)
     return counts
-
-
-def _family_counts(family: "SetFamily", budget: int,
-                   ) -> dict[int, dict[int, int]]:
-    """:func:`_subset_counts` of the family's members, read off its kept
-    :meth:`SetFamily.subset_lookup` when that is a dict (same budget
-    check: the buckets hold each member once per submask, sum(2**|U|)
-    entries)."""
-    lookup = family._subsets
-    if not isinstance(lookup, dict):
-        return _subset_counts(family._mask_set, budget)
-    _check_shadow_budget(sum(map(len, lookup.values())), budget)
-    by_size: dict[int, dict[int, int]] = {}
-    for s, bucket in lookup.items():
-        if s:
-            by_size.setdefault(s.bit_count(), {})[s] = len(bucket)
-    return by_size
 
 
 class _ScannedSubsetMap:
@@ -218,7 +203,8 @@ class _Record(_Immutable):
     fields, compares, hashes and prints as the tuple of its slots in
     order; ``__init__`` fills them through :meth:`_set`.  A slot named
     with a leading underscore caches a value derived from the others and
-    takes no part in equality, hash or repr."""
+    takes no part in equality, hash or repr.  Being hand-written, it
+    keeps ``dataclasses`` off every command's import path."""
 
     __slots__ = ()
 
@@ -313,7 +299,9 @@ class SetFamily(_Immutable):
     (``members``, iteration) and the subset lookup (:meth:`subset_lookup`)
     are built on first use and kept, idempotently, so thread-safe.  ``m``
     is the declared maximum member cardinality; it defaults to the largest
-    actual member size and is preserved by serialization.
+    actual member size and is preserved by serialization.  Count-only
+    paths (spreadness and transversal counts, ``pad_universe``, the CLI's
+    ``--core`` quotient, the greedy extraction) never sort.
     """
 
     __slots__ = ("universe", "m", "_masks", "_mask_set", "_members",

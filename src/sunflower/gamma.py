@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _check_shadow_budget, _family_counts,
-                       _Record)
+                       _canonical_key, _check_shadow_budget, _Record,
+                       _subset_counts)
 
 
 def exact_base(b) -> Fraction:
@@ -127,27 +127,29 @@ def check_gamma(family: SetFamily, b,
                 budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
     """Check b-spreadness against every nonempty set in the family's shadow.
 
-    Counts come from :func:`families._family_counts`, grouped by size:
-    read off the family's kept :meth:`SetFamily.subset_lookup` when that
-    is a dict, counted by :func:`families._subset_counts` otherwise;
-    ``budget`` caps the members' sum(2**|U|) (BudgetExceededError beyond)
-    either way.
+    Counts come from :func:`families._subset_counts`, grouped by size,
+    whether or not the family keeps a subset lookup; ``budget`` caps the
+    members' sum(2**|U|) (BudgetExceededError beyond).  It computes a
+    sort key only to name a failing check's witness.
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    return _spread_report(family, base, _family_counts(family, budget))
+    return _spread_report(family, base,
+                          _subset_counts(family._mask_set, budget))
 
 
 def _spread_holds(family: SetFamily, base) -> bool:
-    """``check_gamma(family, base).holds``, settled first by a degree
-    bound read off the family's subset lookup.  With b = p/q, D the
+    """``check_gamma(family, base).holds``, settled first by degree
+    bounds read off the family's subset lookup.  With b = p/q, D the
     largest |F[{x}]| and M the largest member size, every nonempty S
     has |F[S]| <= D (F[S] lies in F[{x}] for x in S), and a size-M set
     in the shadow is a member with no other superset, so |F[S]| = 1:
     D * p^(M-1) < |F| * q^(M-1) and p^M < |F| * q^M make every ratio
-    |F[S]| * b^|S| / |F| below 1.  Only when this fails, or no member
-    is nonempty, does the full count run."""
+    |F[S]| * b^|S| / |F| below 1.  Conversely D * p >= |F| * q (a label
+    of degree D violates) or p^M >= |F| * q^M (a largest member does)
+    refutes it.  Only when neither decides, or no member is nonempty,
+    does the full count run."""
     base = exact_base(base)
     top = max(map(int.bit_count, family._mask_set), default=0)
     if top:
@@ -155,8 +157,9 @@ def _spread_holds(family: SetFamily, base) -> bool:
         p, q = base.numerator, base.denominator
         degree = max(len(lookup.get(1 << x, ()))
                      for x in range(family.universe.n))
-        if (degree * p ** (top - 1) < size * q ** (top - 1)
-                and p ** top < size * q ** top):
+        if degree * p >= size * q or p ** top >= size * q ** top:
+            return False
+        if degree * p ** (top - 1) < size * q ** (top - 1):
             return True
     return check_gamma(family, base).holds
 

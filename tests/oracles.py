@@ -33,8 +33,8 @@ are the parsers that read every row into a label list first and build
 the family with ``SetFamily.of``, the route the mask-direct parsers
 replaced.
 ``degree_bound_decides`` is the degree bound that settles the engine
-audit's spreadness check before any count, recomputed with one
-restriction per label; the check it settles is ``check_gamma``.
+audit's spreadness check either way before any count, recomputed with
+one restriction per label; the check it settles is ``check_gamma``.
 ``full_rank_pass_by_grouping`` is the engine's full-rank pass as it
 grouped every component by projection, before a component keyed by
 every strip skipped grouping at a floor above 1.
@@ -132,7 +132,8 @@ def brute_max_ratio(family: SetFamily, candidates, b: Fraction):
 
 
 def degree_bound_decides(family: SetFamily, b) -> bool:
-    """Whether D * b^(M-1) < |F| and b^M < |F|, with D the largest
+    """Whether D * b^(M-1) < |F| and b^M < |F| (proving b-spreadness), or
+    D * b >= |F| or b^M >= |F| (refuting it), with D the largest
     restriction to one label and M the largest member size (M >= 1)."""
     b = exact_base(b)
     top = max((u.bit_count() for u in family.masks()), default=0)
@@ -140,8 +141,9 @@ def degree_bound_decides(family: SetFamily, b) -> bool:
         return False
     degree = max(len(family.restrict(GroundSet(family.universe, 1 << x)))
                  for x in range(family.universe.n))
-    return (degree * b ** (top - 1) < len(family)
-            and b ** top < len(family))
+    size = len(family)
+    return (degree * b ** (top - 1) < size and b ** top < size
+            or degree * b >= size or b ** top >= size)
 
 
 def sunflower_free_check_oracle(family: SetFamily, k: int,

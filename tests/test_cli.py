@@ -427,35 +427,49 @@ def wide_family(hub: bool) -> SetFamily:
         for i in range(600)])
 
 
-@pytest.mark.parametrize("hub", [False, True], ids=["spread", "hub"])
+def crowded_family() -> SetFamily:
+    """``wide_family(False)`` with members 1..19 (member i < 60 takes
+    label i of every strip) moved to label 0 on strip 0: label 0 lies in
+    29 members, every other label in at most 10."""
+    return SetFamily.of(780, [
+        [0 if i < 20 and j == 0 else 60 * j + (i + j * (i // 60)) % 60
+         for j in range(13)]
+        for i in range(600)])
+
+
+@pytest.mark.parametrize("case", ["spread", "hub", "crowded"])
 def test_process_r_audits_a_family_over_the_shadow_budget(capsys, tmp_path,
-                                                          hub):
+                                                          case):
     # need[13] is 1, so step 1 takes every member alone at rank 13.  The
-    # audit's level b = 1.3876... : with degree 10 the degree bound proves
-    # b-spreadness (10 * b^12 < 600 and b^13 < 600), so no restriction is
-    # counted and the audit is reported, where counting them exceeded the
-    # shadow budget (exit 4).  With the hub the bound fails and the count
-    # still runs out of budget
-    family = wide_family(hub)
+    # audit's level is b = 1.3876..., and no restriction is counted, as
+    # counting them exceeds the shadow budget.  With degree 10 the degree
+    # bound proves b-spreadness (10 * b^12 < 600 and b^13 < 600).  With
+    # the hub, D = |F| = 600 refutes it (600 * b >= 600).  With label 0
+    # in 29 members neither decides (29 * b^12 >= 600 > 29 * b, and
+    # b^13 < 600), so the count runs out of budget and the hypothesis is
+    # reported as unknown, not as an exit 4 after the engine has run
+    family = crowded_family() if case == "crowded" else wide_family(
+        case == "hub")
+    degrees = {"spread": [10, 10, 10], "hub": [600, 0, 10],
+               "crowded": [29, 9, 10]}[case]
     assert [len(family.restrict(GroundSet(family.universe, 1 << x)))
-            for x in (0, 1, 60)] == ([600, 0, 10] if hub else [10, 10, 10])
+            for x in (0, 1, 60)] == degrees
     fam_path = family_file(tmp_path, family)
     cfg_path = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
                                          "c": 1.001, "k": 2, "m": 13})
     code, out, err = run(capsys, ["process-r", fam_path,
                                   "--constants", cfg_path])
-    if hub:
-        assert (code, out) == (4, "")
-        assert err == ("error: shadow would generate 4915200 subsets "
-                       "(budget 4194304)\n")
-        return
     report = json.loads(out)
     results = report["results"]
     assert code == 0 and results["rHat"] == 13
     assert results["steps"] == [{"p": 1, "rIn": 13, "rOut": 13,
                                  "extracted": 600}]
-    assert results["audit"]["spread_hypothesis_holds"] is True
+    holds = {"spread": True, "hub": False, "crowded": None}[case]
+    assert results["audit"]["spread_hypothesis_holds"] is holds
     assert results["audit"]["all_sandwich_ok"] is True
+    if not holds:
+        assert [line["hypothesis"] for line in results["audit"]["chain"]][
+            :2] == ["unmet", "unmet"]
 
 
 def test_budget_env_override(capsys, tmp_path, monkeypatch):
@@ -715,6 +729,30 @@ def test_engine_contract_violation_writes_trace_and_exits_one(
         assert err.splitlines() == ["error: no rank reached its bound"]
         assert [json.loads(line)
                 for line in trace.read_text().splitlines()] == [row]
+
+
+def test_later_step_failure_writes_the_completed_steps_trace(capsys,
+                                                              tmp_path):
+    # at m = 5 under the bench constants the driver's step 1 takes 58
+    # parts in 83 extractions and step 2 takes none, so no rank reaches
+    # its bound: the trace file holds step 1's rows, then step 2's
+    family = generate_random_family(40, 5, 1000, 1,
+                                    on_split=Split.contiguous(40, 5))
+    cfg = {"epsilon": 0.995, "h": 1.0005, "c": 1.001, "k": 2, "m": 5}
+    step1 = basesets.base_sets(
+        basesets.ComponentCollection.initial(family, Split.contiguous(40, 5)),
+        basesets.constants_from_dict(cfg).with_fam_size(1000))
+    assert len(step1.trace) == 83 and step1.r == 3
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(capsys, ["process-r", family_file(tmp_path, family),
+                                  "--constants", constants_file(tmp_path, cfg),
+                                  "--trace", str(trace)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no rank produced the guaranteed retained")
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert rows[:83] == [json.loads(json.dumps(row, sort_keys=True))
+                         for row in step1.trace]
+    assert all(row["p"] == 2 for row in rows[83:])
 
 
 def test_gamma_contract_violation_exits_one(capsys, tmp_path, monkeypatch):

@@ -356,10 +356,10 @@ def test_check_gamma_matches_brute_scan(family, b):
 @given(families(min_size=1), bases())
 @example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
 def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
-    # check_gamma reads the counts off the family's subset lookup when the
-    # family keeps one and counts afresh when it does not: both give the
-    # brute verdict, witness and ratio, and over the budget both raise
-    # with the same need and budget
+    # check_gamma counts afresh whether or not the family keeps its
+    # subset lookup: both give the brute verdict, witness and ratio, over
+    # the budget both raise with the same need and budget, and the check
+    # builds no lookup
     want = brute_max_ratio(family, [s for s in family.shadow() if s.bits], b)
     fresh = SetFamily(family.universe, family.masks(), m=family.m)
     kept = SetFamily(family.universe, family.masks(), m=family.m)
@@ -437,10 +437,14 @@ def test_clean_to_spread_matches_fresh_violator_searches(case, b):
                      lambda case: SetFamily.of(*case))), bases())
 # decided: every label in one member, 2 < 4 members
 @example(SetFamily.of(4, [[0], [1], [2], [3]]), Fraction(2))
-# a tie, b^M = |F|, is not decided, and fails
+# a tie, b^M = |F|, refutes: a largest member violates
 @example(SetFamily.of(4, [[0], [1], [2], [3]]), Fraction(4))
-# not decided: {0} lies in all three members, 3 * 2 >= 3
+# refuted: {0} lies in all three members, 3 * 2 >= 3
 @example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
+# not decided, and spread: D = 2, b = 3/2 and 2 * b^2 >= 4 > 2 * b,
+# b^3 < 4, so the count runs
+@example(SetFamily.of(9, [[0, 1, 2], [0, 3, 4], [5, 6, 7], [1, 5, 8]]),
+         Fraction(3, 2))
 # decided with mixed sizes and the empty member: 1 * 3/2 < 4, 9/4 < 4
 @example(SetFamily.of(4, [[], [0], [1, 2], [3]]), Fraction(3, 2))
 # the empty member alone: no nonempty set, counted and vacuously spread
@@ -457,6 +461,7 @@ def test_spread_holds_matches_check_gamma(family, b):
 
 @SETTINGS
 @given(families(min_size=1), st.floats(1.001, 3.0), st.integers(2, 4))
+@example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), 1.001, 2)  # refuted
 def test_audit_spread_verdict_matches_check_gamma(family, c, k):
     # an audit of no parts still decides the family's spreadness at its
     # level c^c * k * ln k
@@ -978,7 +983,9 @@ def engine_matches_rescan(family, split, cfg):
             if sum(len(t) for *_, t, _ in found) * 3 ** (mprime - r + 1) \
                     >= size:
                 break
-        trace = out.trace if out is not None else failed.trace
+        # a failure's trace holds the completed steps' rows first
+        trace = out.trace if out is not None else failed.trace[sum(
+            len(step.output.trace) for step in steps):]
         assert rows == [(row["r"], labels_mask(row["B"]), tuple(row["Xprime"]),
                          row["sizeT"]) for row in trace]
         if out is None:
