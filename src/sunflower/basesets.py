@@ -422,7 +422,8 @@ def _candidate_bases(sub: Subsplit, r: int, shadow, lookup,
     their subset lookup) whose bucket, the members of ``lookup``
     containing them, reaches ``floor``, in lexicographic label order;
     rank 0 gives at most the empty set.  A live bucket lies inside it
-    and, with its cleaning, only shrinks, so no other base can be taken."""
+    and, with its cleaning, only shrinks, so no other base can be taken.
+    The drain raises ``floor`` past b (rule 1 of :func:`_extractions`)."""
     cands = [bm for bm in sub.p_set_masks(r)
              if bm in shadow and len(lookup.get(bm, ())) >= floor]
     cands.sort(key=_canonical_key)
@@ -487,29 +488,37 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     component's members and maybe more, filtered by ``live``.
 
     A min-heap holds the label-order indices of the undecided candidate
-    bases, at the start all whose unfiltered bucket reaches ``floor``
-    (eps_need at r = 0, else 1).  The smallest is popped: dropped if its
-    bucket holds no live member, as it stays empty, else decided on its
-    live bucket cleaned to spreadness on the strips off the base, taken
-    if its size reaches the floor and else passed over.  A take re-queues
-    the passed bases its members contain, the only ones whose buckets it
-    shrinks.  An empty live set ends the drain, as no empty bucket
-    qualifies.  The bases' shadow, b's numerator and denominator,
-    and the free subsplit per set of strips a base hits are computed once
-    per drain.
+    bases, at the start all whose unfiltered bucket exceeds b and reaches
+    ``floor`` (eps_need at r = 0, else 1).  The smallest is popped:
+    dropped if its live bucket is empty, else decided on it cleaned to
+    spreadness on the f = m' - r strips off the base, taken if its size
+    reaches the floor and else passed over.  A take re-queues the passed
+    bases its members contain, the only ones whose buckets it shrinks.
+    An empty live set ends the drain, as no empty bucket qualifies.
+
+    Two exact rules settle a live bucket t with no count.  Members are
+    on-split m-sets projecting onto bases (the collection's invariants),
+    so each trace on the free strips has f labels and its subsets are in
+    the bases' shadow.  Rule 1: if |t| <= b, every traced label violates
+    (1 * b >= |t|), so t empties.  Rule 2: if the traces are disjoint
+    (|t| * f labels in all), every count is 1, so while |t| <= b^f a
+    whole trace is the largest violator and t empties; else nothing
+    violates and t stays whole.  A base a rule empties is dropped, not
+    passed: its later buckets lie inside t, so the rule empties them too.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
-    verdict until an extraction takes a member of its bucket, because live
+    verdict until an extraction takes a member of its bucket, as live
     sets only shrink and a verdict depends only on the bucket and on what
-    the call fixes (r, the floor, the bases, b and the strips off the
-    base).  And a restart only passed over earlier components again,
-    whose live sets an extraction here leaves unchanged.
+    the call fixes.  And a restart only passed over earlier components
+    again, whose live sets an extraction here leaves unchanged.
     """
     shadow = bases.subset_lookup()
     p, q = b.numerator, b.denominator
+    f = sub.rank - r
+    pf, qf = p ** f, q ** f
     frees: dict[int, Subsplit] = {}   # union of the strips hit -> the rest
-    cands = _candidate_bases(sub, r, shadow, lookup, floor)
+    cands = _candidate_bases(sub, r, shadow, lookup, max(floor, p // q + 1))
     heap = list(range(len(cands)))
     passed: dict[int, int] = {}   # base mask -> index
     while heap and live:
@@ -519,11 +528,23 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
         if live.isdisjoint(bucket):
             continue
         bucket = [u for u in bucket if u in live]
+        n = len(bucket)
+        if n * q <= p:   # rule 1
+            continue
         hit = sum(bits for bits in sub.strip_masks if bits & bm)
         free = frees.get(hit)
         if free is None:
             free = frees[hit] = sub.minus(bm)
-        t = _clean_to_spread(bucket, free, shadow, p, q)
+        union = free.union_mask
+        traces = 0
+        for u in bucket:
+            traces |= u & union
+        if n * f == traces.bit_count():   # rule 2
+            if n * qf <= pf:
+                continue
+            t = bucket
+        else:
+            t = _clean_to_spread(bucket, free, shadow, p, q)
         if len(t) < floor:
             passed[bm] = i
             continue
@@ -747,7 +768,8 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     M, so D * b^(M-1) < |F| and b^M < |F| prove it with no count, and
     D * b >= |F| or b^M >= |F| refutes it.  Where neither decides and
     the count is over the shadow budget, ``spread_hypothesis_holds`` is
-    None.
+    None, and ``spread_hypothesis_budget``, present only then, gives the
+    count's needed and budget.
     """
     _check_audit_regime(cfg)
     if cfg.fam_size is None:
@@ -794,7 +816,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
         })
 
     # hypothesis: the original family satisfies the c^c-level spreadness
-    big_b = None
+    big_b = spread_hypothesis = over_budget = None
     try:
         big_b = math.exp(c * math.log(c)) * k * math.log(k)
     except OverflowError:
@@ -802,10 +824,8 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     if big_b is not None and math.isfinite(big_b) and big_b > 1:
         try:
             spread_hypothesis = _spread_holds(family, Fraction(big_b))
-        except BudgetExceededError:
-            spread_hypothesis = None
-    else:
-        spread_hypothesis = None
+        except BudgetExceededError as exc:
+            over_budget = {"needed": exc.needed, "budget": exc.budget}
 
     rank_bound = (5 * math.log(k) - 2 * m * math.log(eps)) \
         / ((c - h) * math.log(c))
@@ -830,7 +850,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
          "hypothesis": "met" if m_hypothesis else "unmet"},
     ]
 
-    return {
+    report = {
         "p_hat": result.p_hat,
         "r_hat": r_hat,
         "parts": part_lines,
@@ -842,3 +862,6 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
         "all_sandwich_ok": all(row["lower_ok"] and row["upper_ok"]
                                for row in part_lines),
     }
+    if over_budget is not None:
+        report["spread_hypothesis_budget"] = over_budget
+    return report

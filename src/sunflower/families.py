@@ -11,7 +11,7 @@ tuple.  The text and JSON parsers turn each row straight into a mask,
 caching every label's bit for the parse.
 Restriction counts |F[S]| are read off one subset map per family, built
 by ``_subset_lookup`` on the first :meth:`SetFamily.subset_lookup` and
-kept (above DEFAULT_SHADOW_BUDGET a stand-in scans the members), or are
+kept (above DEFAULT_SHADOW_BUDGET a stand-in ANDs member columns), or are
 counted by size with no buckets (``_subset_counts``).
 ``SetFamily.shadow`` and ``SetFamily.restrict`` stay as the plain
 references the tests check both kernels against.
@@ -94,20 +94,48 @@ def _subset_counts(masks: Sequence[int],
     return counts
 
 
-class _ScannedSubsetMap:
-    """Lazy stand-in for a subset map too large to build: every query
-    scans the members."""
+def _columns(masks: Iterable[int]) -> dict[int, int]:
+    """Label bit -> its column, the bitset over member indices of the
+    members containing the label, built in one pass over the members."""
+    cols: dict[int, int] = {}
+    for i, u in enumerate(masks):
+        member = 1 << i
+        while u:
+            low = u & -u
+            cols[low] = cols.get(low, 0) | member
+            u ^= low
+    return cols
 
-    __slots__ = ("_masks",)
+
+class _ScannedSubsetMap:
+    """Lazy stand-in for a subset map too large to build: the members
+    containing s are the AND of the columns of s's labels, built on the
+    first query."""
+
+    __slots__ = ("_masks", "_cols")
 
     def __init__(self, masks: tuple[int, ...]):
-        self._masks = masks
+        self._masks, self._cols = masks, None
+
+    def _holders(self, s: int) -> int:
+        if self._cols is None:
+            self._cols = _columns(self._masks)
+        held = (1 << len(self._masks)) - 1
+        while s and held:
+            low = s & -s
+            held &= self._cols.get(low, 0)
+            s ^= low
+        return held
 
     def __contains__(self, s: int) -> bool:
-        return any(u & s == s for u in self._masks)
+        return self._holders(s) != 0
 
     def get(self, s: int, default=None):
-        bucket = [u for u in self._masks if u & s == s]
+        held, bucket = self._holders(s), []
+        while held:
+            low = held & -held
+            bucket.append(self._masks[low.bit_length() - 1])
+            held ^= low
         return bucket if bucket else default
 
 
@@ -121,7 +149,7 @@ def _subset_lookup(masks: Sequence[int]):
     ``masks`` that enumerates each member's submasks (``s = (s - 1) & u``);
     the empty mask maps to all members and no members give an empty dict.
     Above the budget it is a :class:`_ScannedSubsetMap`, whose queries
-    scan the members.
+    AND member columns.
     """
     if sum(1 << u.bit_count() for u in masks) > DEFAULT_SHADOW_BUDGET:
         return _ScannedSubsetMap(tuple(masks))

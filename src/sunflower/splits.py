@@ -33,8 +33,8 @@ from typing import Collection, Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
-from .families import (SetFamily, Split, Universe, _Record, _strip_size,
-                       labels_mask)
+from .families import (SetFamily, Split, Universe, _columns, _Record,
+                       _strip_size, labels_mask)
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -117,7 +117,7 @@ class _Incidence(dict):
     ``everyone`` is the bitset of all members.
 
     ``cols`` maps a label's bit to its column, the bitset of the members
-    containing the label, built in one pass over the members.  A block's
+    containing the label (:func:`families._columns`).  A block's
     bitset folds its columns: ``ones`` collects the members seen in some
     column, ``twos`` those seen in two or more, and ``ones & ~twos`` meet
     the block once.  That is one step per label of the block, whatever
@@ -126,14 +126,7 @@ class _Incidence(dict):
 
     def __init__(self, masks: Collection[int]):
         super().__init__()
-        cols: dict[int, int] = {}
-        for i, u in enumerate(masks):
-            member = 1 << i
-            while u:
-                low = u & -u
-                cols[low] = cols.get(low, 0) | member
-                u ^= low
-        self.cols = cols
+        self.cols = _columns(masks)
         self.everyone = (1 << len(masks)) - 1
 
     def __missing__(self, block: int) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -550,42 +552,89 @@ def test_extractions_read_live_members_only():
 
 
 def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
-    # a skipped (base, component) pair is decided again only after its live
-    # bucket shrinks, so within one engine call no cleaning repeats; and
-    # each cleaning builds one trace count map, however many violators it
+    # a passed-over (base, component) pair is decided again only after its
+    # live bucket shrinks, so within one engine call no decision repeats,
+    # whether a rule settles it or a cleaning counts it; each counted
+    # cleaning builds one trace count map, however many violators it
     # removes
     from test_acceptance import engine_corpus
-    calls: list[list[tuple]] = []
+    decided: list[list[tuple]] = []
+    cleaned: list[list[tuple]] = []
     maps = []
+    real_drain = basesets._extractions
     real_clean = basesets._clean_to_spread
     real_engine = basesets.base_sets
     real_counts = basesets._carried_counts
 
+    def drain(r, live, lookup, sub, *args):
+        class Buckets:
+            # the drain reads one bucket, with no default, per popped base
+            def get(self, bm, *default):
+                bucket = lookup.get(bm, *default)
+                if not default and not live.isdisjoint(bucket):
+                    decided[-1].append((sub.indices, bm, tuple(
+                        u for u in bucket if u in live)))
+                return bucket
+        return real_drain(r, live, Buckets(), sub, *args)
+
     def clean(bucket, free, shadow, p, q):
-        calls[-1].append((free.indices, tuple(bucket)))
+        cleaned[-1].append((free, tuple(bucket), p, q))
         return real_clean(bucket, free, shadow, p, q)
 
     def engine_call(*args, **kwargs):
-        calls.append([])
+        decided.append([])
+        cleaned.append([])
         return real_engine(*args, **kwargs)
 
     def counts(masks, sub):
         maps.append(sub.indices)
         return real_counts(masks, sub)
 
+    monkeypatch.setattr(basesets, "_extractions", drain)
     monkeypatch.setattr(basesets, "_clean_to_spread", clean)
     monkeypatch.setattr(basesets, "base_sets", engine_call)
     monkeypatch.setattr(basesets, "_carried_counts", counts)
-    cleanings = 0
-    for label, fam, split, cfg in engine_corpus():
-        del calls[:], maps[:]
-        process_r(fam, split, cfg)
-        assert calls, label
-        for seen in calls:
+
+    def run(label, fam, split, cfg):
+        del decided[:], cleaned[:], maps[:]
+        try:
+            process_r(fam, split, cfg)
+        except ContractViolationError:
+            pass
+        assert decided, label
+        for seen in decided:
             assert len(set(seen)) == len(seen), label
-            cleanings += len(seen)
-        assert maps == [free for seen in calls for free, _ in seen], label
-    assert cleanings >= 50
+        assert maps == [free.indices for seen in cleaned
+                        for free, *_ in seen], label
+        return sum(map(len, decided)), [c for seen in cleaned for c in seen]
+
+    decisions = 0
+    for entry in engine_corpus():
+        decisions += run(*entry)[0]
+    assert decisions >= 50
+    # the corpus's buckets all fall to the rules; on the m = 5 input
+    # `gen-random --n 40 --m 5 --size 1000 --on-split --seed 1`, on which
+    # process_r fails at step 2, buckets above b whose traces meet are
+    # counted
+    split = Split.contiguous(40, 5)
+    cfg = Constants(0.995, 1.0005, 1.001, 2, 5, 1000)
+    _, counted = run("m = 5", generate_random_family(40, 5, 1000, 1,
+                                                     on_split=split),
+                     split, cfg)
+    assert counted
+    for free, bucket, p, q in counted:
+        traces = [u & free.union_mask for u in bucket]
+        assert len(bucket) * q > p
+        assert sum(map(int.bit_count, traces)) > \
+            functools.reduce(operator.or_, traces).bit_count()
+    # at b = 3, after label 0 takes its 10 disjoint members at rank 1,
+    # labels 10 and 21 keep b live members whose traces meet: rule 1
+    # settles them at the tie, with no count
+    split = Split.contiguous(30, 3)
+    tie = SetFamily.of(30, [*([0, 10 + i, 20 + i] for i in range(10)),
+                            [1, 10, 21], [2, 10, 21], [3, 10, 21]], m=3)
+    assert run("tie", tie, split, Constants(0.995, 1.0005, 1.5, 2, 3, 300)) \
+        == (3, [])
 
 
 def test_process_r_flagship():

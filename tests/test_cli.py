@@ -466,6 +466,9 @@ def test_process_r_audits_a_family_over_the_shadow_budget(capsys, tmp_path,
                                  "extracted": 600}]
     holds = {"spread": True, "hub": False, "crowded": None}[case]
     assert results["audit"]["spread_hypothesis_holds"] is holds
+    # only the unknown verdict says what ran out: 600 * 2^13 subsets
+    assert results["audit"].get("spread_hypothesis_budget") == (
+        {"needed": 4915200, "budget": 4194304} if holds is None else None)
     assert results["audit"]["all_sandwich_ok"] is True
     if not holds:
         assert [line["hypothesis"] for line in results["audit"]["chain"]][

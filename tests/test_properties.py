@@ -44,7 +44,8 @@ from sunflower.errors import (BudgetExceededError, ContractViolationError,
                               TrialsExhaustedError)
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
-                                _subset_counts, _subset_lookup,
+                                _ScannedSubsetMap, _subset_counts,
+                                _subset_lookup,
                                 family_from_json_obj, family_from_text,
                                 labels_mask, mask_labels)
 from sunflower.gamma import (GammaReport, _carried_counts, _spread_holds,
@@ -316,6 +317,21 @@ def mixed_masks(draw):
         masks.add(labels_mask(draw(st.sets(st.integers(0, n - 1),
                                            min_size=8))))
     return draw(st.permutations(sorted(masks)))
+
+
+@SETTINGS
+@given(mixed_masks())
+@example([])
+def test_scanned_subset_map_matches_the_built_map(masks):
+    # the stand-in above the shadow budget ANDs label columns: it answers
+    # every query, inside the members' union and one label past it, as
+    # the built map does, buckets in input order
+    built, scanned = _subset_lookup(masks), _ScannedSubsetMap(tuple(masks))
+    top = max(masks, default=0).bit_length() + 1
+    for s in range(1 << top):
+        assert (s in scanned) == (s in built)
+        assert scanned.get(s) == built.get(s)
+        assert scanned.get(s, ()) == built.get(s, ())
 
 
 @SETTINGS
@@ -840,10 +856,11 @@ def engine_cases(draw):
             draw(st.integers(0, 1 << 16)))
 
 
-def pinned_case(n, m, masks, fam_size, top, anchored_top, anchor_seed):
+def pinned_case(n, m, masks, fam_size, top, anchored_top, anchor_seed,
+                c=1.001):
     split = Split.contiguous(n, m)
     return (SetFamily(split.universe, masks, m=m), split,
-            bs.Constants(0.995, 1.0005, 1.001, 2, m, fam_size), top,
+            bs.Constants(0.995, 1.0005, c, 2, m, fam_size), top,
             anchored_top, anchor_seed)
 
 
@@ -862,6 +879,28 @@ REQUEUED_BASE_COMES_FIRST = pinned_case(
 COMPONENTS_SHARE_A_BASE = pinned_case(
     9, 3, [73, 137, 265, 81, 145, 273, 97, 138, 146, 98, 162, 290, 76, 140,
            276, 100, 164, 292], 72, 3, 1, 58768)
+# the drain's exact rules, at b = 2.002 unless stated.  At rank 1 label 0
+# takes its 5 members whole, as their traces on strips 1 and 2 are
+# disjoint; then labels 6, 7 and 13 keep 2 live members each, whose
+# traces meet, and are emptied by size
+SMALL_BUCKETS_OVERLAP = pinned_case(18, 3, [labels_mask(s) for s in [
+    *([0, 6 + i, 12 + i] for i in range(5)), [1, 6, 13], [2, 6, 13],
+    [3, 7, 14], [3, 7, 15]]], 100, 1, 0, 0)
+# disjoint traces on f = 2 strips: label 0's 5 > b^2 members are taken
+# whole and label 1's 4 = floor(b^2) are emptied
+DISJOINT_AT_B_SQUARED = pinned_case(18, 3, [labels_mask(s) for s in [
+    *([0, 6 + i, 12 + i] for i in range(5)),
+    *([1, 6 + i, 12 + (i + 1) % 5] for i in range(4))]], 100, 1, 0, 0)
+# as above at b = 3, where label 1's 9 = b^2 members tie and are emptied
+DISJOINT_TIE_AT_B_SQUARED = pinned_case(30, 3, [labels_mask(s) for s in [
+    *([0, 10 + i, 20 + i] for i in range(10)),
+    *([1, 10 + i, 20 + (i + 1) % 10] for i in range(9))]], 300, 1, 0, 0,
+    c=1.5)
+# every label is in one member, so no bucket above rank 0 exceeds b: the
+# drain decides only at rank 0, taking the 64 > b^2 disjoint members
+# whole, which meets the epsilon floor
+DECIDED_AT_RANK_ZERO = pinned_case(
+    128, 2, [labels_mask([i, 64 + i]) for i in range(64)], 64, 1, 0, 0)
 
 
 def drain_matches_rescan(top, collection, cfg):
@@ -936,6 +975,27 @@ def test_drain_matches_restart_scan(case):
                          anchored_collection(family, split, anchor_seed), cfg)
 
 
+def test_requeued_base_comes_first_requeues_a_passed_base(monkeypatch):
+    # the bucket of {6} is counted and emptied, so {6} is passed over, not
+    # dropped; the take at {9} re-queues it, and it is the next base taken
+    family, split, cfg, top, *_ = REQUEUED_BASE_COMES_FIRST
+    pushed, real_push = [], bs.heappush
+
+    def push(heap, i):
+        pushed.append(i)
+        real_push(heap, i)
+
+    monkeypatch.setattr(bs, "heappush", push)
+    coll = bs.ComponentCollection.initial(family, split)
+    (key, comp), = coll.components.items()
+    found = bs._extractions(top, set(comp), _subset_lookup(comp),
+                            split.subsplit(key), coll.bases, 1,
+                            exact_base(cfg.b))
+    assert [bm for bm, _ in found][:2] == [1 << 9, 1 << 6]
+    assert pushed
+    drain_matches_rescan(top, coll, cfg)
+
+
 @SETTINGS
 @given(engine_cases(), st.sampled_from([1, 2, 3, math.inf]))
 def test_full_rank_pass_matches_grouping(case, floor):
@@ -1001,6 +1061,10 @@ def engine_matches_rescan(family, split, cfg):
 @example(SHRUNK_BUCKET_SPREADS)
 @example(REQUEUED_BASE_COMES_FIRST)
 @example(COMPONENTS_SHARE_A_BASE)
+@example(SMALL_BUCKETS_OVERLAP)
+@example(DISJOINT_AT_B_SQUARED)
+@example(DISJOINT_TIE_AT_B_SQUARED)
+@example(DECIDED_AT_RANK_ZERO)
 @given(engine_cases())
 def test_engine_extractions_match_restart_scan(case):
     family, split, cfg, *_ = case
