@@ -70,12 +70,13 @@ class Constants(_Record):
             raise ValueError("h must be finite and exceed 1")
         if not 1 < c < math.inf:
             raise ValueError("c must be finite and exceed 1")
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        if fam_size is not None and fam_size < 1:
-            raise ValueError("famSize must be positive")
+        if type(k) is not int or k < 2:
+            raise ValueError("k must be an int of at least 2")
+        if type(m) is not int or m < 1:
+            raise ValueError("m must be a positive int")
+        if fam_size is not None and not (type(fam_size) is int
+                                         and fam_size > 0):
+            raise ValueError("famSize must be a positive int")
         if mode not in ("surrogate", "canonical"):
             raise ValueError(f"unknown mode {mode!r}")
         self._set(epsilon, h, c, k, m, fam_size, mode)
@@ -435,9 +436,9 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, shadow, p: int,
     """Greedy maximal subfamily of the bucket with no spreadness violator
     on the free strips over the bases (``shadow`` their subset lookup, b =
     p/q): repeatedly find a maximal violator and drop every member
-    containing it.  One count map of the members' traces on the free
-    strips serves the whole cleaning; a dropped member's traces are taken
-    off it."""
+    containing it.  One count map by size of the members' traces on the
+    free strips serves the whole cleaning; a dropped member's traces are
+    taken off it."""
     counts = _carried_counts(bucket, free)
     t = bucket
     while t:
@@ -503,8 +504,9 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     (1 * b >= |t|), so t empties.  Rule 2: if the traces are disjoint
     (|t| * f labels in all), every count is 1, so while |t| <= b^f a
     whole trace is the largest violator and t empties; else nothing
-    violates and t stays whole.  A base a rule empties is dropped, not
-    passed: its later buckets lie inside t, so the rule empties them too.
+    violates and t stays whole.  Only a counted cleaning builds the free
+    subsplit.  A base a rule empties is dropped, not passed: its later
+    buckets lie inside t, so the rule empties them too.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
@@ -517,7 +519,6 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     p, q = b.numerator, b.denominator
     f = sub.rank - r
     pf, qf = p ** f, q ** f
-    frees: dict[int, Subsplit] = {}   # union of the strips hit -> the rest
     cands = _candidate_bases(sub, r, shadow, lookup, max(floor, p // q + 1))
     heap = list(range(len(cands)))
     passed: dict[int, int] = {}   # base mask -> index
@@ -531,11 +532,7 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
         n = len(bucket)
         if n * q <= p:   # rule 1
             continue
-        hit = sum(bits for bits in sub.strip_masks if bits & bm)
-        free = frees.get(hit)
-        if free is None:
-            free = frees[hit] = sub.minus(bm)
-        union = free.union_mask
+        union = sum(bits for bits in sub.strip_masks if not bits & bm)
         traces = 0
         for u in bucket:
             traces |= u & union
@@ -544,7 +541,7 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
                 continue
             t = bucket
         else:
-            t = _clean_to_spread(bucket, free, shadow, p, q)
+            t = _clean_to_spread(bucket, sub.minus(bm), shadow, p, q)
         if len(t) < floor:
             passed[bm] = i
             continue
@@ -758,15 +755,16 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     consistency, and the terminal-rank inequality chain.
 
     For every terminal part with base C: |T| >= need[r_hat] (the integer
-    floor the extraction used) and |T| <= |F[C]|, both in exact integers.
-    Chain lines that depend on hypotheses about the original family (a
-    spreadness level of c^c * k * ln k, or m > c^c * ln k) are evaluated
-    numerically and marked "hypothesis unmet" when the hypothesis fails
-    or cannot be evaluated, never treated as failures.  The spreadness
-    level is decided exactly (:func:`gamma._spread_holds`): |F[S]| is at
-    most the largest degree D below the largest member size M and 1 at
-    M, so D * b^(M-1) < |F| and b^M < |F| prove it with no count, and
-    D * b >= |F| or b^M >= |F| refutes it.  Where neither decides and
+    floor the extraction used) and |T| <= |F[C]|, both in exact integers,
+    each |F[C]| read once.  Chain lines that depend on hypotheses about
+    the original family (a spreadness level of c^c * k * ln k, or m >
+    c^c * ln k) are evaluated numerically and marked "hypothesis unmet"
+    when the hypothesis fails or cannot be evaluated, never treated as
+    failures; a level past the float range is None.  The level is decided
+    exactly (:func:`gamma._spread_holds`): |F[S]| is at most the largest
+    degree D below the largest member size M and 1 at M, so D * b^(M-1)
+    < |F| and b^M < |F| prove it with no count, and D * b >= |F| or b^M
+    >= |F| refutes it.  Where neither decides and
     the count is over the shadow budget, ``spread_hypothesis_holds`` is
     None, and ``spread_hypothesis_budget``, present only then, gives the
     count's needed and budget.
@@ -777,19 +775,21 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     thr = Threshold(cfg)
     r_hat = result.r_hat
     k, m, c, h, eps = cfg.k, cfg.m, cfg.c, cfg.h, cfg.epsilon
-    fam_size = cfg.fam_size
+    fam_size, log_k = cfg.fam_size, math.log(cfg.k)
 
-    restriction = family.subset_lookup()
+    lookup = family.subset_lookup()
+    restriction = {bits: len(lookup.get(bits, ()))
+                   for bits in {part.B for part in result.parts_hat}}
     # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the original
     # family to be (c^c k ln k)-spread
-    log_big_base = c * math.log(c) + math.log(k) + math.log(math.log(k))
+    log_big_base = c * math.log(c) + log_k + math.log(log_k)
     part_lines = []
-    restriction_totals: dict[int, int] = {}
+    totals: dict[int, int] = {}
     for part in result.parts_hat:
         c_set = part.B
         size_t = len(part.T)
-        in_family = len(restriction.get(c_set, ()))
-        restriction_totals[c_set] = restriction_totals.get(c_set, 0) + size_t
+        in_family = restriction[c_set]
+        totals[c_set] = totals.get(c_set, 0) + size_t
         rhs_log = -part.r * log_big_base + math.log(fam_size)
         upper_chain = (math.log(in_family) < rhs_log if in_family > 0
                        else True)
@@ -804,9 +804,8 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
         })
 
     consistency_lines = []
-    for bits, total in sorted(restriction_totals.items(),
-                              key=lambda kv: _canonical_key(kv[0])):
-        in_family = len(restriction.get(bits, ()))
+    for bits in sorted(totals, key=_canonical_key):
+        total, in_family = totals[bits], restriction[bits]
         consistency_lines.append({
             "C": list(mask_labels(bits)),
             "sum_parts": total,
@@ -815,26 +814,25 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
             "ok": total <= in_family,
         })
 
-    # hypothesis: the original family satisfies the c^c-level spreadness
-    big_b = spread_hypothesis = over_budget = None
+    # hypotheses: the original family is spread at level c^c k ln k, and
+    # m > c^c ln k
     try:
-        big_b = math.exp(c * math.log(c)) * k * math.log(k)
+        c_pow_c = math.exp(c * math.log(c))
     except OverflowError:
-        pass
-    if big_b is not None and math.isfinite(big_b) and big_b > 1:
+        c_pow_c = math.inf
+    level = c_pow_c * k * log_k
+    big_b = spread_hypothesis = over_budget = None
+    if level < math.inf:
+        big_b = level
         try:
             spread_hypothesis = _spread_holds(family, Fraction(big_b))
         except BudgetExceededError as exc:
             over_budget = {"needed": exc.needed, "budget": exc.budget}
+    m_hypothesis = m > c_pow_c * log_k
 
-    rank_bound = (5 * math.log(k) - 2 * m * math.log(eps)) \
+    rank_bound = (5 * log_k - 2 * m * math.log(eps)) \
         / ((c - h) * math.log(c))
-    mid_bound = (m / (2 * c)) * (math.log(k) / m + 1)
-    m_hypothesis = None
-    try:
-        m_hypothesis = m > math.exp(c * math.log(c)) * math.log(k)
-    except OverflowError:
-        m_hypothesis = False
+    mid_bound = (m / (2 * c)) * (log_k / m + 1)
     # the middle comparison additionally leans on the canonical schedule
     # h = exp(1/eps), c = exp(h); surrogate h, c do not support it
     chain = [

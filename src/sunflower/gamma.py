@@ -89,13 +89,13 @@ def _spread_report(family: SetFamily, base: Fraction,
     return GammaReport(False, GroundSet(family.universe, witness), best)
 
 
-def _tally_traces(counts: dict[int, int], masks: Iterable[int],
+def _tally_traces(counts: dict[int, dict[int, int]], masks: Iterable[int],
                   sub: Subsplit, step: int = 1) -> None:
-    """Add ``step`` to ``counts[S]`` for every nonempty S on ``sub`` (inside
-    its union, at most one element per strip) contained in the trace of a
-    member on the subsplit's union.  A trace on the subsplit, as one of
-    at most one label always is, carries all its subsets, so only the
-    subsets of the other traces are checked one by one."""
+    """Add ``step`` to ``counts[|S|][S]`` for every nonempty S on ``sub``
+    (inside its union, at most one element per strip) contained in the
+    trace of a member on the subsplit's union.  A trace on the subsplit,
+    as one of at most one label always is, carries all its subsets, so
+    only the subsets of the other traces are checked one by one."""
     union = sub.union_mask
     for u in masks:
         trace = u & union
@@ -103,22 +103,22 @@ def _tally_traces(counts: dict[int, int], masks: Iterable[int],
         s = trace
         while s:
             if whole or sub.carries_mask(s):
-                counts[s] = counts.get(s, 0) + step
+                by = counts.setdefault(s.bit_count(), {})
+                by[s] = by.get(s, 0) + step
             s = (s - 1) & trace
 
 
-def _carried_counts(masks: Sequence[int], sub: Subsplit) -> dict[int, int]:
-    """|F[S]| for every nonempty S on ``sub`` contained in some member,
-    counted over the members' traces on the subsplit's union.  The
-    traces' sum(2**|trace|) is capped at DEFAULT_SHADOW_BUDGET
-    (BudgetExceededError beyond), and summed only when len(masks) *
-    2**|union| is over the cap: no trace outgrows the union, so that
-    product bounds the sum."""
+def _carried_counts(masks: Sequence[int],
+                    sub: Subsplit) -> dict[int, dict[int, int]]:
+    """Restriction counts by size, ``counts[s][S]`` = |F[S]| for every
+    nonempty S of s labels on ``sub`` contained in some member, counted
+    over the members' traces on the subsplit's union.  The traces'
+    sum(2**|trace|) is capped at DEFAULT_SHADOW_BUDGET
+    (BudgetExceededError beyond)."""
     union = sub.union_mask
-    if len(masks) << union.bit_count() > DEFAULT_SHADOW_BUDGET:
-        _check_shadow_budget(sum(1 << (u & union).bit_count() for u in masks),
-                             DEFAULT_SHADOW_BUDGET)
-    counts: dict[int, int] = {}
+    _check_shadow_budget(sum(1 << (u & union).bit_count() for u in masks),
+                         DEFAULT_SHADOW_BUDGET)
+    counts: dict[int, dict[int, int]] = {}
     _tally_traces(counts, masks, sub)
     return counts
 
@@ -171,10 +171,10 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     Candidates are the nonempty sets on ``sub`` (one element per chosen
     strip, any rank up to the subsplit's) that are subsets of some member
     of ``over``.  With rank 0 or an empty ``over`` there are no candidates
-    and the check holds vacuously.  Counting builds the count map of the
-    members' traces on the subsplit (:func:`_carried_counts`), capped at
-    DEFAULT_SHADOW_BUDGET entries (BudgetExceededError beyond), and keeps
-    the candidates, grouped by size.
+    and the check holds vacuously.  Each size's map of the members' trace
+    counts on the subsplit (:func:`_carried_counts`, capped at
+    DEFAULT_SHADOW_BUDGET, BudgetExceededError beyond) is cut to the
+    candidates and decided as it is, with no regrouping.
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -185,36 +185,31 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
         raise UniverseMismatchError("range family over a different universe")
     shadow = over.subset_lookup()
     by_size: dict[int, dict[int, int]] = {}
-    for s, count in _carried_counts(family._mask_set, sub).items():
-        if s in shadow:
-            by_size.setdefault(s.bit_count(), {})[s] = count
+    for size, counts in _carried_counts(family._mask_set, sub).items():
+        kept = {s: count for s, count in counts.items() if s in shadow}
+        if kept:
+            by_size[size] = kept
     return _spread_report(family, base, by_size)
 
 
-def _max_violator_masks(counts: dict[int, int], total: int, shadow, p: int,
-                        q: int) -> int | None:
+def _max_violator_masks(counts: dict[int, dict[int, int]], total: int,
+                        shadow, p: int, q: int) -> int | None:
     """A maximal spreadness violator of a family of ``total`` members: a
-    nonempty key S of ``counts`` (S -> |F[S]|, as :func:`_carried_counts`
-    gives on a subsplit) in ``shadow`` (the range family's subset lookup)
-    with |F[S]| * b^|S| >= |F|, of maximum cardinality (lexicographically
+    nonempty S in ``shadow`` (the range family's subset lookup) with
+    |F[S]| * b^|S| >= |F|, of maximum cardinality (lexicographically
     least on ties), so no in-range one-strip extension keeps the bound.
-    Returns None when no key qualifies.  With b = p/q the bound reads
-    |F[S]| >= |F| * q^|S| / p^|S|, whose integer ceiling is computed once
-    per size.
+    ``counts[s][S]`` is |F[S]|, as :func:`_carried_counts` gives on a
+    subsplit.  With b = p/q the bound reads |F[S]| >= ceil(|F| * q^s /
+    p^s), so the sizes are walked from the largest down and the first one
+    with a key meeting it gives the violator.  Returns None when no key
+    does.
     """
     if total == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    need: dict[int, int] = {}
-    best_mask, best_size = None, 0
-    for s, count in counts.items():
-        size = s.bit_count()
-        if size < best_size or s not in shadow:
-            continue
-        floor = need.get(size)
-        if floor is None:
-            floor = need[size] = -(-total * q ** size // p ** size)
-        if count < floor:
-            continue
-        if size > best_size or _canonical_key(s) < _canonical_key(best_mask):
-            best_mask, best_size = s, size
-    return best_mask
+    for size in sorted(counts, reverse=True):
+        floor = -(-total * q ** size // p ** size)
+        hits = [s for s, count in counts[size].items()
+                if count >= floor and s in shadow]
+        if hits:
+            return min(hits, key=_canonical_key)
+    return None

@@ -1,0 +1,212 @@
+"""Mutant gate for the fast paths: each listed mutant breaks one shortcut
+beside its oracle, and the test suite must fail on it.
+
+Run from anywhere, with the tier-1 test dependencies installed:
+
+    python tests/mutants.py           # every listed mutant
+    python tests/mutants.py NAME ...  # only the named ones
+
+An entry gives the file, the exact old text, the new text and the fast
+path it breaks.  Every old text, equivalent entries' included, must occur
+exactly once in its file, so a refactor that moves one must update the
+list.  The runner copies ``src/``, ``tests/``, ``README.md`` and
+``pyproject.toml`` to a temporary directory, runs ``pytest -x`` there
+once unmutated (it must pass, or no kill means anything), then once per
+mutant on a fresh copy.  A mutant is killed when pytest reports a failed
+test (exit 1) or runs past three times the unmutated run (a hang); it
+survives when the suite passes.  The runner exits 1 if any mutant
+survives, an old text is not found exactly once, or pytest ends any
+other way.  Equivalent mutants are listed with their reason and never
+run.  The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "README.md", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    breaks: str
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    reason: str
+
+
+BASESETS = "src/sunflower/basesets.py"
+GAMMA = "src/sunflower/gamma.py"
+
+MUTANTS = (
+    # the drain's exact rules
+    Mutant("rule-1-tie", BASESETS,
+           "if n * q <= p:   # rule 1", "if n * q < p:   # rule 1",
+           "rule 1 empties a live bucket of exactly b members"),
+    Mutant("rule-2-tie", BASESETS,
+           "if n * qf <= pf:", "if n * qf < pf:",
+           "rule 2 empties disjoint traces at |t| = b^f"),
+    Mutant("rule-2-disjoint", BASESETS,
+           "if n * f == traces.bit_count():",
+           "if n * f >= traces.bit_count():",
+           "rule 2 applies only to pairwise disjoint traces"),
+    Mutant("candidate-floor", BASESETS,
+           "max(floor, p // q + 1)", "max(floor, p // q + 2)",
+           "the drain's candidates are the buckets above b"),
+    # the violator search over the size-grouped trace counts
+    Mutant("violator-strict", GAMMA,
+           "if count >= floor and s in shadow]",
+           "if count > floor and s in shadow]",
+           "a violator meets |F[S]| * b^|S| >= |F|, ties included"),
+    Mutant("violator-ascending", GAMMA,
+           "for size in sorted(counts, reverse=True):",
+           "for size in sorted(counts):",
+           "the violator is of the largest size that has one"),
+    Mutant("violator-max-key", GAMMA,
+           "return min(hits, key=_canonical_key)",
+           "return max(hits, key=_canonical_key)",
+           "the violator is the least label tuple of its size"),
+    Mutant("violator-no-shadow", GAMMA,
+           "if count >= floor and s in shadow]",
+           "if count >= floor]",
+           "a violator lies in the range family's shadow"),
+    Mutant("subsplit-check-no-shadow", GAMMA,
+           "kept = {s: count for s, count in counts.items() if s in shadow}",
+           "kept = dict(counts)",
+           "the subsplit check keeps only candidates in the range shadow"),
+    Mutant("cleaning-no-decrement", BASESETS,
+           "_tally_traces(counts, [u for u in t if u & v == v], free, -1)",
+           "pass",
+           "the cleaning takes a dropped member's traces off its counts"),
+    Mutant("trace-budget-tie", "src/sunflower/families.py",
+           "if need > budget:", "if need >= budget:",
+           "the count map raises only past its budget (the check "
+           "_carried_counts shares with _subset_counts)"),
+    # earlier shortcuts
+    Mutant("degree-bound-tie", GAMMA,
+           "if degree * p ** (top - 1) < size * q ** (top - 1):",
+           "if degree * p ** (top - 1) <= size * q ** (top - 1):",
+           "the degree bound proves spreadness only strictly below |F|"),
+    Mutant("full-rank-skips-at-floor-one", BASESETS,
+           "if full and floor > 1:", "if full:",
+           "a full-rank key is grouped at a floor of 1"),
+    Mutant("drain-forgets-passed", BASESETS,
+           "passed[bm] = i", "pass",
+           "a take re-queues the passed bases it shrinks"),
+)
+
+EQUIVALENT = (
+    Equivalent("pair-pass-half-tie", "src/sunflower/sunflowers.py",
+               "if 2 * len(row) > len(later):",
+               "if 2 * len(row) >= len(later):",
+               "at the tie both branches build the same row; only their "
+               "cost differs"),
+    Equivalent("full-rank-always-groups", BASESETS,
+               "if full and floor > 1:", "if False:",
+               "above a floor of 1 the one-member groups of a full-rank "
+               "key yield nothing; only the grouping's cost differs"),
+)
+
+
+def check_texts(entries) -> list[str]:
+    """One line per entry whose old text is not in its file exactly once."""
+    bad = []
+    for entry in entries:
+        count = (ROOT / entry.path).read_text().count(entry.old)
+        if count != 1:
+            bad.append(f"{entry.name}: {entry.path} holds the old text "
+                       f"{count} times")
+    return bad
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache", "*.egg-info")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_suite(tree: Path, timeout: float | None) -> int | None:
+    """pytest -x's exit code on the copy, or None past ``timeout``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider"],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run_on_copy(mutant: Mutant | None, timeout: float | None
+                ) -> tuple[int | None, float]:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        if mutant is not None:
+            target = tree / mutant.path
+            target.write_text(target.read_text().replace(mutant.old,
+                                                         mutant.new))
+        start = time.perf_counter()
+        code = run_suite(tree, timeout)
+        return code, time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    bad = check_texts(MUTANTS + EQUIVALENT)
+    for line in bad:
+        print(line)
+    if bad:
+        return 1
+    for eq in EQUIVALENT:
+        print(f"equivalent {eq.name}: not run ({eq.reason})")
+
+    start = time.perf_counter()
+    code, clean = run_on_copy(None, None)
+    print(f"unmutated: exit {code} in {clean:.1f} s", flush=True)
+    if code != 0:
+        print("the unmutated suite must pass")
+        return 1
+    failed = []
+    for mutant in chosen:
+        code, spent = run_on_copy(mutant, 3 * clean)
+        outcome = {None: "killed (hang)", 1: "killed", 0: "SURVIVED"}.get(
+            code, f"ERROR (pytest exit {code})")
+        print(f"{mutant.name}: {outcome} in {spent:.1f} s  "
+              f"[{mutant.path}: {mutant.breaks}]", flush=True)
+        if not outcome.startswith("killed"):
+            failed.append(mutant.name)
+    print(f"{len(chosen) - len(failed)}/{len(chosen)} killed in "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

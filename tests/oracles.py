@@ -1,6 +1,7 @@
 """Brute-force and reference oracles shared by the tests.
 
 ``p_sets`` lists the p-sets on a subsplit as ground sets.
+``random_family`` draws ``size`` distinct m-sets on n labels.
 ``brute_max_ratio`` is the spreadness check by one restriction per
 candidate set, with no subset map or count kernel.
 ``sunflower_free_check_oracle`` is deliberately independent of the fast
@@ -38,9 +39,10 @@ one restriction per label; the check it settles is ``check_gamma``.
 ``full_rank_pass_by_grouping`` is the engine's full-rank pass as it
 grouped every component by projection, before a component keyed by
 every strip skipped grouping at a floor above 1.
-``carried_counts_reference`` is the trace count map with its budget
-summed exactly before any count, before the count map summed it only
-past a cheap bound, and with every carried subset counted one by one.
+``carried_counts_reference`` is the trace count map by size with its
+budget summed exactly before any count and compared on its own, not
+through the kernel's budget helper, and with every carried subset
+counted one by one.
 ``meet_once`` is the member scan the split searches' column-bitset
 incidence kernel replaced, and ``enumerate_splits_reference`` the split
 enumerator that recursed until no label remained, kept as is to pin the
@@ -63,11 +65,20 @@ from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 _check_shadow_budget, _mask_repr, mask_labels)
 from sunflower.gamma import (_carried_counts, _max_violator_masks,
                             check_gamma_on_subsplit, exact_base)
+from sunflower.rng import CounterRng
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
 LOG_SPACE_SWITCH = 1e-300
+
+
+def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
+    """``size`` distinct m-sets on n labels, drawn by seed."""
+    rng = CounterRng(seed)
+    combos = list(combinations(range(n), m))
+    picks = rng.sample(range(len(combos)), size)
+    return SetFamily.of(n, [combos[i] for i in picks], m=m)
 
 
 def _meets_floor(count: int, direct: float, log_value: float) -> bool:
@@ -294,21 +305,25 @@ def full_rank_pass_by_grouping(comp, union: int, live: set[int],
 
 
 def carried_counts_reference(masks, sub: Subsplit,
-                             budget: int) -> dict[int, int]:
-    """|F[S]| for every nonempty S on ``sub`` inside some member's trace
-    on the subsplit's union, after checking the traces' exact
-    sum(2**|trace|) against ``budget`` (BudgetExceededError beyond)."""
+                             budget: int) -> dict[int, dict[int, int]]:
+    """``counts[s][S]`` = |F[S]| for every nonempty S of s labels on
+    ``sub`` inside some member's trace on the subsplit's union, after
+    checking the traces' exact sum(2**|trace|) against ``budget``
+    (BudgetExceededError beyond)."""
     union = sub.union_mask
-    _check_shadow_budget(sum(2 ** len(mask_labels(u & union)) for u in masks),
-                         budget)
-    counts: dict[int, int] = {}
+    need = sum(2 ** len(mask_labels(u & union)) for u in masks)
+    if need > budget:
+        raise BudgetExceededError("traces over budget", needed=need,
+                                  budget=budget)
+    counts: dict[int, dict[int, int]] = {}
     for u in masks:
         labels = mask_labels(u & union)
         for size in range(1, len(labels) + 1):
             for c in combinations(labels, size):
                 s = sum(1 << x for x in c)
                 if sub.carries_mask(s):
-                    counts[s] = counts.get(s, 0) + 1
+                    by = counts.setdefault(size, {})
+                    by[s] = by.get(s, 0) + 1
     return counts
 
 

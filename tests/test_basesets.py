@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import math
 import operator
 import random
@@ -86,6 +88,27 @@ def test_constants_require_finite_h_and_c(field, h, c):
     # no Fraction can hold
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         Constants(0.5, h, c, 2, 2, 4)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_constants_require_an_int_k(k):
+    # k = 2.5 was taken, with b = 3.0; a bool is not an int here
+    with pytest.raises(ValueError, match="^k must be an int"):
+        Constants(0.5, 1.2, 1.5, k, 2)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, True])
+def test_constants_require_an_int_m(m):
+    # m = 2.5 was taken, and Threshold then raised a bare TypeError;
+    # m = True was taken as 1
+    with pytest.raises(ValueError, match="^m must be a positive int"):
+        Constants(0.5, 1.1, 1.2, 2, m, 10)
+
+
+@pytest.mark.parametrize("fam_size", [10.0, 10.5, True])
+def test_constants_require_an_int_fam_size(fam_size):
+    with pytest.raises(ValueError, match="^famSize must be a positive int"):
+        Constants(0.5, 1.1, 1.2, 2, 2, fam_size)
 
 
 def test_constants_accessors():
@@ -690,6 +713,81 @@ def test_process_r_contract_violation():
         process_r(IMMEDIATE, Split.contiguous(4, 2), PLANTED_CFG)
     assert info.value.trace == []
     assert info.value.partial_steps == ()
+
+
+# process_r on random on-split families with the bench constants: n = 8m,
+# m = 3..6, |F| in {300, 1000} (m = 3 has only 8^3 = 512 on-split 3-sets),
+# seeds 1..3.  Each input pins (r_hat, p_hat), or None for the
+# ContractViolationError below, each completed step's extracted count and
+# the sha256 of the trace rows.  The nine Nones are the engine's open
+# defect at m >= 4 (its retained-fraction guarantee fails after step 1),
+# pinned as they stand; a change to the engine that moves a pin on purpose
+# re-pins it and logs the move.
+SWEEP_FAILURE = ("no rank produced the guaranteed retained fraction; the "
+                 "constants are outside the supported regime or the engine "
+                 "has a bug")
+SWEEP_PINS = {
+    (3, 300, 1): ((2, 2), (292, 193),
+        "f5f24f7041101529e1c73a02b722ed5651219969ceb2355fc73e16cb452f5a63"),
+    (3, 300, 2): ((2, 2), (300, 183),
+        "747111def98773cb715a3f03148d50070e3446c86d05356bb016d848bde4f150"),
+    (3, 300, 3): ((2, 2), (296, 196),
+        "49bfebfdd2b65f2922f8702b5cf30366c4b5699a01548ba180d78595d1de1384"),
+    (4, 300, 1): (None, (96,),
+        "e0cac0480caab462b74a2c4fe1c596779a595e9e471726f821098baf90c028e4"),
+    (4, 300, 2): (None, (48,),
+        "6734558c19652aee240e14227815f735bab6c1068914c7cbb062fdb10a1d8559"),
+    (4, 300, 3): (None, (80,),
+        "ff61a6b533bbb53d40430928aae1930d35d73334a7d15e71bc614b66a2003755"),
+    (4, 1000, 1): ((1, 4), (714, 444, 319, 319),
+        "19840bd68ca8866eac1defe28e179a8b654762c5394f462989e4052b0354d092"),
+    (4, 1000, 2): ((1, 4), (707, 407, 140, 140),
+        "2caa7f11b024af9cd078ac3c455cc25539a4f6891c3dd0ca679d9de89962ea96"),
+    (4, 1000, 3): ((1, 4), (698, 392, 219, 219),
+        "9ee4ce087c193dc20ee19fc65583b05ee62e0f43781eedb9b4c32da00c891642"),
+    (5, 300, 1): ((2, 2), (86, 86),
+        "80d9184572cd7860ab6da8ad5620bce0198b85b0f3146598b82cc0181a4a4dcd"),
+    (5, 300, 2): ((3, 2), (16, 16),
+        "3ad7b7b1fa63c85d6a596d47c05937de63dab77ee209b0f123fc6cd01e8de880"),
+    (5, 300, 3): ((2, 2), (93, 93),
+        "fee8527872571a1ac98c307a49a6b0b01563d323a65246c1711cae564cce9dac"),
+    (5, 1000, 1): (None, (307,),
+        "dc3bc1e022513017da5201fbcef2da8961e470d79ad4299166c0ddcdb6fd98aa"),
+    (5, 1000, 2): (None, (308,),
+        "f10c157009eb2d238afc538c1136843ece2bd664ed2a14bdc39e66b10cc1bed8"),
+    (5, 1000, 3): (None, (330,),
+        "8dcdb883fabb7cbe7ba2279170b9fabcbb5faf2016c1966e3c1411e26d0adc32"),
+    (6, 300, 1): ((1, 2), (241, 241),
+        "d30e50a348e9e355d80c0244a11f4955af491030c00e833276186e71bbbff9c8"),
+    (6, 300, 2): ((1, 2), (240, 240),
+        "ff1eaba4d454227dccc9db862fab0034d0f2136b2f6c0200cacc529a00c5c95a"),
+    (6, 300, 3): ((1, 2), (241, 241),
+        "f067d40e9263afb92799a157696c3e9396ce563efcc875c4bc39b584319e8c09"),
+    (6, 1000, 1): (None, (18,),
+        "a6a8fe3300c95f18ad43f062ad0c3d9a9346f92fa3ea328cbf26deb4c9a9a5d7"),
+    (6, 1000, 2): (None, (18,),
+        "e44593c46fe6b4438ef1242c57b737b2e80a195d0ce8ccbe72a606c0501d092a"),
+    (6, 1000, 3): (None, (18,),
+        "74c907898cb6790c6cd961423aa7fd7d9a373a654802ac290ef92291b1977415"),
+}
+
+
+@pytest.mark.parametrize("m, size, seed", sorted(SWEEP_PINS))
+def test_process_r_sweep_matches_its_pins(m, size, seed):
+    n = 8 * m
+    split = Split.contiguous(n, m)
+    family = generate_random_family(n, m, size, seed, on_split=split)
+    try:
+        res = process_r(family, split, Constants(0.995, 1.0005, 1.001, 2, m))
+    except ContractViolationError as exc:
+        assert str(exc) == SWEEP_FAILURE
+        outcome, steps, trace = None, exc.partial_steps, exc.trace
+    else:
+        outcome, steps, trace = (res.r_hat, res.p_hat), res.steps, res.trace
+    digest = hashlib.sha256(
+        json.dumps(list(trace), sort_keys=True).encode()).hexdigest()
+    assert (outcome, tuple(len(s.output.family) for s in steps), digest) \
+        == SWEEP_PINS[m, size, seed]
 
 
 def test_process_r_postcondition_raises(monkeypatch):

@@ -415,6 +415,31 @@ def test_process_r_rejects_c_not_above_h_before_the_engine(
     assert err == "error: the audit requires c > h > 1\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("c", [142.98, 143.0, 143.04])
+def test_process_r_audit_reports_a_level_past_floats_as_null(capsys,
+                                                             tmp_path, c):
+    # c^c fits a float below c = 143.04 but c^c * k * ln k does not; at
+    # 143.04 c^c overflows too.  Either way the level is null, which JSON
+    # can carry where Infinity is not JSON, and it decides nothing
+    split = Split.contiguous(12, 3)
+    fam_path = family_file(
+        tmp_path, generate_random_family(12, 3, 40, 1, on_split=split))
+    cfg_path = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
+                                         "c": c, "k": 2, "m": 3})
+    code, out, _ = run(capsys, ["process-r", fam_path,
+                                "--constants", cfg_path])
+    assert code == 0
+    audit = json.loads(out, parse_constant=_reject_constant)["results"][
+        "audit"]
+    assert audit["spread_hypothesis_level"] is None
+    assert audit["spread_hypothesis_holds"] is None
+    assert audit["m_hypothesis_holds"] is False
+
+
 def wide_family(hub: bool) -> SetFamily:
     """600 on-split 13-sets over the contiguous 13-split of 780 labels,
     whose sum(2**|U|) = 600 * 2**13 is over DEFAULT_SHADOW_BUDGET: member

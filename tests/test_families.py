@@ -19,14 +19,8 @@ from sunflower.families import (
     pad_universe,
 )
 from sunflower.gamma import check_gamma
-from sunflower.rng import CounterRng
 
-
-def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
-    rng = CounterRng(seed)
-    combos = list(combinations(range(n), m))
-    picks = rng.sample(range(len(combos)), size)
-    return SetFamily.of(n, [combos[i] for i in picks], m=m)
+from oracles import random_family
 
 
 def test_mask_labels_roundtrip():

@@ -13,16 +13,8 @@ from sunflower.gamma import (
     check_gamma_on_subsplit,
     exact_base,
 )
-from sunflower.rng import CounterRng
 
-from oracles import max_violator_masks
-
-
-def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
-    rng = CounterRng(seed)
-    combos = list(combinations(range(n), m))
-    picks = rng.sample(range(len(combos)), size)
-    return SetFamily.of(n, [combos[i] for i in picks], m=m)
+from oracles import max_violator_masks, random_family
 
 
 def brute_spread_report(family: SetFamily, b: Fraction) -> tuple[bool, Fraction]:

@@ -4,7 +4,8 @@ The subset-map references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, the p_sets oracle and the unpruned sunflower
 oracle, none of which goes through the subset lookup builder; the
 size-grouped restriction counts of the spreadness checks are checked
-against that kernel's bucket sizes.  The
+against that kernel's bucket sizes, and the size-grouped trace counts on
+a subsplit against every carried subset counted one by one.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
 the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
@@ -18,7 +19,9 @@ rank by rank, are checked against the restart scan that decides every
 pair again after each extraction, over every candidate base, with a
 fresh violator search per removal, and which decides size floors with
 the float comparisons of the oracles; the engine's cleaning is checked
-against that violator search alone;
+against that violator search alone, and the violator search, which
+walks those counts from the largest size down, against the violator's
+definition level by level;
 the engine's integer floor table is checked against those comparisons
 too, and the family constructor's canonical order against sorted label
 lists.  The label-ordered greedy of the gamma extraction is checked
@@ -461,6 +464,11 @@ def test_clean_to_spread_matches_fresh_violator_searches(case, b):
 # b^3 < 4, so the count runs
 @example(SetFamily.of(9, [[0, 1, 2], [0, 3, 4], [5, 6, 7], [1, 5, 8]]),
          Fraction(3, 2))
+# not decided at the tie D * b^2 = 4 * 9/4 = |F|, and refuted by the
+# count: {0, 1} lies in 4 of the 9 members, 4 * b^2 >= 9
+@example(SetFamily.of(8, [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5],
+                          [2, 3, 6], [4, 5, 7], [2, 6, 7], [3, 4, 6],
+                          [2, 5, 7]]), Fraction(3, 2))
 # decided with mixed sizes and the empty member: 1 * 3/2 < 4, 9/4 < 4
 @example(SetFamily.of(4, [[], [0], [1, 2], [3]]), Fraction(3, 2))
 # the empty member alone: no nonempty set, counted and vacuously spread
@@ -504,19 +512,19 @@ HALVES8 = Split.of(8, [range(4), range(4, 8)])
 
 @SETTINGS
 @given(subsplit_cases(), st.integers(1, 64))
-# the cheap bound 2 << 8 is over 8, the exact sum 2 + 2 is not
+# len(masks) * 2**|union| = 2 << 8 is over 8, the exact sum 2 + 2 is not
 @example((SetFamily.of(8, [[0], [4]]), HALVES8.subsplit([0, 1]),
           SetFamily.of(8, [])), 8)
-# the exact sum 4 + 4 is over 7
+# the exact sum 4 + 4 is over 7, and at 8 it is not
 @example((SetFamily.of(8, [[0, 4], [1, 5]]), HALVES8.subsplit([0, 1]),
           SetFamily.of(8, [])), 7)
+@example((SetFamily.of(8, [[0, 4], [1, 5]]), HALVES8.subsplit([0, 1]),
+          SetFamily.of(8, [])), 8)
 def test_carried_counts_budget_matches_exact_sum(case, budget):
-    # the count map raises with the exact sum(2**|trace|) when that is over
-    # the budget, and counts otherwise, whether or not its cheap bound
-    # len(masks) * 2**|union| is over
+    # the count map by size raises with the exact sum(2**|trace|) when
+    # that is over the budget, and counts otherwise
     family, sub, _ = case
     masks = family.masks()
-    event(f"cheap bound over: {len(masks) << sub.union_mask.bit_count() > budget}")
     with mock.patch.object(gamma, "DEFAULT_SHADOW_BUDGET", budget):
         got = budget_outcome(lambda: _carried_counts(masks, sub))
     assert got == budget_outcome(
