@@ -48,8 +48,9 @@ def _check_shadow_budget(need: int, budget: int) -> None:
 def _subset_counts(masks: Sequence[int],
                    budget: int = DEFAULT_SHADOW_BUDGET,
                    ) -> dict[int, dict[int, int]]:
-    """Restriction counts by size: ``counts[s][S]`` is |F[S]| for every
-    nonempty S of s labels contained in some member.
+    """Restriction counts by size below the largest member size T:
+    ``counts[s][S]`` is |F[S]| for every S of s labels, 0 < s < T,
+    contained in some member, so the keys are 1, .., T - 1.
 
     The members of each size t are peeled of their lowest bit t - 1
     times, giving t columns of single bits (the last is what remains).
@@ -57,10 +58,10 @@ def _subset_counts(masks: Sequence[int],
     pattern is one ``map(or_, ...)`` of a smaller subset's pattern and one
     column, kept as a list only while a larger pattern is built from it.
     Each size is counted by one Counter over its patterns, so no bucket
-    list is built.  A set of the largest member size T inside a member is
-    that member, so size T is counted as 1 per such member, with no
-    pattern.  Raises BudgetExceededError when sum(2**|U|) exceeds
-    ``budget``.
+    list is built.  A set of size T inside a member is that member, of
+    count 1, so size T is left to the caller, who decides it from the
+    T-members with no count map.  Raises BudgetExceededError when
+    sum(2**|U|) exceeds ``budget``, T's members included.
     """
     groups = [(t, list(group)) for t, group in
               groupby(sorted(masks, key=int.bit_count), int.bit_count)]
@@ -87,11 +88,8 @@ def _subset_counts(masks: Sequence[int],
                          for size, pattern in patterns if size < last]
         for size, pattern in patterns[1:]:
             by_size.setdefault(size, []).append(pattern)
-    counts = {size: Counter(chain.from_iterable(patterns))
-              for size, patterns in by_size.items()}
-    if top:
-        counts[top] = dict.fromkeys(groups[-1][1], 1)
-    return counts
+    return {size: Counter(chain.from_iterable(patterns))
+            for size, patterns in by_size.items()}
 
 
 def _columns(masks: Iterable[int]) -> dict[int, int]:

@@ -11,7 +11,9 @@ is a set achieving the maximum ratio; ties break toward the
 lexicographically least label tuple.
 
 Checks count |F[S]| for every candidate S, group the counts by |S| and
-decide from the largest count of each size, in integer comparisons.
+decide from the largest count of each size, in integer comparisons.  The
+shadow check leaves out the largest member size, whose sets in the shadow
+are its members, each of count 1, and decides it from those members.
 """
 
 from __future__ import annotations
@@ -127,16 +129,37 @@ def check_gamma(family: SetFamily, b,
                 budget: int = DEFAULT_SHADOW_BUDGET) -> GammaReport:
     """Check b-spreadness against every nonempty set in the family's shadow.
 
-    Counts come from :func:`families._subset_counts`, grouped by size,
-    whether or not the family keeps a subset lookup; ``budget`` caps the
-    members' sum(2**|U|) (BudgetExceededError beyond).  It computes a
-    sort key only to name a failing check's witness.
+    Counts of the sizes below the largest member size T come from
+    :func:`families._subset_counts`, grouped by size, whether or not the
+    family keeps a subset lookup; ``budget`` caps the members' sum(2**|U|)
+    (BudgetExceededError beyond).  Size T is decided from its members,
+    with no count map: a T-set in the shadow is a T-member, of count 1,
+    so its term is p^T against |F| * q^T for b = p/q, and when it ties a
+    failing maximum the T-members join the witness candidates.  It
+    computes a sort key only to name a failing check's witness.
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
-    return _spread_report(family, base,
-                          _subset_counts(family._mask_set, budget))
+    masks = family._mask_set
+    by_size = _subset_counts(masks, budget)
+    report = _spread_report(family, base, by_size)
+    if masks == {0}:
+        return report   # no nonempty member, so no size T
+    top = len(by_size) + 1   # the counted sizes are 1, .., T - 1
+    num, den = base.numerator ** top, len(family) * base.denominator ** top
+    lhs = num * report.ratio.denominator
+    rhs = report.ratio.numerator * den
+    if lhs < rhs or lhs == rhs and report.holds:
+        return report
+    ratio = Fraction(num, den)
+    if ratio < 1:
+        return GammaReport(True, None, ratio)
+    tied = [u for u in masks if u.bit_count() == top]
+    if lhs == rhs:
+        tied.append(report.witness.bits)
+    return GammaReport(False, GroundSet(family.universe,
+                                        min(tied, key=_canonical_key)), ratio)
 
 
 def _spread_holds(family: SetFamily, base) -> bool:

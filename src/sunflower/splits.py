@@ -277,21 +277,25 @@ def transversal_count_brute(family: SetFamily, j: int,
         return len(family)
     meet = _Incidence(family._mask_set)
     table = [(b, meet[b]) for b in map(labels_mask, combinations(range(n), d))]
-    last = j - 1
+    return _transversal_walk(table, j, 0, meet.everyone)
 
-    def rec(depth: int, used: int, kept: int) -> int:
-        total = 0
-        if depth == last:
-            for b, bits in table:
-                if not b & used:
-                    total += (kept & bits).bit_count()
-            return total
+
+def _transversal_walk(table: list[tuple[int, int]], j: int, used: int,
+                      kept: int) -> int:
+    """Sum over ordered j-tuples (j >= 1) of pairwise disjoint blocks of
+    ``table`` missing ``used`` of the popcount of ``kept`` ANDed with the
+    blocks' bitsets.  A module-level function, so a count leaves no
+    reference cycle holding the table."""
+    total = 0
+    if j == 1:
         for b, bits in table:
             if not b & used:
-                total += rec(depth + 1, used | b, kept & bits)
+                total += (kept & bits).bit_count()
         return total
-
-    return rec(0, 0, meet.everyone)
+    for b, bits in table:
+        if not b & used:
+            total += _transversal_walk(table, j - 1, used | b, kept & bits)
+    return total
 
 
 def transversal_formula(family: SetFamily, j: int) -> Fraction:

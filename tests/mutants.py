@@ -13,10 +13,11 @@ list.  The runner copies ``src/``, ``tests/``, ``README.md`` and
 ``pyproject.toml`` to a temporary directory, runs ``pytest -x`` there
 once unmutated (it must pass, or no kill means anything), then once per
 mutant on a fresh copy.  A mutant is killed when pytest reports a failed
-test (exit 1) or runs past three times the unmutated run (a hang); it
-survives when the suite passes.  The runner exits 1 if any mutant
-survives, an old text is not found exactly once, or pytest ends any
-other way.  Equivalent mutants are listed with their reason and never
+test (exit 1); it survives when the suite passes.  A run stopped at three
+times the unmutated run is a hang, and a finding: every fast path must be
+backed by a test that fails, not by a suite that never ends.  The runner
+exits 1 if any mutant survives or hangs, an old text is not found exactly
+once, or pytest ends any other way.  Equivalent mutants are listed with their reason and never
 run.  The file name keeps pytest from collecting it.
 """
 
@@ -52,7 +53,10 @@ class Equivalent(NamedTuple):
 
 
 BASESETS = "src/sunflower/basesets.py"
+FAMILIES = "src/sunflower/families.py"
 GAMMA = "src/sunflower/gamma.py"
+SPLITS = "src/sunflower/splits.py"
+SUNFLOWERS = "src/sunflower/sunflowers.py"
 
 MUTANTS = (
     # the drain's exact rules
@@ -94,10 +98,27 @@ MUTANTS = (
            "_tally_traces(counts, [u for u in t if u & v == v], free, -1)",
            "pass",
            "the cleaning takes a dropped member's traces off its counts"),
-    Mutant("trace-budget-tie", "src/sunflower/families.py",
+    Mutant("trace-budget-tie", FAMILIES,
            "if need > budget:", "if need >= budget:",
            "the count map raises only past its budget (the check "
            "_carried_counts shares with _subset_counts)"),
+    # the largest member size, decided from its members with no count map
+    Mutant("top-size-exponent", GAMMA,
+           "top = len(by_size) + 1", "top = len(by_size)",
+           "size T is one past the counted sizes 1, .., T - 1"),
+    Mutant("top-size-never-ties", GAMMA,
+           "if lhs < rhs or lhs == rhs and report.holds:",
+           "if lhs <= rhs:",
+           "the T-members join a failing maximum they tie"),
+    Mutant("top-size-wins-ties", GAMMA,
+           "tied.append(report.witness.bits)", "pass",
+           "a smaller size's witness stays a candidate when T ties it"),
+    Mutant("top-size-for-the-empty-member", GAMMA,
+           "if masks == {0}:", "if False:",
+           "a family whose only member is empty has no size T"),
+    Mutant("subset-counts-count-the-top", FAMILIES,
+           "last = t if t < top else t - 1", "last = t",
+           "the count map stops below the largest member size"),
     # earlier shortcuts
     Mutant("degree-bound-tie", GAMMA,
            "if degree * p ** (top - 1) < size * q ** (top - 1):",
@@ -109,9 +130,28 @@ MUTANTS = (
     Mutant("drain-forgets-passed", BASESETS,
            "passed[bm] = i", "pass",
            "a take re-queues the passed bases it shrinks"),
+    Mutant("greedy-walks-labels-down", SUNFLOWERS,
+           "for low in sorted(buckets):",
+           "for low in sorted(buckets, reverse=True):",
+           "the gamma greedy walks the lowest labels upward"),
+    Mutant("split-stack-keeps-labels", SPLITS,
+           "free ^= strips.pop()", "strips.pop()",
+           "a closed strip's labels are free again for the next block"),
+    Mutant("incidence-no-twos", SPLITS,
+           "twos |= ones & c", "pass",
+           "a member meeting a block twice is not counted as meeting it "
+           "once"),
+    Mutant("pair-pass-drops-kept-link", SUNFLOWERS,
+           "row[c] = grown[c] = row[c] | low",
+           "row[c] = grown[c] = low",
+           "a dropped member's bit joins the link its trace kept"),
 )
 
 EQUIVALENT = (
+    Equivalent("greedy-no-label-skip", SUNFLOWERS,
+               "if low & used:", "if False:",
+               "a bucket whose lowest label a pick holds has no member "
+               "disjoint from the picks; the skip saves only the scan"),
     Equivalent("pair-pass-half-tie", "src/sunflower/sunflowers.py",
                "if 2 * len(row) > len(later):",
                "if 2 * len(row) >= len(later):",
@@ -197,11 +237,11 @@ def main(argv: list[str]) -> int:
     failed = []
     for mutant in chosen:
         code, spent = run_on_copy(mutant, 3 * clean)
-        outcome = {None: "killed (hang)", 1: "killed", 0: "SURVIVED"}.get(
+        outcome = {None: "HUNG", 1: "killed", 0: "SURVIVED"}.get(
             code, f"ERROR (pytest exit {code})")
         print(f"{mutant.name}: {outcome} in {spent:.1f} s  "
               f"[{mutant.path}: {mutant.breaks}]", flush=True)
-        if not outcome.startswith("killed"):
+        if code != 1:
             failed.append(mutant.name)
     print(f"{len(chosen) - len(failed)}/{len(chosen)} killed in "
           f"{time.perf_counter() - start:.0f} s")

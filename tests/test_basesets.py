@@ -574,6 +574,47 @@ def test_extractions_read_live_members_only():
     assert second == (0b10, [u for u in comp if u & 0b10])
 
 
+def test_clean_to_spread_searches_at_most_bucket_size_plus_one_times(
+        monkeypatch):
+    # a cleaning's violator search either names a set some live member
+    # contains, and the members containing it are dropped, or ends the
+    # cleaning; so one call searches at most |bucket| + 1 times.  A count
+    # map out of step with the bucket finds the same violator forever, and
+    # this fails at the first search past that bound
+    real_clean = basesets._clean_to_spread
+    real_search = basesets._max_violator_masks
+    searches: list[list[int]] = []   # per cleaning: [made, allowed]
+
+    def clean(bucket, *args):
+        searches.append([0, len(bucket) + 1])
+        return real_clean(bucket, *args)
+
+    def search(*args):
+        made = searches[-1]
+        made[0] += 1
+        assert made[0] <= made[1], "a cleaning searched past |bucket| + 1"
+        return real_search(*args)
+
+    monkeypatch.setattr(basesets, "_clean_to_spread", clean)
+    monkeypatch.setattr(basesets, "_max_violator_masks", search)
+    # at b = 4/3 the three members through {3, 7} violate and are dropped,
+    # and the two left are spread
+    fam = SetFamily.of(9, [[0, 3, 7], [0, 5, 7], [1, 3, 7], [2, 3, 6],
+                           [2, 3, 7]], m=3)
+    free = Split.contiguous(9, 3).subsplit((1, 2))
+    assert basesets._clean_to_spread(list(fam.masks()), free,
+                                     fam.subset_lookup(), 4, 3) == \
+        [labels_mask([0, 5, 7]), labels_mask([2, 3, 6])]
+    assert searches == [[2, 6]]
+    # the m = 5 sweep input counts cleanings whose traces meet
+    del searches[:]
+    split = Split.contiguous(40, 5)
+    with pytest.raises(ContractViolationError):
+        process_r(generate_random_family(40, 5, 1000, 1, on_split=split),
+                  split, Constants(0.995, 1.0005, 1.001, 2, 5, 1000))
+    assert any(made >= 2 for made, _ in searches)
+
+
 def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
     # a passed-over (base, component) pair is decided again only after its
     # live bucket shrinks, so within one engine call no decision repeats,

@@ -340,16 +340,24 @@ def test_scanned_subset_map_matches_the_built_map(masks):
 @SETTINGS
 @given(mixed_masks())
 @example([0, 0b1, 0b110, 0b1011, 0b11111111])
-# several members of the largest size, counted without patterns, beside
-# smaller ones and the empty member
+# several members of the largest size, left uncounted, beside smaller
+# ones and the empty member
 @example([0b1110, 0, 0b1, 0b10110, 0b111000, 0b11, 0b1101])
 @example([0])
 def test_subset_counts_match_bucket_sizes(masks):
+    # sizes below the largest member size T are counted, one map per
+    # size 1, .., T - 1, as the buckets give them; a T-set's bucket holds
+    # exactly one member, which is why size T needs no map
     counts = _subset_counts(masks)
+    top = max(map(int.bit_count, masks), default=0)
+    assert sorted(counts) == list(range(1, top))
     for size, by_mask in counts.items():
         assert by_mask and all(s.bit_count() == size for s in by_mask)
+    buckets = _subset_lookup(masks)
     assert {s: c for by_mask in counts.values() for s, c in by_mask.items()} \
-        == {s: len(bucket) for s, bucket in _subset_lookup(masks).items() if s}
+        == {s: len(bucket) for s, bucket in buckets.items()
+            if 0 < s.bit_count() < top}
+    assert all(buckets[u] == [u] for u in masks if u.bit_count() == top)
     need = sum(1 << u.bit_count() for u in masks)
     assert _subset_counts(masks, budget=need) == counts
     if need:
@@ -363,6 +371,9 @@ def test_subset_counts_match_bucket_sizes(masks):
 # a tie across sizes at the max: the pair {0,1} (count 1) and the
 # singleton {1} (count 2 = 1 * b) both reach 2, and {0,1} comes first
 @example(SetFamily.of(3, [[0, 1], [1, 2]]), Fraction(2))
+# the same tie where the smaller size wins: {0} (count 2) and the members
+# {0,1}, {0,2} all reach 2, and {0} comes first
+@example(SetFamily.of(3, [[0, 1], [0, 2]]), Fraction(2))
 # {0} lies in all three members: witness {0}, ratio 3 * 2 / 3 = 2
 @example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
 def test_check_gamma_matches_brute_scan(family, b):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from itertools import combinations
 
@@ -241,6 +242,21 @@ def test_transversal_identity_random_families():
         fam = random_family(n, m, size, seed=40 + seed)
         for j in range(m + 1):
             assert transversal_count_brute(fam, j) == transversal_formula(fam, j)
+
+
+def test_transversal_count_leaves_no_reference_cycle():
+    # the walk takes the block table as an argument, so no function and
+    # closure outlive a call in a cycle holding it: the cyclic collector
+    # finds nothing to free after the counts
+    fam = random_family(9, 3, 30, seed=7)
+    gc.collect()
+    gc.disable()
+    try:
+        assert [transversal_count_brute(fam, j) for j in range(4)] == \
+            [transversal_formula(fam, j) for j in range(4)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_transversal_full_family_values():
