@@ -3,14 +3,15 @@
 The engine's one input is a :class:`ComponentCollection`: a family of
 m-sets lying on an m-split, organized as components each indexed by a
 rank-m' subsplit, with a family of anchor m'-sets ("bases") covering
-every member's projection and the subset lookup its buckets are read
-from.  It scans ranks r = m' down to 0, repeatedly carving out
-elementary parts:
+every member's projection.  It scans ranks r = m' down to 0, repeatedly
+carving out elementary parts:
 
   * at r = m', whole buckets F''[B] whose size meets the threshold f(m'),
     the groups of members sharing a projection onto the component;
   * at r < m', buckets cleaned to spreadness on the strips off B by
-    repeated maximal-violator removal, with an epsilon-floor at r = 0;
+    repeated maximal-violator removal, with an epsilon-floor at r = 0.
+    A bucket is again a projection group, onto the r strips B lies on,
+    as every member is an on-split m-set;
 
 and returns at the first rank whose extracted union reaches a 3^(r-m'-1)
 fraction of the input.  The working family shrinks monotonically across
@@ -43,8 +44,9 @@ from typing import Iterable, Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      UniverseMismatchError)
-from .families import (SetFamily, Split, Subsplit, _canonical_key, _mask_repr,
-                       _ordered_family, _Record, _setattr, mask_labels)
+from .families import (SetFamily, Split, Subsplit, _canonical_key, _columns,
+                       _holders, _mask_repr, _ordered_family, _Record,
+                       _setattr, mask_labels)
 from .gamma import (_carried_counts, _max_violator_masks, _spread_holds,
                     _tally_traces, check_gamma_on_subsplit, exact_base)
 
@@ -273,10 +275,10 @@ class ComponentCollection:
     key strips.  The constructors that take outside input (``__init__``,
     :meth:`initial` and :meth:`derive`) check all of this; :meth:`regroup`
     builds the next collection from an engine output, which the engine's
-    postconditions have checked.  ``_family`` holds every member and
-    keeps the subset lookup the engine reads its buckets from: the
+    postconditions have checked.  ``_family`` holds every member: the
     members themselves, or, after :meth:`regroup`, the family they were
-    drawn from, so a whole :func:`process_r` run builds one lookup.
+    drawn from, whose canonical order :meth:`regroup` filters.  The
+    engine reads its buckets off the components, as projection groups.
     """
 
     __slots__ = ("split", "rank", "components", "bases", "_family")
@@ -417,20 +419,6 @@ class BaseSetsOutput(_Record):
         return self._family
 
 
-def _candidate_bases(sub: Subsplit, r: int, shadow, lookup,
-                     floor: int | float) -> list[int]:
-    """Masks of r-sets on the subsplit inside the bases' shadow (``shadow``,
-    their subset lookup) whose bucket, the members of ``lookup``
-    containing them, reaches ``floor``, in lexicographic label order;
-    rank 0 gives at most the empty set.  A live bucket lies inside it
-    and, with its cleaning, only shrinks, so no other base can be taken.
-    The drain raises ``floor`` past b (rule 1 of :func:`_extractions`)."""
-    cands = [bm for bm in sub.p_set_masks(r)
-             if bm in shadow and len(lookup.get(bm, ())) >= floor]
-    cands.sort(key=_canonical_key)
-    return cands
-
-
 def _clean_to_spread(bucket: list[int], free: Subsplit, shadow, p: int,
                      q: int) -> list[int]:
     """Greedy maximal subfamily of the bucket with no spreadness violator
@@ -480,22 +468,32 @@ def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
         yield bm, groups[bm]
 
 
-def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
-                 bases: SetFamily, floor: int | float,
+def _extractions(r: int, live: set[int], comp: tuple[int, ...],
+                 sub: Subsplit, bases: SetFamily, floor: int | float,
                  b: Fraction) -> Iterator[tuple[int, list[int]]]:
     """Drain one component at a rank r below m': yield (base mask, member
     masks) for each extraction, after removing its members from ``live``.
-    A base's bucket is its entry in ``lookup``, a subset map over the
-    component's members and maybe more, filtered by ``live``.
+    A base's bucket is its projection group: for the r strips S of
+    ``sub`` it lies on, the members of ``comp`` whose projection onto S,
+    ``u & union(S)``, is the base, filtered by ``live``.  As members are
+    on-split m-sets, these are exactly the members containing the base.
 
     A min-heap holds the label-order indices of the undecided candidate
-    bases, at the start all whose unfiltered bucket exceeds b and reaches
-    ``floor`` (eps_need at r = 0, else 1).  The smallest is popped:
+    bases, at the start all whose group exceeds b and reaches ``floor``
+    (eps_need at r = 0, else 1).  The smallest is popped:
     dropped if its live bucket is empty, else decided on it cleaned to
     spreadness on the f = m' - r strips off the base, taken if its size
     reaches the floor and else passed over.  A take re-queues the passed
     bases its members contain, the only ones whose buckets it shrinks.
     An empty live set ends the drain, as no empty bucket qualifies.
+
+    The candidates lose no base the drain could take.  A live bucket
+    lies inside its group.  So a base whose group is at most b is dropped
+    by rule 1 below, and one whose group misses the floor is dropped or
+    passed over, whatever a bucket over more members (the whole family's,
+    say) holds.  And every nonempty group lies in the bases' shadow: each
+    member projects onto a base on the component's strips, and that base
+    contains the group's own.
 
     Two exact rules settle a live bucket t with no count.  Members are
     on-split m-sets projecting onto bases (the collection's invariants),
@@ -505,8 +503,9 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     (|t| * f labels in all), every count is 1, so while |t| <= b^f a
     whole trace is the largest violator and t empties; else nothing
     violates and t stays whole.  Only a counted cleaning builds the free
-    subsplit.  A base a rule empties is dropped, not passed: its later
-    buckets lie inside t, so the rule empties them too.
+    subsplit and reads the bases' subset lookup.  A base a rule empties
+    is dropped, not passed: its later buckets lie inside t, so the rule
+    empties them too.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
@@ -515,17 +514,20 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
     the call fixes.  And a restart only passed over earlier components
     again, whose live sets an extraction here leaves unchanged.
     """
-    shadow = bases.subset_lookup()
     p, q = b.numerator, b.denominator
     f = sub.rank - r
     pf, qf = p ** f, q ** f
-    cands = _candidate_bases(sub, r, shadow, lookup, max(floor, p // q + 1))
+    need = max(floor, p // q + 1)
+    buckets = {bm: t for strips in combinations(sub.strip_masks, r)
+               for bm, t in _projection_groups(comp, sum(strips)).items()
+               if len(t) >= need}
+    cands = sorted(buckets, key=_canonical_key)
     heap = list(range(len(cands)))
     passed: dict[int, int] = {}   # base mask -> index
     while heap and live:
         i = heappop(heap)
         bm = cands[i]
-        bucket = lookup.get(bm)
+        bucket = buckets[bm]
         if live.isdisjoint(bucket):
             continue
         bucket = [u for u in bucket if u in live]
@@ -541,7 +543,8 @@ def _extractions(r: int, live: set[int], lookup, sub: Subsplit,
                 continue
             t = bucket
         else:
-            t = _clean_to_spread(bucket, sub.minus(bm), shadow, p, q)
+            t = _clean_to_spread(bucket, sub.minus(bm),
+                                 bases.subset_lookup(), p, q)
         if len(t) < floor:
             passed[bm] = i
             continue
@@ -564,8 +567,8 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
     stay removed); the accumulated union and base list reset per rank.
     At r = m' each component's projection groups reaching need[m'] are
     taken (:func:`_full_rank_pass`); below, the components are drained
-    in key order (:func:`_extractions`) on buckets read off the subset
-    lookup that the collection's family keeps, built on its first read.
+    in key order (:func:`_extractions`), each on its own projection
+    groups.
     Each (base, component) pair is extracted at most once per call.
     Raises ContractViolationError with the full extraction trace when no
     rank reaches its bound.
@@ -585,7 +588,6 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
             f"input family of size {size} is below the "
             f"3^(-2m) * famSize floor")
 
-    lookup = collection._family.subset_lookup()
     full = mprime == cfg.m
     thr = Threshold(cfg)
     b = exact_base(cfg.b)
@@ -602,7 +604,8 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
                 found = _full_rank_pass(components[key], sub.union_mask,
                                         live, thr.need[mprime], full)
             else:
-                found = _extractions(r, live, lookup, sub, collection.bases,
+                found = _extractions(r, live, components[key], sub,
+                                     collection.bases,
                                      thr.eps_need if r == 0 else 1, b)
             for bm, t_masks in found:
                 part = ElementaryPart(bm, key, tuple(t_masks), variant)
@@ -756,18 +759,21 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
 
     For every terminal part with base C: |T| >= need[r_hat] (the integer
     floor the extraction used) and |T| <= |F[C]|, both in exact integers,
-    each |F[C]| read once.  Chain lines that depend on hypotheses about
-    the original family (a spreadness level of c^c * k * ln k, or m >
-    c^c * ln k) are evaluated numerically and marked "hypothesis unmet"
-    when the hypothesis fails or cannot be evaluated, never treated as
-    failures; a level past the float range is None.  The level is decided
-    exactly (:func:`gamma._spread_holds`): |F[S]| is at most the largest
-    degree D below the largest member size M and 1 at M, so D * b^(M-1)
-    < |F| and b^M < |F| prove it with no count, and D * b >= |F| or b^M
-    >= |F| refutes it.  Where neither decides and
-    the count is over the shadow budget, ``spread_hypothesis_holds`` is
-    None, and ``spread_hypothesis_budget``, present only then, gives the
-    count's needed and budget.
+    each |F[C]| read once.  One pass over the family builds its member
+    columns (:func:`families._columns`), and |F[C]| is the popcount of
+    the AND of C's columns: no subset map is built.  Chain lines that
+    depend on hypotheses about the original family (a spreadness level
+    of c^c * k * ln k, or m > c^c * ln k) are evaluated numerically and
+    marked "hypothesis unmet" when the hypothesis fails or cannot be
+    evaluated, never treated as failures; a level past the float range
+    is None.  The level is decided exactly (:func:`gamma._spread_holds`):
+    |F[S]| is at most the largest degree D, the largest column popcount,
+    below the largest member size M and 1 at M, so D * b^(M-1) < |F| and
+    b^M < |F| prove it with no count, and D * b >= |F| or b^M >= |F|
+    refutes it.  Where neither decides and the count is over the shadow
+    budget, ``spread_hypothesis_holds`` is None, and
+    ``spread_hypothesis_budget``, present only then, gives the count's
+    needed and budget.
     """
     _check_audit_regime(cfg)
     if cfg.fam_size is None:
@@ -777,8 +783,8 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     k, m, c, h, eps = cfg.k, cfg.m, cfg.c, cfg.h, cfg.epsilon
     fam_size, log_k = cfg.fam_size, math.log(cfg.k)
 
-    lookup = family.subset_lookup()
-    restriction = {bits: len(lookup.get(bits, ()))
+    cols, everyone = _columns(family._mask_set), (1 << len(family)) - 1
+    restriction = {bits: _holders(cols, everyone, bits).bit_count()
                    for bits in {part.B for part in result.parts_hat}}
     # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the original
     # family to be (c^c k ln k)-spread
@@ -825,7 +831,9 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     if level < math.inf:
         big_b = level
         try:
-            spread_hypothesis = _spread_holds(family, Fraction(big_b))
+            spread_hypothesis = _spread_holds(
+                family, Fraction(big_b),
+                max(map(int.bit_count, cols.values()), default=0))
         except BudgetExceededError as exc:
             over_budget = {"needed": exc.needed, "budget": exc.budget}
     m_hypothesis = m > c_pow_c * log_k

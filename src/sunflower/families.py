@@ -9,10 +9,13 @@ members are built on the first read that needs them.  Canonical sorts
 use ``_canonical_key``, a string per mask that orders like the label
 tuple.  The text and JSON parsers turn each row straight into a mask,
 caching every label's bit for the parse.
-Restriction counts |F[S]| are read off one subset map per family, built
-by ``_subset_lookup`` on the first :meth:`SetFamily.subset_lookup` and
-kept (above DEFAULT_SHADOW_BUDGET a stand-in ANDs member columns), or are
-counted by size with no buckets (``_subset_counts``).
+Restriction counts |F[S]| are counted by size with no buckets
+(``_subset_counts``), or are the popcount of the AND of S's member
+columns (``_columns``, folded by ``_holders``).  Shadow membership and
+buckets are read off a family's subset map, built by ``_subset_lookup``
+on the first :meth:`SetFamily.subset_lookup` and kept (above
+DEFAULT_SHADOW_BUDGET a stand-in ANDs member columns); the engine's
+drain reads it only for its bases' shadow.
 ``SetFamily.shadow`` and ``SetFamily.restrict`` stay as the plain
 references the tests check both kernels against.
 Splits partition the universe into equal-size ordered strips, stored as
@@ -105,6 +108,16 @@ def _columns(masks: Iterable[int]) -> dict[int, int]:
     return cols
 
 
+def _holders(cols: dict[int, int], held: int, s: int) -> int:
+    """The members of bitset ``held`` that contain mask ``s``: ``held``
+    ANDed with the column (:func:`_columns`) of each label of s."""
+    while s and held:
+        low = s & -s
+        held &= cols.get(low, 0)
+        s ^= low
+    return held
+
+
 class _ScannedSubsetMap:
     """Lazy stand-in for a subset map too large to build: the members
     containing s are the AND of the columns of s's labels, built on the
@@ -118,12 +131,7 @@ class _ScannedSubsetMap:
     def _holders(self, s: int) -> int:
         if self._cols is None:
             self._cols = _columns(self._masks)
-        held = (1 << len(self._masks)) - 1
-        while s and held:
-            low = s & -s
-            held &= self._cols.get(low, 0)
-            s ^= low
-        return held
+        return _holders(self._cols, (1 << len(self._masks)) - 1, s)
 
     def __contains__(self, s: int) -> bool:
         return self._holders(s) != 0
@@ -599,29 +607,6 @@ class Subsplit(_Immutable):
         return Subsplit(self.split, tuple(
             i for i, bits in zip(self.indices, self.strip_masks)
             if not bits & b))
-
-    def p_set_masks(self, p: int) -> Iterator[int]:
-        """All masks of p-sets on this subsplit, one element per chosen strip.
-
-        For p = 0 yields the empty mask once, matching the convention that
-        a rank-0 selection carries exactly the empty set.
-        """
-        if p < 0:
-            raise ValueError("cardinality must be nonnegative")
-        if p == 0:
-            yield 0
-            return
-        if p > self.rank:
-            return
-        strip_bits = [[1 << x for x in mask_labels(s)]
-                      for s in self.strip_masks]
-        for which in combinations(range(self.rank), p):
-            # the last chosen strip varies fastest: label-tuple order within
-            # one strip selection
-            masks = [0]
-            for i in which:
-                masks = [u | bit for u in masks for bit in strip_bits[i]]
-            yield from masks
 
 
 def pad_universe(family: SetFamily, n: int) -> SetFamily:

@@ -162,24 +162,22 @@ def check_gamma(family: SetFamily, b,
                                         min(tied, key=_canonical_key)), ratio)
 
 
-def _spread_holds(family: SetFamily, base) -> bool:
+def _spread_holds(family: SetFamily, base, degree: int) -> bool:
     """``check_gamma(family, base).holds``, settled first by degree
-    bounds read off the family's subset lookup.  With b = p/q, D the
-    largest |F[{x}]| and M the largest member size, every nonempty S
-    has |F[S]| <= D (F[S] lies in F[{x}] for x in S), and a size-M set
-    in the shadow is a member with no other superset, so |F[S]| = 1:
-    D * p^(M-1) < |F| * q^(M-1) and p^M < |F| * q^M make every ratio
-    |F[S]| * b^|S| / |F| below 1.  Conversely D * p >= |F| * q (a label
-    of degree D violates) or p^M >= |F| * q^M (a largest member does)
-    refutes it.  Only when neither decides, or no member is nonempty,
-    does the full count run."""
+    bounds.  With b = p/q, ``degree`` D the largest |F[{x}]| (the caller
+    reads it off the member columns) and M the largest member size, every
+    nonempty S has |F[S]| <= D (F[S] lies in F[{x}] for x in S), and a
+    size-M set in the shadow is a member with no other superset, so
+    |F[S]| = 1: D * p^(M-1) < |F| * q^(M-1) and p^M < |F| * q^M make
+    every ratio |F[S]| * b^|S| / |F| below 1.  Conversely D * p >= |F| *
+    q (a label of degree D violates) or p^M >= |F| * q^M (a largest
+    member does) refutes it.  Only when neither decides, or no member is
+    nonempty, does the full count run."""
     base = exact_base(base)
     top = max(map(int.bit_count, family._mask_set), default=0)
     if top:
-        lookup, size = family.subset_lookup(), len(family)
+        size = len(family)
         p, q = base.numerator, base.denominator
-        degree = max(len(lookup.get(1 << x, ()))
-                     for x in range(family.universe.n))
         if degree * p >= size * q or p ** top >= size * q ** top:
             return False
         if degree * p ** (top - 1) < size * q ** (top - 1):

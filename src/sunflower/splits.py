@@ -187,7 +187,7 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
     n = family.universe.n
     d = _strip_size(n, m, "member cardinality")
     bound = retention_bound(family, m)
-    meet = _Incidence(family.masks())
+    meet = _Incidence(family._mask_set)
 
     def materialize(split: Split, count: int) -> SplitSearchResult:
         kept = family.on_subsplit(split.full_subsplit(), split.m)

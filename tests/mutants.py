@@ -73,6 +73,20 @@ MUTANTS = (
     Mutant("candidate-floor", BASESETS,
            "max(floor, p // q + 1)", "max(floor, p // q + 2)",
            "the drain's candidates are the buckets above b"),
+    # the drain's buckets as projection groups, the audit's counts as
+    # member-column ANDs
+    Mutant("projection-candidates-strict", BASESETS,
+           "if len(t) >= need}", "if len(t) > need}",
+           "a projection group that reaches the drain's floor is a "
+           "candidate"),
+    Mutant("projection-strips-one-short", BASESETS,
+           "combinations(sub.strip_masks, r)",
+           "combinations(sub.strip_masks, r - 1)",
+           "a rank-r base is a projection onto r of the component's strips"),
+    Mutant("audit-fold-skips-a-label", BASESETS,
+           "_holders(cols, everyone, bits)",
+           "_holders(cols, everyone, bits & bits - 1)",
+           "the audit's |F[C]| ANDs the column of every label of C"),
     # the violator search over the size-grouped trace counts
     Mutant("violator-strict", GAMMA,
            "if count >= floor and s in shadow]",

@@ -1,6 +1,7 @@
 """Brute-force and reference oracles shared by the tests.
 
-``p_sets`` lists the p-sets on a subsplit as ground sets.
+``p_set_masks`` lists the masks of the p-sets on a subsplit, and
+``p_sets`` the same sets as ground sets.
 ``random_family`` draws ``size`` distinct m-sets on n labels.
 ``brute_max_ratio`` is the spreadness check by one restriction per
 candidate set, with no subset map or count kernel.
@@ -35,7 +36,8 @@ the family with ``SetFamily.of``, the route the mask-direct parsers
 replaced.
 ``degree_bound_decides`` is the degree bound that settles the engine
 audit's spreadness check either way before any count, recomputed with
-one restriction per label; the check it settles is ``check_gamma``.
+one restriction per label (``max_degree``); the check it settles is
+``check_gamma``.
 ``full_rank_pass_by_grouping`` is the engine's full-rank pass as it
 grouped every component by projection, before a component keyed by
 every strip skipped grouping at a floor above 1.
@@ -120,11 +122,34 @@ def meets_eps_floor(cfg: Constants, count: int) -> bool:
     return _meets_floor(count, direct, log_value)
 
 
+def p_set_masks(sub: Subsplit, p: int) -> Iterator[int]:
+    """All masks of p-sets on ``sub``, one element per chosen strip.
+
+    For p = 0 yields the empty mask once, matching the convention that
+    a rank-0 selection carries exactly the empty set.
+    """
+    if p < 0:
+        raise ValueError("cardinality must be nonnegative")
+    if p == 0:
+        yield 0
+        return
+    if p > sub.rank:
+        return
+    strip_bits = [[1 << x for x in mask_labels(s)] for s in sub.strip_masks]
+    for which in combinations(range(sub.rank), p):
+        # the last chosen strip varies fastest: label-tuple order within
+        # one strip selection
+        masks = [0]
+        for i in which:
+            masks = [u | bit for u in masks for bit in strip_bits[i]]
+        yield from masks
+
+
 def p_sets(sub: Subsplit, p: int) -> Iterator[GroundSet]:
     """The p-sets on ``sub``, one element per chosen strip, as ground sets
-    in :meth:`Subsplit.p_set_masks` order."""
+    in :func:`p_set_masks` order."""
     uni = sub.split.universe
-    for mask in sub.p_set_masks(p):
+    for mask in p_set_masks(sub, p):
         yield GroundSet(uni, mask)
 
 
@@ -142,6 +167,12 @@ def brute_max_ratio(family: SetFamily, candidates, b: Fraction):
     return (best < 1, None if best < 1 else witness, best)
 
 
+def max_degree(family: SetFamily) -> int:
+    """The largest restriction of the family to one label."""
+    return max(len(family.restrict(GroundSet(family.universe, 1 << x)))
+               for x in range(family.universe.n))
+
+
 def degree_bound_decides(family: SetFamily, b) -> bool:
     """Whether D * b^(M-1) < |F| and b^M < |F| (proving b-spreadness), or
     D * b >= |F| or b^M >= |F| (refuting it), with D the largest
@@ -150,8 +181,7 @@ def degree_bound_decides(family: SetFamily, b) -> bool:
     top = max((u.bit_count() for u in family.masks()), default=0)
     if not top:
         return False
-    degree = max(len(family.restrict(GroundSet(family.universe, 1 << x)))
-                 for x in range(family.universe.n))
+    degree = max_degree(family)
     size = len(family)
     return (degree * b ** (top - 1) < size and b ** top < size
             or degree * b >= size or b ** top >= size)
@@ -331,7 +361,7 @@ def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
     """Masks of every r-set on ``sub`` inside the bases' shadow, in label
     order, whatever its bucket; rank 0 gives the empty set alone."""
     shadow = bases.subset_lookup()
-    return sorted((bm for bm in sub.p_set_masks(r) if bm in shadow),
+    return sorted((bm for bm in p_set_masks(sub, r) if bm in shadow),
                   key=mask_labels)
 
 

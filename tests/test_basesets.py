@@ -27,8 +27,7 @@ from sunflower.basesets import (
 )
 from sunflower.errors import ContractViolationError, UniverseMismatchError
 from sunflower.families import (SetFamily, Split, Subsplit, Universe,
-                                _canonical_key, _subset_lookup, labels_mask,
-                                mask_labels)
+                                _canonical_key, labels_mask, mask_labels)
 from sunflower.gamma import exact_base
 from sunflower.harness import generate_random_family
 
@@ -536,9 +535,9 @@ def test_extractions_rank_zero_round():
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     comp = coll.components[(0, 1)]
     live = set(comp)
-    found = list(_extractions(0, live, _subset_lookup(comp),
-                              coll.split.subsplit((0, 1)), GRID16,
-                              Threshold(cfg).eps_need, exact_base(cfg.b)))
+    found = list(_extractions(0, live, comp, coll.split.subsplit((0, 1)),
+                              GRID16, Threshold(cfg).eps_need,
+                              exact_base(cfg.b)))
     assert len(found) == 1
     bm, t_masks = found[0]
     assert bm == 0
@@ -563,11 +562,10 @@ def test_extractions_read_live_members_only():
     assert [bm for bm, _ in drained] == list(comp)
     assert all(t == [bm] for bm, t in drained)
     assert not live
-    # below m' the drain reads the live set, not the map: with the members
-    # containing {0} gone from it (not from the map), rank 1 skips {0} and
-    # takes the spread bucket of {1} first
-    args = (_subset_lookup(comp), coll.split.subsplit((0, 1)), GRID16, 1,
-            exact_base(cfg.b))
+    # below m' the drain reads the live set, not the component: with the
+    # members containing {0} gone from it (not from the component), rank 1
+    # skips {0} and takes the spread bucket of {1} first
+    args = (comp, coll.split.subsplit((0, 1)), GRID16, 1, exact_base(cfg.b))
     first = next(_extractions(1, set(comp), *args))
     assert first == (0b1, [u for u in comp if u & 0b1])
     second = next(_extractions(1, {u for u in comp if not u & 0b1}, *args))
@@ -626,20 +624,36 @@ def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
     cleaned: list[list[tuple]] = []
     maps = []
     real_drain = basesets._extractions
+    real_groups = basesets._projection_groups
     real_clean = basesets._clean_to_spread
     real_engine = basesets.base_sets
     real_counts = basesets._carried_counts
 
-    def drain(r, live, lookup, sub, *args):
-        class Buckets:
-            # the drain reads one bucket, with no default, per popped base
-            def get(self, bm, *default):
-                bucket = lookup.get(bm, *default)
-                if not default and not live.isdisjoint(bucket):
-                    decided[-1].append((sub.indices, bm, tuple(
-                        u for u in bucket if u in live)))
-                return bucket
-        return real_drain(r, live, Buckets(), sub, *args)
+    class Group(list):
+        # a projection group that knows its projection, the base whose
+        # bucket it is
+        def __init__(self, bm, members):
+            super().__init__(members)
+            self.bm = bm
+
+    def groups(members, union):
+        return {bm: Group(bm, t)
+                for bm, t in real_groups(members, union).items()}
+
+    def drain(r, live, comp, sub, *args):
+        class Live(set):
+            # the drain tests one bucket against the live set per popped
+            # base
+            def isdisjoint(self, bucket):
+                disjoint = set.isdisjoint(self, bucket)
+                if not disjoint:
+                    decided[-1].append((sub.indices, bucket.bm, tuple(
+                        u for u in bucket if u in self)))
+                return disjoint
+        view = Live(live)
+        for bm, t in real_drain(r, view, comp, sub, *args):
+            live.difference_update(t)
+            yield bm, t
 
     def clean(bucket, free, shadow, p, q):
         cleaned[-1].append((free, tuple(bucket), p, q))
@@ -655,6 +669,7 @@ def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
         return real_counts(masks, sub)
 
     monkeypatch.setattr(basesets, "_extractions", drain)
+    monkeypatch.setattr(basesets, "_projection_groups", groups)
     monkeypatch.setattr(basesets, "_clean_to_spread", clean)
     monkeypatch.setattr(basesets, "base_sets", engine_call)
     monkeypatch.setattr(basesets, "_carried_counts", counts)
@@ -864,13 +879,30 @@ def test_process_r_input_validation():
     assert info.value.partial_steps == ()
 
 
+def spy_on_set_enumeration(monkeypatch) -> list:
+    """Set a spy as ``Subsplit.p_set_masks``, the enumeration of every
+    on-split r-set (in the oracles, not the package), yielding no sets,
+    and return the list of its calls: an engine that reads its buckets
+    off projection groups leaves it empty."""
+    calls = []
+
+    def p_set_masks(self, p):
+        calls.append((self.indices, p))
+        return iter(())
+
+    monkeypatch.setattr(Subsplit, "p_set_masks", p_set_masks, raising=False)
+    return calls
+
+
 def test_process_r_first_step_reuses_the_family(monkeypatch):
-    # step 1's only component is the family itself: the engine reads the
-    # family's kept subset lookup, and so do the later steps, so no step
-    # builds a component lookup; ComponentCollection.initial tests each
-    # member as an on-split m-set (on the full subsplit) exactly once, and
-    # nothing else is tested there; and no collection is re-validated at
-    # any step
+    # step 1's only component is the family itself, and no step or audit
+    # builds a subset map over it: the drain reads projection groups and
+    # the audit member columns, and no r-set is enumerated on a subsplit
+    # (the flagship's buckets all fall to the drain's rules, so no counted
+    # cleaning reads the shadow of step 1's bases, the family itself);
+    # ComponentCollection.initial tests each member as an on-split m-set
+    # (on the full subsplit) exactly once, and nothing else is tested
+    # there; and no collection is re-validated at any step
     fam = SetFamily(FLAGSHIP.universe, FLAGSHIP.masks(), m=FLAGSHIP.m)
     built, full_checks = [], []
     real_lookup, real_carries = families._subset_lookup, Subsplit.carries_mask
@@ -890,18 +922,23 @@ def test_process_r_first_step_reuses_the_family(monkeypatch):
     monkeypatch.setattr(families, "_subset_lookup", lookup)
     monkeypatch.setattr(Subsplit, "carries_mask", carries)
     monkeypatch.setattr(ComponentCollection, "__init__", no_init)
+    enumerated = spy_on_set_enumeration(monkeypatch)
     res = process_r(fam, SPLIT16, FLAGSHIP_CFG)
     assert [s.p for s in res.steps] == [1, 2]
-    assert built == [fam.masks()]
     assert sorted(full_checks) == sorted(fam.masks())
+    assert audit_terminal_bases(res, fam, FLAGSHIP_CFG)["all_sandwich_ok"]
+    assert fam.masks() not in built
+    assert enumerated == []
 
 
 def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
-    # one process_r run and its audit build the input family's subset map
-    # once and count no restriction afresh: every step reads that map, and
-    # the audit's spreadness check reads it too.  A later step that drains
-    # below m' also builds the shadow map of its own bases; without one,
-    # the family's map is the only map built
+    # one process_r run and its audit read the input family through one
+    # pass, the audit's member columns, and count no restriction afresh:
+    # no subset map is built over the family, no r-set is enumerated on a
+    # subsplit, and the audit's spreadness check is settled by the degree
+    # bound.  Only a counted cleaning builds a map, of its step's bases
+    # (at step 1 the family itself), and the corpus's buckets all fall to
+    # the drain's rules, so no map is built at all
     from test_acceptance import engine_corpus
     built, counted = [], []
     real_lookup = families._subset_lookup
@@ -916,22 +953,20 @@ def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
         return real_counts(masks, *args)
 
     # every subset lookup, kept with a family or built for the engine's
-    # components, is built here
+    # bases, is built here
     monkeypatch.setattr(families, "_subset_lookup", lookup)
     monkeypatch.setattr(families, "_subset_counts", counts)
-    single_map_runs = later_step_runs = 0
+    enumerated = spy_on_set_enumeration(monkeypatch)
+    later_step_runs = 0
     for label, fam, split, cfg in engine_corpus():
         fam = SetFamily(fam.universe, fam.masks(), m=fam.m)  # no map kept
-        del built[:]
         result = process_r(fam, split, cfg)
         audit_terminal_bases(result, fam, cfg)
-        assert built.count(fam.masks()) == 1, label
+        assert built == [], label
         assert counted == [], label
-        if all(step.output.r == step.r_in for step in result.steps[1:]):
-            assert built == [fam.masks()], label
-            single_map_runs += 1
+        assert enumerated == [], label
         later_step_runs += len(result.steps) > 1
-    assert single_map_runs >= 10 and later_step_runs >= 3
+    assert later_step_runs >= 3
 
 
 def bench_shaped(seed: int) -> SetFamily:

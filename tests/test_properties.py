@@ -67,8 +67,9 @@ from oracles import (brute_max_ratio, carried_counts_reference,
                      extractions_by_rescan, full_rank_pass_by_grouping,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
-                     max_violator_masks, meet_once, meets_eps_floor,
-                     meets_threshold, p_sets, sunflower_free_check_oracle)
+                     max_degree, max_violator_masks, meet_once,
+                     meets_eps_floor, meets_threshold, p_sets,
+                     sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -490,7 +491,8 @@ def test_spread_holds_matches_check_gamma(family, b):
     decides = degree_bound_decides(family, b)
     event(f"degree bound decides: {decides}")
     with mock.patch.object(gamma, "check_gamma", wraps=check_gamma) as full:
-        assert _spread_holds(family, b) == check_gamma(family, b).holds
+        assert _spread_holds(family, b, max_degree(family)) == \
+            check_gamma(family, b).holds
     assert full.call_count == (not decides)
 
 
@@ -898,6 +900,13 @@ REQUEUED_BASE_COMES_FIRST = pinned_case(
 COMPONENTS_SHARE_A_BASE = pinned_case(
     9, 3, [73, 137, 265, 81, 145, 273, 97, 138, 146, 98, 162, 290, 76, 140,
            276, 100, 164, 292], 72, 3, 1, 58768)
+# in the anchored collection, keyed (0, 1) and (0, 2), label 5 lies in 3
+# members and label 6 in 4, but each in only one member of the component
+# it is a base of: over every member its bucket reaches the drain's
+# floor of 3 > b = 2.002, over the component it does not, so the drain
+# never decides it
+FAMILY_BUCKET_ONLY = pinned_case(
+    9, 3, [73, 145, 289, 274, 98, 84, 100], 7, 1, 1, 13365)
 # the drain's exact rules, at b = 2.002 unless stated.  At rank 1 label 0
 # takes its 5 members whole, as their traces on strips 1 and 2 are
 # disjoint; then labels 6, 7 and 13 keep 2 live members each, whose
@@ -924,15 +933,13 @@ DECIDED_AT_RANK_ZERO = pinned_case(
 
 def drain_matches_rescan(top, collection, cfg):
     """Run base_sets' per-rank passes by hand over ranks top down to 0,
-    with live sets carried across ranks and every bucket read off one
-    subset map over all members, and check each rank's extractions
-    against the restart scan's: the full-rank pass at r = m', the drain
-    below it.  Starting below m' skips the ranks that would have drained
-    the big buckets, which leaves more buckets to shrink and be decided
-    again."""
+    with live sets carried across ranks, and check each rank's
+    extractions against the restart scan's: the full-rank pass at r = m',
+    the drain below it.  Starting below m' skips the ranks that would
+    have drained the big buckets, which leaves more buckets to shrink and
+    be decided again."""
     mprime, bases, comps = collection.rank, collection.bases, \
         collection.components
-    lookup = _subset_lookup([u for comp in comps.values() for u in comp])
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
     thr, b = bs.Threshold(cfg), exact_base(cfg.b)
@@ -948,7 +955,7 @@ def drain_matches_rescan(top, collection, cfg):
             else:
                 # a cleaned one is nonempty and, at rank 0, meets the
                 # epsilon floor
-                found = bs._extractions(r, live, lookup, sub, bases,
+                found = bs._extractions(r, live, comps[key], sub, bases,
                                         thr.eps_need if r == 0 else 1, b)
             got += [(key, bm, t, "ii" if r == mprime else "i")
                     for bm, t in found]
@@ -985,6 +992,7 @@ def anchored_collection(family, split, seed):
 @example(SHRUNK_BUCKET_SPREADS)
 @example(REQUEUED_BASE_COMES_FIRST)
 @example(COMPONENTS_SHARE_A_BASE)
+@example(FAMILY_BUCKET_ONLY)
 @given(engine_cases())
 def test_drain_matches_restart_scan(case):
     family, split, cfg, top, anchored_top, anchor_seed = case
@@ -1007,9 +1015,8 @@ def test_requeued_base_comes_first_requeues_a_passed_base(monkeypatch):
     monkeypatch.setattr(bs, "heappush", push)
     coll = bs.ComponentCollection.initial(family, split)
     (key, comp), = coll.components.items()
-    found = bs._extractions(top, set(comp), _subset_lookup(comp),
-                            split.subsplit(key), coll.bases, 1,
-                            exact_base(cfg.b))
+    found = bs._extractions(top, set(comp), comp, split.subsplit(key),
+                            coll.bases, 1, exact_base(cfg.b))
     assert [bm for bm, _ in found][:2] == [1 << 9, 1 << 6]
     assert pushed
     drain_matches_rescan(top, coll, cfg)
