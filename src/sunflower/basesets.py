@@ -44,9 +44,9 @@ from typing import Iterable, Iterator
 
 from .errors import (BudgetExceededError, ContractViolationError,
                      UniverseMismatchError)
-from .families import (SetFamily, Split, Subsplit, _canonical_key, _columns,
-                       _holders, _mask_repr, _ordered_family, _Record,
-                       _setattr, mask_labels)
+from .families import (SetFamily, Split, Subsplit, _canonical_key, _holders,
+                       _in_shadow, _kept_columns, _mask_repr, _ordered_family,
+                       _Record, _setattr, mask_labels)
 from .gamma import (_carried_counts, _max_violator_masks, _spread_holds,
                     _tally_traces, check_gamma_on_subsplit, exact_base)
 
@@ -300,9 +300,8 @@ class ComponentCollection:
         _check_on_split(full, rank, bases.masks())
         # the family rejects a member listed twice
         family = SetFamily(split.universe, members, m=split.m)
-        shadow = family.subset_lookup()
         for u in bases.masks():
-            if u not in shadow:
+            if not _in_shadow(family, u):
                 raise ValueError(
                     f"base {_mask_repr(u)} is not in the family's shadow")
         base_masks = set(bases.masks())
@@ -419,18 +418,17 @@ class BaseSetsOutput(_Record):
         return self._family
 
 
-def _clean_to_spread(bucket: list[int], free: Subsplit, shadow, p: int,
-                     q: int) -> list[int]:
+def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
+                     p: int, q: int) -> list[int]:
     """Greedy maximal subfamily of the bucket with no spreadness violator
-    on the free strips over the bases (``shadow`` their subset lookup, b =
-    p/q): repeatedly find a maximal violator and drop every member
-    containing it.  One count map by size of the members' traces on the
-    free strips serves the whole cleaning; a dropped member's traces are
-    taken off it."""
+    on the free strips over the shadow of ``bases`` (b = p/q): repeatedly
+    find a maximal violator and drop every member containing it.  One
+    count map by size of the members' traces on the free strips serves
+    the whole cleaning; a dropped member's traces are taken off it."""
     counts = _carried_counts(bucket, free)
     t = bucket
     while t:
-        v = _max_violator_masks(counts, len(t), shadow, p, q)
+        v = _max_violator_masks(counts, len(t), bases, p, q)
         if v is None:
             break
         _tally_traces(counts, [u for u in t if u & v == v], free, -1)
@@ -503,7 +501,7 @@ def _extractions(r: int, live: set[int], comp: tuple[int, ...],
     (|t| * f labels in all), every count is 1, so while |t| <= b^f a
     whole trace is the largest violator and t empties; else nothing
     violates and t stays whole.  Only a counted cleaning builds the free
-    subsplit and reads the bases' subset lookup.  A base a rule empties
+    subsplit and reads the bases' member columns.  A base a rule empties
     is dropped, not passed: its later buckets lie inside t, so the rule
     empties them too.
 
@@ -543,8 +541,7 @@ def _extractions(r: int, live: set[int], comp: tuple[int, ...],
                 continue
             t = bucket
         else:
-            t = _clean_to_spread(bucket, sub.minus(bm),
-                                 bases.subset_lookup(), p, q)
+            t = _clean_to_spread(bucket, sub.minus(bm), bases, p, q)
         if len(t) < floor:
             passed[bm] = i
             continue
@@ -759,9 +756,10 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
 
     For every terminal part with base C: |T| >= need[r_hat] (the integer
     floor the extraction used) and |T| <= |F[C]|, both in exact integers,
-    each |F[C]| read once.  One pass over the family builds its member
-    columns (:func:`families._columns`), and |F[C]| is the popcount of
-    the AND of C's columns: no subset map is built.  Chain lines that
+    each |F[C]| read once.  |F[C]| is the popcount of the AND of C's
+    member columns, the ones the family keeps for its shadow queries
+    (:func:`families._kept_columns`), built by one pass over the family
+    unless a counted cleaning has built them already.  Chain lines that
     depend on hypotheses about the original family (a spreadness level
     of c^c * k * ln k, or m > c^c * ln k) are evaluated numerically and
     marked "hypothesis unmet" when the hypothesis fails or cannot be
@@ -783,7 +781,7 @@ def audit_terminal_bases(result: ProcessRResult, family: SetFamily,
     k, m, c, h, eps = cfg.k, cfg.m, cfg.c, cfg.h, cfg.epsilon
     fam_size, log_k = cfg.fam_size, math.log(cfg.k)
 
-    cols, everyone = _columns(family._mask_set), (1 << len(family)) - 1
+    cols, everyone = _kept_columns(family), (1 << len(family)) - 1
     restriction = {bits: _holders(cols, everyone, bits).bit_count()
                    for bits in {part.B for part in result.parts_hat}}
     # |F[C]| < (c^c k ln k)^{-|C|} famSize, in logs; needs the original

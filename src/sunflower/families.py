@@ -11,11 +11,10 @@ tuple.  The text and JSON parsers turn each row straight into a mask,
 caching every label's bit for the parse.
 Restriction counts |F[S]| are counted by size with no buckets
 (``_subset_counts``), or are the popcount of the AND of S's member
-columns (``_columns``, folded by ``_holders``).  Shadow membership and
-buckets are read off a family's subset map, built by ``_subset_lookup``
-on the first :meth:`SetFamily.subset_lookup` and kept (above
-DEFAULT_SHADOW_BUDGET a stand-in ANDs member columns); the engine's
-drain reads it only for its bases' shadow.
+columns (``_columns``, folded by ``_holders``).  Shadow membership is
+that AND's being nonzero (``_in_shadow``), over the columns a family
+builds on its first query and keeps (``_kept_columns``), with no
+budget.
 ``SetFamily.shadow`` and ``SetFamily.restrict`` stay as the plain
 references the tests check both kernels against.
 Splits partition the universe into equal-size ordered strips, stored as
@@ -118,59 +117,19 @@ def _holders(cols: dict[int, int], held: int, s: int) -> int:
     return held
 
 
-class _ScannedSubsetMap:
-    """Lazy stand-in for a subset map too large to build: the members
-    containing s are the AND of the columns of s's labels, built on the
-    first query."""
-
-    __slots__ = ("_masks", "_cols")
-
-    def __init__(self, masks: tuple[int, ...]):
-        self._masks, self._cols = masks, None
-
-    def _holders(self, s: int) -> int:
-        if self._cols is None:
-            self._cols = _columns(self._masks)
-        return _holders(self._cols, (1 << len(self._masks)) - 1, s)
-
-    def __contains__(self, s: int) -> bool:
-        return self._holders(s) != 0
-
-    def get(self, s: int, default=None):
-        held, bucket = self._holders(s), []
-        while held:
-            low = held & -held
-            bucket.append(self._masks[low.bit_length() - 1])
-            held ^= low
-        return bucket if bucket else default
+def _kept_columns(family: "SetFamily") -> dict[int, int]:
+    """The family's member columns (:func:`_columns`), built on the first
+    call and kept with the (immutable) family; callers must not mutate
+    them."""
+    if family._cols is None:
+        _setattr(family, "_cols", _columns(family._mask_set))
+    return family._cols
 
 
-def _subset_lookup(masks: Sequence[int]):
-    """Read-only subset map of ``masks``: ``s in lookup`` is shadow
-    membership and ``lookup.get(s)`` lists the members containing s in
-    input order, so its length is the restriction count |F[S]|.
-
-    When sum(2**|U|) fits DEFAULT_SHADOW_BUDGET this is a dict of every
-    subset S of some member to its bucket, built in one pass over
-    ``masks`` that enumerates each member's submasks (``s = (s - 1) & u``);
-    the empty mask maps to all members and no members give an empty dict.
-    Above the budget it is a :class:`_ScannedSubsetMap`, whose queries
-    AND member columns.
-    """
-    if sum(1 << u.bit_count() for u in masks) > DEFAULT_SHADOW_BUDGET:
-        return _ScannedSubsetMap(tuple(masks))
-    buckets = {0: list(masks)} if masks else {}
-    get = buckets.get
-    for u in masks:
-        s = u
-        while s:
-            bucket = get(s)
-            if bucket is None:
-                buckets[s] = [u]
-            else:
-                bucket.append(u)
-            s = (s - 1) & u
-    return buckets
+def _in_shadow(family: "SetFamily", s: int) -> bool:
+    """True iff mask ``s`` lies inside some member of ``family``: the AND
+    of the kept columns of s's labels over every member is nonzero."""
+    return _holders(_kept_columns(family), (1 << len(family)) - 1, s) != 0
 
 
 def mask_labels(mask: int) -> tuple[int, ...]:
@@ -330,16 +289,17 @@ class SetFamily(_Immutable):
 
     The family stores its members as one frozenset of int masks; the tuple
     in canonical label order (:meth:`masks`), the ``GroundSet`` view
-    (``members``, iteration) and the subset lookup (:meth:`subset_lookup`)
-    are built on first use and kept, idempotently, so thread-safe.  ``m``
-    is the declared maximum member cardinality; it defaults to the largest
-    actual member size and is preserved by serialization.  Count-only
+    (``members``, iteration) and the member columns that answer shadow
+    queries (:func:`_kept_columns`) are built on first use and kept,
+    idempotently, so thread-safe.  ``m`` is the declared maximum member
+    cardinality; it defaults to the largest actual member size and is
+    preserved by serialization.  Count-only
     paths (spreadness and transversal counts, ``pad_universe``, the CLI's
     ``--core`` quotient, the greedy extraction) never sort.
     """
 
     __slots__ = ("universe", "m", "_masks", "_mask_set", "_members",
-                 "_subsets")
+                 "_cols")
 
     def __init__(self, universe: Universe, masks: Iterable[int],
                  m: int | None = None):
@@ -368,7 +328,7 @@ class SetFamily(_Immutable):
         _setattr(self, "_masks", None)
         _setattr(self, "_mask_set", mask_set)
         _setattr(self, "_members", None)
-        _setattr(self, "_subsets", None)
+        _setattr(self, "_cols", None)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]],
@@ -436,14 +396,6 @@ class SetFamily(_Immutable):
                 for c in combinations(labels, r):
                     out.add(labels_mask(c))
         return SetFamily(self.universe, out, m=self.m)
-
-    def subset_lookup(self):
-        """:func:`_subset_lookup` of the members in :meth:`masks` order,
-        built on the first call and kept with the (immutable) family in
-        whichever form it has; callers must not mutate it."""
-        if self._subsets is None:
-            _setattr(self, "_subsets", _subset_lookup(self.masks()))
-        return self._subsets
 
     def shadow_contains(self, t: GroundSet) -> bool:
         """True iff ``t`` is a subset of some member (lazy, no materialization)."""

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _check_shadow_budget, _Record,
-                       _subset_counts)
+                       _canonical_key, _check_shadow_budget, _in_shadow,
+                       _Record, _subset_counts)
 
 
 def exact_base(b) -> Fraction:
@@ -131,12 +131,12 @@ def check_gamma(family: SetFamily, b,
 
     Counts of the sizes below the largest member size T come from
     :func:`families._subset_counts`, grouped by size, whether or not the
-    family keeps a subset lookup; ``budget`` caps the members' sum(2**|U|)
-    (BudgetExceededError beyond).  Size T is decided from its members,
-    with no count map: a T-set in the shadow is a T-member, of count 1,
-    so its term is p^T against |F| * q^T for b = p/q, and when it ties a
-    failing maximum the T-members join the witness candidates.  It
-    computes a sort key only to name a failing check's witness.
+    family keeps its member columns; ``budget`` caps the members'
+    sum(2**|U|) (BudgetExceededError beyond).  Size T is decided from its
+    members, with no count map: a T-set in the shadow is a T-member, of
+    count 1, so its term is p^T against |F| * q^T for b = p/q, and when
+    it ties a failing maximum the T-members join the witness candidates.
+    It computes a sort key only to name a failing check's witness.
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -195,7 +195,8 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
     and the check holds vacuously.  Each size's map of the members' trace
     counts on the subsplit (:func:`_carried_counts`, capped at
     DEFAULT_SHADOW_BUDGET, BudgetExceededError beyond) is cut to the
-    candidates and decided as it is, with no regrouping.
+    candidates (:func:`families._in_shadow` of ``over``) and decided as
+    it is, with no regrouping.
     """
     base = exact_base(b)
     if len(family) == 0:
@@ -204,19 +205,19 @@ def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
         raise UniverseMismatchError("subsplit over a different universe")
     if over.universe.n != family.universe.n:
         raise UniverseMismatchError("range family over a different universe")
-    shadow = over.subset_lookup()
     by_size: dict[int, dict[int, int]] = {}
     for size, counts in _carried_counts(family._mask_set, sub).items():
-        kept = {s: count for s, count in counts.items() if s in shadow}
+        kept = {s: count for s, count in counts.items()
+                if _in_shadow(over, s)}
         if kept:
             by_size[size] = kept
     return _spread_report(family, base, by_size)
 
 
 def _max_violator_masks(counts: dict[int, dict[int, int]], total: int,
-                        shadow, p: int, q: int) -> int | None:
+                        over: SetFamily, p: int, q: int) -> int | None:
     """A maximal spreadness violator of a family of ``total`` members: a
-    nonempty S in ``shadow`` (the range family's subset lookup) with
+    nonempty S in the shadow of the range family ``over`` with
     |F[S]| * b^|S| >= |F|, of maximum cardinality (lexicographically
     least on ties), so no in-range one-strip extension keeps the bound.
     ``counts[s][S]`` is |F[S]|, as :func:`_carried_counts` gives on a
@@ -230,7 +231,7 @@ def _max_violator_masks(counts: dict[int, dict[int, int]], total: int,
     for size in sorted(counts, reverse=True):
         floor = -(-total * q ** size // p ** size)
         hits = [s for s, count in counts[size].items()
-                if count >= floor and s in shadow]
+                if count >= floor and _in_shadow(over, s)]
         if hits:
             return min(hits, key=_canonical_key)
     return None

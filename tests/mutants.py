@@ -89,8 +89,8 @@ MUTANTS = (
            "the audit's |F[C]| ANDs the column of every label of C"),
     # the violator search over the size-grouped trace counts
     Mutant("violator-strict", GAMMA,
-           "if count >= floor and s in shadow]",
-           "if count > floor and s in shadow]",
+           "if count >= floor and _in_shadow(over, s)]",
+           "if count > floor and _in_shadow(over, s)]",
            "a violator meets |F[S]| * b^|S| >= |F|, ties included"),
     Mutant("violator-ascending", GAMMA,
            "for size in sorted(counts, reverse=True):",
@@ -101,13 +101,22 @@ MUTANTS = (
            "return max(hits, key=_canonical_key)",
            "the violator is the least label tuple of its size"),
     Mutant("violator-no-shadow", GAMMA,
-           "if count >= floor and s in shadow]",
+           "if count >= floor and _in_shadow(over, s)]",
            "if count >= floor]",
            "a violator lies in the range family's shadow"),
     Mutant("subsplit-check-no-shadow", GAMMA,
-           "kept = {s: count for s, count in counts.items() if s in shadow}",
-           "kept = dict(counts)",
+           "if _in_shadow(over, s)}", "}",
            "the subsplit check keeps only candidates in the range shadow"),
+    # shadow membership as a nonzero AND of the kept member columns
+    Mutant("in-shadow-drops-last-member", FAMILIES,
+           "_holders(_kept_columns(family), (1 << len(family)) - 1, s)",
+           "_holders(_kept_columns(family), (1 << len(family) - 1) - 1, s)",
+           "a shadow query starts from every member, the last included"),
+    Mutant("in-shadow-skips-a-label", FAMILIES,
+           "_holders(_kept_columns(family), (1 << len(family)) - 1, s)",
+           "_holders(_kept_columns(family), (1 << len(family)) - 1, "
+           "s & s - 1)",
+           "a shadow query ANDs the column of every label of s"),
     Mutant("cleaning-no-decrement", BASESETS,
            "_tally_traces(counts, [u for u in t if u & v == v], free, -1)",
            "pass",

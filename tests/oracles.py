@@ -5,11 +5,14 @@
 ``random_family`` draws ``size`` distinct m-sets on n labels.
 ``brute_max_ratio`` is the spreadness check by one restriction per
 candidate set, with no subset map or count kernel.
+``subset_map`` is the reference subset map: every subset of a member
+mapped to its bucket of members, the dict the engine and the spreadness
+checks read shadow membership from before they ANDed member columns.
 ``sunflower_free_check_oracle`` is deliberately independent of the fast
-paths it checks: it goes through neither the subset lookup builder nor a
-pruned search.  ``find_sunflower_backtrack`` is the per-core bucket
+paths it checks: it goes through neither the subset map nor a pruned
+search.  ``find_sunflower_backtrack`` is the per-core bucket
 backtracking that the pair-link kernel of ``find_sunflower_exact``
-replaced, kept as is; it reads the family's kept subset lookup, which the
+replaced, kept as is; it reads the family's ``subset_map``, which the
 property tests check against restrictions on their own, and it pins the
 kernel's first certificate (core, and petals in order).
 ``disjoint_greedy_reference`` is the greedy of
@@ -73,6 +76,21 @@ from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
 
 DEFAULT_ORACLE_BUDGET = 1 << 20
 LOG_SPACE_SWITCH = 1e-300
+
+
+def subset_map(masks) -> dict[int, list[int]]:
+    """Every subset S of some member of ``masks`` mapped to the members
+    containing it, in input order, so ``s in map`` is shadow membership
+    and the bucket's length is |F[S]|; the empty mask maps to every member
+    and no members give an empty dict.  Built in one pass that enumerates
+    each member's submasks (``s = (s - 1) & u``), with no budget."""
+    buckets = {0: list(masks)} if masks else {}
+    for u in masks:
+        s = u
+        while s:
+            buckets.setdefault(s, []).append(u)
+            s = (s - 1) & u
+    return buckets
 
 
 def random_family(n: int, m: int, size: int, seed: int) -> SetFamily:
@@ -223,9 +241,9 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
     """Complete search for a k-sunflower; None proves there is none.
 
     Candidate cores are the family's shadow in (cardinality, lexicographic)
-    order, each with its bucket of members from the family's subset
-    lookup, a map for a family within DEFAULT_SHADOW_BUDGET
-    (``shadow_budget`` caps its sum(2**|U|) entries); within a core's
+    order, each with its bucket of members from the family's
+    :func:`subset_map` (``shadow_budget`` caps its sum(2**|U|) entries,
+    checked before it is built); within a core's
     bucket, petals are chosen by backtracking over the canonical member
     order, so the first certificate found is deterministic.
     ``node_budget`` caps total backtracking nodes.
@@ -236,7 +254,7 @@ def find_sunflower_backtrack(family: SetFamily, k: int,
         return None
     _check_shadow_budget(sum(1 << u.bit_count() for u in family.masks()),
                          shadow_budget)
-    buckets = family.subset_lookup()
+    buckets = subset_map(family.masks())
     cores = sorted((c for c, members in buckets.items() if len(members) >= k),
                    key=lambda c: (c.bit_count(), mask_labels(c)))
     nodes = 0
@@ -303,8 +321,7 @@ def max_violator_masks(masks, sub: Subsplit, over: SetFamily,
     on a count map built for this call alone."""
     b = exact_base(b)
     return _max_violator_masks(_carried_counts(masks, sub), len(masks),
-                               over.subset_lookup(), b.numerator,
-                               b.denominator)
+                               over, b.numerator, b.denominator)
 
 
 def clean_to_spread(bucket, free: Subsplit, bases: SetFamily, b) -> list[int]:
@@ -360,7 +377,7 @@ def carried_counts_reference(masks, sub: Subsplit,
 def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
     """Masks of every r-set on ``sub`` inside the bases' shadow, in label
     order, whatever its bucket; rank 0 gives the empty set alone."""
-    shadow = bases.subset_lookup()
+    shadow = subset_map(bases.masks())
     return sorted((bm for bm in p_set_masks(sub, r) if bm in shadow),
                   key=mask_labels)
 
@@ -430,7 +447,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
         return False
     r = part.r
     mprime, bases = collection.rank, collection.bases
-    if b_bits not in bases.subset_lookup():
+    if b_bits not in subset_map(bases.masks()):
         return False
     if part.variant == "i":
         if r >= mprime:

@@ -317,7 +317,8 @@ def test_component_collection_regroup():
     assert [mask_labels(u) for u in regrouped.components[(0,)]] == [
         (0, 4), (0, 5), (1, 4)]
     assert [mask_labels(u) for u in regrouped.components[(1,)]] == [(2, 4)]
-    # the regrouped collection reads the same family's subset lookup
+    # the regrouped collection keeps the same family, canonical order and
+    # all
     assert regrouped._family is coll._family is GRID16
 
 
@@ -600,8 +601,7 @@ def test_clean_to_spread_searches_at_most_bucket_size_plus_one_times(
     fam = SetFamily.of(9, [[0, 3, 7], [0, 5, 7], [1, 3, 7], [2, 3, 6],
                            [2, 3, 7]], m=3)
     free = Split.contiguous(9, 3).subsplit((1, 2))
-    assert basesets._clean_to_spread(list(fam.masks()), free,
-                                     fam.subset_lookup(), 4, 3) == \
+    assert basesets._clean_to_spread(list(fam.masks()), free, fam, 4, 3) == \
         [labels_mask([0, 5, 7]), labels_mask([2, 3, 6])]
     assert searches == [[2, 6]]
     # the m = 5 sweep input counts cleanings whose traces meet
@@ -895,21 +895,21 @@ def spy_on_set_enumeration(monkeypatch) -> list:
 
 
 def test_process_r_first_step_reuses_the_family(monkeypatch):
-    # step 1's only component is the family itself, and no step or audit
-    # builds a subset map over it: the drain reads projection groups and
-    # the audit member columns, and no r-set is enumerated on a subsplit
-    # (the flagship's buckets all fall to the drain's rules, so no counted
-    # cleaning reads the shadow of step 1's bases, the family itself);
-    # ComponentCollection.initial tests each member as an on-split m-set
-    # (on the full subsplit) exactly once, and nothing else is tested
-    # there; and no collection is re-validated at any step
+    # step 1's only component is the family itself, and no step builds
+    # member columns over it: the drain reads projection groups, and no
+    # r-set is enumerated on a subsplit (the flagship's buckets all fall
+    # to the drain's rules, so no counted cleaning queries the shadow of
+    # step 1's bases, the family itself); the audit builds the family's
+    # columns, once; ComponentCollection.initial tests each member as an
+    # on-split m-set (on the full subsplit) exactly once, and nothing else
+    # is tested there; and no collection is re-validated at any step
     fam = SetFamily(FLAGSHIP.universe, FLAGSHIP.masks(), m=FLAGSHIP.m)
     built, full_checks = [], []
-    real_lookup, real_carries = families._subset_lookup, Subsplit.carries_mask
+    real_columns, real_carries = families._columns, Subsplit.carries_mask
 
-    def lookup(masks):
-        built.append(tuple(masks))
-        return real_lookup(masks)
+    def columns(masks):
+        built.append(masks)
+        return real_columns(masks)
 
     def carries(self, s):
         if self.rank == self.split.m:
@@ -919,50 +919,54 @@ def test_process_r_first_step_reuses_the_family(monkeypatch):
     def no_init(self, *args):
         raise AssertionError("process_r re-validated a collection")
 
-    monkeypatch.setattr(families, "_subset_lookup", lookup)
+    monkeypatch.setattr(families, "_columns", columns)
     monkeypatch.setattr(Subsplit, "carries_mask", carries)
     monkeypatch.setattr(ComponentCollection, "__init__", no_init)
     enumerated = spy_on_set_enumeration(monkeypatch)
     res = process_r(fam, SPLIT16, FLAGSHIP_CFG)
     assert [s.p for s in res.steps] == [1, 2]
     assert sorted(full_checks) == sorted(fam.masks())
+    assert built == []
     assert audit_terminal_bases(res, fam, FLAGSHIP_CFG)["all_sandwich_ok"]
-    assert fam.masks() not in built
+    assert built == [fam._mask_set]
     assert enumerated == []
 
 
 def test_process_r_and_its_audit_count_the_family_once(monkeypatch):
     # one process_r run and its audit read the input family through one
     # pass, the audit's member columns, and count no restriction afresh:
-    # no subset map is built over the family, no r-set is enumerated on a
-    # subsplit, and the audit's spreadness check is settled by the degree
-    # bound.  Only a counted cleaning builds a map, of its step's bases
-    # (at step 1 the family itself), and the corpus's buckets all fall to
-    # the drain's rules, so no map is built at all
+    # no other columns are built, no r-set is enumerated on a subsplit,
+    # and the audit's spreadness check is settled by the degree bound.
+    # Only a counted cleaning builds columns in the engine, of its step's
+    # bases (at step 1 the family itself, which the audit then reuses),
+    # and the corpus's buckets all fall to the drain's rules, so the
+    # engine builds none at all
     from test_acceptance import engine_corpus
     built, counted = [], []
-    real_lookup = families._subset_lookup
+    real_columns = families._columns
     real_counts = families._subset_counts
 
-    def lookup(masks):
-        built.append(tuple(masks))
-        return real_lookup(masks)
+    def columns(masks):
+        built.append(masks)
+        return real_columns(masks)
 
     def counts(masks, *args):
         counted.append(tuple(masks))
         return real_counts(masks, *args)
 
-    # every subset lookup, kept with a family or built for the engine's
-    # bases, is built here
-    monkeypatch.setattr(families, "_subset_lookup", lookup)
+    # the columns every family keeps for its shadow queries, the input
+    # family's or the engine's bases', are built here
+    monkeypatch.setattr(families, "_columns", columns)
     monkeypatch.setattr(families, "_subset_counts", counts)
     enumerated = spy_on_set_enumeration(monkeypatch)
     later_step_runs = 0
     for label, fam, split, cfg in engine_corpus():
-        fam = SetFamily(fam.universe, fam.masks(), m=fam.m)  # no map kept
+        fam = SetFamily(fam.universe, fam.masks(), m=fam.m)  # none kept
         result = process_r(fam, split, cfg)
-        audit_terminal_bases(result, fam, cfg)
         assert built == [], label
+        audit_terminal_bases(result, fam, cfg)
+        assert built == [fam._mask_set], label
+        del built[:]
         assert counted == [], label
         assert enumerated == [], label
         later_step_runs += len(result.steps) > 1

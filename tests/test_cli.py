@@ -8,11 +8,12 @@ from itertools import combinations
 import jsonschema
 import pytest
 
-from sunflower import basesets, cli, splits, sunflowers
+from sunflower import basesets, cli, families, splits, sunflowers
 from sunflower.cli import main
 from sunflower.errors import ContractViolationError
 from sunflower.extremal import build_extremal
-from sunflower.families import GroundSet, SetFamily, Split, family_from_text
+from sunflower.families import (GroundSet, SetFamily, Split, family_from_text,
+                                mask_labels)
 from sunflower.harness import generate_random_family
 from sunflower.schemas import (
     CERTIFICATE_SCHEMA,
@@ -718,6 +719,63 @@ def test_read_only_commands_build_few_ground_sets(capsys, tmp_path,
         code, report, _ = run_report(capsys, argv)
         assert code == 0, argv
         assert built[0] == 0, argv
+
+
+def test_commands_query_the_shadow_through_member_columns_only(
+        capsys, tmp_path, monkeypatch):
+    # every shadow query ANDs the member columns its range family keeps,
+    # so no command builds a per-subset map: each family's columns are
+    # keyed by single labels and built at most once.  The collection
+    # check of basesets --g-family queries the family's shadow, the
+    # process-r audit reads the input family's columns, and on the m = 5
+    # sweep input step 1's counted cleanings query the shadow of the
+    # input family itself, their bases, as later steps query theirs
+    built = []
+    real_columns = families._columns
+
+    def columns(masks):
+        cols = real_columns(masks)
+        built.append((masks, cols))
+        return cols
+
+    monkeypatch.setattr(families, "_columns", columns)
+    path = family_file(tmp_path, SetFamily.of(9, combinations(range(9), 3)))
+    small = generate_random_family(12, 3, 40, seed=11,
+                                   on_split=Split.contiguous(12, 3))
+    on_split = family_file(tmp_path, small, name="on_split.txt")
+    cfg_path = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
+                                         "c": 1.001, "k": 2, "m": 3})
+    immediate = family_file(tmp_path, IMMEDIATE, name="immediate.txt")
+    anchors = family_file(tmp_path, SetFamily.of(4, [[0], [1]]),
+                          name="anchors.txt")
+    small_cfg = constants_file(tmp_path, CONSTANTS, name="small.json")
+    for argv in (["check-gamma", path, "--b", "2"],
+                 ["find-sunflower", path, "--k", "3"],
+                 ["find-sunflower", path, "--k", "2", "--gamma", "2"],
+                 ["split", path], ["split", path, "--mode", "random"],
+                 ["basesets", immediate, "--mprime", "1",
+                  "--constants", small_cfg, "--g-family", anchors],
+                 ["process-r", on_split, "--constants", cfg_path]):
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+    # the collection check's family and the process-r audit's
+    assert [masks for masks, _ in built] == [IMMEDIATE._mask_set,
+                                             small._mask_set]
+    sweep_split = Split.contiguous(40, 5)
+    sweep = generate_random_family(40, 5, 1000, 1, on_split=sweep_split)
+    sweep_path = family_file(tmp_path, sweep, name="sweep.txt")
+    sweep_cfg = constants_file(tmp_path, {"epsilon": 0.995, "h": 1.0005,
+                                          "c": 1.001, "k": 2, "m": 5},
+                               name="sweep.json")
+    code, out, err = run(capsys, ["process-r", sweep_path,
+                                  "--constants", sweep_cfg])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no rank produced the guaranteed")
+    # step 1's bases, the input family, then the 58 bases of step 2
+    assert built[2][0] == sweep._mask_set
+    assert [len(masks) for masks, _ in built[2:]] == [1000, 58]
+    for masks, cols in built:
+        assert set(cols) == {1 << x for u in masks for x in mask_labels(u)}
 
 
 def _violate(*args, **kwargs):

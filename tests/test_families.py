@@ -11,7 +11,8 @@ from sunflower.families import (
     SetFamily,
     Split,
     Universe,
-    _subset_lookup,
+    _in_shadow,
+    _kept_columns,
     family_from_json_obj,
     family_from_text,
     labels_mask,
@@ -20,7 +21,7 @@ from sunflower.families import (
 )
 from sunflower.gamma import check_gamma
 
-from oracles import p_set_masks, random_family
+from oracles import p_set_masks, random_family, subset_map
 
 
 def test_mask_labels_roundtrip():
@@ -173,42 +174,45 @@ def test_shadow_budget_enforced():
 
 def test_subset_lookup_order():
     masks = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]]).masks()
-    buckets = _subset_lookup(masks)
+    buckets = subset_map(masks)
     assert sum(len(bucket) for bucket in buckets.values()) == 14
     assert buckets[0] == list(masks)
     assert buckets[0b10] == [0b11, 0b1110]
-    assert _subset_lookup(()) == {}
+    assert subset_map(()) == {}
 
 
 def test_check_gamma_budget_before_and_after_the_lookup_is_built():
-    # 14 = 4 + 8 + 2 subsets: over budget 13 whether check_gamma counts
-    # afresh or reads the kept lookup
+    # 14 = 4 + 8 + 2 subsets: over budget 13 whether or not the family
+    # keeps the member columns its shadow queries read, and check_gamma
+    # neither builds nor reads them
     fam = SetFamily.of(5, [[0, 1], [1, 2, 3], [4]])
     for built in (False, True):
         with pytest.raises(BudgetExceededError) as info:
             check_gamma(fam, 2, budget=13)
         assert (info.value.needed, info.value.budget) == (14, 13)
-        assert (fam._subsets is not None) == built
+        assert (fam._cols is not None) == built
         assert check_gamma(fam, 2, budget=14) == check_gamma(fam, 2)
-        fam.subset_lookup()
+        _kept_columns(fam)
 
 
-def test_subset_lookup_scans_above_the_default_budget():
-    # 2^23 subsets exceed the default budget: queries scan the members,
-    # and the family keeps the scanning lookup as it keeps a map
+def test_in_shadow_answers_above_the_default_budget():
+    # 2^23 subsets exceed the default budget, and the member columns
+    # answer every query with no budget, as the member scan does; the
+    # family keeps the columns its first query built
     fam = SetFamily.of(24, [list(range(23)), [0, 23]])
-    lookup = fam.subset_lookup()
-    assert not isinstance(lookup, dict)
-    assert fam.subset_lookup() is lookup
-    uni = fam.universe
-    for labels in ([], [4, 17], [0, 23], [22, 23], list(range(24))):
+    assert fam._cols is None
+    uni, kept = fam.universe, []
+    for labels, want in (([], True), ([4, 17], True), ([0, 23], True),
+                         ([22, 23], False), (range(24), False)):
         s = GroundSet(uni, labels_mask(labels))
-        assert (s.bits in lookup) == fam.shadow_contains(s)
-        assert lookup.get(s.bits, []) == list(fam.restrict(s).masks())
+        assert _in_shadow(fam, s.bits) == fam.shadow_contains(s) == want
+        kept.append(fam._cols)
+    assert kept[0] is not None
+    assert all(cols is kept[0] for cols in [*kept, _kept_columns(fam)])
     small = random_family(9, 3, 15, seed=3)
-    lookup = small.subset_lookup()
-    assert lookup == _subset_lookup(small.masks())
-    assert small.subset_lookup() is lookup
+    shadow = subset_map(small.masks())
+    assert [_in_shadow(small, s) for s in range(1 << 9)] == \
+        [s in shadow for s in range(1 << 9)]
 
 
 def test_split_contiguous_and_explicit():

@@ -74,7 +74,7 @@ def test_check_gamma_shadow_budget_carries_need():
         check_gamma(fam, 2, budget=need - 1)
     assert (info.value.needed, info.value.budget) == (need, need - 1)
     assert check_gamma(fam, 2, budget=need) == check_gamma(fam, 2)
-    # check_gamma keeps no subset lookup: a second check counts again and
+    # check_gamma keeps no counts: a second check counts again and
     # refuses the same
     with pytest.raises(BudgetExceededError) as info:
         check_gamma(fam, 2, budget=need - 1)

@@ -1,11 +1,13 @@
 """Property tests: each fast path against its brute reference.
 
-The subset-map references use only SetFamily.shadow, SetFamily.restrict,
+The shadow references use only SetFamily.shadow, SetFamily.restrict,
 SetFamily.shadow_contains, the p_sets oracle and the unpruned sunflower
-oracle, none of which goes through the subset lookup builder; the
-size-grouped restriction counts of the spreadness checks are checked
-against that kernel's bucket sizes, and the size-grouped trace counts on
-a subsplit against every carried subset counted one by one.  The
+oracle, none of which goes through the member-column kernel; the
+reference subset map is checked against them, the kernel's shadow
+membership against the map, the size-grouped restriction counts of the
+spreadness checks against the map's bucket sizes, and the size-grouped
+trace counts on a subsplit against every carried subset counted one by
+one.  The
 pair-link sunflower search is also pinned to find_sunflower_backtrack,
 the per-core bucket backtracking it replaced: same certificate (core,
 and petals in order) or the same None.  The split references use only
@@ -47,8 +49,7 @@ from sunflower.errors import (BudgetExceededError, ContractViolationError,
                               TrialsExhaustedError)
 from sunflower.extremal import build_extremal
 from sunflower.families import (SetFamily, Split, Universe, _canonical_key,
-                                _ScannedSubsetMap, _subset_counts,
-                                _subset_lookup,
+                                _in_shadow, _kept_columns, _subset_counts,
                                 family_from_json_obj, family_from_text,
                                 labels_mask, mask_labels)
 from sunflower.gamma import (GammaReport, _carried_counts, _spread_holds,
@@ -68,7 +69,7 @@ from oracles import (brute_max_ratio, carried_counts_reference,
                      family_from_json_obj_reference,
                      family_from_text_reference, find_sunflower_backtrack,
                      max_degree, max_violator_masks, meet_once,
-                     meets_eps_floor, meets_threshold, p_sets,
+                     meets_eps_floor, meets_threshold, p_sets, subset_map,
                      sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -303,8 +304,7 @@ def test_subset_buckets_matches_restrictions(family):
     masks = family.masks()
     want = {s.bits: [u for u in masks if u & s.bits == s.bits]
             for s in family.shadow()}
-    assert _subset_lookup(masks) == want
-    assert family.subset_lookup() == want
+    assert subset_map(masks) == want
 
 
 @st.composite
@@ -326,16 +326,19 @@ def mixed_masks(draw):
 @SETTINGS
 @given(mixed_masks())
 @example([])
-def test_scanned_subset_map_matches_the_built_map(masks):
-    # the stand-in above the shadow budget ANDs label columns: it answers
-    # every query, inside the members' union and one label past it, as
-    # the built map does, buckets in input order
-    built, scanned = _subset_lookup(masks), _ScannedSubsetMap(tuple(masks))
+@example([0])
+@example([0b1, 0b110, 0b11111111])
+def test_in_shadow_matches_the_subset_map(masks):
+    # the membership kernel ANDs the family's kept label columns: it
+    # answers every query, inside the members' union and one label past
+    # it, as the reference map does, the empty family and the empty mask
+    # included, and builds the columns once
+    family = SetFamily(Universe(10), masks)
+    shadow = subset_map(masks)
     top = max(masks, default=0).bit_length() + 1
     for s in range(1 << top):
-        assert (s in scanned) == (s in built)
-        assert scanned.get(s) == built.get(s)
-        assert scanned.get(s, ()) == built.get(s, ())
+        assert _in_shadow(family, s) == (s in shadow)
+    assert _kept_columns(family) is family._cols
 
 
 @SETTINGS
@@ -354,7 +357,7 @@ def test_subset_counts_match_bucket_sizes(masks):
     assert sorted(counts) == list(range(1, top))
     for size, by_mask in counts.items():
         assert by_mask and all(s.bit_count() == size for s in by_mask)
-    buckets = _subset_lookup(masks)
+    buckets = subset_map(masks)
     assert {s: c for by_mask in counts.values() for s, c in by_mask.items()} \
         == {s: len(bucket) for s, bucket in buckets.items()
             if 0 < s.bit_count() < top}
@@ -386,15 +389,15 @@ def test_check_gamma_matches_brute_scan(family, b):
 @SETTINGS
 @given(families(min_size=1), bases())
 @example(SetFamily.of(4, [[0, 1], [0, 2], [0, 3]]), Fraction(2))
-def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
-    # check_gamma counts afresh whether or not the family keeps its
-    # subset lookup: both give the brute verdict, witness and ratio, over
-    # the budget both raise with the same need and budget, and the check
-    # builds no lookup
+def test_check_gamma_reads_kept_columns_as_a_fresh_count(family, b):
+    # check_gamma counts afresh whether or not the family keeps the
+    # member columns of its shadow queries: both give the brute verdict,
+    # witness and ratio, over the budget both raise with the same need
+    # and budget, and the check builds no columns
     want = brute_max_ratio(family, [s for s in family.shadow() if s.bits], b)
     fresh = SetFamily(family.universe, family.masks(), m=family.m)
     kept = SetFamily(family.universe, family.masks(), m=family.m)
-    kept.subset_lookup()
+    _kept_columns(kept)
     need = sum(1 << u.bit_count() for u in family.masks())
     for fam in (fresh, kept):
         assert report_tuple(check_gamma(fam, b)) == want
@@ -402,7 +405,7 @@ def test_check_gamma_reads_a_kept_map_as_a_fresh_count(family, b):
         with pytest.raises(BudgetExceededError) as info:
             check_gamma(fam, b, budget=need - 1)
         assert (info.value.needed, info.value.budget) == (need, need - 1)
-    assert fresh._subsets is None and kept._subsets is not None
+    assert fresh._cols is None and kept._cols is not None
 
 
 @SETTINGS
@@ -456,9 +459,8 @@ def test_clean_to_spread_matches_fresh_violator_searches(case, b):
     # every removal
     family, sub, over = case
     b = exact_base(b)
-    assert bs._clean_to_spread(list(family.masks()), sub,
-                               over.subset_lookup(), b.numerator,
-                               b.denominator) == \
+    assert bs._clean_to_spread(list(family.masks()), sub, over,
+                               b.numerator, b.denominator) == \
         clean_to_spread(family.masks(), sub, over, b)
 
 
