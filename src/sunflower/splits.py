@@ -9,7 +9,9 @@ either exhaustively or by seeded random sampling.
 Also provides transversal counting over a split: the number of ordered
 tuples of j pairwise disjoint strips-sized sets, weighted by how many
 members meet each of them once, has a closed product form that the brute
-count validates.
+count validates.  The brute count enumerates each set of j disjoint blocks
+once and multiplies by j!, since a tuple's weight ignores its order; its
+budget still counts ordered tuples.
 
 One incidence kernel serves every search and the brute count: for a block
 it gives the bitset over member indices (in the order it is handed the
@@ -249,11 +251,16 @@ def transversal_count_brute(family: SetFamily, j: int,
     enumeration; the closed form :func:`transversal_formula` must match it.
     An empty family counts 0 for every j in [0, declared m].
 
-    Every ordered tuple is still visited, so the count stays an independent
-    check of the closed form.  The d-subsets are tabled once with their
-    incidence bitsets; each depth walks the blocks disjoint from those
-    picked, carrying the AND of the picked blocks' bitsets, and the last
-    depth adds its popcounts in one loop.  With j = 0 every member counts.
+    The budget counts ordered tuples, but the walk visits each set of j
+    pairwise disjoint blocks once and the sum is j! times its total: the
+    blocks of such a set are distinct and a popcount of their bitsets' AND
+    ignores their order, so each of its j! orderings weighs the same.  The
+    count stays a direct enumeration, an independent check of the closed
+    form.  The d-subsets are tabled once with their incidence bitsets;
+    each depth walks the blocks after the last one picked and disjoint
+    from those picked, carrying the AND of the picked blocks' bitsets, and
+    the last depth adds its popcounts in one loop.  With j = 0 every
+    member counts.
     """
     if len(family) == 0:
         if not 0 <= j <= family.m:
@@ -277,24 +284,26 @@ def transversal_count_brute(family: SetFamily, j: int,
         return len(family)
     meet = _Incidence(family._mask_set)
     table = [(b, meet[b]) for b in map(labels_mask, combinations(range(n), d))]
-    return _transversal_walk(table, j, 0, meet.everyone)
+    return factorial(j) * _transversal_walk(table, j, 0, meet.everyone)
 
 
 def _transversal_walk(table: list[tuple[int, int]], j: int, used: int,
                       kept: int) -> int:
-    """Sum over ordered j-tuples (j >= 1) of pairwise disjoint blocks of
-    ``table`` missing ``used`` of the popcount of ``kept`` ANDed with the
-    blocks' bitsets.  A module-level function, so a count leaves no
-    reference cycle holding the table."""
+    """Sum over sets of j (j >= 1) pairwise disjoint blocks of ``table``
+    missing ``used`` of the popcount of ``kept`` ANDed with the blocks'
+    bitsets.  Each set is visited once, in table order: a depth draws
+    only from the entries after the one it picked.  A module-level
+    function, so a count leaves no reference cycle holding the table."""
     total = 0
     if j == 1:
         for b, bits in table:
             if not b & used:
                 total += (kept & bits).bit_count()
         return total
-    for b, bits in table:
+    for i, (b, bits) in enumerate(table):
         if not b & used:
-            total += _transversal_walk(table, j - 1, used | b, kept & bits)
+            total += _transversal_walk(table[i + 1:], j - 1, used | b,
+                                       kept & bits)
     return total
 
 

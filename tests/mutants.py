@@ -12,13 +12,18 @@ exactly once in its file, so a refactor that moves one must update the
 list.  The runner copies ``src/``, ``tests/``, ``README.md`` and
 ``pyproject.toml`` to a temporary directory, runs ``pytest -x`` there
 once unmutated (it must pass, or no kill means anything), then once per
-mutant on a fresh copy.  A mutant is killed when pytest reports a failed
-test (exit 1); it survives when the suite passes.  A run stopped at three
-times the unmutated run is a hang, and a finding: every fast path must be
-backed by a test that fails, not by a suite that never ends.  The runner
-exits 1 if any mutant survives or hangs, an old text is not found exactly
-once, or pytest ends any other way.  Equivalent mutants are listed with their reason and never
-run.  The file name keeps pytest from collecting it.
+mutant on a fresh copy.  Every test file runs, in the order of
+:func:`ordered_test_files`: the contract and spy tests first, so a
+mutant whose only cost is time fails a test before the engine corpus
+and the hypothesis properties, which run last, can time it out.  A
+mutant is killed when pytest reports a failed test (exit 1); it
+survives when the suite passes.  A run stopped at three times the
+unmutated run is a hang, and a finding: every fast path must be backed
+by a test that fails, not by a suite that never ends.  The runner exits
+1 if any mutant survives or hangs, an old text is not found exactly
+once, or pytest ends any other way.  Equivalent mutants are listed with
+their reason and never run.  The file name keeps pytest from collecting
+it.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ FAMILIES = "src/sunflower/families.py"
 GAMMA = "src/sunflower/gamma.py"
 SPLITS = "src/sunflower/splits.py"
 SUNFLOWERS = "src/sunflower/sunflowers.py"
+
+# test files run before and after the others, which run in name order
+FIRST = ("test_families.py", "test_basesets.py", "test_cli.py",
+         "test_readme.py", "test_package.py")
+LAST = ("test_acceptance.py", "test_properties.py")
 
 MUTANTS = (
     # the drain's exact rules
@@ -160,6 +170,17 @@ MUTANTS = (
     Mutant("split-stack-keeps-labels", SPLITS,
            "free ^= strips.pop()", "strips.pop()",
            "a closed strip's labels are free again for the next block"),
+    Mutant("transversal-no-factorial", SPLITS,
+           "return factorial(j) * _transversal_walk(",
+           "return _transversal_walk(",
+           "each set of disjoint blocks stands for its j! ordered tuples"),
+    Mutant("transversal-walk-ordered", SPLITS,
+           "_transversal_walk(table[i + 1:], j - 1,",
+           "_transversal_walk(table, j - 1,",
+           "a depth draws only from the blocks after the one it picked"),
+    Mutant("columns-built-per-query", FAMILIES,
+           "if family._cols is None:", "if True:",
+           "a family builds its member columns once and keeps them"),
     Mutant("incidence-no-twos", SPLITS,
            "twos |= ones & c", "pass",
            "a member meeting a block twice is not counted as meeting it "
@@ -171,6 +192,11 @@ MUTANTS = (
 )
 
 EQUIVALENT = (
+    Equivalent("transversal-walk-keeps-the-pick", SPLITS,
+               "_transversal_walk(table[i + 1:], j - 1,",
+               "_transversal_walk(table[i:], j - 1,",
+               "the picked block meets itself, so the next depth skips it "
+               "as it skips every block that is not disjoint"),
     Equivalent("greedy-no-label-skip", SUNFLOWERS,
                "if low & used:", "if False:",
                "a bucket whose lowest label a pick holds has no member "
@@ -209,6 +235,14 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def ordered_test_files(tree: Path) -> list[str]:
+    """Every test file of the copy: ``FIRST``, the rest in name order,
+    then ``LAST``."""
+    names = sorted(p.name for p in (tree / "tests").glob("test_*.py"))
+    middle = [name for name in names if name not in FIRST + LAST]
+    return [f"tests/{name}" for name in (*FIRST, *middle, *LAST)]
+
+
 def run_suite(tree: Path, timeout: float | None) -> int | None:
     """pytest -x's exit code on the copy, or None past ``timeout``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
@@ -216,7 +250,7 @@ def run_suite(tree: Path, timeout: float | None) -> int | None:
     try:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q",
-             "-p", "no:cacheprovider"],
+             "-p", "no:cacheprovider", *ordered_test_files(tree)],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=timeout).returncode
     except subprocess.TimeoutExpired:

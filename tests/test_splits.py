@@ -293,7 +293,9 @@ def test_transversal_edge_cases():
 
 
 def test_transversal_budget():
+    # the budget counts ordered tuples, C(8,4) * C(4,4) = 70 at j = 2,
+    # not the 35 sets of two disjoint blocks the walk visits
     fam = all_m_subsets(8, 2)
     with pytest.raises(BudgetExceededError) as info:
         transversal_count_brute(fam, 2, budget=10)
-    assert info.value.needed > 10
+    assert (info.value.needed, info.value.budget) == (70, 10)
