@@ -46,6 +46,11 @@ EXIT_ABSENT = 3
 EXIT_BUDGET = 4
 EXIT_INPUT = 5
 
+# json.dumps builds a new encoder for every call that passes sort_keys;
+# every sorted-keys value this module writes goes through this one, whose
+# encode runs the same C encoder and writes the same bytes
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def _load_json(text: str, path: str):
     """``json.loads(text)``; a text that is not JSON raises ValueError
@@ -69,18 +74,20 @@ def _read_family(path: str) -> SetFamily:
 
 def _print_report(report: dict) -> None:
     """Print ``{``, one ``  "key": value`` line per top-level key in sorted
-    order, then ``}``.  Each value is compact JSON with sorted keys, which
-    the C encoder writes (any ``indent`` selects the pure-Python one); the
+    order, then ``}``.  Each value is compact JSON with sorted keys,
+    written by the module's one shared encoder, ``_ENCODER``, which the C
+    encoder backs (any ``indent`` selects the pure-Python one); the
     parsed object is the one ``json.dumps(report, sort_keys=True,
     indent=2)`` prints."""
-    lines = (f"  {json.dumps(key)}: {json.dumps(report[key], sort_keys=True)}"
+    encode = _ENCODER.encode
+    lines = (f"  {encode(key)}: {encode(report[key])}"
              for key in sorted(report))
     print("{\n" + ",\n".join(lines) + "\n}")
 
 
 def _emit_family(family: SetFamily, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(family.to_json_obj(), sort_keys=True))
+        print(_ENCODER.encode(family.to_json_obj()))
     else:
         sys.stdout.write(family.to_text())
 
@@ -275,7 +282,7 @@ def _write_trace(path: str | None, rows) -> None:
     if path:
         with open(path, "w") as fh:
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(_ENCODER.encode(row) + "\n")
 
 
 def _cmd_basesets(args) -> tuple[int, dict, dict]:

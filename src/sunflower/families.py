@@ -469,15 +469,6 @@ class Split(_Record):
         self._set(universe, strips)
 
     @classmethod
-    def _unchecked(cls, universe: Universe, strips: tuple[int, ...]) -> "Split":
-        """A split over strips the caller built as an equal partition of
-        the universe: nothing is validated."""
-        split = cls.__new__(cls)
-        _setattr(split, "universe", universe)
-        _setattr(split, "strips", strips)
-        return split
-
-    @classmethod
     def of(cls, n: int, strips: Iterable[Iterable[int]]) -> "Split":
         uni = Universe(n)
         return cls(uni, tuple(labels_mask(uni._check_labels(s))
@@ -505,6 +496,24 @@ class Split(_Record):
 
     def strip_labels(self) -> list[list[int]]:
         return [list(mask_labels(s)) for s in self.strips]
+
+
+def _unchecked_splits(universe: Universe):
+    """A builder of splits of ``universe`` over strips the caller built as
+    an equal partition of it: nothing is validated.  The builder fills a
+    bare ``Split``'s slots through their descriptors' ``__set__``, looked
+    up once here, past both ``__init__`` and the refusing ``__setattr__``;
+    a slot added to ``Split`` is filled here too."""
+    new = object.__new__
+    put_universe = Split.universe.__set__
+    put_strips = Split.strips.__set__
+
+    def build(strips: tuple[int, ...]) -> Split:
+        split = new(Split)
+        put_universe(split, universe)
+        put_strips(split, strips)
+        return split
+    return build
 
 
 class Subsplit(_Immutable):

@@ -36,7 +36,7 @@ from typing import Collection, Iterator
 from .errors import (BudgetExceededError, ContractViolationError,
                      TrialsExhaustedError)
 from .families import (SetFamily, Split, Universe, _columns, _Record,
-                       _strip_size, labels_mask)
+                       _strip_size, _unchecked_splits, labels_mask)
 from .rng import CounterRng
 
 DEFAULT_SPLIT_ENUM_BUDGET = 1 << 20
@@ -69,14 +69,17 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
     The splits are drawn iteratively, from one stack of lazy block
     iterators, one per open strip, so there is no limit on the number of
     strips.  Each split is built valid by construction and is not
-    re-validated.
+    re-validated: one builder per call (:func:`families._unchecked_splits`)
+    fills a bare ``Split``'s slots through their descriptors, past both
+    ``__init__`` and the refusing ``__setattr__``.  What comes out is a
+    ``Split`` like any other, immutable after it is yielded.
     """
     d = _strip_size(universe.n, m)
     free = universe.full_mask
+    new = _unchecked_splits(universe)
     if m == 1:
-        yield Split._unchecked(universe, (free,))
+        yield new((free,))
         return
-    new = Split._unchecked
     last = m - 2                # the open strip just before the rest
     stack = [_blocks(free, d)]  # one lazy block iterator per open strip
     strips: list[int] = []      # the block drawn at each level below the top
@@ -84,7 +87,7 @@ def enumerate_splits(universe: Universe, m: int) -> Iterator[Split]:
         if len(strips) == last:
             head = tuple(strips)
             for block in stack.pop():
-                yield new(universe, (*head, block, free ^ block))
+                yield new((*head, block, free ^ block))
         else:
             block = next(stack[-1], 0)  # a block holds its anchor: never 0
             if block:
@@ -116,7 +119,8 @@ def _blocks(free: int, d: int) -> Iterator[int]:
 class _Incidence(dict):
     """Block mask -> the bitset over member indices of the members meeting
     the block in exactly one element, computed on first lookup;
-    ``everyone`` is the bitset of all members.
+    ``everyone`` is the bitset of all members.  Callers AND the bitsets
+    they look up inline, in their own loops.
 
     ``cols`` maps a label's bit to its column, the bitset of the members
     containing the label (:func:`families._columns`).  A block's
@@ -143,13 +147,6 @@ class _Incidence(dict):
             x ^= low
         bits = self[block] = ones & ~twos
         return bits
-
-    def retained(self, blocks) -> int:
-        """How many members meet every block exactly once."""
-        kept = self.everyone
-        for b in blocks:
-            kept &= self[b]
-        return kept.bit_count()
 
 
 def retention_bound(family: SetFamily, m: int) -> Fraction:
@@ -181,15 +178,18 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
 
     Splits are scored by the incidence kernel: on an m-uniform family, a
     member meeting each of the m strips exactly once is exactly a member
-    lying on the split.  Only the returned split (or the best one carried by
-    TrialsExhaustedError) is materialized, as the members lying on its full
-    subsplit (:meth:`SetFamily.on_subsplit`).
+    lying on the split.  Both loops AND the strips' bitsets inline, from
+    the bitset of every member, and take the popcount.  Only the returned
+    split (or the best one carried by TrialsExhaustedError) is
+    materialized, as the members lying on its full subsplit
+    (:meth:`SetFamily.on_subsplit`).
     """
     m = _uniform_cardinality(family)
     n = family.universe.n
     d = _strip_size(n, m, "member cardinality")
     bound = retention_bound(family, m)
     meet = _Incidence(family._mask_set)
+    everyone = meet.everyone
 
     def materialize(split: Split, count: int) -> SplitSearchResult:
         kept = family.on_subsplit(split.full_subsplit(), split.m)
@@ -206,7 +206,10 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
                 needed=total, budget=enum_budget)
         best, best_count = None, -1
         for split in enumerate_splits(family.universe, m):
-            count = meet.retained(split.strips)
+            kept = everyone
+            for b in split.strips:
+                kept &= meet[b]
+            count = kept.bit_count()
             if count > best_count:
                 best, best_count = split, count
         result = materialize(best, best_count)
@@ -224,7 +227,10 @@ def find_good_split(family: SetFamily, mode: str = "exhaustive",
             perm = labels[:]
             rng.shuffle(perm)
             blocks = sorted(sorted(perm[i * d:(i + 1) * d]) for i in range(m))
-            count = meet.retained(labels_mask(b) for b in blocks)
+            kept = everyone
+            for b in blocks:
+                kept &= meet[labels_mask(b)]
+            count = kept.bit_count()
             if count * bound.denominator >= bound.numerator:
                 return materialize(Split.of(n, blocks), count)
             if count > best_count:
@@ -256,11 +262,11 @@ def transversal_count_brute(family: SetFamily, j: int,
     blocks of such a set are distinct and a popcount of their bitsets' AND
     ignores their order, so each of its j! orderings weighs the same.  The
     count stays a direct enumeration, an independent check of the closed
-    form.  The d-subsets are tabled once with their incidence bitsets;
-    each depth walks the blocks after the last one picked and disjoint
-    from those picked, carrying the AND of the picked blocks' bitsets, and
-    the last depth adds its popcounts in one loop.  With j = 0 every
-    member counts.
+    form.  The d-subsets are tabled once, each as the sum of its labels'
+    bits, with their incidence bitsets; each depth walks the blocks after
+    the last one picked and disjoint from those picked, carrying the AND
+    of the picked blocks' bitsets, and the last depth adds its popcounts
+    in one loop.  With j = 0 every member counts.
     """
     if len(family) == 0:
         if not 0 <= j <= family.m:
@@ -283,7 +289,8 @@ def transversal_count_brute(family: SetFamily, j: int,
     if j == 0:
         return len(family)
     meet = _Incidence(family._mask_set)
-    table = [(b, meet[b]) for b in map(labels_mask, combinations(range(n), d))]
+    label_bits = [1 << x for x in range(n)]
+    table = [(b, meet[b]) for b in map(sum, combinations(label_bits, d))]
     return factorial(j) * _transversal_walk(table, j, 0, meet.everyone)
 
 

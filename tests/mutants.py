@@ -58,6 +58,7 @@ class Equivalent(NamedTuple):
 
 
 BASESETS = "src/sunflower/basesets.py"
+CLI = "src/sunflower/cli.py"
 FAMILIES = "src/sunflower/families.py"
 GAMMA = "src/sunflower/gamma.py"
 SPLITS = "src/sunflower/splits.py"
@@ -189,6 +190,21 @@ MUTANTS = (
            "row[c] = grown[c] = row[c] | low",
            "row[c] = grown[c] = low",
            "a dropped member's bit joins the link its trace kept"),
+    # split search: slot-stored splits scored inline, one shared encoder
+    Mutant("slot-split-skips-universe", FAMILIES,
+           "        put_universe(split, universe)\n",
+           "\n",
+           "every split the enumerator stores carries its universe"),
+    Mutant("exhaustive-score-skips-two-strips", SPLITS,
+           "for b in split.strips:", "for b in split.strips[2:]:",
+           "the exhaustive score ANDs the strips' bitsets"),
+    Mutant("random-score-skips-two-strips", SPLITS,
+           "for b in blocks:", "for b in blocks[2:]:",
+           "the random score ANDs the strips' bitsets"),
+    Mutant("encoder-unsorted", CLI,
+           "_ENCODER = json.JSONEncoder(sort_keys=True)",
+           "_ENCODER = json.JSONEncoder()",
+           "the shared encoder sorts the keys at every depth"),
 )
 
 EQUIVALENT = (
@@ -197,6 +213,14 @@ EQUIVALENT = (
                "_transversal_walk(table[i:], j - 1,",
                "the picked block meets itself, so the next depth skips it "
                "as it skips every block that is not disjoint"),
+    Equivalent("exhaustive-score-skips-a-strip", SPLITS,
+               "for b in split.strips:", "for b in split.strips[1:]:",
+               "an m-set meeting m - 1 strips of a partition once each has "
+               "its last label in the remaining strip"),
+    Equivalent("random-score-skips-a-strip", SPLITS,
+               "for b in blocks:", "for b in blocks[1:]:",
+               "an m-set meeting m - 1 strips of a partition once each has "
+               "its last label in the remaining strip"),
     Equivalent("greedy-no-label-skip", SUNFLOWERS,
                "if low & used:", "if False:",
                "a bucket whose lowest label a pick holds has no member "

@@ -65,6 +65,8 @@ def test_gen_extremal_json(capsys):
     obj = json.loads(out)
     jsonschema.validate(obj, FAMILY_SCHEMA)
     assert obj == {"n": 4, "m": 2, "sets": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+    # keys sorted, compact: the bytes json.dumps(obj, sort_keys=True) writes
+    assert out == '{"m": 2, "n": 4, "sets": [[0, 2], [0, 3], [1, 2], [1, 3]]}\n'
 
 
 def test_gen_random_is_deterministic(capsys):
@@ -936,6 +938,9 @@ def test_reports_print_one_line_per_top_level_key(capsys, tmp_path):
             assert line.startswith(prefix), (argv, line)
             value = line[len(prefix):].removesuffix(",")
             assert json.loads(value) == report[key], (argv, key)
+            # nested keys sorted too, byte for byte
+            assert value == json.dumps(report[key], sort_keys=True), (
+                argv, key)
         # main derives the command and the seed from the parsed arguments
         assert report["command"] == argv[0]
         seed = (int(argv[argv.index("--seed") + 1]) if "--seed" in argv

@@ -809,6 +809,21 @@ def test_transversal_count_matches_scan_and_formula(family, data):
         assert count == transversal_formula(family, j)
 
 
+@pytest.mark.parametrize("n, m, size, seed, scan",
+                         [(9, 3, 30, 7, True), (9, 3, 84, 0, True),
+                          (12, 3, 12, 5, True), (12, 3, 60, 1, False)])
+def test_transversal_count_at_j_equal_m_matches_scan_and_formula(
+        n, m, size, seed, scan):
+    # at j = m the blocks cover every label; at (12, 3) the scan walks
+    # 34,650 ordered tuples per member, so the 60-member family is checked
+    # against the closed form alone
+    family = generate_random_family(n, m, size, seed)
+    count = transversal_count_brute(family, m)
+    assert count == transversal_formula(family, m)
+    if scan:
+        assert count == scan_transversal_count(family, m)
+
+
 @SETTINGS
 @given(uniform_families(shapes=[(3, 3)]), st.data())
 def test_transversal_count_matches_scan_at_strip_size_one(family, data):

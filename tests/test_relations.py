@@ -1,6 +1,8 @@
 """Relations between two runs of the program, checked at sizes no brute
 oracle reaches: the same family with its rows reversed, the same family
 with its labels permuted, and a transversal count past the member scan.
+The engine commands get the first of these on an m = 4 input whose drain
+runs counted cleanings.
 
 Each relation is exact, so it holds at any size.  The families are
 seeded and fixed, so every run checks the same commands on the same
@@ -15,7 +17,7 @@ import pytest
 
 from sunflower.cli import main
 from sunflower.errors import BudgetExceededError
-from sunflower.families import SetFamily, mask_labels
+from sunflower.families import SetFamily, Split, mask_labels
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import transversal_count_brute, transversal_formula
@@ -24,6 +26,12 @@ from sunflower.splits import transversal_count_brute, transversal_formula
 SPREAD = generate_random_family(30, 3, 400, seed=5)
 # 60 3-sets on 12 labels: 5,775 splits, 34,650 ordered disjoint pairs
 SPLIT = generate_random_family(12, 3, 60, seed=5)
+# the CI's m = 4 engine input, `gen-random --n 32 --m 4 --size 1000
+# --on-split --seed 1`, under the bench constants
+ENGINE = generate_random_family(32, 4, 1000, seed=1,
+                                on_split=Split.contiguous(32, 4))
+ENGINE_CONSTANTS = {"epsilon": 0.995, "h": 1.0005, "c": 1.001, "k": 2,
+                    "m": 4}
 
 
 def reversed_rows(family: SetFamily) -> str:
@@ -72,6 +80,26 @@ def test_member_order_is_no_input(capsys, tmp_path, family, command, key,
     assert forward == backward
     assert forward["exit"] == 0
     assert forward["results"][key] is verdict
+
+
+@pytest.mark.parametrize("command", [["process-r"],
+                                     ["basesets", "--mprime", "4"]],
+                         ids=["process-r", "basesets --mprime 4"])
+def test_engine_member_order_is_no_input(capsys, tmp_path, command):
+    constants = tmp_path / "constants.json"
+    constants.write_text(json.dumps(ENGINE_CONSTANTS))
+    command = [*command, "--constants", str(constants)]
+    forward = report(capsys, tmp_path, ENGINE.to_text(), command)
+    backward = report(capsys, tmp_path, reversed_rows(ENGINE), command)
+    assert forward == backward
+    assert forward["exit"] == 0
+    results = forward["results"]
+    if command[0] == "process-r":
+        assert results["rHat"] == 1
+        assert results["audit"]["all_sandwich_ok"] is True
+    else:
+        assert sum(p["size"] for p in results["parts"]) == \
+            len(results["family"]["sets"]) > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

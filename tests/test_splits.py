@@ -83,6 +83,25 @@ def test_enumerate_splits_is_exhaustive_and_canonical():
         assert splits[0] == Split.contiguous(n, m)
 
 
+@pytest.mark.parametrize("n, m", [(9, 3), (12, 4), (8, 2), (6, 1)])
+def test_enumerated_splits_are_splits_like_any_other(n, m):
+    # each split is filled slot by slot, past __init__ and __setattr__; it
+    # still equals and hashes like the validated split of its strips and
+    # refuses assignment, and every split comes out once
+    uni = Universe(n)
+    total = 0
+    for sp in enumerate_splits(uni, m):
+        checked = Split(sp.universe, sp.strips)
+        assert type(sp) is Split
+        assert sp == checked and hash(sp) == hash(checked)
+        with pytest.raises(AttributeError):
+            sp.strips = checked.strips
+        with pytest.raises(AttributeError):
+            sp.universe = uni
+        total += 1
+    assert total == count_splits(n, m)
+
+
 def test_enumerate_splits_draws_each_strip_lazily(monkeypatch):
     drawn = []
 
