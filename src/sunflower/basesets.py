@@ -418,17 +418,24 @@ class BaseSetsOutput(_Record):
         return self._family
 
 
-def _clean_to_spread(bucket: list[int], free: Subsplit, bases: SetFamily,
-                     p: int, q: int) -> list[int]:
+def _clean_to_spread(bucket: list[int], free: Subsplit, p: int,
+                     q: int) -> list[int]:
     """Greedy maximal subfamily of the bucket with no spreadness violator
-    on the free strips over the shadow of ``bases`` (b = p/q): repeatedly
-    find a maximal violator and drop every member containing it.  One
-    count map by size of the members' traces on the free strips serves
-    the whole cleaning; a dropped member's traces are taken off it."""
+    on the free strips (b = p/q): repeatedly find a maximal violator and
+    drop every member containing it.  One count map by size of the
+    members' traces on the free strips serves the whole cleaning; a
+    dropped member's traces are taken off it.
+
+    Spreadness is over the shadow of the collection's bases, and every
+    counted set lies in it with no test: ``ComponentCollection.__init__``
+    checks that each member's projection onto its key's strips is a base,
+    ``initial`` and ``regroup`` preserve that, and the free strips are a
+    subset of the key's strips, so each counted trace lies inside a
+    base."""
     counts = _carried_counts(bucket, free)
     t = bucket
     while t:
-        v = _max_violator_masks(counts, len(t), bases, p, q)
+        v = _max_violator_masks(counts, len(t), p, q)
         if v is None:
             break
         _tally_traces(counts, [u for u in t if u & v == v], free, -1)
@@ -467,7 +474,7 @@ def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
 
 
 def _extractions(r: int, live: set[int], comp: tuple[int, ...],
-                 sub: Subsplit, bases: SetFamily, floor: int | float,
+                 sub: Subsplit, floor: int | float,
                  b: Fraction) -> Iterator[tuple[int, list[int]]]:
     """Drain one component at a rank r below m': yield (base mask, member
     masks) for each extraction, after removing its members from ``live``.
@@ -494,16 +501,18 @@ def _extractions(r: int, live: set[int], comp: tuple[int, ...],
     contains the group's own.
 
     Two exact rules settle a live bucket t with no count.  Members are
-    on-split m-sets projecting onto bases (the collection's invariants),
-    so each trace on the free strips has f labels and its subsets are in
-    the bases' shadow.  Rule 1: if |t| <= b, every traced label violates
-    (1 * b >= |t|), so t empties.  Rule 2: if the traces are disjoint
-    (|t| * f labels in all), every count is 1, so while |t| <= b^f a
-    whole trace is the largest violator and t empties; else nothing
-    violates and t stays whole.  Only a counted cleaning builds the free
-    subsplit and reads the bases' member columns.  A base a rule empties
-    is dropped, not passed: its later buckets lie inside t, so the rule
-    empties them too.
+    on-split m-sets projecting onto bases: the collection's ``__init__``
+    checks that each member's projection onto its key's strips is a
+    base, and ``initial`` and ``regroup`` preserve that.  The free strips
+    are a subset of the key's strips, so each trace on them has f labels
+    and lies inside a base: its subsets are in the bases' shadow with no
+    shadow test.  Rule 1: if |t| <= b, every traced label violates (1 * b
+    >= |t|), so t empties.  Rule 2: if the traces are disjoint (|t| * f
+    labels in all), every count is 1, so while |t| <= b^f a whole trace
+    is the largest violator and t empties; else nothing violates and t
+    stays whole.  Only a counted cleaning builds the free subsplit and
+    counts the traces.  A base a rule empties is dropped, not passed: its
+    later buckets lie inside t, so the rule empties them too.
 
     This yields what a scan restarting from the first (component, base)
     pair after every extraction would take.  A base passed over keeps its
@@ -541,7 +550,7 @@ def _extractions(r: int, live: set[int], comp: tuple[int, ...],
                 continue
             t = bucket
         else:
-            t = _clean_to_spread(bucket, sub.minus(bm), bases, p, q)
+            t = _clean_to_spread(bucket, sub.minus(bm), p, q)
         if len(t) < floor:
             passed[bm] = i
             continue
@@ -602,7 +611,6 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
                                         live, thr.need[mprime], full)
             else:
                 found = _extractions(r, live, components[key], sub,
-                                     collection.bases,
                                      thr.eps_need if r == 0 else 1, b)
             for bm, t_masks in found:
                 part = ElementaryPart(bm, key, tuple(t_masks), variant)
@@ -662,7 +670,7 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
                     "rank-0 component below the epsilon floor")
             comp = SetFamily(uni, masks, m=cfg.m)
             report = check_gamma_on_subsplit(
-                comp, collection.split.subsplit(key), collection.bases, b)
+                comp, collection.split.subsplit(key), b)
             require(report.holds,
                     "rank-0 component fails the spreadness condition")
     return BaseSetsOutput(r, base_family, tuple(parts), tuple(trace))

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 from .errors import UniverseMismatchError
 from .families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily, Subsplit,
-                       _canonical_key, _check_shadow_budget, _in_shadow,
-                       _Record, _subset_counts)
+                       _canonical_key, _check_shadow_budget, _Record,
+                       _subset_counts)
 
 
 def exact_base(b) -> Fraction:
@@ -186,52 +186,40 @@ def _spread_holds(family: SetFamily, base, degree: int) -> bool:
 
 
 def check_gamma_on_subsplit(family: SetFamily, sub: Subsplit,
-                            over: SetFamily, b) -> GammaReport:
+                            b) -> GammaReport:
     """Check spreadness with candidates confined to a subsplit.
 
     Candidates are the nonempty sets on ``sub`` (one element per chosen
-    strip, any rank up to the subsplit's) that are subsets of some member
-    of ``over``.  With rank 0 or an empty ``over`` there are no candidates
-    and the check holds vacuously.  Each size's map of the members' trace
-    counts on the subsplit (:func:`_carried_counts`, capped at
-    DEFAULT_SHADOW_BUDGET, BudgetExceededError beyond) is cut to the
-    candidates (:func:`families._in_shadow` of ``over``) and decided as
-    it is, with no regrouping.
+    strip, any rank up to the subsplit's) that lie inside a member's
+    trace on the subsplit's union.  With rank 0 there are none and the
+    check holds vacuously.  Each size's map of the members' trace counts
+    (:func:`_carried_counts`, capped at DEFAULT_SHADOW_BUDGET,
+    BudgetExceededError beyond) is decided as it is, with no regrouping.
     """
     base = exact_base(b)
     if len(family) == 0:
         raise ValueError("spreadness is undefined for an empty family")
     if sub.split.universe.n != family.universe.n:
         raise UniverseMismatchError("subsplit over a different universe")
-    if over.universe.n != family.universe.n:
-        raise UniverseMismatchError("range family over a different universe")
-    by_size: dict[int, dict[int, int]] = {}
-    for size, counts in _carried_counts(family._mask_set, sub).items():
-        kept = {s: count for s, count in counts.items()
-                if _in_shadow(over, s)}
-        if kept:
-            by_size[size] = kept
-    return _spread_report(family, base, by_size)
+    return _spread_report(family, base, _carried_counts(family._mask_set, sub))
 
 
 def _max_violator_masks(counts: dict[int, dict[int, int]], total: int,
-                        over: SetFamily, p: int, q: int) -> int | None:
+                        p: int, q: int) -> int | None:
     """A maximal spreadness violator of a family of ``total`` members: a
-    nonempty S in the shadow of the range family ``over`` with
-    |F[S]| * b^|S| >= |F|, of maximum cardinality (lexicographically
-    least on ties), so no in-range one-strip extension keeps the bound.
-    ``counts[s][S]`` is |F[S]|, as :func:`_carried_counts` gives on a
-    subsplit.  With b = p/q the bound reads |F[S]| >= ceil(|F| * q^s /
-    p^s), so the sizes are walked from the largest down and the first one
-    with a key meeting it gives the violator.  Returns None when no key
-    does.
+    nonempty S among the counted sets with |F[S]| * b^|S| >= |F|, of
+    maximum cardinality (lexicographically least on ties), so no counted
+    one-strip extension keeps the bound.  ``counts[s][S]`` is |F[S]|, as
+    :func:`_carried_counts` gives on a subsplit.  With b = p/q the bound
+    reads |F[S]| >= ceil(|F| * q^s / p^s), so the sizes are walked from
+    the largest down and the first one with a key meeting it gives the
+    violator.  Returns None when no key does.
     """
     if total == 0:
         raise ValueError("spreadness is undefined for an empty family")
     for size in sorted(counts, reverse=True):
         floor = -(-total * q ** size // p ** size)
-        hits = [s for s, count in counts[size].items()
-                if count >= floor and _in_shadow(over, s)]
+        hits = [s for s, count in counts[size].items() if count >= floor]
         if hits:
             return min(hits, key=_canonical_key)
     return None

@@ -100,8 +100,7 @@ MUTANTS = (
            "the audit's |F[C]| ANDs the column of every label of C"),
     # the violator search over the size-grouped trace counts
     Mutant("violator-strict", GAMMA,
-           "if count >= floor and _in_shadow(over, s)]",
-           "if count > floor and _in_shadow(over, s)]",
+           "if count >= floor]", "if count > floor]",
            "a violator meets |F[S]| * b^|S| >= |F|, ties included"),
     Mutant("violator-ascending", GAMMA,
            "for size in sorted(counts, reverse=True):",
@@ -111,13 +110,10 @@ MUTANTS = (
            "return min(hits, key=_canonical_key)",
            "return max(hits, key=_canonical_key)",
            "the violator is the least label tuple of its size"),
-    Mutant("violator-no-shadow", GAMMA,
-           "if count >= floor and _in_shadow(over, s)]",
-           "if count >= floor]",
-           "a violator lies in the range family's shadow"),
-    Mutant("subsplit-check-no-shadow", GAMMA,
-           "if _in_shadow(over, s)}", "}",
-           "the subsplit check keeps only candidates in the range shadow"),
+    Mutant("violator-first-hit", GAMMA,
+           "return min(hits, key=_canonical_key)", "return hits[0]",
+           "the violator is the least label tuple of its size, whatever "
+           "order the count map holds"),
     # shadow membership as a nonzero AND of the kept member columns
     Mutant("in-shadow-drops-last-member", FAMILIES,
            "_holders(_kept_columns(family), (1 << len(family)) - 1, s)",

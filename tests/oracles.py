@@ -28,8 +28,13 @@ which gives the engine's violator kernel a new count map on every
 call).
 ``is_elementary_part`` is the reference checker of one extracted part
 against its variant's conditions, which the engine tests hold every part
-the engine returns to.  Both decide size floors with ``meets_threshold``
-and ``meets_eps_floor``, the float comparisons the engine made before it
+the engine returns to; its spreadness check is ``subsplit_report``.
+These oracles keep spreadness over the shadow of a range family, the
+bases, as its definition reads: ``counts_in_range`` cuts each count map
+to that shadow, a filter the engine leaves out as every set it counts
+lies inside a base.  ``extractions_by_rescan`` and
+``is_elementary_part`` decide size floors with ``meets_threshold`` and
+``meets_eps_floor``, the float comparisons the engine made before it
 compared integer counts with :class:`Threshold`'s integer table: directly,
 or in log-space below ``LOG_SPACE_SWITCH``, with an independent log f
 (``log_threshold_oracle``).
@@ -68,8 +73,8 @@ from sunflower.errors import BudgetExceededError, ContractViolationError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 Split, Subsplit, Universe,
                                 _check_shadow_budget, _mask_repr, mask_labels)
-from sunflower.gamma import (_carried_counts, _max_violator_masks,
-                            check_gamma_on_subsplit, exact_base)
+from sunflower.gamma import (GammaReport, _carried_counts,
+                            _max_violator_masks, _spread_report, exact_base)
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
@@ -314,14 +319,35 @@ def disjoint_greedy_reference(family: SetFamily, k: int,
     return petals
 
 
+def counts_in_range(masks, sub: Subsplit,
+                    over: SetFamily) -> dict[int, dict[int, int]]:
+    """The trace counts of ``masks`` on ``sub`` by size, each size cut to
+    the sets in the shadow of ``over``, those inside one of its members;
+    sizes left with none are dropped."""
+    range_masks = over.masks()
+    by_size = {size: {s: count for s, count in counts.items()
+                      if any(u & s == s for u in range_masks)}
+               for size, counts in _carried_counts(masks, sub).items()}
+    return {size: counts for size, counts in by_size.items() if counts}
+
+
 def max_violator_masks(masks, sub: Subsplit, over: SetFamily,
                        b) -> int | None:
     """A maximal spreadness violator of ``masks`` on ``sub`` over the
     shadow of ``over`` at base b, or None: the engine's violator kernel
-    on a count map built for this call alone."""
+    on a count map built for this call alone and cut to that shadow."""
     b = exact_base(b)
-    return _max_violator_masks(_carried_counts(masks, sub), len(masks),
-                               over, b.numerator, b.denominator)
+    return _max_violator_masks(counts_in_range(masks, sub, over), len(masks),
+                               b.numerator, b.denominator)
+
+
+def subsplit_report(family: SetFamily, sub: Subsplit, over: SetFamily,
+                    b) -> GammaReport:
+    """The spreadness check on ``sub`` with its candidates cut to the
+    shadow of ``over``: the nonempty sets on the subsplit inside a
+    member's trace and inside a member of ``over``."""
+    return _spread_report(family, exact_base(b),
+                          counts_in_range(family.masks(), sub, over))
 
 
 def clean_to_spread(bucket, free: Subsplit, bases: SetFamily, b) -> list[int]:
@@ -455,8 +481,8 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
         if not all(u & b_bits == b_bits for u in part.T):
             return False
         members = SetFamily(collection.split.universe, part.T)
-        if not check_gamma_on_subsplit(members, sub.minus(b_bits), bases,
-                                       exact_base(cfg.b)).holds:
+        if not subsplit_report(members, sub.minus(b_bits), bases,
+                               cfg.b).holds:
             return False
         if r == 0:
             return meets_eps_floor(cfg, len(part.T))

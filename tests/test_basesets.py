@@ -537,8 +537,7 @@ def test_extractions_rank_zero_round():
     comp = coll.components[(0, 1)]
     live = set(comp)
     found = list(_extractions(0, live, comp, coll.split.subsplit((0, 1)),
-                              GRID16, Threshold(cfg).eps_need,
-                              exact_base(cfg.b)))
+                              Threshold(cfg).eps_need, exact_base(cfg.b)))
     assert len(found) == 1
     bm, t_masks = found[0]
     assert bm == 0
@@ -566,7 +565,7 @@ def test_extractions_read_live_members_only():
     # below m' the drain reads the live set, not the component: with the
     # members containing {0} gone from it (not from the component), rank 1
     # skips {0} and takes the spread bucket of {1} first
-    args = (comp, coll.split.subsplit((0, 1)), GRID16, 1, exact_base(cfg.b))
+    args = (comp, coll.split.subsplit((0, 1)), 1, exact_base(cfg.b))
     first = next(_extractions(1, set(comp), *args))
     assert first == (0b1, [u for u in comp if u & 0b1])
     second = next(_extractions(1, {u for u in comp if not u & 0b1}, *args))
@@ -601,7 +600,7 @@ def test_clean_to_spread_searches_at_most_bucket_size_plus_one_times(
     fam = SetFamily.of(9, [[0, 3, 7], [0, 5, 7], [1, 3, 7], [2, 3, 6],
                            [2, 3, 7]], m=3)
     free = Split.contiguous(9, 3).subsplit((1, 2))
-    assert basesets._clean_to_spread(list(fam.masks()), free, fam, 4, 3) == \
+    assert basesets._clean_to_spread(list(fam.masks()), free, 4, 3) == \
         [labels_mask([0, 5, 7]), labels_mask([2, 3, 6])]
     assert searches == [[2, 6]]
     # the m = 5 sweep input counts cleanings whose traces meet
@@ -655,9 +654,9 @@ def test_clean_to_spread_runs_once_per_bucket_per_call(monkeypatch):
             live.difference_update(t)
             yield bm, t
 
-    def clean(bucket, free, shadow, p, q):
+    def clean(bucket, free, p, q):
         cleaned[-1].append((free, tuple(bucket), p, q))
-        return real_clean(bucket, free, shadow, p, q)
+        return real_clean(bucket, free, p, q)
 
     def engine_call(*args, **kwargs):
         decided.append([])

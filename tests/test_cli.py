@@ -728,10 +728,10 @@ def test_commands_query_the_shadow_through_member_columns_only(
     # every shadow query ANDs the member columns its range family keeps,
     # so no command builds a per-subset map: each family's columns are
     # keyed by single labels and built at most once.  The collection
-    # check of basesets --g-family queries the family's shadow, the
-    # process-r audit reads the input family's columns, and on the m = 5
-    # sweep input step 1's counted cleanings query the shadow of the
-    # input family itself, their bases, as later steps query theirs
+    # check of basesets --g-family queries the family's shadow and the
+    # process-r audit reads the input family's columns.  On the m = 5
+    # sweep input the counted cleanings query no shadow, as every set
+    # they count lies inside a base, and the failed run has no audit
     built = []
     real_columns = families._columns
 
@@ -773,9 +773,7 @@ def test_commands_query_the_shadow_through_member_columns_only(
                                   "--constants", sweep_cfg])
     assert (code, out) == (1, "")
     assert err.startswith("error: no rank produced the guaranteed")
-    # step 1's bases, the input family, then the 58 bases of step 2
-    assert built[2][0] == sweep._mask_set
-    assert [len(masks) for masks, _ in built[2:]] == [1000, 58]
+    assert len(built) == 2
     for masks, cols in built:
         assert set(cols) == {1 << x for u in masks for x in mask_labels(u)}
 

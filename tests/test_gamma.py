@@ -9,12 +9,14 @@ from sunflower.errors import BudgetExceededError
 from sunflower.families import SetFamily, Split, labels_mask, mask_labels
 from sunflower.gamma import (
     GammaReport,
+    _carried_counts,
+    _max_violator_masks,
     check_gamma,
     check_gamma_on_subsplit,
     exact_base,
 )
 
-from oracles import max_violator_masks, random_family
+from oracles import random_family
 
 
 def brute_spread_report(family: SetFamily, b: Fraction) -> tuple[bool, Fraction]:
@@ -127,52 +129,44 @@ SUBSPLIT_FAMILY = SetFamily.of(8, [[0, 4], [0, 5], [1, 4]])
 
 def test_check_gamma_on_subsplit_small_case():
     sub = Split.contiguous(8, 2).full_subsplit()
-    failing = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sub, SUBSPLIT_FAMILY, 2)
+    failing = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sub, 2)
     assert failing.holds is False
     assert failing.witness.labels() == (0,)
     assert failing.ratio == Fraction(4, 3)
-    passing = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sub, SUBSPLIT_FAMILY,
-                                      Fraction(7, 5))
+    passing = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sub, Fraction(7, 5))
     assert passing.holds is True
     assert passing.ratio == Fraction(14, 15)
 
 
-def test_check_gamma_on_subsplit_range_filter():
-    # confining the candidate range changes the reported witness
-    sub = Split.contiguous(8, 2).full_subsplit()
-    over = SetFamily.of(8, [[1, 4]])
-    report = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sub, over, 2)
-    assert report.holds is False
-    assert report.witness.labels() == (1, 4)
-    assert report.ratio == Fraction(4, 3)
-
-
-def test_check_gamma_on_subsplit_rank_zero_or_empty_over_is_vacuous():
-    sp = Split.contiguous(8, 2)
-    empty_sub = sp.subsplit([])
-    report = check_gamma_on_subsplit(SUBSPLIT_FAMILY, empty_sub,
-                                     SUBSPLIT_FAMILY, 2)
+def test_check_gamma_on_subsplit_rank_zero_is_vacuous():
+    empty_sub = Split.contiguous(8, 2).subsplit([])
+    report = check_gamma_on_subsplit(SUBSPLIT_FAMILY, empty_sub, 2)
     assert report.holds is True
     assert report.ratio == Fraction(0)
-    no_over = check_gamma_on_subsplit(SUBSPLIT_FAMILY, sp.full_subsplit(),
-                                      SetFamily.of(8, []), 2)
-    assert no_over.holds is True
 
 
 def test_check_gamma_on_subsplit_requires_nonempty_family():
     sub = Split.contiguous(8, 2).full_subsplit()
     with pytest.raises(ValueError):
-        check_gamma_on_subsplit(SetFamily.of(8, []), sub, SUBSPLIT_FAMILY, 2)
+        check_gamma_on_subsplit(SetFamily.of(8, []), sub, 2)
 
 
 VIOLATOR_FAMILY = SetFamily.of(
     8, [[0, 4], [0, 5], [0, 7], [1, 4], [1, 5], [2, 6]])
 
 
+def kernel_violator_masks(masks, sub, b) -> int | None:
+    """The engine's maximal-violator kernel on the trace counts of
+    ``masks`` on ``sub``."""
+    b = exact_base(b)
+    return _max_violator_masks(_carried_counts(masks, sub), len(masks),
+                               b.numerator, b.denominator)
+
+
 def max_violator(family: SetFamily, sub, b):
-    """The engine's maximal-violator kernel on ``family`` over itself; the
-    labels of the result, or None."""
-    got = max_violator_masks(family.masks(), sub, family, b)
+    """The labels of the maximal violator of ``family`` on ``sub``, or
+    None."""
+    got = kernel_violator_masks(family.masks(), sub, b)
     return None if got is None else mask_labels(got)
 
 
@@ -186,7 +180,7 @@ def test_maximal_violator_from_empty_seed():
 
 def test_maximal_violator_result_properties():
     # a returned set keeps the weighted count of the whole family and
-    # admits no one-element in-range extension that keeps it
+    # admits no one-element extension inside a member that keeps it
     sub = Split.contiguous(8, 2).full_subsplit()
     b = Fraction(2)
     for seed_idx in range(12):
@@ -196,7 +190,7 @@ def test_maximal_violator_result_properties():
         def weight(s: int) -> Fraction:
             return sum(1 for u in masks if u & s == s) * b ** s.bit_count()
 
-        got = max_violator_masks(masks, sub, fam, b)
+        got = kernel_violator_masks(masks, sub, b)
         if got is None:
             continue
         floor = weight(0)

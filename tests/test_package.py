@@ -317,9 +317,7 @@ UNIVERSE_MISMATCHES = {
     "on_subsplit": lambda: ON_SPLIT4.on_subsplit(SPLIT6.full_subsplit(), 2),
     "difference": lambda: ON_SPLIT4.difference(OTHER6),
     "check_gamma_on_subsplit-subsplit": lambda: check_gamma_on_subsplit(
-        ON_SPLIT4, SPLIT6.full_subsplit(), ON_SPLIT4, 2),
-    "check_gamma_on_subsplit-over": lambda: check_gamma_on_subsplit(
-        ON_SPLIT4, SPLIT4.full_subsplit(), OTHER6, 2),
+        ON_SPLIT4, SPLIT6.full_subsplit(), 2),
     "ComponentCollection.initial": lambda: ComponentCollection.initial(
         ON_SPLIT4, SPLIT6),
     "ComponentCollection.derive-split": lambda: ComponentCollection.derive(

@@ -23,10 +23,12 @@ fresh violator search per removal, and which decides size floors with
 the float comparisons of the oracles; the engine's cleaning is checked
 against that violator search alone, and the violator search, which
 walks those counts from the largest size down, against the violator's
-definition level by level;
-the engine's integer floor table is checked against those comparisons
-too, and the family constructor's canonical order against sorted label
-lists.  The label-ordered greedy of the gamma extraction is checked
+definition level by level.  On every bucket of the collections the
+engine is handed, the cleaning and the subsplit check, which take no
+range family, are checked against those oracles over the bases.  The
+engine's integer floor table is checked against the oracles' float
+comparisons, and the family constructor's canonical order against
+sorted label lists.  The label-ordered greedy of the gamma extraction is checked
 against the scan over the sorted family it replaced, and the spreadness
 check against the brute scan on the members given in shuffled orders.
 """
@@ -70,7 +72,7 @@ from oracles import (brute_max_ratio, carried_counts_reference,
                      family_from_text_reference, find_sunflower_backtrack,
                      max_degree, max_violator_masks, meet_once,
                      meets_eps_floor, meets_threshold, p_sets, subset_map,
-                     sunflower_free_check_oracle)
+                     subsplit_report, sunflower_free_check_oracle)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -100,7 +102,8 @@ def bases(draw):
 def subsplit_cases(draw):
     """A family, a range family and a subsplit of a random split.  The
     family lies on the split half the time, and the range family is the
-    family itself half the time, as in the extraction engine."""
+    family itself half the time.  The kernels count only sets inside a
+    member, and the oracles that keep a range family cut to its shadow."""
     strips = draw(st.integers(1, 3))
     d = draw(st.integers(1, 8 // strips))
     n = strips * d
@@ -423,11 +426,19 @@ def test_check_gamma_ignores_input_order(family, b, data):
 @SETTINGS
 @given(subsplit_cases(), bases())
 def test_check_gamma_on_subsplit_matches_brute_scan(case, b):
+    # the check's candidates are the sets on the subsplit inside a member,
+    # the oracle's those inside a member of another range family
     family, sub, over = case
-    candidates = [s for p in range(1, sub.rank + 1) for s in p_sets(sub, p)
-                  if over.shadow_contains(s)]
-    assert report_tuple(check_gamma_on_subsplit(family, sub, over, b)) == \
-        brute_max_ratio(family, candidates, b)
+
+    def candidates(rng):
+        return [s for p in range(1, sub.rank + 1) for s in p_sets(sub, p)
+                if rng.shadow_contains(s)]
+
+    assert report_tuple(check_gamma_on_subsplit(family, sub, b)) == \
+        brute_max_ratio(family, candidates(family), b)
+    if over is not family:
+        assert report_tuple(subsplit_report(family, sub, over, b)) == \
+            brute_max_ratio(family, candidates(over), b)
 
 
 def brute_max_violator(family, sub, over, b):
@@ -445,10 +456,18 @@ def brute_max_violator(family, sub, over, b):
 @SETTINGS
 @given(subsplit_cases(), bases())
 def test_maximal_violator_matches_brute_search(case, b):
+    # the kernel's violator is the definition's over the family itself;
+    # the oracle's, over another range family
     family, sub, over = case
-    want = brute_max_violator(family, sub, over, b)
-    assert max_violator_masks(family.masks(), sub, over, b) == \
-        (None if want is None else want.bits)
+    b = exact_base(b)
+    want = brute_max_violator(family, sub, family, b)
+    assert gamma._max_violator_masks(
+        _carried_counts(family.masks(), sub), len(family), b.numerator,
+        b.denominator) == (None if want is None else want.bits)
+    if over is not family:
+        want = brute_max_violator(family, sub, over, b)
+        assert max_violator_masks(family.masks(), sub, over, b) == \
+            (None if want is None else want.bits)
 
 
 @SETTINGS
@@ -457,11 +476,11 @@ def test_clean_to_spread_matches_fresh_violator_searches(case, b):
     # the engine's cleaning keeps one trace count map and takes each
     # dropped member's traces off it; the oracle searches afresh after
     # every removal
-    family, sub, over = case
+    family, sub, _ = case
     b = exact_base(b)
-    assert bs._clean_to_spread(list(family.masks()), sub, over,
-                               b.numerator, b.denominator) == \
-        clean_to_spread(family.masks(), sub, over, b)
+    assert bs._clean_to_spread(list(family.masks()), sub, b.numerator,
+                               b.denominator) == \
+        clean_to_spread(family.masks(), sub, family, b)
 
 
 @SETTINGS
@@ -948,6 +967,14 @@ DECIDED_AT_RANK_ZERO = pinned_case(
     128, 2, [labels_mask([i, 64 + i]) for i in range(64)], 64, 1, 0, 0)
 
 
+# a drain started at rank 0 counts the whole family: label 0's 16 members
+# violate (16 * b >= 32) and are dropped, and the 4 x 4 grid left is
+# spread, but below the epsilon floor of 32
+HUB_OVER_SPREAD_GRID = pinned_case(32, 2, [labels_mask(s) for s in [
+    *([x, y] for x in range(1, 5) for y in range(16, 20)),
+    *([0, y] for y in range(16, 32))]], 32, 0, 0, 0)
+
+
 def drain_matches_rescan(top, collection, cfg):
     """Run base_sets' per-rank passes by hand over ranks top down to 0,
     with live sets carried across ranks, and check each rank's
@@ -955,8 +982,7 @@ def drain_matches_rescan(top, collection, cfg):
     the drain below it.  Starting below m' skips the ranks that would
     have drained the big buckets, which leaves more buckets to shrink and
     be decided again."""
-    mprime, bases, comps = collection.rank, collection.bases, \
-        collection.components
+    mprime, comps = collection.rank, collection.components
     drained = {key: set(comp) for key, comp in comps.items()}
     rescanned = {key: set(comp) for key, comp in comps.items()}
     thr, b = bs.Threshold(cfg), exact_base(cfg.b)
@@ -972,7 +998,7 @@ def drain_matches_rescan(top, collection, cfg):
             else:
                 # a cleaned one is nonempty and, at rank 0, meets the
                 # epsilon floor
-                found = bs._extractions(r, live, comps[key], sub, bases,
+                found = bs._extractions(r, live, comps[key], sub,
                                         thr.eps_need if r == 0 else 1, b)
             got += [(key, bm, t, "ii" if r == mprime else "i")
                     for bm, t in found]
@@ -1010,6 +1036,7 @@ def anchored_collection(family, split, seed):
 @example(REQUEUED_BASE_COMES_FIRST)
 @example(COMPONENTS_SHARE_A_BASE)
 @example(FAMILY_BUCKET_ONLY)
+@example(HUB_OVER_SPREAD_GRID)
 @given(engine_cases())
 def test_drain_matches_restart_scan(case):
     family, split, cfg, top, anchored_top, anchor_seed = case
@@ -1032,8 +1059,8 @@ def test_requeued_base_comes_first_requeues_a_passed_base(monkeypatch):
     monkeypatch.setattr(bs, "heappush", push)
     coll = bs.ComponentCollection.initial(family, split)
     (key, comp), = coll.components.items()
-    found = bs._extractions(top, set(comp), comp, split.subsplit(key),
-                            coll.bases, 1, exact_base(cfg.b))
+    found = bs._extractions(top, set(comp), comp, split.subsplit(key), 1,
+                            exact_base(cfg.b))
     assert [bm for bm, _ in found][:2] == [1 << 9, 1 << 6]
     assert pushed
     drain_matches_rescan(top, coll, cfg)
@@ -1056,6 +1083,49 @@ def test_full_rank_pass_matches_grouping(case, floor):
                                            full)) == \
                 full_rank_pass_by_grouping(comp, union, grouped_live, floor)
             assert live == grouped_live
+
+
+def engine_collections(family, split, cfg, anchor_seed):
+    """The collections the engine is handed: the initial one, an anchored
+    one built by derive, and each one regrouped from an output of
+    process_r, failed runs' completed steps included."""
+    coll = bs.ComponentCollection.initial(family, split)
+    yield coll
+    yield anchored_collection(family, split, anchor_seed)
+    try:
+        steps = bs.process_r(family, split, cfg).steps
+    except (ContractViolationError, ValueError) as exc:
+        steps = exc.partial_steps
+    for step in steps:
+        coll = coll.regroup(step.output)
+        yield coll
+
+
+@settings(SETTINGS, max_examples=75)
+@example(HUB_OVER_SPREAD_GRID)
+@given(engine_cases())
+def test_engine_kernels_match_the_range_filtered_oracles(case):
+    # each member's projection onto its key's strips is a base, so every
+    # set a cleaning or the rank-0 check counts, on strips of the key,
+    # lies inside a base: with no range family the kernels give what the
+    # oracles give over the collection's bases, on every bucket at every
+    # rank below the collection's, rank 0's whole component included
+    family, split, cfg, _, _, anchor_seed = case
+    b = exact_base(cfg.b)
+    for coll in engine_collections(family, split, cfg, anchor_seed):
+        for key, comp in coll.components.items():
+            sub = split.subsplit(key)
+            for r in range(coll.rank):
+                for strips in combinations(sub.strip_masks, r):
+                    for bm, bucket in bs._projection_groups(
+                            comp, sum(strips)).items():
+                        free = sub.minus(bm)
+                        assert bs._clean_to_spread(
+                            bucket, free, b.numerator, b.denominator) == \
+                            clean_to_spread(bucket, free, coll.bases, b)
+                        members = SetFamily(split.universe, bucket)
+                        assert check_gamma_on_subsplit(members, free, b) == \
+                            subsplit_report(members, free, coll.bases, b)
 
 
 def engine_matches_rescan(family, split, cfg):

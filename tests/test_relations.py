@@ -1,6 +1,7 @@
 """Relations between two runs of the program, checked at sizes no brute
 oracle reaches: the same family with its rows reversed, the same family
-with its labels permuted, and a transversal count past the member scan.
+with its labels permuted (for check-gamma, split and transversal-check),
+and a transversal count past the member scan.
 The engine commands get the first of these on an m = 4 input whose drain
 runs counted cleanings.
 
@@ -12,12 +13,13 @@ inputs.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from sunflower.cli import main
 from sunflower.errors import BudgetExceededError
-from sunflower.families import SetFamily, Split, mask_labels
+from sunflower.families import SetFamily, Split, labels_mask, mask_labels
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import transversal_count_brute, transversal_formula
@@ -39,10 +41,15 @@ def reversed_rows(family: SetFamily) -> str:
     return "\n".join([header, *reversed(rows)]) + "\n"
 
 
-def permuted(family: SetFamily, seed: int) -> SetFamily:
-    n = family.universe.n
+def label_permutation(n: int, seed: int) -> list[int]:
     perm = list(range(n))
     CounterRng(seed).shuffle(perm)
+    return perm
+
+
+def permuted(family: SetFamily, seed: int) -> SetFamily:
+    n = family.universe.n
+    perm = label_permutation(n, seed)
     return SetFamily.of(n, ([perm[x] for x in mask_labels(u)]
                             for u in family.masks()), m=family.m)
 
@@ -114,6 +121,31 @@ def test_label_permutation_keeps_split_and_transversal_counts(
         after = report(capsys, tmp_path, image.to_text(), command)
         assert [after["results"][key] for key in keys] == \
             [before["results"][key] for key in keys]
+
+
+@pytest.mark.parametrize("b, verdict", [(6, True), (20, False)])
+def test_label_permutation_keeps_the_spreadness_verdict(capsys, tmp_path, b,
+                                                        verdict):
+    # holds and ratio do not depend on the labels.  The witness is the
+    # least label tuple among the maximizers, so the permuted run may name
+    # another one; the original witness, permuted, and the one it names
+    # both reach the ratio on the permuted family
+    image = permuted(SPREAD, 1)
+    command = ["check-gamma", "--b", str(b)]
+    before = report(capsys, tmp_path, SPREAD.to_text(), command)["results"]
+    after = report(capsys, tmp_path, image.to_text(), command)["results"]
+    assert (after["holds"], after["ratio"]) == \
+        (before["holds"], before["ratio"])
+    assert before["holds"] is verdict
+    if verdict:
+        assert before["witness"] is after["witness"] is None
+        return
+    perm = label_permutation(SPREAD.universe.n, 1)
+    for witness in ([perm[x] for x in before["witness"]], after["witness"]):
+        s = labels_mask(witness)
+        count = sum(1 for u in image.masks() if u & s == s)
+        assert Fraction(count * b ** len(witness), len(image)) == \
+            Fraction(*after["ratio"])
 
 
 def test_transversal_identity_past_the_member_scan():
