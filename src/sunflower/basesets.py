@@ -2,9 +2,12 @@
 
 The engine's one input is a :class:`ComponentCollection`: a family of
 m-sets lying on an m-split, organized as components each indexed by a
-rank-m' subsplit, with a family of anchor m'-sets ("bases") covering
-every member's projection.  It scans ranks r = m' down to 0, repeatedly
-carving out elementary parts:
+rank-m' subsplit.  The paper's anchor family G, of m'-sets ("bases"), is
+the set of the members' projections onto their components' strips, so
+the collection holds no G of its own; only
+:meth:`ComponentCollection.derive` takes one from outside, and checks
+it.  The engine scans ranks r = m' down to 0, repeatedly carving out
+elementary parts:
 
   * at r = m', whole buckets F''[B] whose size meets the threshold f(m'),
     the groups of members sharing a projection onto the component;
@@ -17,8 +20,8 @@ and returns at the first rank whose extracted union reaches a 3^(r-m'-1)
 fraction of the input.  The working family shrinks monotonically across
 ranks; per-rank accumulations reset.  The driver iterates the engine,
 feeding each output back in as the collection regrouped by it (parts
-merged by the strips of their base sets, anchored on those base sets),
-until the rank repeats or hits zero.
+merged by the strips of their base sets, which are then the members'
+projections), until the rank repeats or hits zero.
 
 Every size floor, the threshold f(x) = k^-5 * eps^2m * (c^h * k * ln k)^-x
 * famSize for x = 0..m and the rank-0 floor eps^m * famSize, is turned
@@ -266,89 +269,74 @@ def _check_on_split(sub: Subsplit, rank: int, masks: Iterable[int]) -> None:
 
 class ComponentCollection:
     """The engine's whole input: a family partitioned into components
-    indexed by rank-r subsplits, with its anchor bases.
+    indexed by rank-r subsplits.
 
     Each component is a tuple of member masks in canonical label order.
     Members are distinct on-split m-sets; the key records which strips
-    anchor the component.  ``bases`` is a family of on-split r-sets in
-    the members' shadow that holds every member's projection onto its
-    key strips.  The constructors that take outside input (``__init__``,
-    :meth:`initial` and :meth:`derive`) check all of this; :meth:`regroup`
-    builds the next collection from an engine output, which the engine's
-    postconditions have checked.  ``_family`` holds every member: the
-    members themselves, or, after :meth:`regroup`, the family they were
-    drawn from, whose canonical order :meth:`regroup` filters.  The
-    engine reads its buckets off the components, as projection groups.
+    anchor the component.  The paper's anchor family G is the set of the
+    members' projections onto their keys' strips, read off the members
+    where it is needed and never stored.  The constructors that take
+    outside input (``__init__``, :meth:`initial` and :meth:`derive`) check
+    the members and keys, and :meth:`derive` the anchors it is given;
+    :meth:`regroup` builds the next collection from an engine output,
+    which the engine's postconditions have checked.  ``_family`` holds
+    every member: the members themselves, or, after :meth:`regroup`, the
+    family they were drawn from, whose canonical order :meth:`regroup`
+    filters.  The engine reads its buckets off the components, as
+    projection groups.
     """
 
-    __slots__ = ("split", "rank", "components", "bases", "_family")
+    __slots__ = ("split", "rank", "components", "_family")
 
     def __init__(self, split: Split,
-                 components: dict[tuple[int, ...], Iterable[int]],
-                 bases: SetFamily):
+                 components: dict[tuple[int, ...], Iterable[int]]):
         rank, canonical = _canonical_components(split, components)
-        if bases.universe.n != split.universe.n:
-            raise UniverseMismatchError("bases over a different universe")
         n = split.universe.n
         members = [u for masks in canonical.values() for u in masks]
         for u in members:
             if u >> n:  # also every negative mask
                 raise ValueError(f"member mask {u} has bits outside "
                                  f"the universe of size {n}")
-        full = split.full_subsplit()
-        _check_on_split(full, split.m, members)
-        _check_on_split(full, rank, bases.masks())
+        _check_on_split(split.full_subsplit(), split.m, members)
         # the family rejects a member listed twice
         family = SetFamily(split.universe, members, m=split.m)
-        for u in bases.masks():
-            if not _in_shadow(family, u):
-                raise ValueError(
-                    f"base {_mask_repr(u)} is not in the family's shadow")
-        base_masks = set(bases.masks())
-        for key, comp in canonical.items():
-            union = split.subsplit(key).union_mask
-            for u in comp:
-                if u & union not in base_masks:
-                    raise ValueError(
-                        f"member projection {mask_labels(u & union)} of "
-                        f"component {key} is not an anchor base")
-        self.split, self.rank, self.components = split, rank, canonical
-        self.bases, self._family = bases, family
+        self.split, self.rank = split, rank
+        self.components, self._family = canonical, family
 
     @classmethod
     def _unchecked(cls, split: Split, rank: int,
                    components: dict[tuple[int, ...], tuple[int, ...]],
-                   bases: SetFamily, family: SetFamily,
-                   ) -> "ComponentCollection":
+                   family: SetFamily) -> "ComponentCollection":
         """A collection over inputs the caller has checked, with its
         components keyed and ordered: nothing is validated or sorted."""
         coll = cls.__new__(cls)
-        coll.split, coll.rank, coll.components = split, rank, components
-        coll.bases, coll._family = bases, family
+        coll.split, coll.rank = split, rank
+        coll.components, coll._family = components, family
         return coll
 
     @classmethod
     def initial(cls, family: SetFamily, split: Split) -> "ComponentCollection":
         """The trivial collection: one full-rank component holding the
         whole family, which anchors itself.  Each member is checked once,
-        as an on-split m-set; it is then its own projection and in the
-        shadow, and the family's masks are distinct, in the universe and
-        canonical already."""
+        as an on-split m-set; it is then its own projection, and the
+        family's masks are distinct, in the universe and canonical
+        already."""
         if family.universe.n != split.universe.n:
             raise UniverseMismatchError("family over a different universe")
         key, masks = tuple(range(split.m)), family.masks()
         if not masks:
             raise ValueError(f"component {key} is empty")
         _check_on_split(split.full_subsplit(), split.m, masks)
-        return cls._unchecked(split, split.m, {key: masks}, family, family)
+        return cls._unchecked(split, split.m, {key: masks}, family)
 
     def regroup(self, output: "BaseSetsOutput") -> "ComponentCollection":
         """The collection for the next engine call: the parts of
         ``output``, which :func:`base_sets` returned on this collection,
-        merged by the strips their base sets occupy and anchored on its
-        base sets, over the same family.  Nothing is checked, as the
-        engine's postconditions have been, and nothing is sorted: each
-        component is the family's canonical order filtered by membership."""
+        merged by the strips their base sets occupy, over the same family.
+        Each member then projects onto its part's base set.  Nothing is
+        checked, as the engine's postconditions have been, and nothing is
+        sorted: each component is the family's canonical order filtered
+        by membership."""
         split, masks = self.split, self._family.masks()
         strips = split.strips
         grouped: dict[tuple[int, ...], set[int]] = {}
@@ -358,16 +346,17 @@ class ComponentCollection:
             grouped.setdefault(key, set()).update(part.T)
         components = {key: tuple(filter(grouped[key].__contains__, masks))
                       for key in sorted(grouped)}
-        return self._unchecked(split, output.r, components,
-                               output.base_sets, self._family)
+        return self._unchecked(split, output.r, components, self._family)
 
     @classmethod
     def derive(cls, family: SetFamily, split: Split, rank: int,
                anchors: SetFamily) -> tuple["ComponentCollection", SetFamily]:
         """Assign each member to the lexicographically first rank-sized
-        strip selection whose projection of the member is an anchor; the
-        anchors are the collection's bases.
+        strip selection whose projection of the member is an anchor.
 
+        The anchors are a user's G: after the members, each is checked to
+        be an on-split rank-set in the shadow of the assigned members.
+        Every member's projection is an anchor by the assignment.
         Returns the collection and the subfamily of members no selection
         accepts (skipped members are not an error at this level).
         """
@@ -390,8 +379,13 @@ class ComponentCollection:
                 skipped.append(u)
         if not grouped:
             raise ValueError("no member projects into the anchor family")
-        return (cls(split, grouped, anchors),
-                SetFamily(family.universe, skipped, m=family.m))
+        coll = cls(split, grouped)
+        _check_on_split(split.full_subsplit(), rank, anchors.masks())
+        for u in anchors.masks():
+            if not _in_shadow(coll._family, u):
+                raise ValueError(
+                    f"base {_mask_repr(u)} is not in the family's shadow")
+        return coll, SetFamily(family.universe, skipped, m=family.m)
 
 
 class BaseSetsOutput(_Record):
@@ -426,12 +420,11 @@ def _clean_to_spread(bucket: list[int], free: Subsplit, p: int,
     members' traces on the free strips serves the whole cleaning; a
     dropped member's traces are taken off it.
 
-    Spreadness is over the shadow of the collection's bases, and every
-    counted set lies in it with no test: ``ComponentCollection.__init__``
-    checks that each member's projection onto its key's strips is a base,
-    ``initial`` and ``regroup`` preserve that, and the free strips are a
-    subset of the key's strips, so each counted trace lies inside a
-    base."""
+    Spreadness is over the shadow of G, the members' projections onto
+    their key's strips, and every counted set lies in it with no test:
+    members are on-split m-sets and the free strips are a subset of the
+    key's strips, so each counted trace lies inside its member's
+    projection."""
     counts = _carried_counts(bucket, free)
     t = bucket
     while t:
@@ -459,7 +452,7 @@ def _full_rank_pass(comp: tuple[int, ...], union: int, live: set[int],
     component onto its strips (``union``) that reaches ``floor``, in label
     order, after removing its members from ``live``.  At r = m' a member
     contains a base on the strips exactly when it projects onto it, and
-    every projection is a base, so these groups are the buckets; being
+    the bases are the projections, so these groups are the buckets; being
     disjoint, no take shrinks another.  When ``full`` (m' = m, the key is
     every strip) each member is its own projection, so every group is one
     member and none reaches a floor above 1: nothing is grouped.
@@ -496,17 +489,15 @@ def _extractions(r: int, live: set[int], comp: tuple[int, ...],
     lies inside its group.  So a base whose group is at most b is dropped
     by rule 1 below, and one whose group misses the floor is dropped or
     passed over, whatever a bucket over more members (the whole family's,
-    say) holds.  And every nonempty group lies in the bases' shadow: each
-    member projects onto a base on the component's strips, and that base
-    contains the group's own.
+    say) holds.  And every nonempty group lies in the shadow of G, the
+    members' projections onto the component's strips: each such
+    projection contains the group's own.
 
     Two exact rules settle a live bucket t with no count.  Members are
-    on-split m-sets projecting onto bases: the collection's ``__init__``
-    checks that each member's projection onto its key's strips is a
-    base, and ``initial`` and ``regroup`` preserve that.  The free strips
-    are a subset of the key's strips, so each trace on them has f labels
-    and lies inside a base: its subsets are in the bases' shadow with no
-    shadow test.  Rule 1: if |t| <= b, every traced label violates (1 * b
+    on-split m-sets, and the free strips are a subset of the key's
+    strips, so each trace on them has f labels and lies inside its
+    member's projection onto the key's strips, a set of G: its subsets
+    are in G's shadow with no shadow test.  Rule 1: if |t| <= b, every traced label violates (1 * b
     >= |t|), so t empties.  Rule 2: if the traces are disjoint (|t| * f
     labels in all), every count is 1, so while |t| <= b^f a whole trace
     is the largest violator and t empties; else nothing violates and t
@@ -579,8 +570,7 @@ def base_sets(collection: ComponentCollection, cfg: Constants,
     Raises ContractViolationError with the full extraction trace when no
     rank reaches its bound.
 
-    The collection's constructors have checked its members and bases;
-    this checks the strip count against cfg.m, that famSize is set and
+    The collection's constructors have checked its members; this checks the strip count against cfg.m, that famSize is set and
     the 3^(-2m) * famSize floor (ValueError).
     """
     split = collection.split
@@ -677,7 +667,7 @@ def _finish(r: int, parts: list[ElementaryPart], trace: list[dict],
 
 
 class ProcessStep(_Record):
-    """One driver iteration: the rank and bases fed in, and the output."""
+    """One driver iteration: its index, the rank fed in, and the output."""
 
     __slots__ = ("p", "r_in", "output")
 

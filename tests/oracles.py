@@ -21,18 +21,21 @@ the label-ordered pass replaced, with no spreadness check.
 ``extractions_by_rescan`` is the engine's extraction scan with nothing
 carried between scans: it decides every (component, base) pair again
 from the first after each extraction, on buckets read off the live sets,
-over every candidate base in the bases' shadow (``candidate_bases``,
-with no pre-filter on bucket sizes), cleaning with a fresh violator
-search per removal (``clean_to_spread`` over ``max_violator_masks``,
-which gives the engine's violator kernel a new count map on every
-call).
+over every candidate base in the shadow of the collection's G
+(``candidate_bases``, with no pre-filter on bucket sizes), cleaning with
+a fresh violator search per removal (``clean_to_spread`` over
+``max_violator_masks``, which picks the violator by its definition, from
+a count map of ``carried_counts_reference`` built for that call, with
+none of the engine's counting or violator kernels).
 ``is_elementary_part`` is the reference checker of one extracted part
 against its variant's conditions, which the engine tests hold every part
 the engine returns to; its spreadness check is ``subsplit_report``.
-These oracles keep spreadness over the shadow of a range family, the
-bases, as its definition reads: ``counts_in_range`` cuts each count map
-to that shadow, a filter the engine leaves out as every set it counts
-lies inside a base.  ``extractions_by_rescan`` and
+Both read the paper's anchor family G off the collection with
+``anchor_bases``: every member's projection onto its component's strips.
+These oracles keep spreadness over the shadow of a range family, G, as
+its definition reads: ``counts_in_range`` cuts each count map to that
+shadow, a filter the engine leaves out as every set it counts lies
+inside its member's projection.  ``extractions_by_rescan`` and
 ``is_elementary_part`` decide size floors with ``meets_threshold`` and
 ``meets_eps_floor``, the float comparisons the engine made before it
 compared integer counts with :class:`Threshold`'s integer table: directly,
@@ -73,8 +76,7 @@ from sunflower.errors import BudgetExceededError, ContractViolationError
 from sunflower.families import (DEFAULT_SHADOW_BUDGET, GroundSet, SetFamily,
                                 Split, Subsplit, Universe,
                                 _check_shadow_budget, _mask_repr, mask_labels)
-from sunflower.gamma import (GammaReport, _carried_counts,
-                            _max_violator_masks, _spread_report, exact_base)
+from sunflower.gamma import GammaReport, _spread_report, exact_base
 from sunflower.rng import CounterRng
 from sunflower.sunflowers import (DEFAULT_SEARCH_NODE_BUDGET,
                                   SunflowerCertificate)
@@ -321,24 +323,33 @@ def disjoint_greedy_reference(family: SetFamily, k: int,
 
 def counts_in_range(masks, sub: Subsplit,
                     over: SetFamily) -> dict[int, dict[int, int]]:
-    """The trace counts of ``masks`` on ``sub`` by size, each size cut to
-    the sets in the shadow of ``over``, those inside one of its members;
-    sizes left with none are dropped."""
+    """The trace counts of ``masks`` on ``sub`` by size
+    (``carried_counts_reference``), each size cut to the sets in the
+    shadow of ``over``, those inside one of its members; sizes left with
+    none are dropped."""
     range_masks = over.masks()
     by_size = {size: {s: count for s, count in counts.items()
                       if any(u & s == s for u in range_masks)}
-               for size, counts in _carried_counts(masks, sub).items()}
+               for size, counts in carried_counts_reference(
+                   masks, sub, DEFAULT_SHADOW_BUDGET).items()}
     return {size: counts for size, counts in by_size.items() if counts}
 
 
 def max_violator_masks(masks, sub: Subsplit, over: SetFamily,
                        b) -> int | None:
     """A maximal spreadness violator of ``masks`` on ``sub`` over the
-    shadow of ``over`` at base b, or None: the engine's violator kernel
-    on a count map built for this call alone and cut to that shadow."""
+    shadow of ``over`` at base b, or None, by the definition: from the
+    largest size down, the counted sets S of the first size with any
+    |F[S]| * b^|S| >= |F|, and of those the least label tuple.  The
+    counts are built for this call alone and cut to that shadow."""
     b = exact_base(b)
-    return _max_violator_masks(counts_in_range(masks, sub, over), len(masks),
-                               b.numerator, b.denominator)
+    counts = counts_in_range(masks, sub, over)
+    for size in sorted(counts, reverse=True):
+        hits = [s for s, count in counts[size].items()
+                if count * b ** size >= len(masks)]
+        if hits:
+            return min(hits, key=mask_labels)
+    return None
 
 
 def subsplit_report(family: SetFamily, sub: Subsplit, over: SetFamily,
@@ -400,6 +411,17 @@ def carried_counts_reference(masks, sub: Subsplit,
     return counts
 
 
+def anchor_bases(collection: ComponentCollection) -> SetFamily:
+    """The collection's anchor family G, as the paper reads it: every
+    member's projection onto its component's key strips, a family of
+    rank-sets."""
+    split = collection.split
+    return SetFamily(split.universe,
+                     {u & split.subsplit(key).union_mask
+                      for key, comp in collection.components.items()
+                      for u in comp}, m=collection.rank)
+
+
 def candidate_bases(sub: Subsplit, r: int, bases: SetFamily) -> list[int]:
     """Masks of every r-set on ``sub`` inside the bases' shadow, in label
     order, whatever its bucket; rank 0 gives the empty set alone."""
@@ -419,7 +441,7 @@ def extractions_by_rescan(r: int, work: dict[tuple[int, ...], set[int]],
     containing the base, read off ``work`` (live members per key), which
     is updated in place."""
     b = exact_base(cfg.b)
-    mprime, bases = collection.rank, collection.bases
+    mprime, bases = collection.rank, anchor_bases(collection)
     extracted: set[tuple[tuple[int, ...], int]] = set()
     found = []
 
@@ -450,7 +472,7 @@ def extractions_by_rescan(r: int, work: dict[tuple[int, ...], set[int]],
 def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
                        cfg: Constants) -> bool:
     """Exact check that a candidate part satisfies its variant's conditions
-    over the collection's bases.
+    over the collection's bases, its G (``anchor_bases``).
 
     Variant "i" (rank below the collection's): base in the bases' shadow,
     members all containing the base, spreadness with base b = c*k on the
@@ -472,7 +494,7 @@ def is_elementary_part(part: ElementaryPart, collection: ComponentCollection,
     if not part.T:
         return False
     r = part.r
-    mprime, bases = collection.rank, collection.bases
+    mprime, bases = collection.rank, anchor_bases(collection)
     if b_bits not in subset_map(bases.masks()):
         return False
     if part.variant == "i":

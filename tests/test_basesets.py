@@ -229,52 +229,51 @@ def test_component_collection_initial():
     assert list(coll.components) == [(0, 1)]
     assert coll.components[(0, 1)] == GRID16.masks()
     assert coll.split.subsplit((0, 1)).rank == 2
-    assert coll.bases is GRID16   # the family anchors itself
+    assert coll._family is GRID16   # the family anchors itself
     # members listed in any order are kept in canonical label order
-    reversed_coll = ComponentCollection(SPLIT8, {(0, 1): GRID16.masks()[::-1]},
-                                        GRID16)
+    reversed_coll = ComponentCollection(SPLIT8,
+                                        {(0, 1): GRID16.masks()[::-1]})
     assert reversed_coll.components[(0, 1)] == GRID16.masks()
 
 
 def test_component_collection_validation():
     first, second = GRID16.masks()[:2]
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {}, GRID16)
+        ComponentCollection(SPLIT8, {})
     with pytest.raises(ValueError):
         # unsorted key
-        ComponentCollection(SPLIT8, {(1, 0): GRID16.masks()}, GRID16)
+        ComponentCollection(SPLIT8, {(1, 0): GRID16.masks()})
     with pytest.raises(ValueError):
-        ComponentCollection(SPLIT8, {(0, 1): ()}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): ()})
     with pytest.raises(ValueError):
         # {0, 1} is not one-per-strip
-        ComponentCollection(SPLIT8, {(0, 1): (0b11,)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (0b11,)})
     with pytest.raises(ValueError):
         # {0} misses strip 1
-        ComponentCollection(SPLIT8, {(0, 1): (0b1,)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (0b1,)})
     with pytest.raises(ValueError, match="not an on-split 2-set"):
         # initial keeps every check
         ComponentCollection.initial(SetFamily.of(8, [[0, 4], [0, 1]]), SPLIT8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate member"):
         # the same member in two components
-        ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)}, GRID16)
-    with pytest.raises(ValueError):
+        ComponentCollection(SPLIT8, {(0,): (first,), (1,): (first,)})
+    with pytest.raises(ValueError, match="duplicate member"):
         # the same member twice in one component
-        ComponentCollection(SPLIT8, {(0, 1): (first, first)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (first, first)})
     with pytest.raises(ValueError):
         # mixed ranks
-        ComponentCollection(SPLIT8, {(0,): (first,), (0, 1): (second,)},
-                            GRID16)
+        ComponentCollection(SPLIT8, {(0,): (first,), (0, 1): (second,)})
 
 
 def test_component_collection_rejects_labels_outside_universe():
     # {0, 4, 8}: label 8 lies outside the 8-label universe, even though
     # {0, 4} alone is a one-per-strip member
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (1 | 1 << 4 | 1 << 8,)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (1 | 1 << 4 | 1 << 8,)})
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (1 << 2 | 1 << 9,)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (1 << 2 | 1 << 9,)})
     with pytest.raises(ValueError, match="outside the universe"):
-        ComponentCollection(SPLIT8, {(0, 1): (-1,)}, GRID16)
+        ComponentCollection(SPLIT8, {(0, 1): (-1,)})
     with pytest.raises(ValueError):
         ComponentCollection.initial(SetFamily.of(16, [[0, 8]]), SPLIT8)
 
@@ -311,8 +310,13 @@ def test_component_collection_regroup():
     bases = SetFamily.of(8, [[0], [1], [4]], m=1)
     coll = ComponentCollection.initial(GRID16, SPLIT8)
     regrouped = coll.regroup(BaseSetsOutput(1, bases, parts, ()))
-    assert regrouped.rank == 1 and regrouped.bases is bases
+    assert regrouped.rank == 1
     assert set(regrouped.components) == {(0,), (1,)}
+    # each member projects onto its part's base set, so the collection's
+    # G is the output's base sets
+    assert {u & SPLIT8.subsplit(key).union_mask
+            for key, comp in regrouped.components.items()
+            for u in comp} == set(bases.masks())
     # merged across parts, in the family's canonical label order
     assert [mask_labels(u) for u in regrouped.components[(0,)]] == [
         (0, 4), (0, 5), (1, 4)]
@@ -379,7 +383,7 @@ def test_is_elementary_part_structural_errors():
                            masks8([2, 5], [3, 4], [0, 6], [1, 7], [2, 7]),
                            "i")
     tiny_coll = ComponentCollection(SPLIT8, {
-        (0, 1): masks8([2, 5], [3, 4])}, SetFamily.of(8, [[2, 5], [3, 4]]))
+        (0, 1): masks8([2, 5], [3, 4])})
     with pytest.raises(ValueError):
         is_elementary_part(alien, tiny_coll, GRID16_CFG)
     with pytest.raises(ValueError):
@@ -505,18 +509,21 @@ def test_base_sets_size_bound():
 
 
 def test_base_sets_input_validation():
-    # the collection's constructor checks the bases the engine reads ...
+    # derive checks the anchors a user gives, over the members it
+    # assigns: the universe, that each is an on-split rank-set and that
+    # each lies in the assigned members' shadow ...
     split = Split.contiguous(4, 2)
-    members = {(0, 1): IMMEDIATE.masks()}
-    with pytest.raises(UniverseMismatchError):
-        ComponentCollection(split, members, SetFamily.of(6, [[0, 3]]))
+    with pytest.raises(UniverseMismatchError,
+                       match="family or anchors over a different universe"):
+        ComponentCollection.derive(IMMEDIATE, split, 2,
+                                   SetFamily.of(6, [[0, 3]]))
+    off_split = SetFamily(IMMEDIATE.universe,
+                          IMMEDIATE.masks() + (0b11,), m=2)
     with pytest.raises(ValueError, match="not an on-split 2-set"):
-        ComponentCollection(split, members, SetFamily.of(4, [[0, 1]]))
+        ComponentCollection.derive(IMMEDIATE, split, 2, off_split)
+    partial = IMMEDIATE.difference(SetFamily.of(4, [[1, 3]]))
     with pytest.raises(ValueError, match="not in the family's shadow"):
-        partial = IMMEDIATE.difference(SetFamily.of(4, [[1, 3]]))
-        ComponentCollection(split, {(0, 1): partial.masks()}, IMMEDIATE)
-    with pytest.raises(ValueError, match="is not an anchor base"):
-        ComponentCollection(split, members, SetFamily.of(4, [[0, 2]], m=2))
+        ComponentCollection.derive(partial, split, 2, IMMEDIATE)
     # ... and the engine what the collection cannot know: the constants'
     # strip count, famSize and the 3^(-2m) floor of famSize
     coll = ComponentCollection.initial(IMMEDIATE, split)
@@ -1053,23 +1060,24 @@ def test_every_engine_step_runs_through_a_traced_name(monkeypatch):
 def test_constructor_checks_what_regroup_trusts():
     # the driver's second call runs on the first call's output regrouped,
     # unchecked; the constructor builds the same collection from the same
-    # components and bases with every check, the engine returns the same
-    # output on both, and the constructor rejects an off-split base and a
-    # member whose projection is not a base
+    # components with every check, and so does derive anchored on the
+    # output's base sets; the engine returns the same output on all
+    # three, and derive rejects an off-split anchor
     first = process_r(FLAGSHIP, SPLIT16, FLAGSHIP_CFG).steps[0].output
     regrouped = ComponentCollection.initial(FLAGSHIP, SPLIT16).regroup(first)
     bases = first.base_sets
-    coll = ComponentCollection(SPLIT16, regrouped.components, bases)
-    assert (coll.rank, coll.components) == (regrouped.rank,
-                                            regrouped.components)
-    assert base_sets(coll, FLAGSHIP_CFG, 2) == \
-        base_sets(regrouped, FLAGSHIP_CFG, 2)
+    coll = ComponentCollection(SPLIT16, regrouped.components)
+    derived, skipped = ComponentCollection.derive(FLAGSHIP, SPLIT16, 1,
+                                                  bases)
+    assert not skipped
+    want = base_sets(regrouped, FLAGSHIP_CFG, 2)
+    for built in (coll, derived):
+        assert (built.rank, built.components) == (regrouped.rank,
+                                                  regrouped.components)
+        assert base_sets(built, FLAGSHIP_CFG, 2) == want
     off_split = SetFamily(bases.universe, bases.masks() + (0b11,), m=2)
     with pytest.raises(ValueError, match="not an on-split 1-set"):
-        ComponentCollection(SPLIT16, regrouped.components, off_split)
-    stray = SetFamily(bases.universe, bases.masks()[1:], m=1)
-    with pytest.raises(ValueError, match="is not an anchor base"):
-        ComponentCollection(SPLIT16, regrouped.components, stray)
+        ComponentCollection.derive(FLAGSHIP, SPLIT16, 1, off_split)
 
 
 def test_process_r_steps_meet_interstep_floor():

@@ -324,8 +324,6 @@ UNIVERSE_MISMATCHES = {
         ON_SPLIT4, SPLIT6, 1, ON_SPLIT4),
     "ComponentCollection.derive-anchors": lambda: ComponentCollection.derive(
         ON_SPLIT4, SPLIT4, 1, OTHER6),
-    "ComponentCollection-bases": lambda: ComponentCollection(
-        SPLIT4, {(0, 1): ON_SPLIT4.masks()}, OTHER6),
     "process_r": lambda: process_r(ON_SPLIT4, SPLIT6, CFG4),
     "generate_random_family": lambda: generate_random_family(
         4, 2, 2, seed=0, on_split=SPLIT6),

@@ -64,8 +64,8 @@ from sunflower.splits import (_Incidence, count_splits, enumerate_splits,
 from sunflower.sunflowers import (extract_disjoint_via_gamma,
                                   find_sunflower_exact, verify_certificate)
 
-from oracles import (brute_max_ratio, carried_counts_reference,
-                     clean_to_spread, degree_bound_decides,
+from oracles import (anchor_bases, brute_max_ratio,
+                     carried_counts_reference, clean_to_spread, degree_bound_decides,
                      disjoint_greedy_reference, enumerate_splits_reference,
                      extractions_by_rescan, full_rank_pass_by_grouping,
                      family_from_json_obj_reference,
@@ -470,12 +470,23 @@ def test_maximal_violator_matches_brute_search(case, b):
             (None if want is None else want.bits)
 
 
+# ten 4-sets on the full 4-split of 12 labels at b = 3/2: the maximal
+# violators tie, and which one the cleaning drops first changes what it
+# keeps
+TIED_VIOLATORS = SetFamily.of(12, [
+    [0, 3, 6, 9], [0, 3, 7, 10], [0, 4, 6, 10], [0, 4, 7, 9], [1, 3, 6, 9],
+    [1, 4, 6, 10], [2, 4, 6, 10], [2, 4, 7, 10], [2, 4, 8, 9],
+    [2, 4, 8, 10]], m=4)
+
+
 @SETTINGS
+@example((TIED_VIOLATORS, Split.contiguous(12, 4).full_subsplit(),
+          TIED_VIOLATORS), Fraction(3, 2))
 @given(subsplit_cases(), bases())
 def test_clean_to_spread_matches_fresh_violator_searches(case, b):
     # the engine's cleaning keeps one trace count map and takes each
-    # dropped member's traces off it; the oracle searches afresh after
-    # every removal
+    # dropped member's traces off it; the oracle counts and searches
+    # afresh, by the definition, after every removal
     family, sub, _ = case
     b = exact_base(b)
     assert bs._clean_to_spread(list(family.masks()), sub, b.numerator,
@@ -973,6 +984,13 @@ DECIDED_AT_RANK_ZERO = pinned_case(
 HUB_OVER_SPREAD_GRID = pinned_case(32, 2, [labels_mask(s) for s in [
     *([x, y] for x in range(1, 5) for y in range(16, 20)),
     *([0, y] for y in range(16, 32))]], 32, 0, 0, 0)
+# a drain started at rank 1 cleans one 12-member bucket on its 3 free
+# strips down to 9 members: the one partial shrink above rank 0 that no
+# random draw reaches
+PARTIAL_SHRINK_AT_RANK_ONE = pinned_case(
+    16, 4, [4372, 4376, 4420, 4424, 4626, 4632, 5144, 16660, 16664, 16680,
+            16916, 16920, 17426, 17428, 33042, 33048, 33058, 33096, 33156,
+            33304, 33352, 33816], 22, 1, 0, 0)
 
 
 def drain_matches_rescan(top, collection, cfg):
@@ -1009,7 +1027,7 @@ def drain_matches_rescan(top, collection, cfg):
 def anchored_collection(family, split, seed):
     """A rank m-1 collection, usually of several components: members
     assigned by ComponentCollection.derive to a seeded random half of
-    their projections, anchored on the projections actually used."""
+    their projections.  Its G is the projections actually used."""
     rank = split.m - 1
     strips = split.strips
 
@@ -1022,13 +1040,8 @@ def anchored_collection(family, split, seed):
                                         for key in keys})
                if pick.random() < 0.5}
     anchors.add(project(family.masks()[0], keys[-1]))
-    derived, _ = bs.ComponentCollection.derive(
-        family, split, rank,
-        SetFamily(split.universe, anchors, m=rank))
-    used = {project(u, key) for key, comp in derived.components.items()
-            for u in comp}
-    return bs.ComponentCollection(split, derived.components,
-                                  SetFamily(split.universe, used, m=rank))
+    return bs.ComponentCollection.derive(
+        family, split, rank, SetFamily(split.universe, anchors, m=rank))[0]
 
 
 @SETTINGS
@@ -1037,6 +1050,7 @@ def anchored_collection(family, split, seed):
 @example(COMPONENTS_SHARE_A_BASE)
 @example(FAMILY_BUCKET_ONLY)
 @example(HUB_OVER_SPREAD_GRID)
+@example(PARTIAL_SHRINK_AT_RANK_ONE)
 @given(engine_cases())
 def test_drain_matches_restart_scan(case):
     family, split, cfg, top, anchored_top, anchor_seed = case
@@ -1103,16 +1117,19 @@ def engine_collections(family, split, cfg, anchor_seed):
 
 @settings(SETTINGS, max_examples=75)
 @example(HUB_OVER_SPREAD_GRID)
+@example(PARTIAL_SHRINK_AT_RANK_ONE)
 @given(engine_cases())
 def test_engine_kernels_match_the_range_filtered_oracles(case):
-    # each member's projection onto its key's strips is a base, so every
-    # set a cleaning or the rank-0 check counts, on strips of the key,
-    # lies inside a base: with no range family the kernels give what the
-    # oracles give over the collection's bases, on every bucket at every
-    # rank below the collection's, rank 0's whole component included
+    # members are on-split m-sets, so every set a cleaning or the rank-0
+    # check counts, on strips of the key, lies inside its member's
+    # projection onto the key's strips, a set of the collection's G: with
+    # no range family the kernels give what the oracles give over G, on
+    # every bucket at every rank below the collection's, rank 0's whole
+    # component included
     family, split, cfg, _, _, anchor_seed = case
     b = exact_base(cfg.b)
     for coll in engine_collections(family, split, cfg, anchor_seed):
+        bases = anchor_bases(coll)
         for key, comp in coll.components.items():
             sub = split.subsplit(key)
             for r in range(coll.rank):
@@ -1122,10 +1139,10 @@ def test_engine_kernels_match_the_range_filtered_oracles(case):
                         free = sub.minus(bm)
                         assert bs._clean_to_spread(
                             bucket, free, b.numerator, b.denominator) == \
-                            clean_to_spread(bucket, free, coll.bases, b)
+                            clean_to_spread(bucket, free, bases, b)
                         members = SetFamily(split.universe, bucket)
                         assert check_gamma_on_subsplit(members, free, b) == \
-                            subsplit_report(members, free, coll.bases, b)
+                            subsplit_report(members, free, bases, b)
 
 
 def engine_matches_rescan(family, split, cfg):

@@ -1,7 +1,7 @@
 """Relations between two runs of the program, checked at sizes no brute
 oracle reaches: the same family with its rows reversed, the same family
-with its labels permuted (for check-gamma, split and transversal-check),
-and a transversal count past the member scan.
+with its labels permuted (for check-gamma, find-sunflower, split and
+transversal-check), and a transversal count past the member scan.
 The engine commands get the first of these on an m = 4 input whose drain
 runs counted cleanings.
 
@@ -19,10 +19,15 @@ import pytest
 
 from sunflower.cli import main
 from sunflower.errors import BudgetExceededError
-from sunflower.families import SetFamily, Split, labels_mask, mask_labels
+from sunflower.extremal import build_extremal
+from sunflower.families import (GroundSet, SetFamily, Split, labels_mask,
+                                mask_labels)
 from sunflower.harness import generate_random_family
 from sunflower.rng import CounterRng
 from sunflower.splits import transversal_count_brute, transversal_formula
+from sunflower.sunflowers import SunflowerCertificate, verify_certificate
+
+from test_sunflowers import ROW_PATH_NODES
 
 # 400 3-sets on 30 labels: 6-spread, not 20-spread
 SPREAD = generate_random_family(30, 3, 400, seed=5)
@@ -34,6 +39,11 @@ ENGINE = generate_random_family(32, 4, 1000, seed=1,
                                 on_split=Split.contiguous(32, 4))
 ENGINE_CONSTANTS = {"epsilon": 0.995, "h": 1.0005, "c": 1.001, "k": 2,
                     "m": 4}
+# the find-sunflower pair pass's row paths with a present 3-sunflower
+# whose rows drop few links (the (3,3) product plus {2, 3, 4}) and most
+# links (two stars on cores sharing labels 2 and 3)
+ROW_PATHS = {name: ROW_PATH_NODES[name][0]
+             for name in ("few-dropped", "most-dropped")}
 
 
 def reversed_rows(family: SetFamily) -> str:
@@ -75,11 +85,20 @@ MEMBER_ORDER = [
     (SPREAD, ["find-sunflower", "--k", "2", "--gamma", "6"], "verified", True),
     (SPLIT, ["split"], "met", True),
     (SPLIT, ["transversal-check", "--j", "2"], "equal", True),
+    *((family, ["find-sunflower", "--k", "3"], "verified", True)
+      for family in ROW_PATHS.values()),
 ]
 
 
+def member_order_id(family: SetFamily, command: list[str]) -> str:
+    """The command, after the row path's name for those families."""
+    names = [name for name, path in ROW_PATHS.items() if path is family]
+    return " ".join([*names, *command])
+
+
 @pytest.mark.parametrize("family, command, key, verdict", MEMBER_ORDER,
-                         ids=[" ".join(c) for _, c, _, _ in MEMBER_ORDER])
+                         ids=[member_order_id(f, c)
+                              for f, c, _, _ in MEMBER_ORDER])
 def test_member_order_is_no_input(capsys, tmp_path, family, command, key,
                                   verdict):
     forward = report(capsys, tmp_path, family.to_text(), command)
@@ -146,6 +165,42 @@ def test_label_permutation_keeps_the_spreadness_verdict(capsys, tmp_path, b,
         count = sum(1 for u in image.masks() if u & s == s)
         assert Fraction(count * b ** len(witness), len(image)) == \
             Fraction(*after["ratio"])
+
+
+@pytest.mark.parametrize("family, seed, found", [
+    (SPREAD, 1, True), (SPREAD, 2, True),
+    (build_extremal(3, 3), 1, False), (build_extremal(3, 3), 2, False)],
+    ids=["spread-1", "spread-2", "product-3-3-1", "product-3-3-2"])
+def test_label_permutation_keeps_sunflower_presence(capsys, tmp_path, family,
+                                                    seed, found):
+    # presence and the exit code do not depend on the labels.  The
+    # certificate is the first one the search meets, so the permuted run
+    # may find another; the first one, permuted, and the one the permuted
+    # run finds are both sunflowers of members of the permuted family
+    image = permuted(family, seed)
+    assert image.masks() != family.masks()
+    command = ["find-sunflower", "--k", "3"]
+    before = report(capsys, tmp_path, family.to_text(), command)
+    after = report(capsys, tmp_path, image.to_text(), command)
+    assert (after["exit"], after["results"]["found"]) == \
+        (before["exit"], before["results"]["found"]) == \
+        (0 if found else 3, found)
+    if not found:
+        assert before["results"]["certificate"] is None
+        assert after["results"]["certificate"] is None
+        return
+    n = family.universe.n
+    members = set(image.masks())
+    for run, relabel in ((before, label_permutation(n, seed)),
+                         (after, range(n))):
+        cert = run["results"]["certificate"]
+        petals = [labels_mask([relabel[x] for x in p])
+                  for p in cert["petals"]]
+        core = labels_mask([relabel[x] for x in cert["core"]])
+        assert len(petals) == 3 and set(petals) <= members
+        assert verify_certificate(SunflowerCertificate(
+            tuple(GroundSet(image.universe, p) for p in petals),
+            GroundSet(image.universe, core)))
 
 
 def test_transversal_identity_past_the_member_scan():
